@@ -27,10 +27,10 @@ from .twostep import (FiniteGroupModel, FiniteMeasure, GapProfile, StarReport,
                       convolution_powers, cyclic_model, sandwich_twostep,
                       sl3_f2_model, spectral_gap_profile, verify_star_instance)
 from .induction import (CocycleResult, CuspFit, DomainStats, LatticeMeasure,
-                        SiegelPoint, cocycle, cocycle_growth_check,
-                        cusp_decay_fit, element_length, pushforward_mn0,
-                        reduce_to_domain, sample_domain, total_variation,
-                        truncate_tail)
+                        SiegelPoint, cocycle, cocycle_alphas,
+                        cocycle_growth_check, cusp_decay_fit, domain_matrices,
+                        element_length, pushforward_mn0, reduce_to_domain,
+                        sample_domain, total_variation, truncate_tail)
 
 __all__ = [
     "AdditiveCharacter", "CharacterClass", "ResidueRing", "RingElem",
@@ -51,9 +51,9 @@ __all__ = [
     "convolution_powers", "cyclic_model", "sandwich_twostep", "sl3_f2_model",
     "spectral_gap_profile", "verify_star_instance",
     "CocycleResult", "CuspFit", "DomainStats", "LatticeMeasure",
-    "SiegelPoint", "cocycle", "cocycle_growth_check", "cusp_decay_fit",
-    "element_length", "pushforward_mn0", "reduce_to_domain", "sample_domain",
-    "total_variation", "truncate_tail",
+    "SiegelPoint", "cocycle", "cocycle_alphas", "cocycle_growth_check",
+    "cusp_decay_fit", "domain_matrices", "element_length", "pushforward_mn0",
+    "reduce_to_domain", "sample_domain", "total_variation", "truncate_tail",
 ]
 
 __version__ = "0.1.0"

@@ -175,7 +175,8 @@ def load_config_file(path):
 
 @dataclass
 class RunReport:
-    """Outcome of one command run: per-case rows plus pass/fail tallies."""
+    """Outcome of one command run: per-case rows plus pass/fail tallies,
+    and any structured diagnostics the runner reports."""
 
     command: str
     config: dict
@@ -185,6 +186,7 @@ class RunReport:
     wall_time: float
     columns: tuple = ()
     csv_rows: list | None = None
+    diagnostics: dict | None = None
 
     def __post_init__(self):
         if self.passed + self.failed != len(self.cases):
@@ -195,7 +197,7 @@ class RunReport:
         return self.failed == 0
 
     def to_json(self):
-        return {
+        doc = {
             "command": self.command,
             "config": self.config,
             "cases": [dict(c) for c in self.cases],
@@ -203,10 +205,17 @@ class RunReport:
             "failed": self.failed,
             "wallTime": self.wall_time,
         }
+        if self.diagnostics is not None:
+            doc["diagnostics"] = self.diagnostics
+        return doc
 
 
 def run(command, config=None):
-    """Execute ``command`` over its grid; deterministic given (config, seed)."""
+    """Execute ``command`` over its grid; deterministic given (config, seed).
+
+    A ``ValueError`` from the library means the configuration asked for
+    something the library rejects, so it surfaces as a ``UsageError``.
+    """
     if config is None:
         config = ExperimentConfig(command)
     elif isinstance(config, dict):
@@ -215,11 +224,15 @@ def run(command, config=None):
         raise UsageError(f"config is for {config.command!r}, not {command!r}")
     spec = COMMANDS[command]
     start = time.perf_counter()
-    cases, columns, csv_rows = spec.runner(config)
+    try:
+        cases, columns, csv_rows, diagnostics = spec.runner(config)
+    except ValueError as exc:
+        raise UsageError(f"{command}: {exc}") from exc
     wall = time.perf_counter() - start
     passed = sum(1 for case in cases if case["pass"])
     return RunReport(command, config.echo(), cases, passed,
-                     len(cases) - passed, wall, tuple(columns), csv_rows)
+                     len(cases) - passed, wall, tuple(columns), csv_rows,
+                     diagnostics)
 
 
 def _format_cell(value):
@@ -241,8 +254,8 @@ def write_report_csv(path, report):
                 f"# generated={stamp}"]
     if report.command == "cocycle-mc" and report.csv_rows is not None:
         # the cocycle command logs the raw domain sample instead of cases
-        points, weights, seed = report.csv_rows
-        induction.write_sample_log(path, seed, points, weights,
+        columns, weights, seed = report.csv_rows
+        induction.write_sample_log(path, seed, columns, weights,
                                    preamble=preamble)
         return
     rows = report.csv_rows if report.csv_rows is not None else report.cases
@@ -283,7 +296,7 @@ def _run_sdelta_decay(cfg):
                     "pass": bool(report.value <= bound + tol),
                 })
     columns = ("p", "n", "h", "index", "norm", "bound", "method", "pass")
-    return cases, columns, None
+    return cases, columns, None, None
 
 
 def _run_sphere_gap(cfg):
@@ -301,7 +314,7 @@ def _run_sphere_gap(cfg):
                 "pass": bool(rep.value <= rep.holder_bound + tol),
             })
     columns = ("n", "delta", "value", "bound", "arg_degree", "tail", "pass")
-    return cases, columns, None
+    return cases, columns, None, None
 
 
 def _run_su2_gap(cfg):
@@ -319,7 +332,7 @@ def _run_su2_gap(cfg):
             "theta": theta, "value": value, "lower": lower,
             "pass": bool(value >= lower - tol),
         })
-    return cases, ("theta", "value", "lower", "pass"), None
+    return cases, ("theta", "value", "lower", "pass"), None, None
 
 
 def _random_sl3(rng):
@@ -361,7 +374,7 @@ def _run_kak(cfg):
             })
             idx += 1
     columns = ("kind", "case", "alpha", "r", "delta", "value", "bound", "pass")
-    return cases, columns, None
+    return cases, columns, None, None
 
 
 def _chamber_triple(rng, r_max):
@@ -405,7 +418,7 @@ def _run_zigzag_cert(cfg):
                 idx += 1
     columns = ("case", "s", "L", "r", "r_prime", "total", "target",
                "steps", "pass")
-    return cases, columns, None
+    return cases, columns, None, None
 
 
 def _lazy_walk(model, order):
@@ -445,7 +458,7 @@ def _run_quotient_gap(cfg):
                       "rho": rho, "oracle": "",
                       "final": profile.values[-1], "pass": bool(ok)})
     columns = ("group", "size", "rho", "oracle", "final", "pass")
-    return cases, columns, None
+    return cases, columns, None, None
 
 
 def _run_star_verify(cfg):
@@ -471,7 +484,7 @@ def _run_star_verify(cfg):
             "pass": bool(report.passed),
         })
     columns = ("order", "fitted_c", "fitted_t", "max_invariance", "pass")
-    return cases, columns, None
+    return cases, columns, None, None
 
 
 def _run_cocycle_mc(cfg):
@@ -485,9 +498,10 @@ def _run_cocycle_mc(cfg):
     tol_kappa = float(cfg.scalar("tolkappa"))
     seed = cfg.seed
 
-    points, weights = induction.sample_domain(samples, seed)
-    lengths = np.array([pt.length for pt in points])
-    subset = points[: min(200, samples)]
+    x, y, theta, lengths, weights = induction.sample_domain_arrays(samples,
+                                                                   seed)
+    head = min(200, samples)
+    subset = induction.domain_matrices(x[:head], y[:head], theta[:head])
 
     g_samples = induction.random_group_elements(g_count, seed + 1,
                                                 max_length=g_len)
@@ -524,7 +538,10 @@ def _run_cocycle_mc(cfg):
         {"check": "truncation-tv", "value": abs(tv - 2.0 * tail),
          "bound": 1e-12, "pass": bool(abs(tv - 2.0 * tail) <= 1e-12)},
     ]
-    return cases, ("check", "value", "bound", "pass"), (points, weights, seed)
+    diagnostics = {"domainStats": stats.to_json(), "cuspFit": fit.to_json(),
+                   "cuspFitAlt": fit_alt.to_json()}
+    return (cases, ("check", "value", "bound", "pass"),
+            ((x, y, theta, lengths), weights, seed), diagnostics)
 
 
 @dataclass(frozen=True)

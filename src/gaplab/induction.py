@@ -13,13 +13,23 @@ group are pushed forward, tail-truncated, and Monte-Carlo integrated against
 the normalized hyperbolic measure on the domain.
 
 Reduction is continued-fraction reduction of the associated half-plane point.
-A float pass proposes the integer matrix and exact rational arithmetic
-(``fractions.Fraction`` on the binary float values, which is lossless)
-verifies or repairs it, so the returned gamma is exact even for badly
-conditioned inputs.  Boundary convention: the right half of the boundary
-(Re z = 1/2, and the right unit-arc) is folded onto the left, which makes the
-splitting a true bijection modulo the +-identity center.  Integer matrices
-are canonicalized by the sign of their first nonzero entry.
+A float pass proposes the integer matrix gamma, and a certificate decides
+whether the proposal can be trusted: gamma is accepted only when the float
+image gamma . z lies inside F by more than a rigorous forward-error bound on
+that float image (see ``_certify``).  Away from the boundary of F the
+interior point fixes gamma up to sign, so an accepted proposal is exact.
+Points inside the error band, and proposals that fail for any other reason,
+go through exact rational arithmetic (``fractions.Fraction`` on the binary
+float values, which is lossless), which verifies or repairs the proposal.
+The scalar functions and the array function ``cocycle_alphas`` share the
+certificate and the fallback, so every returned gamma is exact even for
+badly conditioned inputs; the rational path also serves as the test oracle.
+Boundary convention: the right half of the boundary (Re z = 1/2, and the
+right unit-arc) is folded onto the left, which makes the splitting a true
+bijection modulo the +-identity center away from the orbits of the elliptic
+points i and rho, whose stabilizers are larger; there gamma is the one the
+rational path picks.  Integer matrices are canonicalized by the sign of
+their first nonzero entry.
 """
 
 import csv
@@ -35,33 +45,56 @@ _DET_TOL = 1e-12
 _RECON_TOL = 1e-9
 _INT64_GUARD = 2 ** 62
 
+_UNIT = 2.0 ** -53        # unit roundoff of binary64
+_TINY = 2.0 ** -1060      # absolute slack covering gradual underflow
+_GAMMA_CAP = 2.0 ** 52    # ||gamma||_F^2 cap: entries below 2^26, det exact
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
 #: smallest domain sample count for which summary statistics are accepted
 MIN_DOMAIN_SAMPLES = 16
 
 
 # ---------------------------------------------------------------------------
 # matrices and lengths
+#
+# Small matrices travel as row-major 4-tuples (a, b, c, d).  The helpers on
+# them use plain arithmetic only, so they act alike on Python numbers and,
+# elementwise, on numpy arrays.
 
 
 def _as_matrix(g):
     m = np.asarray(g, dtype=float)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not all(map(math.isfinite, m.ravel().tolist())):
         raise ValueError("matrix entries must be finite")
     return m
 
 
-def _det2(m):
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+def _matmul4(u, v):
+    a, b, c, d = u
+    e, f, g, h = v
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _adjugate4(u):
+    a, b, c, d = u
+    return (d, -b, -c, a)
+
+
+def _sumsq4(u):
+    a, b, c, d = u
+    return a * a + b * b + c * c + d * d
 
 
 def _check_unimodular(g):
     """Validate det = 1 up to rounding at the matrix's own scale."""
     m = _as_matrix(g)
-    scale = max(1.0, float((m * m).sum()))
-    if abs(_det2(m) - 1.0) > 1e-12 * scale:
-        raise ValueError(f"matrix must have determinant 1, got {_det2(m)!r}")
+    entries = m.ravel().tolist()
+    a, b, c, d = entries
+    det = a * d - b * c
+    if abs(det - 1.0) > 1e-12 * max(1.0, _sumsq4(entries)):
+        raise ValueError(f"matrix must have determinant 1, got {det!r}")
     return m
 
 
@@ -70,14 +103,20 @@ def element_length(g):
 
     For determinant-one matrices the singular values are sigma and 1/sigma,
     so this equals max(log ||g||, log ||g^{-1}||) and is symmetric under
-    inversion.  Computed from the Frobenius norm in closed form.
+    inversion.  Computed from the Frobenius norm in closed form.  A stack of
+    shape (..., 2, 2) gives an array of lengths.
     """
-    m = _as_matrix(g)
-    f2 = max(float((m * m).sum()), 2.0)
-    if f2 > 1e150:
-        return 0.5 * math.log(f2)
-    s2 = 0.5 * (f2 + math.sqrt((f2 - 2.0) * (f2 + 2.0)))
-    return 0.5 * math.log(s2)
+    m = np.asarray(g, dtype=float)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    f2 = np.maximum((m * m).sum(axis=(-2, -1)), 2.0)
+    huge = f2 > 1e150
+    moderate = np.where(huge, 2.0, f2)
+    s2 = 0.5 * (moderate + np.sqrt((moderate - 2.0) * (moderate + 2.0)))
+    lengths = 0.5 * np.log(np.where(huge, f2, s2))
+    return float(lengths) if lengths.ndim == 0 else lengths
 
 
 def _canonical_sign(entries):
@@ -92,11 +131,12 @@ def _canonical_sign(entries):
     raise ValueError("zero matrix has no canonical sign")
 
 
-def _to_int64(entries):
+def _int_matrix(entries):
+    """A 2x2 integer matrix: int64, or object dtype holding Python ints once
+    an entry reaches 2^62."""
     a, b, c, d = entries
-    if max(abs(a), abs(b), abs(c), abs(d)) >= _INT64_GUARD:
-        raise OverflowError("integer part exceeds the int64 range")
-    return np.array([[a, b], [c, d]], dtype=np.int64)
+    dtype = object if max(abs(a), abs(b), abs(c), abs(d)) >= _INT64_GUARD else np.int64
+    return np.array([[a, b], [c, d]], dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +156,6 @@ def _frac_matmul(a, b):
         [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
         [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
     ]
-
-
-def _frac_to_float(M):
-    return np.array([[float(M[0][0]), float(M[0][1])], [float(M[1][0]), float(M[1][1])]])
 
 
 def _point_of_inverse(M):
@@ -211,17 +247,6 @@ def _reduce_exact(x, y, max_iter=10000):
     return (a, b, c, d), x, y
 
 
-def _compose_int(t, c):
-    ta, tb, tc, td = t
-    ca, cb, cc, cd = c
-    return (
-        ta * ca + tb * cc,
-        ta * cb + tb * cd,
-        tc * ca + td * cc,
-        tc * cb + td * cd,
-    )
-
-
 def _reduce_point(x, y):
     """Reduce the exact rational point x + iy into F.
 
@@ -234,12 +259,211 @@ def _reduce_point(x, y):
         if _in_domain_exact(x2, y2):
             return cand, x2, y2
         tail, x3, y3 = _reduce_exact(x2, y2)
-        return _compose_int(tail, cand), x3, y3
+        return _matmul4(tail, cand), x3, y3
     return _reduce_exact(x, y)
+
+
+def _exact_gamma(g, w):
+    """The integer part of g w on the rational path: gamma with gamma . z in
+    F for the exact point z = (g w)^{-1} . i (g, w row-major float 4-tuples)."""
+    M = _frac_matmul(_frac_matrix(np.reshape(g, (2, 2))),
+                     _frac_matrix(np.reshape(w, (2, 2))))
+    gamma, _, _ = _reduce_point(*_point_of_inverse(M))
+    return gamma
+
+
+def _dyadic(values):
+    """Integers n_i and one k with values[i] == n_i / 2**k exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    k = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (k + 1 - den.bit_length()) for num, den in ratios], k
+
+
+def _rounded_representative(g, w, gamma):
+    """g w gamma^{-1}, each entry correctly rounded from its exact value.
+
+    Every float is an integer over a power of two, so the product is an
+    integer matrix over one power of two, and Python's int / int is
+    correctly rounded (as is the float conversion of a Fraction).
+    """
+    gi, kg = _dyadic(g)
+    wi, kw = _dyadic(w)
+    den = 1 << (kg + kw)
+    return tuple(v / den for v in _matmul4(_matmul4(gi, wi), _adjugate4(gamma)))
+
+
+# ---------------------------------------------------------------------------
+# the certified float path
+
+
+def _certify(g, w, m, gamma):
+    """True where gamma provably moves the point of g w into the interior of F.
+
+    g, w are the float factors, m = fl(g w) their float product and gamma a
+    float candidate (p, q, r, s); all are 4-tuples of floats or of arrays,
+    and the test runs elementwise.  The exact image gamma . z of the exact
+    point z = (g w)^{-1} . i is the point of the representative
+    N = g w adj(gamma), and for N = [[a, b], [c, d]]
+
+        |gamma . z|^2 - 1     = (b^2 + d^2 - a^2 - c^2) / (a^2 + c^2),
+        1 - 2 |Re gamma . z|  = (a^2 + c^2 - 2 |ab + cd|) / (a^2 + c^2),
+
+    so the point lies strictly inside F when the numerators ``arc`` and
+    ``edge`` are positive.  The check evaluates them, and det N, on the
+    float N^ = fl(m adj(gamma)) and accepts only margins above a forward
+    error bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 3; u = 2^-53, gamma_k = k u / (1 - k u)):
+
+    * gamma must be an integer matrix with det 1 and ||gamma||_F^2 <= 2^52;
+      its float entries are then integers below 2^26, exact, and p s - q r
+      is computed exactly.
+    * Two-term inner products give |m - g w| <= gamma_2 |g||w| and
+      |N^ - m adj(gamma)| <= gamma_2 |m||adj(gamma)| entrywise, so
+      |N^ - N| <= gamma_2 (2 + gamma_2) |g||w||adj(gamma)|, and every entry
+      of that is at most eps = 9 u ||g||_F ||w||_F ||gamma||_F
+      (8 u (1 + O(u)) by Cauchy-Schwarz; the 9 absorbs the rounding of eps
+      itself).
+    * With S = ||N^||_F^2, moving N^ by eps per entry moves ``arc`` by at
+      most 4 eps sqrt(S) + 4 eps^2, and ``edge`` and det by at most
+      8 eps sqrt(S) + 6 eps^2; evaluating them on N^ in floats errs by at
+      most 2 gamma_3 S.  The bound 7 u S + eps (9 sqrt(S) + 7 eps) covers
+      both with room for its own rounding.
+    * Gradual underflow adds at most a few multiples of 2^-1075 per
+      operation, which the 2^-1060 terms cover.  Overflow gives inf or nan,
+      and no comparison with either accepts.
+
+    An accepted gamma equals the exact reduction's up to sign: an interior
+    point of F has no other image in F.
+    """
+    p, q, r, s = gamma
+    gamma2 = _sumsq4(gamma)
+    eps = (9.0 * _UNIT * (_sumsq4(g) * _sumsq4(w)) ** 0.5 + _TINY) * gamma2 ** 0.5
+    a, b, c, d = _matmul4(m, _adjugate4(gamma))
+    col0 = a * a + c * c
+    col1 = b * b + d * d
+    fro = col0 + col1
+    bound = 7.0 * _UNIT * fro + eps * (9.0 * fro ** 0.5 + 7.0 * eps) + _TINY
+    arc = col1 - col0
+    edge = col0 - 2.0 * abs(a * b + c * d)
+    det = a * d - b * c
+    return ((p * s - q * r == 1.0) & (gamma2 <= _GAMMA_CAP)
+            & (arc > bound) & (edge > bound) & (det > bound))
+
+
+def _split(g, w):
+    """The integer part of g w, for row-major float 4-tuples g and w.
+
+    Returns (gamma, rep, m): gamma sign-canonical Python ints with
+    gamma . (g w)^{-1} . i in F, rep = g w gamma^{-1} correctly rounded, and
+    m = fl(g w).  The float proposal is kept when ``_certify`` accepts it;
+    otherwise the rational path decides.
+    """
+    m = _matmul4(g, w)
+    a, b, c, d = m
+    den = a * a + c * c
+    cand = None
+    if den > 0.0:
+        cand = _reduce_float(-(a * b + c * d) / den, (a * d - b * c) / den)
+    # entries past 2^26 never certify; checking here keeps float() exact
+    if (cand is None or max(map(abs, cand)) >= 1 << 26
+            or not _certify(g, w, m, tuple(map(float, cand)))):
+        cand = _exact_gamma(g, w)
+    gamma = _canonical_sign(cand)
+    return gamma, _rounded_representative(g, w, gamma), m
+
+
+def _reduce_float_batch(x, y, max_iter=120):
+    """``_reduce_float`` over arrays: candidate integer matrices as four
+    float arrays.  A row that fails to settle keeps what it reached, which
+    the certificate then rejects."""
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
+    gamma = np.zeros((4, x.size))
+    gamma[0] = gamma[3] = 1.0
+    live = np.arange(x.size)
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        xl, yl, gl = x[live], y[live], gamma[:, live]
+        shift = np.floor(xl + 0.5)
+        xl -= shift
+        gl[0] -= shift * gl[2]
+        gl[1] -= shift * gl[3]
+        norm = xl * xl + yl * yl
+        flip = norm < 1.0
+        xl[flip] = -xl[flip] / norm[flip]
+        yl[flip] /= norm[flip]
+        gl[:, flip] = np.stack((-gl[2, flip], -gl[3, flip], gl[0, flip], gl[1, flip]))
+        x[live], y[live], gamma[:, live] = xl, yl, gl
+        live = live[flip]
+    return tuple(gamma)
+
+
+def _alphas(g, omegas):
+    """``cocycle_alphas`` on a float 4-tuple g and validated (N, 2, 2)
+    representatives."""
+    count = len(omegas)
+    w = tuple(np.ascontiguousarray(omegas.reshape(count, 4).T))
+    m = _matmul4(g, w)
+    a, b, c, d = m
+    with np.errstate(all="ignore"):
+        den = a * a + c * c
+        cand = _reduce_float_batch(-(a * b + c * d) / den, (a * d - b * c) / den)
+        ok = _certify(g, w, m, cand)
+    p, q = cand[0][ok], cand[1][ok]
+    sign = np.where(p != 0, np.sign(p), np.sign(q))
+    alphas = np.zeros((count, 4), dtype=np.int64)
+    alphas[ok] = (np.stack([v[ok] for v in cand]) * sign).T
+    exact = {i: _canonical_sign(_exact_gamma(g, tuple(omegas[i].ravel().tolist())))
+             for i in np.flatnonzero(~ok).tolist()}
+    if any(abs(v) >= _INT64_GUARD for e in exact.values() for v in e):
+        alphas = alphas.astype(object)
+    for i, e in exact.items():
+        alphas[i] = e
+    return alphas.reshape(count, 2, 2), len(exact)
 
 
 # ---------------------------------------------------------------------------
 # domain representatives
+
+
+def _any(mask):
+    return mask if isinstance(mask, bool) else bool(mask.any())
+
+
+def _first(values, mask):
+    return float(np.asarray(values)[np.asarray(mask)][0])
+
+
+def _domain_points(a, b, c, d):
+    """The points x + iy = omega^{-1} . i of representatives
+    omega = [[a, b], [c, d]], elementwise over floats or arrays.
+
+    Raises ValueError unless every omega has determinant 1 (to _DET_TOL at
+    its scale) and its point lies in F (to _MEMBER_TOL).
+    """
+    det = a * d - b * c
+    off = abs(det - 1.0)
+    bad = (off > _DET_TOL) & (off > _DET_TOL * (a * a + b * b + c * c + d * d))
+    if _any(bad):
+        raise ValueError(f"determinant must be 1, got {_first(det, bad)!r}")
+    den = a * a + c * c
+    if _any(den <= 0):
+        raise ValueError("representative has a zero first column")
+    x = -(a * b + c * d) / den
+    y = det / den
+    if _any(y <= 0):
+        raise ValueError("associated point must lie in the upper half-plane")
+    bad = (abs(x) > 0.5 + _MEMBER_TOL) | (x * x + y * y < 1.0 - _MEMBER_TOL)
+    if _any(bad):
+        point = complex(_first(x, bad), _first(y, bad))
+        raise ValueError(f"associated point {point:.6g} lies outside the fundamental domain")
+    return x, y
+
+
+def _point_lengths(x, y):
+    """Half the hyperbolic distance from i to x + iy, elementwise."""
+    return 0.5 * np.arccosh((x * x + y * y + 1.0) / (2.0 * y))
 
 
 class SiegelPoint:
@@ -255,23 +479,17 @@ class SiegelPoint:
 
     def __init__(self, matrix):
         m = _as_matrix(matrix)
-        scale = max(1.0, float((m * m).sum()))
-        if abs(_det2(m) - 1.0) > _DET_TOL * scale:
-            raise ValueError(f"determinant must be 1, got {_det2(m)!r}")
-        inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-        den = inv[1, 0] ** 2 + inv[1, 1] ** 2
-        x = float((inv[0, 1] * inv[1, 1] + inv[0, 0] * inv[1, 0]) / den)
-        y = float((inv[0, 0] * inv[1, 1] - inv[0, 1] * inv[1, 0]) / den)
-        if y <= 0:
-            raise ValueError("associated point must lie in the upper half-plane")
-        if abs(x) > 0.5 + _MEMBER_TOL or x * x + y * y < 1.0 - _MEMBER_TOL:
-            raise ValueError(
-                f"associated point {x + 1j * y:.6g} lies outside the fundamental domain"
-            )
+        self._x, self._y = _domain_points(*m.ravel().tolist())
         self.matrix = m.copy()
         self.matrix.setflags(write=False)
-        self._x = x
-        self._y = y
+
+    @classmethod
+    def _checked(cls, matrix, x, y):
+        """A point whose read-only matrix and coordinates were validated in
+        bulk by ``_domain_points``."""
+        point = object.__new__(cls)
+        point.matrix, point._x, point._y = matrix, x, y
+        return point
 
     @property
     def x(self):
@@ -310,21 +528,36 @@ class SiegelPoint:
         return f"SiegelPoint(z={self.point:.6g}, rotation={self.rotation:.4f})"
 
 
+def _representatives(domain_samples):
+    """A domain sample as validated arrays (omegas, x, y): omegas of shape
+    (N, 2, 2) and the coordinates of their points.  Takes an array of
+    representative matrices, or a sequence of SiegelPoints (or matrices)."""
+    if isinstance(domain_samples, np.ndarray):
+        omegas = np.asarray(domain_samples, dtype=float)
+        if omegas.ndim != 3 or omegas.shape[1:] != (2, 2):
+            raise ValueError(f"expected an (N, 2, 2) array, got shape {omegas.shape}")
+        if not np.all(np.isfinite(omegas)):
+            raise ValueError("matrix entries must be finite")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x, y = _domain_points(*omegas.reshape(-1, 4).T)
+        return omegas, x, y
+    points = [p if isinstance(p, SiegelPoint) else SiegelPoint(p) for p in domain_samples]
+    omegas = np.array([p.matrix for p in points], dtype=float).reshape(-1, 2, 2)
+    return omegas, np.array([p.x for p in points]), np.array([p.y for p in points])
+
+
 def reduce_to_domain(g):
     """Split g = omega * gamma with omega a domain representative.
 
     Returns (SiegelPoint, gamma) where gamma is an exact integer matrix of
-    determinant one, sign-canonicalized.  The splitting is unique modulo the
-    center thanks to the boundary folding convention.
+    determinant one, sign-canonicalized (Python ints in an object array
+    once an entry reaches 2^62).  The splitting is unique modulo the center
+    thanks to the boundary folding convention, except on the orbits of the
+    elliptic points i and rho.
     """
     m = _check_unimodular(g)
-    M = _frac_matrix(m)
-    x, y = _point_of_inverse(M)
-    gamma, _, _ = _reduce_point(x, y)
-    gamma = _canonical_sign(gamma)
-    a, b, c, d = gamma
-    omega = _frac_to_float(_frac_matmul(M, [[Fraction(d), Fraction(-b)], [Fraction(-c), Fraction(a)]]))
-    return SiegelPoint(omega), _to_int64(gamma)
+    gamma, (a, b, c, d), _ = _split(tuple(m.ravel().tolist()), _IDENTITY)
+    return SiegelPoint([[a, b], [c, d]]), _int_matrix(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +576,9 @@ class CocycleResult:
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha)
-        if alpha.shape != (2, 2) or not np.issubdtype(alpha.dtype, np.integer):
+        integral = alpha.dtype.kind in "iu" or (
+            alpha.dtype == object and all(isinstance(v, int) for v in alpha.flat))
+        if alpha.shape != (2, 2) or not integral:
             raise ValueError("alpha must be a 2x2 integer matrix")
         a, b, c, d = (int(v) for v in alpha.ravel())
         if a * d - b * c != 1:
@@ -362,19 +597,30 @@ def cocycle(g, omega):
     m = _check_unimodular(g)
     if not isinstance(omega, SiegelPoint):
         omega = SiegelPoint(omega)
-    M = _frac_matmul(_frac_matrix(m), _frac_matrix(omega.matrix))
-    x, y = _point_of_inverse(M)
-    gamma, _, _ = _reduce_point(x, y)
-    gamma = _canonical_sign(gamma)
-    a, b, c, d = gamma
-    new_rep = _frac_to_float(
-        _frac_matmul(M, [[Fraction(d), Fraction(-b)], [Fraction(-c), Fraction(a)]])
-    )
-    point = SiegelPoint(new_rep)
-    lhs = m @ omega.matrix
-    rhs = point.matrix @ np.array([[a, b], [c, d]], dtype=float)
-    residual = float(np.abs(lhs - rhs).max() / max(1.0, np.abs(lhs).max()))
-    return CocycleResult(point, _to_int64(gamma), residual)
+    gamma, rep, product = _split(tuple(m.ravel().tolist()),
+                                 tuple(omega.matrix.ravel().tolist()))
+    a, b, c, d = rep
+    point = SiegelPoint([[a, b], [c, d]])
+    recon = _matmul4(rep, gamma)
+    residual = (max(abs(u - v) for u, v in zip(product, recon))
+                / max(1.0, max(map(abs, product))))
+    return CocycleResult(point, _int_matrix(gamma), residual)
+
+
+def cocycle_alphas(g, omegas):
+    """alpha(g, omega) for every representative omega of a domain sample.
+
+    ``omegas`` is an (N, 2, 2) array of representatives (see
+    ``domain_matrices``) or a sequence of SiegelPoints.  The reduction runs
+    vectorised under the same certificate as ``cocycle``; rows inside the
+    error band go through the rational path one by one.  Returns
+    (alphas, exact_fallbacks): alphas of shape (N, 2, 2), equal row by row
+    to ``cocycle(g, omega).alpha`` (int64, or object dtype of Python ints
+    once an entry reaches 2^62), and the number of rows that fell back.
+    """
+    m = _check_unimodular(g)
+    omegas, _, _ = _representatives(omegas)
+    return _alphas(tuple(m.ravel().tolist()), omegas)
 
 
 # ---------------------------------------------------------------------------
@@ -399,38 +645,53 @@ def sample_domain_arrays(count, seed):
     u = 1.0 - rng.random(count)
     y = np.cos(phi) / u
     theta = rng.uniform(0.0, math.pi, size=count)
-    lengths = 0.5 * np.arccosh((x * x + y * y + 1.0) / (2.0 * y))
     weights = np.full(count, 1.0 / count)
-    return x, y, theta, lengths, weights
+    return x, y, theta, _point_lengths(x, y), weights
+
+
+def domain_matrices(x, y, theta):
+    """Representatives omega = k(theta)^{-1} p(z)^{-1} of sampled points
+    z = x + iy and angles theta, as a read-only (N, 2, 2) array; p(z) is the
+    transvection moving i to z and k(theta) the rotation by theta."""
+    x, y, theta = (np.asarray(v, dtype=float) for v in (x, y, theta))
+    sq = np.sqrt(y)
+    inv_sq = 1.0 / sq
+    shear = -x / sq
+    ct, st = np.cos(theta), np.sin(theta)
+    omegas = np.stack([ct * inv_sq, ct * shear + st * sq,
+                       -st * inv_sq, -st * shear + ct * sq], axis=-1).reshape(-1, 2, 2)
+    omegas.setflags(write=False)
+    return omegas
 
 
 def sample_domain(count, seed):
     """Draw SiegelPoints from the normalized Haar measure on the domain.
 
     Returns (points, weights); the weights are uniform (the sampler is exact,
-    not importance-reweighted) and sum to one.
+    not importance-reweighted) and sum to one.  The points are views of one
+    ``domain_matrices`` array, validated in a single vectorised pass.
     """
     x, y, theta, _, weights = sample_domain_arrays(count, seed)
-    points = []
-    sq = np.sqrt(y)
-    for xi, yi, ti, si in zip(x, y, theta, sq):
-        ct, st = math.cos(ti), math.sin(ti)
-        k_inv = np.array([[ct, st], [-st, ct]])
-        p_inv = np.array([[1.0 / si, -xi / si], [0.0, si]])
-        points.append(SiegelPoint(k_inv @ p_inv))
+    omegas, px, py = _representatives(domain_matrices(x, y, theta))
+    points = [SiegelPoint._checked(w, xi, yi)
+              for w, xi, yi in zip(omegas, px.tolist(), py.tolist())]
     return points, weights
 
 
-def write_sample_log(path, seed, points, weights, preamble=()):
+def write_sample_log(path, seed, columns, weights, preamble=()):
     """Stream a domain sample to CSV with columns
-    (seed, omega_x, omega_y, rotation, length, weight)."""
+    (seed, omega_x, omega_y, rotation, length, weight).
+
+    ``columns`` holds the arrays (x, y, theta, lengths) of
+    ``sample_domain_arrays``.
+    """
     with open(path, "w", newline="") as fh:
         for line in preamble:
             fh.write(str(line).rstrip("\n") + "\n")
         writer = csv.writer(fh)
         writer.writerow(["seed", "omega_x", "omega_y", "rotation", "length", "weight"])
-        for pt, wt in zip(points, weights):
-            row = (pt.x, pt.y, pt.rotation, pt.length, wt)
+        rows = zip(*(np.asarray(v, dtype=float).tolist() for v in (*columns, weights)))
+        for row in rows:
             writer.writerow([seed] + [f"{v:.17g}" for v in row])
 
 
@@ -539,6 +800,8 @@ class DomainStats:
     it stays near zero for this domain.  ``c_emp`` is the largest ratio of
     the empirical integral of e^{s length(alpha)} over the domain to
     e^{2 s length(g)}.  Monte-Carlo estimates carry standard errors.
+    ``exact_fallbacks`` counts the (g, omega) pairs whose float reduction
+    was not certified and went through exact rational arithmetic.
     """
 
     sample_count: int
@@ -550,6 +813,7 @@ class DomainStats:
     c_emp_stderr: float
     exp_integral: float
     exp_integral_stderr: float
+    exact_fallbacks: int = 0
 
     def __post_init__(self):
         if self.sample_count < MIN_DOMAIN_SAMPLES:
@@ -569,6 +833,7 @@ class DomainStats:
             "cEmpStderr": self.c_emp_stderr,
             "expIntegral": self.exp_integral,
             "expIntegralStderr": self.exp_integral_stderr,
+            "exactFallbacks": self.exact_fallbacks,
         }
 
 
@@ -594,24 +859,35 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
     compared with e^{2 s length(g)}; the largest ratio and the worst
     pointwise defect kappa are reported together with the empirical
     e^{s0 length} integral of the domain sample itself.
+
+    ``g_samples`` may be any iterable and is read once; ``domain_samples``
+    is a sequence of SiegelPoints or an (N, 2, 2) array of representatives.
+    Both must be nonempty.
     """
     if s <= 0:
         raise ValueError("rate s must be positive")
     if s > s0 / 2.0 + 1e-12:
         raise ValueError(f"rate s={s} out of admissible range (needs s <= s0/2 = {s0 / 2.0})")
-    points = list(domain_samples)
+    g_list = [_check_unimodular(g) for g in g_samples]
+    if not g_list:
+        raise ValueError("no group elements to check")
+    omegas, x, y = _representatives(domain_samples)
+    count = len(omegas)
+    if not count:
+        raise ValueError("empty domain sample")
     if weights is None:
-        weights = np.full(len(points), 1.0 / max(len(points), 1))
+        weights = np.full(count, 1.0 / count)
     weights = np.asarray(weights, dtype=float)
-    omega_lengths = np.array([p.length for p in points])
+    omega_lengths = _point_lengths(x, y)
     kappa = -math.inf
     c_emp = -math.inf
     c_emp_stderr = 0.0
-    for g in g_samples:
+    fallbacks = 0
+    for g in g_list:
         lg = element_length(g)
-        alpha_lengths = np.empty(len(points))
-        for j, p in enumerate(points):
-            alpha_lengths[j] = element_length(cocycle(g, p).alpha)
+        alphas, fell_back = _alphas(tuple(g.ravel().tolist()), omegas)
+        fallbacks += fell_back
+        alpha_lengths = element_length(alphas)
         kappa = max(kappa, float(np.max(alpha_lengths - 2.0 * lg - 2.0 * omega_lengths)))
         mean, stderr = weighted_mean_stderr(np.exp(s * alpha_lengths), weights)
         ratio = mean / math.exp(2.0 * s * lg)
@@ -620,8 +896,8 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
             c_emp_stderr = stderr / math.exp(2.0 * s * lg)
     exp_integral, exp_stderr = domain_exp_integral(omega_lengths, s0, weights)
     return DomainStats(
-        sample_count=len(points),
-        g_count=len(list(g_samples)),
+        sample_count=count,
+        g_count=len(g_list),
         s=float(s),
         s0=float(s0),
         kappa=kappa,
@@ -629,6 +905,7 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
         c_emp_stderr=c_emp_stderr,
         exp_integral=exp_integral,
         exp_integral_stderr=exp_stderr,
+        exact_fallbacks=fallbacks,
     )
 
 
@@ -678,9 +955,7 @@ class LatticeMeasure:
 
     def lengths(self):
         """Element lengths aligned with ``items()`` order."""
-        return np.array(
-            [element_length(np.array(k, dtype=float).reshape(2, 2)) for k in self._entries]
-        )
+        return element_length(np.array(list(self._entries), dtype=float).reshape(-1, 2, 2))
 
     @property
     def max_length(self):
@@ -708,8 +983,7 @@ def total_variation(first, second):
 def exp_tail_mass(measure, s, radius):
     """Integral of e^{s length} over the complement of the radius ball."""
     total = 0.0
-    for key, weight in measure.items():
-        ell = element_length(np.array(key, dtype=float).reshape(2, 2))
+    for (_, weight), ell in zip(measure.items(), measure.lengths().tolist()):
         if ell >= radius - 1e-12:
             total += weight * math.exp(s * ell)
     return total
@@ -721,7 +995,9 @@ def pushforward_mn0(m_tilde, n, domain_samples, weights=None):
     ``m_tilde`` is an iterable of (matrix, weight) pairs forming a probability
     measure supported in the length-n ball; each atom g and each domain point
     omega contribute weight to the inverse of the integer part of
-    g^{-1} omega.  Returns a LatticeMeasure of total mass one.
+    g^{-1} omega.  ``domain_samples`` is a nonempty sequence of SiegelPoints
+    or an (N, 2, 2) array of representatives.  Returns a LatticeMeasure of
+    total mass one.
     """
     pairs = [(_check_unimodular(g), float(w)) for g, w in m_tilde]
     if not pairs:
@@ -735,17 +1011,18 @@ def pushforward_mn0(m_tilde, n, domain_samples, weights=None):
             raise ValueError(
                 f"support leaves the length ball: length {element_length(g):.6g} > n={n}"
             )
-    points = list(domain_samples)
+    omegas, _, _ = _representatives(domain_samples)
+    if not len(omegas):
+        raise ValueError("empty domain sample")
     if weights is None:
-        weights = np.full(len(points), 1.0 / max(len(points), 1))
-    weights = np.asarray(weights, dtype=float)
+        weights = np.full(len(omegas), 1.0 / len(omegas))
+    weights = np.asarray(weights, dtype=float).tolist()
     entries = {}
     for g, wg in pairs:
-        ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
-        for p, wp in zip(points, weights):
-            a, b, c, d = (int(v) for v in cocycle(ginv, p).alpha.ravel())
+        alphas, _ = _alphas(_adjugate4(g.ravel().tolist()), omegas)
+        for (a, b, c, d), wp in zip(alphas.reshape(-1, 4).tolist(), weights):
             key = _canonical_sign((d, -b, -c, a))
-            entries[key] = entries.get(key, 0.0) + wg * float(wp)
+            entries[key] = entries.get(key, 0.0) + wg * wp
     return LatticeMeasure(entries)
 
 
@@ -758,8 +1035,7 @@ def truncate_tail(m0, n, ball_radius=None):
     """
     radius = float(n if ball_radius is None else ball_radius)
     inside, outside_mass = {}, 0.0
-    for key, weight in m0.items():
-        ell = element_length(np.array(key, dtype=float).reshape(2, 2))
+    for (key, weight), ell in zip(m0.items(), m0.lengths().tolist()):
         if ell <= radius + 1e-12:
             inside[key] = weight
         else:

@@ -140,6 +140,23 @@ def test_positional_junk_exits_two():
     assert run_main(["su2-gap", "extra"]) == 2
 
 
+def test_library_value_error_exits_two(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    assert run_main(["cocycle-mc", "--samples=10", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "below the declared minimum" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sphere_gap_delta_out_of_range_exits_two(tmp_path, capsys):
+    out = tmp_path / "sg.csv"
+    assert run_main(["sphere-gap", "--delta=1.5", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sphere-gap:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bound_violation_exits_one(tmp_path, capsys):
     out = tmp_path / "zz.csv"
     code = run_main(["zigzag-cert", "--s=0.3", "--pairs=2", "--out", out])
@@ -228,6 +245,12 @@ def test_cocycle_csv_is_a_sample_log(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     checks = {c["check"] for c in report["cases"]}
     assert {"growth-kappa", "cusp-rate", "truncation-tv"} <= checks
+    diagnostics = report["diagnostics"]
+    assert set(diagnostics) == {"domainStats", "cuspFit", "cuspFitAlt"}
+    stats = diagnostics["domainStats"]
+    assert stats["exactFallbacks"] >= 0 and stats["gCount"] == 4
+    assert stats["sampleCount"] == 200
+    assert diagnostics["cuspFit"]["sampleCount"] == 600
 
 
 # ---------------------------------------------------------------------------

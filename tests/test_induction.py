@@ -18,9 +18,11 @@ from gaplab.induction import (
     LatticeMeasure,
     SiegelPoint,
     cocycle,
+    cocycle_alphas,
     cocycle_growth_check,
     cusp_decay_fit,
     domain_exp_integral,
+    domain_matrices,
     element_length,
     exp_tail_mass,
     pushforward_mn0,
@@ -292,6 +294,184 @@ def test_reduction_roundtrip_property(word, idx):
 
 
 # ---------------------------------------------------------------------------
+# the certified float path against the rational oracle
+
+
+def fraction_alpha(g, omega):
+    """alpha(g, omega) on the rational path alone, without the certificate.
+
+    The exact point is reduced by ``_reduce_point``, whose result is checked
+    in rational arithmetic.  Off the orbits of i and rho that result is
+    unique; at those elliptic points the stabilizer is nontrivial, and alpha
+    is the representative this path picks.
+    """
+    M = ind._frac_matmul(ind._frac_matrix(g), ind._frac_matrix(omega))
+    gamma, _, _ = ind._reduce_point(*ind._point_of_inverse(M))
+    return ind._canonical_sign(gamma)
+
+
+def word_matrix(word):
+    g = np.eye(2, dtype=np.int64)
+    for w in word:
+        g = g @ (S_MAT, T_MAT, T_INV)[w]
+    return g
+
+
+def adjugate(m):
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+
+def assert_paths_agree(g, omegas, public=True):
+    """Batch and scalar alpha agree with the rational path bit for bit on
+    every row; returns the batch's fallback count.
+
+    The scalar alpha comes from ``cocycle``, or, with ``public=False``, from
+    its integer-part core ``_split``: ``cocycle`` also validates the moved
+    representative, whose determinant inherits the rounding error of a
+    large float g, which can exceed the representative's own tolerance.
+    """
+    alphas, fallbacks = cocycle_alphas(g, omegas)
+    assert 0 <= fallbacks <= len(omegas)
+    g4 = tuple(np.asarray(g, dtype=float).ravel().tolist())
+    for row, om in zip(alphas, omegas):
+        want = fraction_alpha(g, om)
+        assert tuple(int(v) for v in row.ravel()) == want
+        if public:
+            scalar = tuple(int(v) for v in cocycle(g, om).alpha.ravel())
+        else:
+            scalar = ind._split(g4, tuple(om.ravel().tolist()))[0]
+        assert scalar == want
+    return fallbacks
+
+
+def exact_boundary_representatives():
+    """Representatives with dyadic entries whose points lie exactly on the
+    boundary of F: i, -1/2 + iy and 1/2 + iy for y = 1, 2, 4, 16, each also
+    turned by a quarter rotation.  Products with integer words are exact."""
+    base = [np.eye(2)]
+    for x in (-0.5, 0.5):
+        base += [np.array([[1.0, -x], [0.0, 1.0]]),
+                 np.array([[0.5, -0.5 * x], [0.0, 2.0]]),
+                 np.array([[0.25, -0.25 * x], [0.0, 4.0]]),
+                 # omega^{-1} = [[x/2 + 1, x/2 - 1], [1/2, 1/2]] sends i to x + 2i
+                 np.array([[0.5, 1.0 - 0.5 * x], [-0.5, 1.0 + 0.5 * x]])]
+    quarter = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return np.array(base + [quarter @ b for b in base])
+
+
+EXACT_BOUNDARY = exact_boundary_representatives()
+WORDS = st.lists(st.lists(st.sampled_from([0, 1, 2]), max_size=30), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.integers(0, len(EXACT_BOUNDARY) - 1), min_size=1, max_size=5),
+       words=WORDS)
+def test_fast_paths_match_fraction_oracle_on_boundary_images(rows, words):
+    stack = EXACT_BOUNDARY[rows]
+    for om in stack:
+        for word in words:
+            w = word_matrix(word).astype(float)
+            # (om w om^-1) om = om w exactly: its row reduces w^-1 . z0, the
+            # image of the boundary point z0 of om, and so does om w alone
+            assert_paths_agree(om @ w @ adjugate(om), stack)
+            _, gamma = reduce_to_domain(om @ w)
+            assert tuple(int(v) for v in gamma.ravel()) == fraction_alpha(om @ w, np.eye(2))
+
+
+@st.composite
+def boundary_points(draw):
+    """A float point on the boundary of F (edges, unit arc, i, rho) with a
+    random rotation, as a representative matrix."""
+    kind = draw(st.sampled_from(["left", "right", "arc", "i", "rho", "rho-left"]))
+    if kind in ("left", "right"):
+        x = -0.5 if kind == "left" else 0.5
+        y = draw(st.floats(min_value=math.sqrt(3.0) / 2.0, max_value=6.0))
+    elif kind == "arc":
+        phi = draw(st.floats(min_value=math.pi / 3.0, max_value=2.0 * math.pi / 3.0))
+        x, y = math.cos(phi), math.sin(phi)
+    elif kind == "i":
+        x, y = 0.0, 1.0
+    else:
+        x, y = (0.5 if kind == "rho" else -0.5), math.sqrt(3.0) / 2.0
+    theta = draw(st.floats(min_value=0.0, max_value=math.pi, exclude_max=True))
+    return domain_matrices([x], [y], [theta])[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(omegas=st.lists(boundary_points(), min_size=1, max_size=5), words=WORDS)
+def test_fast_paths_match_fraction_oracle_near_boundary(omegas, words):
+    stack = np.array(omegas)
+    # rotations fix i, so each row's point stays on the boundary
+    assert_paths_agree(rotation(0.7), stack)
+    assert_paths_agree(np.eye(2), stack)
+    for om in omegas:
+        for word in words:
+            g = om @ word_matrix(word).astype(float) @ adjugate(om)
+            assert_paths_agree(g, stack, public=False)
+
+
+def test_boundary_points_fall_back_and_match_oracle():
+    rho = domain_matrices([0.5], [math.sqrt(3.0) / 2.0], [0.0])
+    stack = np.concatenate([EXACT_BOUNDARY, rho])
+    # the points themselves lie on the boundary: every row is in the band
+    assert assert_paths_agree(np.eye(2), stack) == len(stack)
+    assert assert_paths_agree(S_MAT.astype(float), stack) == len(stack)
+    # exact images of boundary points under words: the row of om is in the
+    # band again
+    rng = np.random.default_rng(90)
+    for om in EXACT_BOUNDARY:
+        for _ in range(3):
+            w = random_word(rng, int(rng.integers(1, 12))).astype(float)
+            assert assert_paths_agree(om @ w @ adjugate(om), stack) >= 1
+
+
+def test_generic_points_take_the_float_path():
+    pts, _ = sample_domain(400, 91)
+    for g in random_group_elements(6, 92, max_length=3.0):
+        alphas, fallbacks = cocycle_alphas(g, pts)
+        assert fallbacks == 0
+        for row, p in zip(alphas[:40], pts[:40]):
+            assert tuple(int(v) for v in row.ravel()) == fraction_alpha(g, p.matrix)
+
+
+def test_cocycle_alphas_accepts_arrays_and_points():
+    x, y, theta, _, _ = sample_domain_arrays(50, 93)
+    omegas = domain_matrices(x, y, theta)
+    pts, _ = sample_domain(50, 93)
+    assert all(np.array_equal(p.matrix, om) for p, om in zip(pts, omegas))
+    g = random_group_elements(1, 94, max_length=2.0)[0]
+    from_array, _ = cocycle_alphas(g, omegas)
+    from_points, _ = cocycle_alphas(g, pts)
+    assert from_array.dtype == np.int64 and from_array.shape == (50, 2, 2)
+    assert np.array_equal(from_array, from_points)
+    bad = omegas.copy()
+    bad[7] = np.diag([2.0, 0.5])  # its point is i/4, inside the unit disc
+    with pytest.raises(ValueError, match="outside the fundamental domain"):
+        cocycle_alphas(g, bad)
+    with pytest.raises(ValueError, match="determinant"):
+        cocycle_alphas(g, np.array([np.diag([2.0, 1.0])]))
+    with pytest.raises(ValueError, match="shape"):
+        cocycle_alphas(g, np.eye(2))
+
+
+def test_integer_parts_past_int64_are_python_ints():
+    g = [[1.0, 2.0**63], [0.0, 1.0]]
+    pt, gamma = reduce_to_domain(g)
+    assert gamma.dtype == object
+    assert gamma.tolist() == [[1, 2**63], [0, 1]]
+    assert pt.point == pytest.approx(1j, abs=1e-12)
+    res = cocycle(g, np.eye(2))
+    assert res.alpha.tolist() == [[1, 2**63], [0, 1]] and res.residual == 0.0
+    alphas, fallbacks = cocycle_alphas(g, [SiegelPoint(np.eye(2))])
+    assert alphas.dtype == object and fallbacks == 1
+    assert alphas[0].tolist() == [[1, 2**63], [0, 1]]
+    with pytest.raises(ValueError, match="determinant"):
+        CocycleResult(pt, np.array([[2**63, 0], [0, 1]], dtype=object))
+    with pytest.raises(ValueError, match="integer"):
+        CocycleResult(pt, np.array([[1.0, 0], [0, 1]], dtype=object))
+
+
+# ---------------------------------------------------------------------------
 # sampling
 
 
@@ -396,15 +576,17 @@ def test_cusp_decay_fit_validation():
 
 
 def test_write_sample_log(tmp_path):
-    pts, weights = sample_domain(10, 5)
+    x, y, theta, lengths, weights = sample_domain_arrays(10, 5)
+    pts, _ = sample_domain(10, 5)
     path = tmp_path / "samples.csv"
-    write_sample_log(path, 5, pts, weights, preamble=["# schema=test/v1"])
+    write_sample_log(path, 5, (x, y, theta, lengths), weights, preamble=["# schema=test/v1"])
     lines = path.read_text().splitlines()
     assert lines[0] == "# schema=test/v1"
     assert lines[1].split(",") == ["seed", "omega_x", "omega_y", "rotation", "length", "weight"]
     rows = list(csv.reader(lines[2:]))
     assert len(rows) == 10
     assert all(r[0] == "5" for r in rows)
+    assert [float(v) for v in rows[3][1:]] == [x[3], y[3], theta[3], lengths[3], weights[3]]
     assert float(rows[0][1]) == pytest.approx(pts[0].x, rel=1e-15)
     assert float(rows[0][4]) == pytest.approx(pts[0].length, rel=1e-15)
 
@@ -442,6 +624,30 @@ def test_growth_check_rejects_bad_rates():
         cocycle_growth_check([np.eye(2)], 0.6, pts, weights, s0=1.0)
     with pytest.raises(ValueError, match="positive"):
         cocycle_growth_check([np.eye(2)], -0.1, pts, weights)
+
+
+def test_growth_check_reads_iterables_once():
+    gs = random_group_elements(5, 3, max_length=2.0)
+    pts, weights = sample_domain(32, 4)
+    from_lists = cocycle_growth_check(gs, 0.2, pts, weights)
+    from_iters = cocycle_growth_check(iter(gs), 0.2, (p for p in pts), weights)
+    assert from_iters.g_count == 5 and from_iters.sample_count == 32
+    assert from_iters == from_lists
+    x, y, theta, _, _ = sample_domain_arrays(32, 4)
+    assert cocycle_growth_check(gs, 0.2, domain_matrices(x, y, theta), weights) == from_lists
+    assert from_lists.to_json()["exactFallbacks"] == from_lists.exact_fallbacks == 0
+
+
+def test_growth_check_rejects_empty_inputs():
+    pts, weights = sample_domain(20, 1)
+    with pytest.raises(ValueError, match="no group elements"):
+        cocycle_growth_check([], 0.2, pts, weights)
+    with pytest.raises(ValueError, match="no group elements"):
+        cocycle_growth_check(iter(()), 0.2, pts, weights)
+    with pytest.raises(ValueError, match="empty domain sample"):
+        cocycle_growth_check([np.eye(2)], 0.2, [])
+    with pytest.raises(ValueError, match="empty domain sample"):
+        cocycle_growth_check([np.eye(2)], 0.2, np.empty((0, 2, 2)))
 
 
 def test_growth_check_enforces_minimum_samples():

@@ -11,17 +11,18 @@ with u the space label and v the shift label.
 
 Dense matrices are materialised from the kernel; matrix-free applies (FFT
 correlation along the shift axis plus a gather) serve power iteration at
-dimensions where a dense SVD is not affordable.
+dimensions where a dense SVD is not affordable.  The shift-Fourier basis
+splits every stamp into blocks K_hat[c] * G_c whose norms have the closed
+form of ``_block_norms``, so exact norms never need a dense matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .residue import (AdditiveCharacter, ResidueRing, RingElem, char_eval,
-                      character_decompose, classify_character, valuation)
+                      character_decompose, valuation)
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +96,6 @@ class DenseOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def labels(self):
-        m = self.ring.modulus
-        return [(u, v) for u in range(m) for v in range(m)]
 
     def __sub__(self, other: "DenseOperator") -> "DenseOperator":
         if self.ring != other.ring:
@@ -203,9 +200,9 @@ def operator_norm(op, method: str = "auto", tolerance: float = 1e-12,
       ||A*Av - mu v|| / sigma is reported; non-convergence inside the
       iteration cap is reported through ``converged``, never hidden.
     * exact-decomposition (stamp operators only): the shift-Fourier basis
-      block-diagonalises every kernel stamp, so the norm is the maximum of
-      |m^2 * ifft(K)[c]| * ||G_c|| over blocks -- m small dense SVDs instead
-      of one of size m^2.
+      block-diagonalises every kernel stamp into blocks |m^2 * ifft(K)[c]| *
+      G_c, and ``_block_norms`` gives ||G_c|| in closed form, so the norm is
+      one vectorised maximum over c -- no SVD and no dense matrix.
     """
     dense = None
     applier = None
@@ -233,16 +230,9 @@ def operator_norm(op, method: str = "auto", tolerance: float = 1e-12,
         if applier is None:
             raise ValueError("exact-decomposition needs a kernel stamp operator")
         m = applier.ring.modulus
-        coeffs = m * m * np.fft.ifft(applier.kernel)
-        xy = np.outer(np.arange(m), np.arange(m)) % m
-        val = 0.0
-        for c in range(m):
-            w = abs(coeffs[c])
-            if w * 1.0 <= val:  # ||G_c|| <= 1 always; skip dominated blocks
-                continue
-            g = np.exp(2j * np.pi * ((c * xy) % m) / m) / m
-            val = max(val, w * float(np.linalg.svd(g, compute_uv=False)[0]))
-        return NormReport(float(val), "exact-decomposition", 0.0, 0, True, dim)
+        coeffs = np.abs(m * m * np.fft.ifft(applier.kernel))
+        val = float(np.max(coeffs * _block_norms(applier.ring)))
+        return NormReport(val, "exact-decomposition", 0.0, 0, True, dim)
 
     if method == "full-svd":
         if dense is None:
@@ -291,69 +281,45 @@ def operator_norm(op, method: str = "auto", tolerance: float = 1e-12,
 # Fourier diagonalisation in the shift variable
 
 
+def _block_norms(ring: ResidueRing) -> np.ndarray:
+    """||G_c|| = p^(-(n - v_p(c))/2) for c = 0..m-1, with v_p(0) = n.
+
+    G_c[y,x] = psi_c(x*y)/m gives (G_c G_c^*)[y,y'] = [c*(y-y') = 0 mod m]/m:
+    the kernel of y -> c*y has p^v elements, so G_c G_c^* is 1/m times a
+    direct sum of all-ones blocks of size p^v, with top eigenvalue p^(v-n).
+    """
+    p, n = ring.p, ring.n
+    v = np.zeros(ring.modulus, dtype=np.int64)
+    for k in range(1, n + 1):
+        v[::p ** k] += 1                         # c divisible by p^k
+    return np.sqrt(float(p) ** (v - n))
+
+
 @dataclass
 class FourierBlocks:
     """Exact block law: in the shift-Fourier basis, S_delta acts on the
     block of the character psi_c as psi_c(delta) * G_c with
-    G_c[y,x] = psi_c(x*y)/m."""
+    G_c[y,x] = psi_c(x*y)/m, and ||G_c|| = block_norms[c]."""
 
     ring: ResidueRing
-    blocks: list
     block_norms: np.ndarray
 
-    def block_coefficient(self, c: int, delta) -> complex:
+    def block_coefficient(self, c, delta):
+        """psi_c(delta) for a block index c or an array of them."""
         m = self.ring.modulus
         d = _as_delta_value(self.ring, delta)
-        return np.exp(2j * np.pi * ((c * d) % m) / m)
+        return np.exp(2j * np.pi * ((np.asarray(c) * d) % m) / m)
 
     def difference_norm(self, delta, delta_prime) -> float:
         """||S_delta - S_delta'|| = max_c |psi_c(d)-psi_c(d')| * ||G_c||."""
-        m = self.ring.modulus
-        best = 0.0
-        for c in range(m):
-            gap = abs(self.block_coefficient(c, delta)
-                      - self.block_coefficient(c, delta_prime))
-            best = max(best, gap * float(self.block_norms[c]))
-        return best
-
-    def s_chi_norm(self, chi: AdditiveCharacter) -> float:
-        """||S_chi|| = max ||G_c|| over c = -index (mod p^h): the character
-        average kills every other block exactly."""
-        p, n = self.ring.p, self.ring.n
-        h = chi.ring.n
-        ph = p ** h
-        target = (-chi.index) % ph
-        vals = [float(self.block_norms[c]) for c in range(self.ring.modulus)
-                if c % ph == target]
-        return max(vals)
-
-    def reassemble(self, delta) -> DenseOperator:
-        """Rebuild the dense S_delta from the blocks (basis-change check)."""
-        m = self.ring.modulus
-        c = np.arange(m)
-        t = np.arange(m)
-        F = np.exp(-2j * np.pi * np.outer(c, t) / m) / np.sqrt(m)
-        shat = np.zeros((m * m, m * m), dtype=complex)
-        for ci in range(m):
-            coeff = self.block_coefficient(ci, delta)
-            blk = coeff * self.blocks[ci]
-            for yi in range(m):
-                for xi in range(m):
-                    shat[yi * m + ci, xi * m + ci] = blk[yi, xi]
-        U = np.kron(np.eye(m), F)
-        return DenseOperator(self.ring, U.conj().T @ shat @ U)
+        c = np.arange(self.ring.modulus)
+        gap = np.abs(self.block_coefficient(c, delta)
+                     - self.block_coefficient(c, delta_prime))
+        return float(np.max(gap * self.block_norms))
 
 
 def fourier_diagonalize_S_delta(ring: ResidueRing) -> FourierBlocks:
-    m = ring.modulus
-    xy = np.outer(np.arange(m), np.arange(m)) % m
-    blocks = []
-    norms = np.empty(m)
-    for c in range(m):
-        g = np.exp(2j * np.pi * ((c * xy) % m) / m) / m
-        blocks.append(g)
-        norms[c] = np.linalg.svd(g, compute_uv=False)[0]
-    return FourierBlocks(ring, blocks, norms)
+    return FourierBlocks(ring, _block_norms(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -413,36 +379,6 @@ def hausdorff_young_ratio(m: int, f: np.ndarray) -> float:
     means = np.fft.ifft(f, axis=0)
     num = float(np.linalg.norm(means))
     return num / den
-
-
-def character_mean_weights(m: int, f: np.ndarray) -> np.ndarray:
-    """|E_s chi_c(s) f(s)| for each character index c (diagnostic helper)."""
-    f = np.asarray(f, dtype=complex)
-    means = np.fft.ifft(f, axis=0)
-    if means.ndim == 1:
-        return np.abs(means)
-    return np.linalg.norm(means, axis=1)
-
-
-@dataclass
-class MeanTransformReport:
-    """Ratio report with the decay profile written as C * (#G)^(-epsilon).
-
-    Hilbert-space inputs always realise C = 1, epsilon = 1/2 (Parseval);
-    the alpha field records the matching slice-decay exponent 1/2.  The
-    fields exist so non-Hilbert experiments can report other profiles."""
-
-    group_order: int
-    ratio: float
-    C: float
-    epsilon: float
-    alpha: float
-
-
-def hausdorff_young_report(m: int, f: np.ndarray) -> MeanTransformReport:
-    ratio = hausdorff_young_ratio(m, f)
-    return MeanTransformReport(group_order=m, ratio=ratio,
-                               C=1.0, epsilon=0.5, alpha=0.5)
 
 
 # ---------------------------------------------------------------------------

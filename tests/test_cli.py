@@ -157,6 +157,40 @@ def test_sphere_gap_delta_out_of_range_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,args", [
+    ("kak", ["--seed", "-1"]),
+    ("sdelta-decay", ["--p=4"]),
+])
+def test_library_rejection_names_command(tmp_path, capsys, command, args):
+    out = tmp_path / "bad.csv"
+    assert run_main([command, *args, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sdelta_decay_beyond_dense_scale(tmp_path, capsys):
+    # 5^4 = 625: the norms never need a dense matrix, so every depth runs
+    out = tmp_path / "sd.csv"
+    assert run_main(["sdelta-decay", "--p=5", "--n=4", "--out", out]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["h"] for c in report["cases"]] == [1, 2, 3, 4]
+    assert report["passed"] == 4 and report["failed"] == 0
+
+
+def test_sdelta_decay_modulus_bound_exits_two(tmp_path, capsys):
+    out = tmp_path / "sd.csv"
+    bound = cli._SDELTA_MAX_MODULUS
+    assert 2 ** 12 <= bound < 7 ** 5
+    for n in (5, 10 ** 12):
+        assert run_main(["sdelta-decay", "--p=7", f"--n={n}",
+                         "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sdelta-decay:") and str(bound) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_bound_violation_exits_one(tmp_path, capsys):
     out = tmp_path / "zz.csv"
     code = run_main(["zigzag-cert", "--s=0.3", "--pairs=2", "--out", out])

@@ -10,7 +10,8 @@ from gaplab import (AdditiveCharacter, ResidueRing, RingElem, build_S_chi,
                     operator_norm, stamp_s_chi, stamp_s_delta,
                     verify_S_decomposition, verify_kdelta_conjugation,
                     valuation)
-from gaplab.finite_models import hausdorff_young_report
+from gaplab.finite_models import DenseOperator, StampOperator, _materialize
+from test_acceptance import _block_spectra, _fourier_block
 
 
 def _direct_s_delta(p, n, delta):
@@ -140,16 +141,35 @@ def test_norm_report_fields():
 
 
 def test_exact_decomposition_norm_matches_svd():
-    for (p, n) in [(2, 3), (3, 2)]:
+    cases = [(2, 3, h, idx) for h in (1, 2, 3) for idx in range(1, 2 ** h)]
+    cases += [(3, 2, h, idx) for h in (1, 2) for idx in range(1, 3 ** h)]
+    # p = 5: dense S_chi at dimension 625, one index per valuation and level
+    cases += [(5, 2, 1, 1), (5, 2, 1, 3), (5, 2, 2, 7), (5, 2, 2, 10)]
+    for p, n, h, idx in cases:
         R = ResidueRing(p, n)
-        for h in range(1, n + 1):
-            for idx in range(1, p ** h):
-                chi = AdditiveCharacter(ResidueRing(p, h), idx)
-                exact = operator_norm(stamp_s_chi(R, chi),
-                                      method="exact-decomposition")
-                svd = operator_norm(build_S_chi(R, chi), method="full-svd")
-                assert exact.method == "exact-decomposition"
-                assert abs(exact.value - svd.value) < 1e-10
+        chi = AdditiveCharacter(ResidueRing(p, h), idx)
+        exact = operator_norm(stamp_s_chi(R, chi),
+                              method="exact-decomposition")
+        svd = operator_norm(build_S_chi(R, chi), method="full-svd")
+        assert exact.method == "exact-decomposition"
+        assert abs(exact.value - svd.value) < 1e-10, (p, n, h, idx)
+    # the block formula holds for every kernel, not only S_delta and S_chi;
+    # zero-mean kernels empty the c = 0 block so a deeper block must win
+    rng = np.random.default_rng(17)
+    for p, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1),
+                 (7, 1)]:
+        R = ResidueRing(p, n)
+        m = R.modulus
+        for trial in range(3):
+            kernel = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            kernel[rng.random(m) < 0.5] = 0.0
+            if trial == 2:
+                kernel -= kernel.mean()
+            exact = operator_norm(StampOperator(R, kernel),
+                                  method="exact-decomposition")
+            svd = operator_norm(DenseOperator(R, _materialize(R, kernel)),
+                                method="full-svd")
+            assert abs(exact.value - svd.value) <= 1e-12 * max(1.0, svd.value)
 
 
 def test_contraction_bounds():
@@ -190,11 +210,24 @@ def test_degenerate_factorization_small():
 # Fourier law
 
 
+def _reassemble(fb, delta):
+    """Dense S_delta rebuilt from the blocks psi_c(delta) * G_c (oracle)."""
+    m = fb.ring.modulus
+    c = np.arange(m)
+    F = np.exp(-2j * np.pi * np.outer(c, c) / m) / np.sqrt(m)
+    shat = np.zeros((m, m, m, m), dtype=complex)       # (y, c, x, c')
+    for ci in range(m):
+        shat[:, ci, :, ci] = (fb.block_coefficient(ci, delta)
+                              * _fourier_block(m, ci))
+    U = np.kron(np.eye(m), F)
+    return U.conj().T @ shat.reshape(m * m, m * m) @ U
+
+
 def test_fourier_reassembly():
     R = ResidueRing(2, 2)
     FB = fourier_diagonalize_S_delta(R)
     for delta in range(4):
-        res = np.max(np.abs(FB.reassemble(delta).matrix
+        res = np.max(np.abs(_reassemble(FB, delta)
                             - build_S_delta(R, delta).matrix))
         assert res < 1e-12
 
@@ -203,17 +236,20 @@ def test_fourier_trivial_block_is_full_average():
     R = ResidueRing(3, 2)
     FB = fourier_diagonalize_S_delta(R)
     m = R.modulus
-    assert np.allclose(FB.blocks[0], np.full((m, m), 1 / m))
+    assert np.allclose(_fourier_block(m, 0), np.full((m, m), 1 / m))
     assert FB.block_norms[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fourier_block_norm_profile():
-    # ||G_c|| = p^{-(n - v_p(c))/2}, with the c=0 block of norm 1
-    for (p, n) in [(2, 3), (3, 2)]:
+    # ||G_c|| = p^{-(n - v_p(c))/2}, with the c=0 block of norm 1; checked
+    # against the SVD of each dense G_c, not only against the formula
+    for (p, n) in [(2, 3), (3, 2), (5, 2), (7, 2)]:
         R = ResidueRing(p, n)
         FB = fourier_diagonalize_S_delta(R)
+        spectra = _block_spectra(R.modulus)
         for c in range(R.modulus):
             k = valuation(p, c, n)
+            assert FB.block_norms[c] == pytest.approx(spectra[c][0], abs=1e-12)
             assert FB.block_norms[c] == pytest.approx(p ** (-(n - k) / 2),
                                                       abs=1e-12)
 
@@ -308,12 +344,6 @@ def test_hausdorff_young_rejects_zero():
         hausdorff_young_ratio(4, np.zeros(4))
     with pytest.raises(ValueError):
         hausdorff_young_ratio(4, np.zeros(5))  # wrong length
-
-
-def test_hausdorff_young_report_fields():
-    rep = hausdorff_young_report(8, np.ones(8))
-    assert (rep.C, rep.epsilon, rep.alpha) == (1.0, 0.5, 0.5)
-    assert rep.ratio == pytest.approx(8 ** -0.5, abs=1e-12)
 
 
 @given(st.integers(2, 64), st.integers(0, 2 ** 31 - 1))

@@ -214,7 +214,9 @@ def run(command, config=None):
     """Execute ``command`` over its grid; deterministic given (config, seed).
 
     A ``ValueError`` from the library means the configuration asked for
-    something the library rejects, so it surfaces as a ``UsageError``.
+    something the library rejects, so it surfaces as a ``UsageError``; so
+    does a grid that yields no case.  A case with a non-finite float cell
+    fails whatever its runner decided.
     """
     if config is None:
         config = ExperimentConfig(command)
@@ -229,6 +231,13 @@ def run(command, config=None):
     except ValueError as exc:
         raise UsageError(f"{command}: {exc}") from exc
     wall = time.perf_counter() - start
+    if not cases:
+        raise UsageError(f"{command}: the grid produced no cases")
+    for case in cases:
+        # a statistic that is NaN or infinite checked nothing
+        if any(isinstance(v, (float, np.floating)) and not math.isfinite(v)
+               for v in case.values()):
+            case["pass"] = False
     passed = sum(1 for case in cases if case["pass"])
     return RunReport(command, config.echo(), cases, passed,
                      len(cases) - passed, wall, tuple(columns), csv_rows,
@@ -315,12 +324,13 @@ def _run_sphere_gap(cfg):
     """sup_l |P_l(delta) - P_l(0)| against the 2 sqrt(delta) envelope."""
     tol = float(cfg.scalar("tol"))
     dmax = int(cfg.scalar("dmax"))
+    deltas = [float(delta) for delta in cfg.values("delta")]
     cases = []
     for n in cfg.values("n"):
-        for delta in cfg.values("delta"):
-            rep = spheres.tdelta_gap_report(int(n), float(delta), dmax)
+        reports = spheres.tdelta_gap_report(int(n), deltas, dmax)
+        for delta, rep in zip(deltas, reports):
             cases.append({
-                "n": int(n), "delta": float(delta),
+                "n": int(n), "delta": delta,
                 "value": rep.value, "bound": rep.holder_bound,
                 "arg_degree": rep.arg_degree, "tail": rep.tail_envelope,
                 "pass": bool(rep.value <= rep.holder_bound + tol),
@@ -329,16 +339,28 @@ def _run_sphere_gap(cfg):
     return cases, columns, None, None
 
 
+_SU2_MAX_TWO_J = 48
+
+
 def _run_su2_gap(cfg):
-    """Two-rotation gap must dominate the closed-form spin-1/2 branch."""
+    """Two-rotation gap must dominate the closed-form spin-1/2 branch.
+
+    Above 2j = ``_SU2_MAX_TWO_J`` the double-precision spin matrices lose
+    the unitarity the library asserts (on a 721-point theta grid the first
+    failure is at 2j = 50), so a larger ``jmax`` is a usage error.
+    """
     tol = float(cfg.scalar("tol"))
     two_j_max = int(cfg.scalar("jmax"))
     points = int(cfg.scalar("qpoints"))
+    if two_j_max > _SU2_MAX_TWO_J:
+        raise UsageError(f"su2-gap: jmax = {two_j_max} exceeds "
+                         f"{_SU2_MAX_TWO_J}: spin matrices above it are not "
+                         f"unitary to double precision")
+    thetas = [float(theta) for theta in cfg.values("theta")]
+    values = spheres.stheta_norm_gap(thetas, two_j_max=two_j_max,
+                                     quadrature_points=points)
     cases = []
-    for theta in cfg.values("theta"):
-        theta = float(theta)
-        value = spheres.stheta_norm_gap(theta, two_j_max=two_j_max,
-                                        quadrature_points=points)
+    for theta, value in zip(thetas, values.tolist()):
         lower = spheres.spin_half_gap(theta)
         cases.append({
             "theta": theta, "value": value, "lower": lower,
@@ -616,6 +638,18 @@ def _usage():
     return "\n".join(lines)
 
 
+def _parse_seed(command, value):
+    """The ``--seed`` value (flag or config key): a non-negative integer."""
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise UsageError(f"{command}: --seed must be a non-negative integer, "
+                         f"got {value!r}")
+    return seed
+
+
 def _parse_argv(argv):
     command = argv[0]
     config_path = None
@@ -643,10 +677,7 @@ def _parse_argv(argv):
         elif key == "out":
             out_path = value
         elif key == "seed":
-            try:
-                seed = int(value)
-            except ValueError:
-                raise UsageError(f"seed must be an integer, got {value!r}") from None
+            seed = _parse_seed(command, value)
         else:
             overrides[key] = _parse_values(value)
     return command, config_path, out_path, seed, overrides
@@ -672,11 +703,7 @@ def main(argv=None):
                     out_path = out_path if out_path is not None else value
                 elif key == "seed":
                     if seed is None:
-                        try:
-                            seed = int(value)
-                        except ValueError:
-                            raise UsageError(
-                                f"seed must be an integer, got {value!r}") from None
+                        seed = _parse_seed(command, value)
                 else:
                     grid[key] = _parse_values(value)
         grid.update(overrides)

@@ -9,78 +9,70 @@ degree <= 2j, so an M-point trapezoid average with M > 2j is exact.
 
 Norm gaps are suprema over the truncated degree range; the truncation is
 always reported together with an analytic Legendre envelope for the tail.
+
+The grid functions take a scalar or a 1-D batch (of deltas, thetas or
+unitaries) and do the same per-element arithmetic either way: a scalar is a
+batch of one, so a sweep over a grid gives bit-for-bit the values of the
+pointwise calls.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_gegenbauer, roots_jacobi
+
+
+def _batch(values, what):
+    """A float64 vector of ``values`` and whether the caller passed a scalar."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError(f"{what} must be a scalar or a 1-D sequence")
+    return arr.reshape(-1), arr.ndim == 0
 
 
 # ---------------------------------------------------------------------------
 # zonal eigenvalues
 
 
-def tdelta_eigenvalues(n: int, max_degree: int, delta: float) -> np.ndarray:
+def tdelta_eigenvalues(n: int, max_degree: int, delta) -> np.ndarray:
     """q_l(delta) for l = 0..max_degree via the three-term recurrence.
 
     l*C_l = 2*delta*(l+lam-1)*C_{l-1} - (l+2*lam-2)*C_{l-2}, normalised by
     C_l(1) = prod_{i<=l} (i+2*lam-1)/i (polynomial growth, no overflow).
+    A scalar delta gives shape (max_degree+1,); a 1-D array of k deltas
+    gives (max_degree+1, k), one recurrence stepping all columns at once.
     """
     if n < 2:
         raise ValueError("sphere dimension must be >= 2")
-    if not -1.0 <= delta <= 1.0:
-        raise ValueError(f"delta = {delta} outside [-1, 1]")
+    deltas, scalar = _batch(delta, "delta")
+    inside = (deltas >= -1.0) & (deltas <= 1.0)      # False for NaN
+    if not inside.all():
+        raise ValueError(f"delta = {deltas[~inside][0]} outside [-1, 1]")
     lam = (n - 1) / 2.0
-    vals = np.empty(max_degree + 1)
-    c_prev2, c_prev1 = 1.0, 2.0 * lam * delta
-    norm_prev2, norm_prev1 = 1.0, 2.0 * lam
+    vals = np.empty((max_degree + 1, deltas.size))
+    two_delta = 2.0 * deltas
+    c_prev2, c_prev1 = np.ones_like(deltas), 2.0 * lam * deltas
+    norm = 2.0 * lam
     vals[0] = 1.0
     if max_degree >= 1:
-        vals[1] = c_prev1 / norm_prev1
+        vals[1] = c_prev1 / norm
     for l in range(2, max_degree + 1):
-        c = (2.0 * delta * (l + lam - 1.0) * c_prev1
-             - (l + 2.0 * lam - 2.0) * c_prev2) / l
-        norm = norm_prev1 * (l + 2.0 * lam - 1.0) / l
-        vals[l] = c / norm
+        c = two_delta * (l + lam - 1.0)
+        c *= c_prev1
+        c -= (l + 2.0 * lam - 2.0) * c_prev2
+        c /= l
+        norm = norm * (l + 2.0 * lam - 1.0) / l
+        np.divide(c, norm, out=vals[l])
         c_prev2, c_prev1 = c_prev1, c
-        norm_prev2, norm_prev1 = norm_prev1, norm
-    return vals
+    return vals[:, 0] if scalar else vals
 
 
 def tdelta_eigenvalue(n: int, ell: int, delta: float) -> float:
     if ell < 0:
         raise ValueError("degree must be >= 0")
     return float(tdelta_eigenvalues(n, ell, delta)[ell])
-
-
-def quadrature_eigenvalue(n: int, ell: int, delta: float,
-                          probe: float = 0.3) -> float:
-    """Independent realization of the same eigenvalue by direct averaging.
-
-    Averages a degree-ell zonal harmonic over the latitude {<x,y> = delta}:
-    with c = <x, pole>, the average reduces to a one-dimensional integral
-    against the (1-u^2)^((n-3)/2) marginal, evaluated by Gauss-Jacobi
-    quadrature (exact for the polynomial integrand), then divided by the
-    zonal value q_ell(c) at the probe point.
-    """
-    if not -1.0 <= delta <= 1.0:
-        raise ValueError(f"delta = {delta} outside [-1, 1]")
-    lam = (n - 1) / 2.0
-    zonal_at_one = eval_gegenbauer(ell, lam, 1.0)
-
-    def q(x):
-        return eval_gegenbauer(ell, lam, x) / zonal_at_one
-
-    alpha = (n - 3) / 2.0
-    nodes, weights = roots_jacobi(ell + 2, alpha, alpha)
-    args = delta * probe + np.sqrt(1 - delta ** 2) * np.sqrt(1 - probe ** 2) * nodes
-    avg = float(np.sum(weights * q(args)) / np.sum(weights))
-    return avg / q(probe)
 
 
 def legendre_envelope(ell: int, delta: float) -> float:
@@ -116,19 +108,14 @@ class HarmonicSpectrum:
 
 def build_harmonic_spectrum(n: int, max_degree: int, deltas) -> HarmonicSpectrum:
     deltas = tuple(float(d) for d in deltas)
-    table = np.column_stack([tdelta_eigenvalues(n, max_degree, d)
-                             for d in deltas])
+    table = tdelta_eigenvalues(n, max_degree, deltas)
     return HarmonicSpectrum(n, max_degree, deltas, table)
 
 
 def tdelta_norm_gap(n: int, delta: float, max_degree: int = 200) -> float:
     """sup_{l <= D} |q_l(delta) - q_l(0)|: the norm of T_delta - T_0 on the
     span of harmonics of degree <= D."""
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
-    e_d = tdelta_eigenvalues(n, max_degree, delta)
-    e_0 = tdelta_eigenvalues(n, max_degree, 0.0)
-    return float(np.max(np.abs(e_d - e_0)))
+    return tdelta_gap_report(n, delta, max_degree).value
 
 
 @dataclass
@@ -142,33 +129,50 @@ class TdeltaGapReport:
     holder_bound: float
 
 
-def tdelta_gap_report(n: int, delta: float,
-                      max_degree: int = 200) -> TdeltaGapReport:
+def tdelta_gap_report(n: int, delta, max_degree: int = 200):
     """Gap value plus explicit truncation data: the degree attaining the sup
-    and the analytic envelope for every discarded degree."""
-    e_d = tdelta_eigenvalues(n, max_degree, delta)
-    e_0 = tdelta_eigenvalues(n, max_degree, 0.0)
-    diffs = np.abs(e_d - e_0)
-    arg = int(np.argmax(diffs))
-    tail = legendre_envelope(max_degree + 1, delta) + legendre_envelope(
-        max_degree + 1, 0.0)
-    return TdeltaGapReport(
-        sphere_dim=n, delta=delta, max_degree=max_degree,
-        value=float(diffs[arg]), arg_degree=arg, tail_envelope=float(tail),
-        holder_bound=2.0 * math.sqrt(abs(delta)))
+    and the analytic envelope for every discarded degree.
+
+    A scalar delta gives one report; a 1-D sequence gives a list of reports
+    in its order, from one recurrence that also carries the delta = 0
+    column they are all compared against.
+    """
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
+    deltas, scalar = _batch(delta, "delta")
+    table = tdelta_eigenvalues(n, max_degree, np.append(deltas, 0.0))
+    diffs = np.abs(table[:, :-1] - table[:, -1:])
+    args = np.argmax(diffs, axis=0)
+    tail_zero = legendre_envelope(max_degree + 1, 0.0)
+    reports = []
+    for j, d in enumerate(deltas.tolist()):
+        arg = int(args[j])
+        tail = legendre_envelope(max_degree + 1, d) + tail_zero
+        reports.append(TdeltaGapReport(
+            sphere_dim=n, delta=d, max_degree=max_degree,
+            value=float(diffs[arg, j]), arg_degree=arg,
+            tail_envelope=float(tail), holder_bound=2.0 * math.sqrt(abs(d))))
+    return reports[0] if scalar else reports
 
 
 # ---------------------------------------------------------------------------
 # SU(2) circle averages
 
 
-def su2_element(theta: float, phi: float) -> np.ndarray:
-    """The displayed two-parameter special unitary; checked before use."""
-    g = np.array([[np.exp(-1j * theta), -np.exp(1j * phi)],
-                  [np.exp(-1j * phi), np.exp(1j * theta)]]) / np.sqrt(2.0)
-    if not np.allclose(g @ g.conj().T, np.eye(2), atol=1e-12):
+def su2_element(theta, phi) -> np.ndarray:
+    """The displayed two-parameter special unitary; checked before use.
+
+    theta and phi broadcast against each other: scalars give one 2x2
+    matrix, arrays a stack of shape (..., 2, 2), every member checked.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(phi, dtype=float))
+    g = np.stack([np.stack([np.exp(-1j * theta), -np.exp(1j * phi)], axis=-1),
+                  np.stack([np.exp(-1j * phi), np.exp(1j * theta)], axis=-1)],
+                 axis=-2) / np.sqrt(2.0)
+    if not np.allclose(g @ g.conj().swapaxes(-1, -2), np.eye(2), atol=1e-12):
         raise AssertionError("internal error: matrix is not unitary")
-    if abs(np.linalg.det(g) - 1.0) > 1e-12:
+    if np.any(np.abs(np.linalg.det(g) - 1.0) > 1e-12):
         raise AssertionError("internal error: determinant is not 1")
     return g
 
@@ -179,51 +183,73 @@ def _spin_tables(two_j: int):
 
     Entry (i2, i1) of the spin matrix is sum_k coef * a^k c^(P-k) b^(R-k)
     d^(Q-R+k) with P = two_j-i1, Q = i1, R = two_j-i2, and coefficient
-    comb(P,k)*comb(Q,R-k)*sqrt(R!S!/(P!Q!)) (exact integer ratio under the
-    square root)."""
-    pos, pa, pc, pb, pd, coef = [], [], [], [], [], []
+    sqrt(R!S!/(P!Q!))*comb(P,k)*comb(Q,R-k); the factorial ratio is one
+    correctly rounded integer division.  Terms run column by column, rows
+    within a column, k within an entry.
+    """
     dim = two_j + 1
-    for i1 in range(dim):          # column: m1 = j - i1
-        P = two_j - i1
-        Q = i1
-        for i2 in range(dim):      # row: m2 = j - i2
-            R = two_j - i2
-            S = i2
-            scale = math.sqrt(Fraction(math.factorial(R) * math.factorial(S),
-                                       math.factorial(P) * math.factorial(Q)))
-            for k in range(max(0, R - Q), min(P, R) + 1):
-                pos.append(i2 * dim + i1)
-                pa.append(k)
-                pc.append(P - k)
-                pb.append(R - k)
-                pd.append(Q - R + k)
-                coef.append(scale * math.comb(P, k) * math.comb(Q, R - k))
-    return (np.array(pos), np.array(pa), np.array(pc), np.array(pb),
-            np.array(pd), np.array(coef))
+    weight = [math.factorial(two_j - i) * math.factorial(i) for i in range(dim)]
+    scale = np.array([[math.sqrt(weight[i2] / weight[i1]) for i1 in range(dim)]
+                      for i2 in range(dim)])
+    binom = np.array([[float(math.comb(r, k)) for k in range(dim)]
+                      for r in range(dim)])
+    idx = np.arange(dim)
+    i1, i2, k = idx[:, None, None], idx[None, :, None], idx[None, None, :]
+    P, Q, R = two_j - i1, i1, two_j - i2
+    valid = (k >= np.maximum(0, R - Q)) & (k <= np.minimum(P, R))
+    i1, i2, k = np.nonzero(valid)
+    P, Q, R = two_j - i1, i1, two_j - i2
+    coef = scale[i2, i1] * binom[P, k] * binom[Q, R - k]
+    return (i2 * dim + i1, k, P - k, R - k, Q - R + k, coef)
+
+
+# monomial terms evaluated per slice of a stack: bounds the temporaries of
+# spin_matrix to a few MB however many unitaries it is handed
+_SPIN_TERM_BUDGET = 1 << 16
 
 
 def spin_matrix(two_j: int, u: np.ndarray) -> np.ndarray:
     """Spin-(two_j/2) matrix of a 2x2 unitary via the symmetric power.
 
     Basis ordered by weight m = j, j-1, ..., -j, so two_j = 1 returns u
-    itself.  Combinatorial factors are exact integer ratios; unitarity of
-    the result is asserted, not assumed.
+    itself.  A stack u of shape (k, 2, 2) gives the stack (k, dim, dim).
+    Combinatorial factors are exact integer ratios; unitarity of every
+    result is asserted, not assumed.
     """
     if two_j < 0:
         raise ValueError("2j must be >= 0")
-    a, b = u[0, 0], u[0, 1]
-    c, d = u[1, 0], u[1, 1]
+    u = np.asarray(u)
+    stack = u.reshape(-1, 2, 2)
     dim = two_j + 1
     pos, pa, pc, pb, pd, coef = _spin_tables(two_j)
-    pows = np.arange(two_j + 1)
-    vals = (coef * (a ** pows)[pa] * (c ** pows)[pc]
-            * (b ** pows)[pb] * (d ** pows)[pd])
-    out = np.zeros(dim * dim, dtype=complex)
-    np.add.at(out, pos, vals)
-    out = out.reshape(dim, dim)
-    if not np.allclose(out @ out.conj().T, np.eye(dim), atol=1e-9):
+    pows = np.arange(dim)
+    count = len(stack)
+    # each entry's terms are summed in table order, real and imaginary parts
+    # in interleaved bins: bincount adds bin by bin in input order, as a
+    # sequential scatter-add of the complex terms would
+    bins = np.empty(2 * len(pos), dtype=pos.dtype)
+    bins[0::2] = 2 * pos
+    bins[1::2] = 2 * pos + 1
+    size = 2 * dim * dim
+    out = np.empty((count, dim * dim), dtype=complex)
+    step = max(1, _SPIN_TERM_BUDGET // len(coef))
+    for s in range(0, count, step):
+        part = stack[s:s + step]
+        a, b = part[:, 0, 0, None], part[:, 0, 1, None]
+        c, d = part[:, 1, 0, None], part[:, 1, 1, None]
+        vals = coef * np.take(a ** pows, pa, axis=1)
+        vals *= np.take(c ** pows, pc, axis=1)
+        vals *= np.take(b ** pows, pb, axis=1)
+        vals *= np.take(d ** pows, pd, axis=1)
+        sums = np.bincount((np.arange(len(part))[:, None] * size
+                            + bins).ravel(),
+                           vals.view(float).ravel(), len(part) * size)
+        out[s:s + step] = sums.view(complex).reshape(len(part), dim * dim)
+    out = out.reshape(count, dim, dim)
+    gram = out @ out.conj().swapaxes(-1, -2)
+    if not np.allclose(gram, np.eye(dim), atol=1e-9):
         raise AssertionError("internal error: spin matrix is not unitary")
-    return out
+    return out.reshape(u.shape[:-2] + (dim, dim))
 
 
 @dataclass
@@ -238,8 +264,10 @@ class SuTwoBlock:
         return self.two_j / 2.0
 
 
-def stheta_block(two_j: int, theta: float, quadrature_points: int = 128) -> SuTwoBlock:
-    """phi-average of the spin block over the M-point circle grid.
+def _circle_averages(two_j: int, thetas: np.ndarray,
+                     quadrature_points: int) -> np.ndarray:
+    """phi-averages of the spin blocks over the M-point circle grid, one per
+    theta, as a (k, dim, dim) stack.
 
     Entry (i2, i1) of the spin matrix carries the single phi-frequency
     m2 - m1, so the M-point trapezoid average multiplies it by the grid mean
@@ -252,42 +280,42 @@ def stheta_block(two_j: int, theta: float, quadrature_points: int = 128) -> SuTw
         raise ValueError("at least 64 quadrature points required")
     if quadrature_points <= two_j:
         raise ValueError("quadrature must resolve the top phi-frequency")
-    base = spin_matrix(two_j, su2_element(theta, 0.0))
-    dim = two_j + 1
-    m = np.arange(dim)                      # i index; weight m = j - i
+    base = spin_matrix(two_j, su2_element(thetas, 0.0))
+    m = np.arange(two_j + 1)                # i index; weight m = j - i
     freq = m[None, :] - m[:, None]          # m2 - m1 = i1 - i2
     mask = (freq % quadrature_points == 0).astype(float)
-    block = base * mask
-    if np.linalg.norm(block, 2) > 1.0 + 1e-12:
+    blocks = base * mask
+    if np.any(np.linalg.norm(blocks, 2, axis=(-2, -1)) > 1.0 + 1e-12):
         raise AssertionError("internal error: average of unitaries expanded")
+    return blocks
+
+
+def stheta_block(two_j: int, theta: float, quadrature_points: int = 128) -> SuTwoBlock:
+    """phi-average of the spin block over the M-point circle grid (see
+    ``_circle_averages``)."""
+    block = _circle_averages(two_j, np.array([theta], dtype=float),
+                             quadrature_points)[0]
     return SuTwoBlock(two_j, theta, block, quadrature_points)
 
 
-def stheta_block_summed(two_j: int, theta: float,
-                        quadrature_points: int = 128) -> SuTwoBlock:
-    """Literal M-term average of spin matrices (slow reference path)."""
-    if quadrature_points < 64:
-        raise ValueError("at least 64 quadrature points required")
-    dim = two_j + 1
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in range(quadrature_points):
-        phi = 2.0 * np.pi * k / quadrature_points
-        acc += spin_matrix(two_j, su2_element(theta, phi))
-    return SuTwoBlock(two_j, theta, acc / quadrature_points, quadrature_points)
-
-
-def stheta_norm_gap(theta: float, two_j_max: int = 40,
+def stheta_norm_gap(theta, two_j_max: int = 40,
                     quadrature_points: int = 128,
-                    base_theta: float = np.pi / 4) -> float:
-    """sup over spins 2j <= two_j_max of ||block_j(theta) - block_j(base)||."""
+                    base_theta: float = np.pi / 4):
+    """sup over spins 2j <= two_j_max of ||block_j(theta) - block_j(base)||.
+
+    A scalar theta gives a float; a 1-D sequence of thetas gives an array of
+    gaps in its order, building each spin's base block once for all of them.
+    """
     if two_j_max < 1:
         raise ValueError("need at least spin 1/2")
-    best = 0.0
+    thetas, scalar = _batch(theta, "theta")
+    grid = np.append(thetas, base_theta)
+    best = np.zeros(thetas.size)
     for two_j in range(1, two_j_max + 1):
-        b1 = stheta_block(two_j, theta, quadrature_points).block
-        b0 = stheta_block(two_j, base_theta, quadrature_points).block
-        best = max(best, float(np.linalg.norm(b1 - b0, 2)))
-    return best
+        blocks = _circle_averages(two_j, grid, quadrature_points)
+        gaps = np.linalg.norm(blocks[:-1] - blocks[-1], 2, axis=(-2, -1))
+        best = np.maximum(best, gaps)
+    return float(best[0]) if scalar else best
 
 
 def spin_half_gap(theta: float, base_theta: float = np.pi / 4) -> float:
@@ -300,11 +328,9 @@ def fit_stheta_constant(two_j_max: int = 40, quadrature_points: int = 128,
     """Smallest C with gap(theta) <= C*|theta - pi/4|^(1/4) on the grid."""
     if thetas is None:
         thetas = np.linspace(0.0, 2.0 * np.pi, 41, endpoint=False)
-    best = 0.0
-    for th in thetas:
-        dist = abs(th - np.pi / 4)
-        if dist < 1e-12:
-            continue
-        best = max(best, stheta_norm_gap(th, two_j_max, quadrature_points)
-                   / dist ** 0.25)
-    return best
+    thetas, _ = _batch(thetas, "thetas")
+    dists = np.abs(thetas - np.pi / 4)
+    keep = dists >= 1e-12
+    gaps = stheta_norm_gap(thetas[keep], two_j_max, quadrature_points)
+    return max([0.0] + [g / d ** 0.25 for g, d
+                        in zip(gaps.tolist(), dists[keep].tolist())])

@@ -191,6 +191,64 @@ def test_sdelta_decay_modulus_bound_exits_two(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_su2_gap_jmax_bound_exits_two(tmp_path, capsys):
+    out = tmp_path / "su2.csv"
+    bound = cli._SU2_MAX_TWO_J
+    assert bound < 51
+    assert run_main(["su2-gap", "--jmax=51", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: su2-gap:") and str(bound) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert run_main(["su2-gap", f"--jmax={bound}", "--theta=0.3,2.0",
+                     "--out", out]) == 0
+
+
+def test_negative_seed_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "kak.csv"
+    assert run_main(["kak", "--seed", "-1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kak: --seed must be a non-negative integer")
+    assert "'-1'" in err
+    cfg = tmp_path / "kak.cfg"
+    cfg.write_text("count = 2\nseed = -7\n")
+    assert run_main(["kak", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "'-7'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _fake_command(monkeypatch, cases):
+    """Swap sphere-gap's runner for one that returns ``cases``."""
+    spec = cli.COMMANDS["sphere-gap"]
+    fake = cli.CommandSpec(spec.name, lambda cfg: (cases, ("value", "pass"),
+                                                   None, None),
+                           spec.defaults, spec.summary)
+    monkeypatch.setitem(cli.COMMANDS, "sphere-gap", fake)
+
+
+def test_non_finite_cell_fails_its_case(tmp_path, capsys, monkeypatch):
+    _fake_command(monkeypatch, [{"value": math.nan, "pass": True},
+                                {"value": -math.inf, "pass": True},
+                                {"value": 0.5, "pass": True}])
+    out = tmp_path / "sg.csv"
+    assert run_main(["sphere-gap", "--out", out]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c["pass"] for c in report["cases"]] == [False, False, True]
+    assert report["failed"] == 2
+
+
+def test_runner_without_cases_exits_two(tmp_path, capsys, monkeypatch):
+    _fake_command(monkeypatch, [])
+    with pytest.raises(cli.UsageError, match="no cases"):
+        cli.run("sphere-gap")
+    out = tmp_path / "sg.csv"
+    assert run_main(["sphere-gap", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sphere-gap:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bound_violation_exits_one(tmp_path, capsys):
     out = tmp_path / "zz.csv"
     code = run_main(["zigzag-cert", "--s=0.3", "--pairs=2", "--out", out])

@@ -1,18 +1,107 @@
-"""Latitude averages on spheres and the SU(2) circle average."""
+"""Latitude averages on spheres and the SU(2) circle average.
+
+The slow reference paths live here as test oracles: Gauss-Jacobi
+quadrature of the zonal average, the literal M-term circle average, the
+scalar Gegenbauer recurrence and the triple-loop spin tables.
+"""
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import eval_gegenbauer, roots_jacobi
 
+from gaplab import cli, spheres
 from gaplab.spheres import (build_harmonic_spectrum, fit_stheta_constant,
-                            legendre_envelope, quadrature_eigenvalue,
-                            spin_half_gap, spin_matrix, stheta_block,
-                            stheta_block_summed, stheta_norm_gap,
-                            su2_element, tdelta_eigenvalue,
-                            tdelta_eigenvalues, tdelta_gap_report,
-                            tdelta_norm_gap)
+                            legendre_envelope, spin_half_gap, spin_matrix,
+                            stheta_block, stheta_norm_gap, su2_element,
+                            tdelta_eigenvalue, tdelta_eigenvalues,
+                            tdelta_gap_report, tdelta_norm_gap)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def quadrature_eigenvalue(n, ell, delta, probe=0.3):
+    """Independent realization of q_ell(delta) by direct averaging.
+
+    Averages a degree-ell zonal harmonic over the latitude {<x,y> = delta}:
+    with c = <x, pole>, the average reduces to a one-dimensional integral
+    against the (1-u^2)^((n-3)/2) marginal, evaluated by Gauss-Jacobi
+    quadrature (exact for the polynomial integrand), then divided by the
+    zonal value q_ell(c) at the probe point.
+    """
+    if not -1.0 <= delta <= 1.0:
+        raise ValueError(f"delta = {delta} outside [-1, 1]")
+    lam = (n - 1) / 2.0
+    zonal_at_one = eval_gegenbauer(ell, lam, 1.0)
+
+    def q(x):
+        return eval_gegenbauer(ell, lam, x) / zonal_at_one
+
+    alpha = (n - 3) / 2.0
+    nodes, weights = roots_jacobi(ell + 2, alpha, alpha)
+    args = delta * probe + np.sqrt(1 - delta ** 2) * np.sqrt(1 - probe ** 2) * nodes
+    avg = float(np.sum(weights * q(args)) / np.sum(weights))
+    return avg / q(probe)
+
+
+def scalar_recurrence(n, max_degree, delta):
+    """The Gegenbauer recurrence in Python floats, one delta at a time."""
+    lam = (n - 1) / 2.0
+    vals = [1.0]
+    c_prev2, c_prev1 = 1.0, 2.0 * lam * delta
+    norm = 2.0 * lam
+    if max_degree >= 1:
+        vals.append(c_prev1 / norm)
+    for l in range(2, max_degree + 1):
+        c = (2.0 * delta * (l + lam - 1.0) * c_prev1
+             - (l + 2.0 * lam - 2.0) * c_prev2) / l
+        norm = norm * (l + 2.0 * lam - 1.0) / l
+        vals.append(c / norm)
+        c_prev2, c_prev1 = c_prev1, c
+    return np.array(vals)
+
+
+def stheta_block_summed(two_j, theta, quadrature_points=128):
+    """Literal M-term average of spin matrices, one phi at a time."""
+    dim = two_j + 1
+    acc = np.zeros((dim, dim), dtype=complex)
+    for k in range(quadrature_points):
+        phi = 2.0 * np.pi * k / quadrature_points
+        acc += spin_matrix(two_j, su2_element(theta, phi))
+    return acc / quadrature_points
+
+
+def spin_tables_loop(two_j):
+    """The monomial table of ``spheres._spin_tables``, term by term, with
+    the factorial ratio as an exact Fraction."""
+    pos, pa, pc, pb, pd, coef = [], [], [], [], [], []
+    dim = two_j + 1
+    for i1 in range(dim):          # column: m1 = j - i1
+        P = two_j - i1
+        Q = i1
+        for i2 in range(dim):      # row: m2 = j - i2
+            R = two_j - i2
+            S = i2
+            scale = math.sqrt(Fraction(math.factorial(R) * math.factorial(S),
+                                       math.factorial(P) * math.factorial(Q)))
+            for k in range(max(0, R - Q), min(P, R) + 1):
+                pos.append(i2 * dim + i1)
+                pa.append(k)
+                pc.append(P - k)
+                pb.append(R - k)
+                pd.append(Q - R + k)
+                coef.append(scale * math.comb(P, k) * math.comb(Q, R - k))
+    return (np.array(pos), np.array(pa), np.array(pc), np.array(pb),
+            np.array(pd), np.array(coef))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +260,7 @@ def test_block_spin_half_closed_form():
 def test_block_matches_literal_average():
     for (tj, th) in [(1, 0.7), (4, 2.1), (9, 5.0)]:
         fast = stheta_block(tj, th, 64).block
-        slow = stheta_block_summed(tj, th, 64).block
+        slow = stheta_block_summed(tj, th, 64)
         assert np.max(np.abs(fast - slow)) < 1e-10
 
 
@@ -213,3 +302,106 @@ def test_quarter_power_fit_is_uniform():
     for th in np.linspace(0.1, 2 * np.pi - 0.1, 11):
         gap = stheta_norm_gap(th, 16, 64)
         assert gap <= (C + 1e-9) * abs(th - np.pi / 4) ** 0.25 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batches against pointwise calls and oracles
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_batched_eigenvalues_match_pointwise(n):
+    rng = np.random.default_rng(n)
+    deltas = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 17)])
+    table = tdelta_eigenvalues(n, 300, deltas)
+    assert table.shape == (301, deltas.size)
+    for j, d in enumerate(deltas):
+        assert np.array_equal(table[:, j], tdelta_eigenvalues(n, 300, d))
+        assert np.array_equal(table[:, j], scalar_recurrence(n, 300, float(d)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5, -1.0000001])
+def test_batched_eigenvalues_reject_bad_deltas(bad):
+    for where in (0, 3, 6):
+        deltas = np.linspace(-0.9, 0.9, 7)
+        deltas[where] = bad
+        with pytest.raises(ValueError, match="outside"):
+            tdelta_eigenvalues(2, 10, deltas)
+        with pytest.raises(ValueError, match="outside"):
+            tdelta_gap_report(3, deltas, 10)
+    with pytest.raises(ValueError, match="1-D"):
+        tdelta_eigenvalues(2, 10, np.zeros((2, 2)))
+
+
+def test_batched_gap_reports_match_pointwise():
+    deltas = [0.0, 0.013, 0.25, 0.5, 0.999, 1.0, -0.4]
+    for n in (2, 3, 5):
+        reports = tdelta_gap_report(n, deltas, 400)
+        assert len(reports) == len(deltas)
+        for d, rep in zip(deltas, reports):
+            assert rep == tdelta_gap_report(n, d, 400)
+            want = np.abs(scalar_recurrence(n, 400, d)
+                          - scalar_recurrence(n, 400, 0.0))
+            assert rep.value == want.max()
+            assert rep.arg_degree == int(np.argmax(want))
+
+
+def test_batched_stheta_gap_matches_block_loop():
+    thetas = [0.0, 0.05, np.pi / 4, 1.0, 2.5, np.pi, 5.9]
+    gaps = stheta_norm_gap(thetas, 24, 64)
+    assert gaps.shape == (len(thetas),)
+    for th, gap in zip(thetas, gaps):
+        want = max(np.linalg.norm(stheta_block(tj, th, 64).block
+                                  - stheta_block(tj, np.pi / 4, 64).block, 2)
+                   for tj in range(1, 25))
+        assert abs(gap - want) <= 1e-15
+        assert stheta_norm_gap(th, 24, 64) == gap
+    assert gaps[thetas.index(np.pi / 4)] == 0.0
+
+
+def test_spin_tables_match_loop_oracle():
+    for two_j in range(cli._SU2_MAX_TWO_J + 1):
+        fast = spheres._spin_tables(two_j)
+        slow = spin_tables_loop(two_j)
+        for got, want in zip(fast, slow):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_spin_matrices_unitary_at_cli_bound():
+    # the su2-gap driver caps 2j where every matrix of this grid passes
+    thetas = np.linspace(0.0, 2.0 * np.pi, 721, endpoint=False)
+    two_j = cli._SU2_MAX_TWO_J
+    stack = spin_matrix(two_j, su2_element(thetas, 0.0))
+    gram = stack @ stack.conj().swapaxes(-1, -2)
+    assert np.abs(gram - np.eye(two_j + 1)).max() <= 1e-9
+
+
+_angles = arrays(np.float64, st.integers(1, 6),
+                 elements=st.floats(0.0, 2.0 * np.pi))
+
+
+@given(_angles, st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi),
+       st.integers(0, 12))
+@settings(max_examples=40, deadline=None)
+def test_stacked_spin_matrix_is_homomorphic(thetas, phi, psi, two_j):
+    u = su2_element(thetas, phi)
+    v = su2_element(thetas[::-1], psi)
+    left = spin_matrix(two_j, u @ v)
+    right = spin_matrix(two_j, u) @ spin_matrix(two_j, v)
+    assert left.shape == (len(thetas), two_j + 1, two_j + 1)
+    assert np.allclose(left, right, atol=1e-10)
+    for i in range(len(thetas)):
+        assert np.array_equal(spin_matrix(two_j, u[i]),
+                              spin_matrix(two_j, u)[i])
+
+
+def test_driver_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import sys, gaplab.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -204,13 +204,15 @@ def _frac_matrix(entries) -> list:
     return m
 
 
-def _det3_frac(m) -> Fraction:
+def _det3(m):
+    """Exact determinant of a 3x3 list matrix of ints or Fractions."""
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def _adjugate_frac(m) -> list:
+def _adjugate3(m) -> list:
+    """adj(m), with adj(m) m = det(m) I; the inverse when det m = 1."""
     c = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
@@ -220,6 +222,11 @@ def _adjugate_frac(m) -> list:
                      - m[rows[0]][cols[1]] * m[rows[1]][cols[0]])
             c[j][i] = (-1) ** (i + j) * minor
     return c
+
+
+def _matmul3(a, b) -> list:
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)]
 
 
 def frac_valuation(p: int, x: Fraction) -> int | None:
@@ -244,19 +251,16 @@ class PAdicGroupElement:
 
     def __post_init__(self):
         self.matrix = _frac_matrix(self.matrix)
-        if _det3_frac(self.matrix) != 1:
+        if _det3(self.matrix) != 1:
             raise ValueError("determinant must be exactly 1")
 
     def inv(self) -> "PAdicGroupElement":
-        return PAdicGroupElement(self.p, _adjugate_frac(self.matrix))
+        return PAdicGroupElement(self.p, _adjugate3(self.matrix))
 
     def __matmul__(self, other: "PAdicGroupElement") -> "PAdicGroupElement":
         if self.p != other.p:
             raise ValueError("prime mismatch")
-        a, b = self.matrix, other.matrix
-        prod = [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
-                for i in range(3)]
-        return PAdicGroupElement(self.p, prod)
+        return PAdicGroupElement(self.p, _matmul3(self.matrix, other.matrix))
 
     def min_valuation(self) -> int:
         vals = [frac_valuation(self.p, self.matrix[i][j])
@@ -268,9 +272,9 @@ class PAdicGroupElement:
 
 
 def length_exponent_padic(g: PAdicGroupElement) -> int:
-    """Integer exponent e with length = e * log p: max over g, g^{-1} of
-    -min entry valuation."""
-    return max(-g.min_valuation(), -g.inv().min_valuation())
+    """Integer exponent e with length = e * log p: the length of the Cartan
+    triple, max over g, g^{-1} of -min entry valuation."""
+    return int(kak_padic(g).length)
 
 
 def length_padic(g: PAdicGroupElement) -> float:
@@ -305,24 +309,13 @@ def kak_padic(g: PAdicGroupElement) -> CartanTriple:
 
     v1 = min valuation over entries, v2 = min over 2x2 minors, v3 = 0 (det);
     the invariant factors p^{f_i} have f = (v1, v2-v1, -v2) and the chamber
-    triple is their negation in inverse-uniformizer convention.
+    triple is their negation in inverse-uniformizer convention.  With
+    det g = 1 the 2x2 minors are, up to sign, the entries of adj(g) = g^{-1},
+    so v2 is the min entry valuation of g^{-1}.
     """
-    m = g.matrix
-    p = g.p
     v1 = g.min_valuation()
-    minor_vals = []
-    for i in range(3):
-        for j in range(3):
-            rows = [r for r in range(3) if r != i]
-            cols = [s for s in range(3) if s != j]
-            minor = (m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
-                     - m[rows[0]][cols[1]] * m[rows[1]][cols[0]])
-            v = frac_valuation(p, minor)
-            if v is not None:
-                minor_vals.append(v)
-    v2 = min(minor_vals)
-    triple = CartanTriple(float(-v1), float(v1 - v2), float(v2))
-    return triple
+    v2 = g.inv().min_valuation()
+    return CartanTriple(float(-v1), float(v1 - v2), float(v2))
 
 
 @dataclass

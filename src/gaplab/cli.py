@@ -123,7 +123,7 @@ class ExperimentConfig:
         for key, values in spec.defaults.items():
             merged.setdefault(key, list(values))
         self.grid = merged
-        self.seed = int(self.seed)
+        self.seed = _parse_seed(self.command, self.seed)
 
     def values(self, key):
         return list(self.grid[key])
@@ -185,7 +185,6 @@ class RunReport:
     failed: int
     wall_time: float
     columns: tuple = ()
-    csv_rows: list | None = None
     diagnostics: dict | None = None
 
     def __post_init__(self):
@@ -227,7 +226,7 @@ def run(command, config=None):
     spec = COMMANDS[command]
     start = time.perf_counter()
     try:
-        cases, columns, csv_rows, diagnostics = spec.runner(config)
+        cases, columns, diagnostics = spec.runner(config)
     except ValueError as exc:
         raise UsageError(f"{command}: {exc}") from exc
     wall = time.perf_counter() - start
@@ -240,8 +239,7 @@ def run(command, config=None):
             case["pass"] = False
     passed = sum(1 for case in cases if case["pass"])
     return RunReport(command, config.echo(), cases, passed,
-                     len(cases) - passed, wall, tuple(columns), csv_rows,
-                     diagnostics)
+                     len(cases) - passed, wall, tuple(columns), diagnostics)
 
 
 def _format_cell(value):
@@ -257,23 +255,22 @@ def _format_cell(value):
 
 
 def write_report_csv(path, report):
-    """Schema line, timestamp comment, header, one row per case."""
+    """Schema line and timestamp comment, then the body the command's
+    ``write_csv`` writes."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     preamble = [f"# schema={report.command}/{SCHEMA_VERSION}",
                 f"# generated={stamp}"]
-    if report.command == "cocycle-mc" and report.csv_rows is not None:
-        # the cocycle command logs the raw domain sample instead of cases
-        columns, weights, seed = report.csv_rows
-        induction.write_sample_log(path, seed, columns, weights,
-                                   preamble=preamble)
-        return
-    rows = report.csv_rows if report.csv_rows is not None else report.cases
+    COMMANDS[report.command].write_csv(path, report, preamble)
+
+
+def _write_case_table(path, report, preamble):
+    """Preamble, header, one row per case."""
     with open(path, "w", newline="") as fh:
         for line in preamble:
             fh.write(line + "\n")
         writer = csv.writer(fh)
         writer.writerow(list(report.columns))
-        for row in rows:
+        for row in report.cases:
             writer.writerow([_format_cell(row.get(col, "")) for col in report.columns])
 
 
@@ -317,7 +314,7 @@ def _run_sdelta_decay(cfg):
                     "pass": bool(report.value <= bound + tol),
                 })
     columns = ("p", "n", "h", "index", "norm", "bound", "method", "pass")
-    return cases, columns, None, None
+    return cases, columns, None
 
 
 def _run_sphere_gap(cfg):
@@ -336,7 +333,7 @@ def _run_sphere_gap(cfg):
                 "pass": bool(rep.value <= rep.holder_bound + tol),
             })
     columns = ("n", "delta", "value", "bound", "arg_degree", "tail", "pass")
-    return cases, columns, None, None
+    return cases, columns, None
 
 
 _SU2_MAX_TWO_J = 48
@@ -366,7 +363,7 @@ def _run_su2_gap(cfg):
             "theta": theta, "value": value, "lower": lower,
             "pass": bool(value >= lower - tol),
         })
-    return cases, ("theta", "value", "lower", "pass"), None, None
+    return cases, ("theta", "value", "lower", "pass"), None
 
 
 def _random_sl3(rng):
@@ -408,7 +405,7 @@ def _run_kak(cfg):
             })
             idx += 1
     columns = ("kind", "case", "alpha", "r", "delta", "value", "bound", "pass")
-    return cases, columns, None, None
+    return cases, columns, None
 
 
 def _chamber_triple(rng, r_max):
@@ -430,12 +427,11 @@ def _run_zigzag_cert(cfg):
         for L in cfg.values("L"):
             rng = np.random.default_rng([cfg.seed, idx])
             for _ in range(pairs):
-                a = _chamber_triple(rng, r_max)
-                a_prime = _chamber_triple(rng, r_max)
+                a = zigzag.ChamberPoint(*_chamber_triple(rng, r_max))
+                a_prime = zigzag.ChamberPoint(*_chamber_triple(rng, r_max))
                 base = {
                     "case": idx, "s": float(s), "L": float(L),
-                    "r": max(a[0], -a[2]),
-                    "r_prime": max(a_prime[0], -a_prime[2]),
+                    "r": a.length, "r_prime": a_prime.length,
                 }
                 try:
                     cert = zigzag.zigzag_certificate(a, a_prime, float(s), float(L))
@@ -452,7 +448,7 @@ def _run_zigzag_cert(cfg):
                 idx += 1
     columns = ("case", "s", "L", "r", "r_prime", "total", "target",
                "steps", "pass")
-    return cases, columns, None, None
+    return cases, columns, None
 
 
 def _lazy_walk(model, order):
@@ -492,7 +488,7 @@ def _run_quotient_gap(cfg):
                       "rho": rho, "oracle": "",
                       "final": profile.values[-1], "pass": bool(ok)})
     columns = ("group", "size", "rho", "oracle", "final", "pass")
-    return cases, columns, None, None
+    return cases, columns, None
 
 
 def _run_star_verify(cfg):
@@ -518,7 +514,7 @@ def _run_star_verify(cfg):
             "pass": bool(report.passed),
         })
     columns = ("order", "fitted_c", "fitted_t", "max_invariance", "pass")
-    return cases, columns, None, None
+    return cases, columns, None
 
 
 def _run_cocycle_mc(cfg):
@@ -532,8 +528,7 @@ def _run_cocycle_mc(cfg):
     tol_kappa = float(cfg.scalar("tolkappa"))
     seed = cfg.seed
 
-    x, y, theta, lengths, weights = induction.sample_domain_arrays(samples,
-                                                                   seed)
+    x, y, theta, lengths, _ = induction.sample_domain_arrays(samples, seed)
     head = min(200, samples)
     subset = induction.domain_matrices(x[:head], y[:head], theta[:head])
 
@@ -574,8 +569,19 @@ def _run_cocycle_mc(cfg):
     ]
     diagnostics = {"domainStats": stats.to_json(), "cuspFit": fit.to_json(),
                    "cuspFitAlt": fit_alt.to_json()}
-    return (cases, ("check", "value", "bound", "pass"),
-            ((x, y, theta, lengths), weights, seed), diagnostics)
+    return cases, ("check", "value", "bound", "pass"), diagnostics
+
+
+def _write_sample_log(path, report, preamble):
+    """The cocycle command logs its raw domain sample instead of its cases.
+
+    The sample is a pure function of (samples, seed), so it is drawn again
+    from the echoed configuration instead of travelling in the report.
+    """
+    seed = report.config["seed"]
+    samples = int(report.config["grid"]["samples"][0])
+    *columns, weights = induction.sample_domain_arrays(samples, seed)
+    induction.write_sample_log(path, seed, columns, weights, preamble=preamble)
 
 
 @dataclass(frozen=True)
@@ -584,6 +590,7 @@ class CommandSpec:
     runner: object
     defaults: dict
     summary: str
+    write_csv: object = _write_case_table
 
 
 COMMANDS = {
@@ -622,7 +629,7 @@ COMMANDS = {
         "cocycle-mc", _run_cocycle_mc,
         {"samples": [2000], "gcount": [20], "glen": [2.0], "s": [0.2],
          "s0": [1.0], "radius": [2.5], "tolkappa": [1e-9]},
-        "cocycle growth / cusp decay Monte-Carlo"),
+        "cocycle growth / cusp decay Monte-Carlo", _write_sample_log),
 }
 
 
@@ -639,10 +646,11 @@ def _usage():
 
 
 def _parse_seed(command, value):
-    """The ``--seed`` value (flag or config key): a non-negative integer."""
+    """The ``--seed`` value (flag, config key or
+    ``ExperimentConfig.seed``): a non-negative integer."""
     try:
         seed = int(value)
-    except ValueError:
+    except (TypeError, ValueError):
         seed = None
     if seed is None or seed < 0:
         raise UsageError(f"{command}: --seed must be a non-negative integer, "
@@ -677,7 +685,7 @@ def _parse_argv(argv):
         elif key == "out":
             out_path = value
         elif key == "seed":
-            seed = _parse_seed(command, value)
+            seed = value
         else:
             overrides[key] = _parse_values(value)
     return command, config_path, out_path, seed, overrides
@@ -703,7 +711,7 @@ def main(argv=None):
                     out_path = out_path if out_path is not None else value
                 elif key == "seed":
                     if seed is None:
-                        seed = _parse_seed(command, value)
+                        seed = value
                 else:
                     grid[key] = _parse_values(value)
         grid.update(overrides)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cartan import _det3, _matmul3
 from .residue import (AdditiveCharacter, ResidueRing, RingElem, char_eval,
                       character_decompose, valuation)
 
@@ -385,17 +386,6 @@ def hausdorff_young_ratio(m: int, f: np.ndarray) -> float:
 # exact rotation-conjugation identity mod p^N
 
 
-def _int_det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _matmul_mod(a, b, q):
-    return [[sum(a[i][k] * b[k][j] for k in range(3)) % q for j in range(3)]
-            for i in range(3)]
-
-
 @dataclass
 class KDeltaConjugation:
     ok: bool
@@ -446,7 +436,7 @@ def verify_kdelta_conjugation(j: int, a: RingElem, b: RingElem,
     beta = [[p ** (2 * j) * sy, -1, 0],
             [p ** j * sx, 0, -1],
             [1, 0, 0]]
-    dets_ok = (_int_det3(alpha) == 1 and _int_det3(beta) == 1)
+    dets_ok = (_det3(alpha) == 1 and _det3(beta) == 1)
 
     left = [[omega_inv, 0, 0],
             [0, 1, 0],
@@ -455,8 +445,9 @@ def verify_kdelta_conjugation(j: int, a: RingElem, b: RingElem,
              [0, omega, (p ** j * omega_inv * sa) % q],
              [0, 0, omega_inv]]
 
-    prod = _matmul_mod(_matmul_mod(_matmul_mod(left, alpha, q), beta, q),
-                       right, q)
+    prod = left
+    for factor in (alpha, beta, right):
+        prod = [[e % q for e in row] for row in _matmul3(prod, factor)]
     target = [[(p ** (2 * j) * delta_val) % q, (-1) % q, 0],
               [1, 0, 0],
               [0, 0, 1]]

@@ -143,30 +143,14 @@ def _int_matrix(entries):
 # exact rational half-plane arithmetic
 
 
-def _frac_matrix(m):
-    m = _as_matrix(m)
-    return [
-        [Fraction(float(m[0, 0])), Fraction(float(m[0, 1]))],
-        [Fraction(float(m[1, 0])), Fraction(float(m[1, 1]))],
-    ]
-
-
-def _frac_matmul(a, b):
-    return [
-        [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-        [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-    ]
-
-
 def _point_of_inverse(M):
-    """The half-plane point M^{-1} . i, exact over the rationals.
+    """The half-plane point M^{-1} . i, exact over the rationals, for a
+    row-major 4-tuple M.
 
     Uses the adjugate, which acts projectively like the inverse; requires
     det M > 0 so the point stays in the upper half-plane.
     """
-    a, b = M[0]
-    c, d = M[1]
-    p, q, r, s = d, -b, -c, a
+    p, q, r, s = _adjugate4(M)
     den = s * s + r * r
     if den == 0:
         raise ValueError("singular matrix")
@@ -266,8 +250,7 @@ def _reduce_point(x, y):
 def _exact_gamma(g, w):
     """The integer part of g w on the rational path: gamma with gamma . z in
     F for the exact point z = (g w)^{-1} . i (g, w row-major float 4-tuples)."""
-    M = _frac_matmul(_frac_matrix(np.reshape(g, (2, 2))),
-                     _frac_matrix(np.reshape(w, (2, 2))))
+    M = _matmul4(tuple(map(Fraction, g)), tuple(map(Fraction, w)))
     gamma, _, _ = _reduce_point(*_point_of_inverse(M))
     return gamma
 

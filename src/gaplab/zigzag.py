@@ -42,19 +42,18 @@ __all__ = [
 
 @dataclass
 class ChamberPoint(CartanTriple):
-    """A chamber point; adds axis bookkeeping to the ordered zero-sum triple."""
+    """A chamber point; adds axis bookkeeping to the ordered zero-sum triple.
 
-    @property
-    def axis_radius(self) -> float:
-        """Radius r of the nearest axis point c_r = (r, 0, -r)."""
-        return max(self.a1, -self.a3)
+    Its axis radius, the r of the nearest axis point c_r = (r, 0, -r), is
+    the inherited ``length``.
+    """
 
     @property
     def on_axis(self) -> bool:
         return abs(self.a2) <= _EQ_TOL
 
     def axis_point(self) -> "ChamberPoint":
-        r = self.axis_radius
+        r = self.length
         return ChamberPoint(r, 0.0, -r)
 
     def close_to(self, other, tol: float = _EQ_TOL) -> bool:
@@ -306,17 +305,17 @@ def zigzag_certificate(a, a_prime, s, L) -> BoundCertificate:
                    if hasattr(a_prime, "as_tuple") else ChamberPoint(*a_prime))
     t = 0.5 - 2.0 * s
     target = (70.0 / (1.0 - 4.0 * s)) * L * L * max(
-        math.exp(-t * a.axis_radius), math.exp(-t * a_prime.axis_radius))
+        math.exp(-t * a.length), math.exp(-t * a_prime.length))
     if a.close_to(a_prime):
         return BoundCertificate((), 0.0, target, s, L, t)
-    if a.axis_radius < 1 or a_prime.axis_radius < 1:
+    if a.length < 1 or a_prime.length < 1:
         raise ValueError("both endpoints need axis radius >= 1 "
                          "(the axis chain starts at radius 1)")
     steps = []
     if not a.on_axis:
         steps.append(_route_step(a, s, L, outbound=True))
-    if abs(a.axis_radius - a_prime.axis_radius) > _EQ_TOL:
-        steps.extend(_axis_steps(a.axis_radius, a_prime.axis_radius, s, L))
+    if abs(a.length - a_prime.length) > _EQ_TOL:
+        steps.extend(_axis_steps(a.length, a_prime.length, s, L))
     if not a_prime.on_axis:
         steps.append(_route_step(a_prime, s, L, outbound=False))
     total = math.fsum(st.bound for st in steps)

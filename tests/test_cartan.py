@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab.cartan import (CartanTriple, PAdicGroupElement, RealGroupElement,
+                           _adjugate3, _det3, _matmul3,
                            cartan_automorphism, d_alpha, d_alpha_padic,
                            d_matrix, d_matrix_padic, distorted_length,
                            frac_valuation, in_u_pattern, in_utilde_pattern,
@@ -209,6 +210,40 @@ def test_distortion_monotone_on_grid():
 # p-adic side
 
 
+def _kak_padic_oracle(g):
+    """Cartan triple of g from Smith-form valuations taken literally: v1 is
+    the min valuation over entries, v2 the min over all nine 2x2 minors."""
+    m = g.matrix
+    v1 = g.min_valuation()
+    minor_vals = []
+    for i in range(3):
+        for j in range(3):
+            rows = [r for r in range(3) if r != i]
+            cols = [s for s in range(3) if s != j]
+            minor = (m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
+                     - m[rows[0]][cols[1]] * m[rows[1]][cols[0]])
+            v = frac_valuation(g.p, minor)
+            if v is not None:
+                minor_vals.append(v)
+    v2 = min(minor_vals)
+    return (-v1, v1 - v2, v2)
+
+
+@given(st.lists(st.integers(-50, 50), min_size=9, max_size=9),
+       st.lists(st.integers(1, 12), min_size=9, max_size=9),
+       st.booleans())
+@settings(max_examples=60)
+def test_adjugate_times_matrix_is_det(nums, dens, rational):
+    """adj(m) m = m adj(m) = det(m) I, exactly, for int and Fraction m."""
+    flat = ([Fraction(a, b) for a, b in zip(nums, dens)] if rational
+            else nums)
+    m = [flat[0:3], flat[3:6], flat[6:9]]
+    det = _det3(m)
+    scalar = [[det if i == j else 0 for j in range(3)] for i in range(3)]
+    assert _matmul3(_adjugate3(m), m) == scalar
+    assert _matmul3(m, _adjugate3(m)) == scalar
+
+
 def test_padic_validation_and_length():
     with pytest.raises(ValueError):
         PAdicGroupElement(2, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])   # det 2
@@ -261,9 +296,25 @@ def test_kak_padic_matches_length():
         a3 = -a1 - a2
         g = (random_padic_integral(2, rng) @ d_matrix_padic(2, a1, a2, a3)
              @ random_padic_integral(2, rng))
-        tr = kak_padic(g)
+        oracle = _kak_padic_oracle(g)
+        assert oracle == (a1, a2, a3)
+        assert kak_padic(g).as_int_tuple() == oracle
         assert length_exponent_padic(g) == max(a1, -a3)
-        assert tr.as_int_tuple() == (a1, a2, a3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kak_padic_matches_minor_oracle(p):
+    """kak_padic reads v2 off g^{-1}; the oracle takes it from the minors."""
+    rng = np.random.default_rng([12, p])
+    for _ in range(60):
+        a1, a2 = (int(v) for v in rng.integers(-4, 5, size=2))
+        g = (random_padic_integral(p, rng)
+             @ d_matrix_padic(p, a1, a2, -a1 - a2)
+             @ random_padic_integral(p, rng))
+        oracle = _kak_padic_oracle(g)
+        assert kak_padic(g).as_int_tuple() == oracle
+        assert length_exponent_padic(g) == max(oracle[0], -oracle[2])
+        assert oracle == tuple(sorted((a1, a2, -a1 - a2), reverse=True))
 
 
 def test_k_delta_padic():

@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from gaplab import cli
+from gaplab import cli, induction
 
 
 def run_main(argv):
@@ -218,11 +219,18 @@ def test_negative_seed_names_the_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_object_seed_is_checked():
+    cfg = {"count": [2], "rcount": [2]}
+    with pytest.raises(cli.UsageError,
+                       match="kak: --seed must be a non-negative integer, got -1"):
+        cli.run("kak", cli.ExperimentConfig("kak", cfg, seed=-1))
+
+
 def _fake_command(monkeypatch, cases):
     """Swap sphere-gap's runner for one that returns ``cases``."""
     spec = cli.COMMANDS["sphere-gap"]
-    fake = cli.CommandSpec(spec.name, lambda cfg: (cases, ("value", "pass"),
-                                                   None, None),
+    fake = cli.CommandSpec(spec.name,
+                           lambda cfg: (cases, ("value", "pass"), None),
                            spec.defaults, spec.summary)
     monkeypatch.setitem(cli.COMMANDS, "sphere-gap", fake)
 
@@ -343,6 +351,34 @@ def test_cocycle_csv_is_a_sample_log(tmp_path, capsys):
     assert stats["exactFallbacks"] >= 0 and stats["gCount"] == 4
     assert stats["sampleCount"] == 200
     assert diagnostics["cuspFit"]["sampleCount"] == 600
+    # the logged sample is the one the runner drew from (samples, seed)
+    x, y, theta, lengths, weights = induction.sample_domain_arrays(600, 11)
+    logged = np.array([[float(v) for v in row.split(",")]
+                       for row in lines[3:]])
+    assert np.array_equal(logged, np.column_stack(
+        [np.full(600, 11.0), x, y, theta, lengths, weights]))
+
+
+# small grids, one per command, for contract checks over every runner
+_SMALL_GRIDS = {
+    "sdelta-decay": {"p": [2], "n": [2]},
+    "sphere-gap": {"delta": [0.3], "dmax": [20]},
+    "su2-gap": {"theta": [0.5], "jmax": [4]},
+    "kak": {"count": [2], "alpha": [1.0], "rcount": [2]},
+    "zigzag-cert": {"s": [0.1, 0.3], "pairs": [2]},
+    "quotient-gap": {"order": [3], "sl3": [0]},
+    "star-verify": {"order": [3]},
+    "cocycle-mc": {"samples": [600], "gcount": [4]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_case_carries_every_column(command):
+    report = cli.run(command, cli.ExperimentConfig(command,
+                                                   _SMALL_GRIDS[command]))
+    assert report.columns
+    for case in report.cases:
+        assert set(report.columns) <= set(case)
 
 
 # ---------------------------------------------------------------------------

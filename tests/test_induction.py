@@ -51,6 +51,11 @@ def transvection(x, y):
     return np.array([[sq, x / sq], [0.0, 1.0 / sq]])
 
 
+def _fractions(mat):
+    """The exact rational entries of a 2x2 float matrix, row-major."""
+    return tuple(map(Fraction, np.asarray(mat, dtype=float).ravel().tolist()))
+
+
 def canonical(mat):
     return ind._canonical_sign(tuple(int(v) for v in np.asarray(mat).ravel()))
 
@@ -193,8 +198,7 @@ def test_exact_reduction_matches_public_api():
     for _ in range(50):
         g = random_group_elements(1, rng.integers(1 << 30), max_length=2.5)[0]
         pt, gamma = reduce_to_domain(g)
-        M = ind._frac_matrix(g)
-        x, y = ind._point_of_inverse(M)
+        x, y = ind._point_of_inverse(_fractions(g))
         exact_gamma, xr, yr = ind._reduce_exact(x, y)
         assert canonical(exact_gamma) == tuple(int(v) for v in gamma.ravel())
         assert ind._in_domain_exact(xr, yr)
@@ -305,7 +309,7 @@ def fraction_alpha(g, omega):
     unique; at those elliptic points the stabilizer is nontrivial, and alpha
     is the representative this path picks.
     """
-    M = ind._frac_matmul(ind._frac_matrix(g), ind._frac_matrix(omega))
+    M = ind._matmul4(_fractions(g), _fractions(omega))
     gamma, _, _ = ind._reduce_point(*ind._point_of_inverse(M))
     return ind._canonical_sign(gamma)
 

@@ -33,11 +33,11 @@ def _random_point(rng, rmin=1.0, rmax=20.0):
 
 def test_chamber_point_geometry():
     p = ChamberPoint(5.0, 1.0, -6.0)
-    assert p.axis_radius == 6.0
+    assert p.length == 6.0
     assert not p.on_axis
     assert p.axis_point().as_tuple() == (6.0, 0.0, -6.0)
     q = ChamberPoint(3.0, -1.0, -2.0)
-    assert q.axis_radius == 3.0
+    assert q.length == 3.0
     assert _axis(2.0).on_axis
 
 

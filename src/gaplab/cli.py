@@ -33,6 +33,7 @@ import csv
 import datetime
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -279,6 +280,7 @@ def _write_case_table(path, report, preamble):
 
 
 _SDELTA_MAX_MODULUS = 4096
+_SDELTA_CROSS_CHECK_MAX_MODULUS = 1024
 
 
 def _run_sdelta_decay(cfg):
@@ -286,10 +288,15 @@ def _run_sdelta_decay(cfg):
 
     The norms come from the closed-form block law and never build a dense
     matrix; a modulus above ``_SDELTA_MAX_MODULUS`` is a usage error, so no
-    requested case is dropped without notice.
+    requested case is dropped without notice.  Up to
+    ``_SDELTA_CROSS_CHECK_MAX_MODULUS`` every case also runs the matrix-free
+    power iteration, and passes only if it converged and agrees with the
+    closed form within ``tol``.  Both norm reports go into the diagnostics;
+    a larger case says there that no cross-check ran.
     """
     tol = float(cfg.scalar("tol"))
     cases = []
+    checks = []
     for p in cfg.values("p"):
         p = int(p)
         for n in cfg.values("n"):
@@ -307,14 +314,30 @@ def _run_sdelta_decay(cfg):
                 op = finite_models.stamp_s_chi(ring, ring.character(index))
                 report = finite_models.operator_norm(op)
                 bound = p ** (-(n - h) / 2.0)
+                ok = report.value <= bound + tol
+                check = {"p": p, "n": n, "h": h, "index": index,
+                         "closedForm": report.to_json()}
+                if ring.modulus <= _SDELTA_CROSS_CHECK_MAX_MODULUS:
+                    power = finite_models.operator_norm(
+                        op, method="power-iteration", seed=cfg.seed)
+                    ok = (ok and power.converged
+                          and abs(power.value - report.value) <= tol)
+                    check["powerIteration"] = power.to_json()
+                    check["crossCheck"] = "ran"
+                else:
+                    check["powerIteration"] = None
+                    check["crossCheck"] = (
+                        f"not run: modulus {ring.modulus} exceeds "
+                        f"{_SDELTA_CROSS_CHECK_MAX_MODULUS}")
+                checks.append(check)
                 cases.append({
                     "p": p, "n": n, "h": h, "index": index,
                     "norm": report.value, "bound": bound,
                     "method": report.method,
-                    "pass": bool(report.value <= bound + tol),
+                    "pass": bool(ok),
                 })
     columns = ("p", "n", "h", "index", "norm", "bound", "method", "pass")
-    return cases, columns, None
+    return cases, columns, {"crossChecks": checks}
 
 
 def _run_sphere_gap(cfg):
@@ -648,10 +671,15 @@ def _usage():
 def _parse_seed(command, value):
     """The ``--seed`` value (flag, config key or
     ``ExperimentConfig.seed``): a non-negative integer."""
-    try:
-        seed = int(value)
-    except (TypeError, ValueError):
-        seed = None
+    seed = None
+    if not isinstance(value, bool):
+        try:
+            # a string is parsed; a number must be an integer already,
+            # since int() would truncate a float
+            seed = (int(value) if isinstance(value, str)
+                    else operator.index(value))
+        except (TypeError, ValueError):
+            pass
     if seed is None or seed < 0:
         raise UsageError(f"{command}: --seed must be a non-negative integer, "
                          f"got {value!r}")

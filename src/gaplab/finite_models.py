@@ -9,20 +9,28 @@ K = delta-spike/m, the character average S_chi spreads chi over the image of
 the level-h injection z -> p^(n-h)*z.  Flat index convention: (u, v) -> u*m+v
 with u the space label and v the shift label.
 
-Dense matrices are materialised from the kernel; matrix-free applies (FFT
-correlation along the shift axis plus a gather) serve power iteration at
-dimensions where a dense SVD is not affordable.  The shift-Fourier basis
-splits every stamp into blocks K_hat[c] * G_c whose norms have the closed
-form of ``_block_norms``, so exact norms never need a dense matrix.
+Dense matrices are materialised from the kernel.  The matrix-free
+``StampOperator`` applies the same map as a discrete Radon transform,
+
+    (A f)(y,t) = sum_x g(x, t + x*y),      g = f correlated with K in s,
+
+which after a DFT in the shift variable is a DFT in x read at the frequency
+xi*y: one FFT multiplier, one FFT across the space label, one gather and one
+inverse FFT, O(m^2 log m) per apply on a vector of length m^2.  It serves the
+power iteration at dimensions where a dense SVD is not affordable.  The
+shift-Fourier basis splits every stamp into blocks K_hat[c] * G_c whose norms
+have the closed form of ``_block_norms``, so exact norms never need a dense
+matrix.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cartan import _det3, _matmul3
-from .residue import (AdditiveCharacter, ResidueRing, RingElem, char_eval,
+from .residue import (AdditiveCharacter, ResidueRing, RingElem,
                       character_decompose, valuation)
 
 
@@ -55,10 +63,11 @@ def _kernel_s_chi(ring: ResidueRing, chi: AdditiveCharacter) -> np.ndarray:
     if chi.is_trivial:
         raise ValueError("S_chi requires a nontrivial character")
     m = ring.modulus
-    step = p ** (n - h)
+    q = p ** h
     k = np.zeros(m, dtype=complex)
-    for z in range(p ** h):
-        k[(step * z) % m] = char_eval(chi, z) / (m * p ** h)
+    # chi(z) as char_eval computes it (same exact exponent, same float ops)
+    k[::p ** (n - h)] = [cmath.exp(2j * cmath.pi * ((chi.index * z) % q) / q)
+                         / (m * q) for z in range(q)]
     return k
 
 
@@ -125,7 +134,11 @@ def build_S_chi(ring: ResidueRing, chi: AdditiveCharacter) -> DenseOperator:
 
 @dataclass
 class StampOperator:
-    """Matrix-free form of a kernel-stamp operator (same math as the dense one)."""
+    """Matrix-free form of a kernel-stamp operator (same math as the dense one).
+
+    ``apply`` and ``adjoint_apply`` are FFT Radon transforms on the (m, m)
+    label grid: O(m^2 log m) time and a few m^2 complex arrays of memory.
+    """
 
     ring: ResidueRing
     kernel: np.ndarray
@@ -136,34 +149,29 @@ class StampOperator:
         return m * m
 
     def apply(self, f: np.ndarray) -> np.ndarray:
+        """(A f)(y,t) = sum_x g(x, t + x*y), g(x,u) = sum_w K[w] f(x, u+w).
+
+        After a DFT in the shift variable the sum over x is a DFT in x read
+        at the frequency xi*y:  out_hat(y,xi) = H[(xi*y) mod m, xi] with
+        H = m * ifft_x(fft_s(f) * m*ifft(K)).  Cost O(m^2 log m).
+        """
         m = self.ring.modulus
-        fm = f.reshape(m, m)
-        # correlate along the shift axis:  G[x,u] = sum_s K[(s-u) mod m] f[x,s];
-        # the DFT multiplier of u -> sum_w K[w] f[u+w] is m * ifft(K)
+        xi = np.arange(m)
         mult = m * np.fft.ifft(self.kernel)
-        g = np.fft.ifft(np.fft.fft(fm, axis=1) * mult[None, :], axis=1)
-        out = np.zeros((m, m), dtype=complex)
-        t = np.arange(m)
-        y = np.arange(m)
-        for x in range(m):
-            idx = (t[None, :] + (x * y)[:, None]) % m
-            out += g[x][idx]
-        return out.reshape(m * m)
+        h = m * np.fft.ifft(np.fft.fft(f.reshape(m, m), axis=1) * mult, axis=0)
+        return np.fft.ifft(h[np.outer(xi, xi) % m, xi], axis=1).reshape(m * m)
 
     def adjoint_apply(self, f: np.ndarray) -> np.ndarray:
+        """(A* f)(x,s) = sum_y h(y, s - x*y), h(y,u) = sum_t conj K[u-t] f(y,t).
+
+        The transpose of ``apply``: multiplier fft(conj K), a forward DFT in
+        y, and the gather H[(xi*x) mod m, xi].  Cost O(m^2 log m).
+        """
         m = self.ring.modulus
-        fm = f.reshape(m, m)         # indexed (y, t)
-        # H[y,u] = sum_t conj(K)[(u-t) mod m] f[y,t]   (circular convolution)
-        khat = np.fft.fft(np.conj(self.kernel))
-        h = np.fft.ifft(np.fft.fft(fm, axis=1) * khat[None, :], axis=1)
-        # accumulate per y:  (S* f)(x,s) = sum_y H[y, (s - x*y) mod m]
-        out = np.zeros((m, m), dtype=complex)
-        s = np.arange(m)
-        x = np.arange(m)
-        for y in range(m):
-            idx = (s[None, :] - (x * y)[:, None]) % m
-            out += h[y][idx]
-        return out.reshape(m * m)
+        xi = np.arange(m)
+        mult = np.fft.fft(np.conj(self.kernel))
+        h = np.fft.fft(np.fft.fft(f.reshape(m, m), axis=1) * mult, axis=0)
+        return np.fft.ifft(h[np.outer(xi, xi) % m, xi], axis=1).reshape(m * m)
 
 
 def stamp_s_delta(ring: ResidueRing, delta) -> StampOperator:
@@ -186,6 +194,11 @@ class NormReport:
     iterations: int
     converged: bool
     dim: int
+
+    def to_json(self):
+        return {"value": self.value, "method": self.method,
+                "residual": self.residual, "iterations": self.iterations,
+                "converged": self.converged, "dim": self.dim}
 
 
 def operator_norm(op, method: str = "auto", tolerance: float = 1e-12,

@@ -77,10 +77,6 @@ class ResidueRing:
         for a in range(self.modulus):
             yield AdditiveCharacter(self, a)
 
-    def nontrivial_characters(self) -> Iterator["AdditiveCharacter"]:
-        for a in range(1, self.modulus):
-            yield AdditiveCharacter(self, a)
-
 
 @dataclass(frozen=True)
 class RingElem:

@@ -170,13 +170,74 @@ def test_library_rejection_names_command(tmp_path, capsys, command, args):
     assert not out.exists()
 
 
+def _assert_cross_checked(report, tol):
+    """Every case carries a converged power iteration that agrees with its
+    closed-form norm within ``tol``."""
+    checks = report["diagnostics"]["crossChecks"]
+    assert len(checks) == len(report["cases"])
+    for case, check in zip(report["cases"], checks):
+        assert (check["p"], check["n"], check["h"]) == (case["p"], case["n"],
+                                                        case["h"])
+        exact, power = check["closedForm"], check["powerIteration"]
+        assert check["crossCheck"] == "ran"
+        assert exact["method"] == "exact-decomposition"
+        assert exact["value"] == case["norm"]
+        assert power["method"] == "power-iteration" and power["converged"]
+        assert power["iterations"] >= 1
+        assert abs(power["value"] - exact["value"]) <= tol
+
+
 def test_sdelta_decay_beyond_dense_scale(tmp_path, capsys):
-    # 5^4 = 625: the norms never need a dense matrix, so every depth runs
+    # 5^4 = 625: the norms never need a dense matrix, so every depth runs,
+    # and each is cross-checked by the matrix-free power iteration
     out = tmp_path / "sd.csv"
     assert run_main(["sdelta-decay", "--p=5", "--n=4", "--out", out]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [c["h"] for c in report["cases"]] == [1, 2, 3, 4]
     assert report["passed"] == 4 and report["failed"] == 0
+    _assert_cross_checked(report, 1e-9)
+
+
+def test_sdelta_decay_marks_cases_without_cross_check(tmp_path, capsys):
+    out = tmp_path / "sd.csv"
+    limit = cli._SDELTA_CROSS_CHECK_MAX_MODULUS
+    assert 2 ** 3 <= limit < 2 ** 12
+    assert run_main(["sdelta-decay", "--p=2", "--n=3,12", "--out", out]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] == 15 and report["failed"] == 0
+    checks = report["diagnostics"]["crossChecks"]
+    assert [c["n"] for c in checks] == [3] * 3 + [12] * 12
+    for check in checks[3:]:
+        assert check["powerIteration"] is None
+        assert check["crossCheck"] == (f"not run: modulus 4096 exceeds "
+                                       f"{limit}")
+        assert check["closedForm"]["method"] == "exact-decomposition"
+    assert all(c["crossCheck"] == "ran" for c in checks[:3])
+
+
+def test_sdelta_decay_case_fails_on_cross_check(monkeypatch):
+    # the closed form meets the bound, but a disagreeing or unconverged
+    # power iteration fails the case
+    real = cli.finite_models.operator_norm
+
+    def skewed(op, method="auto", **kwargs):
+        rep = real(op, method=method, **kwargs)
+        if method == "power-iteration":
+            rep.value += 1e-6
+        return rep
+
+    def stalled(op, method="auto", **kwargs):
+        rep = real(op, method=method, **kwargs)
+        if method == "power-iteration":
+            rep.converged = False
+        return rep
+
+    for fake in (skewed, stalled):
+        monkeypatch.setattr(cli.finite_models, "operator_norm", fake)
+        report = cli.run("sdelta-decay", cli.ExperimentConfig(
+            "sdelta-decay", {"p": [3], "n": [2]}))
+        assert report.failed == 2 and report.passed == 0
+        assert all(c["norm"] <= c["bound"] + 1e-9 for c in report.cases)
 
 
 def test_sdelta_decay_modulus_bound_exits_two(tmp_path, capsys):
@@ -224,6 +285,15 @@ def test_config_object_seed_is_checked():
     with pytest.raises(cli.UsageError,
                        match="kak: --seed must be a non-negative integer, got -1"):
         cli.run("kak", cli.ExperimentConfig("kak", cfg, seed=-1))
+    # a float or a bool is not truncated to a seed
+    for bad in (2.7, True):
+        with pytest.raises(cli.UsageError,
+                           match="kak: --seed must be a non-negative integer, "
+                                 f"got {bad!r}"):
+            cli.ExperimentConfig("kak", cfg, seed=bad)
+    for good, want in ((5, 5), (np.int64(6), 6), ("7", 7)):
+        seed = cli.ExperimentConfig("kak", cfg, seed=good).seed
+        assert seed == want and type(seed) is int
 
 
 def _fake_command(monkeypatch, cases):
@@ -389,6 +459,7 @@ def test_sdelta_decay_defaults_pass():
     report = cli.run("sdelta-decay", cli.ExperimentConfig("sdelta-decay", {}))
     assert report.failed == 0
     assert all(c["norm"] <= c["bound"] + 1e-9 for c in report.cases)
+    _assert_cross_checked(report.to_json(), 1e-9)
 
 
 def test_sphere_gap_small_grid():

@@ -1,7 +1,7 @@
 """Operators on l2(O_n x O_n): construction, norms, Fourier law, identities."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import (AdditiveCharacter, ResidueRing, RingElem, build_S_chi,
@@ -84,6 +84,90 @@ def test_s_chi_rejects_bad_inputs():
         build_S_chi(R, AdditiveCharacter(ResidueRing(2, 2), 0))  # trivial
     with pytest.raises(ValueError):
         build_S_chi(R, AdditiveCharacter(ResidueRing(3, 1), 1))  # wrong prime
+
+
+def _apply_loop(op, f):
+    """Loop oracle of StampOperator.apply: correlate along the shift axis,
+    then out[y,t] = sum_x g[x, (t + x*y) mod m], one x at a time."""
+    m = op.ring.modulus
+    mult = m * np.fft.ifft(op.kernel)
+    g = np.fft.ifft(np.fft.fft(f.reshape(m, m), axis=1) * mult[None, :], axis=1)
+    out = np.zeros((m, m), dtype=complex)
+    t = np.arange(m)
+    y = np.arange(m)
+    for x in range(m):
+        out += g[x][(t[None, :] + (x * y)[:, None]) % m]
+    return out.reshape(m * m)
+
+
+def _adjoint_loop(op, f):
+    """Loop oracle of StampOperator.adjoint_apply: convolve with conj K,
+    then out[x,s] = sum_y h[y, (s - x*y) mod m], one y at a time."""
+    m = op.ring.modulus
+    khat = np.fft.fft(np.conj(op.kernel))
+    h = np.fft.ifft(np.fft.fft(f.reshape(m, m), axis=1) * khat[None, :], axis=1)
+    out = np.zeros((m, m), dtype=complex)
+    s = np.arange(m)
+    x = np.arange(m)
+    for y in range(m):
+        out += h[y][(s[None, :] - (x * y)[:, None]) % m]
+    return out.reshape(m * m)
+
+
+def _random_stamp(p, n, rng):
+    """A stamp with a random complex kernel, about half its entries zero."""
+    m = p ** n
+    kernel = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    kernel[rng.random(m) < 0.5] = 0.0
+    return StampOperator(ResidueRing(p, n), kernel)
+
+
+def _rings_up_to(limit):
+    return [(p, n) for p in (2, 3, 5, 7) for n in range(1, 9) if p ** n <= limit]
+
+
+def test_s_chi_kernel_matches_char_eval():
+    # the kernel is chi(z)/(m p^h) at z*p^(n-h), bit for bit as char_eval
+    # computes chi(z), so the closed-form norms (and CSVs) do not move
+    for p, n in _rings_up_to(343):
+        R = ResidueRing(p, n)
+        m = R.modulus
+        for h in range(1, n + 1):
+            q = p ** h
+            for idx in range(1, q):
+                chi = AdditiveCharacter(ResidueRing(p, h), idx)
+                want = np.zeros(m, dtype=complex)
+                for z in range(q):
+                    want[z * p ** (n - h)] = char_eval(chi, z) / (m * q)
+                assert np.array_equal(stamp_s_chi(R, chi).kernel, want), \
+                    (p, n, h, idx)
+
+
+@given(st.sampled_from(_rings_up_to(128)), st.integers(0, 2 ** 32 - 1))
+@example((2, 7), 0)
+@settings(max_examples=60, deadline=None)
+def test_stamp_applies_match_loops(ring, seed):
+    rng = np.random.default_rng(seed)
+    op = _random_stamp(*ring, rng)
+    f = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    bound = 1e-12 * np.linalg.norm(f)
+    assert np.linalg.norm(op.apply(f) - _apply_loop(op, f)) <= bound
+    assert np.linalg.norm(op.adjoint_apply(f) - _adjoint_loop(op, f)) <= bound
+
+
+@given(st.sampled_from(_rings_up_to(343)), st.integers(0, 2 ** 32 - 1))
+@example((7, 3), 0)
+@settings(max_examples=40, deadline=None)
+def test_stamp_adjoint_property(ring, seed):
+    # <Af, g> = <f, A*g>, up to rounding on the scale ||A|| ||f|| ||g||
+    rng = np.random.default_rng(seed)
+    op = _random_stamp(*ring, rng)
+    f, g = (rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+            for _ in range(2))
+    scale = (operator_norm(op, method="exact-decomposition").value
+             * np.linalg.norm(f) * np.linalg.norm(g))
+    gap = abs(np.vdot(g, op.apply(f)) - np.vdot(op.adjoint_apply(g), f))
+    assert gap <= 1e-12 * scale
 
 
 def test_stamp_apply_matches_dense():

@@ -281,6 +281,9 @@ def _write_case_table(path, report, preamble):
 
 _SDELTA_MAX_MODULUS = 4096
 _SDELTA_CROSS_CHECK_MAX_MODULUS = 1024
+# correct applies converge in 2-3 steps; a stalled iteration fails its case
+# after this many instead of running the library's default cap
+_SDELTA_CROSS_CHECK_MAX_ITERATIONS = 50
 
 
 def _run_sdelta_decay(cfg):
@@ -290,9 +293,10 @@ def _run_sdelta_decay(cfg):
     matrix; a modulus above ``_SDELTA_MAX_MODULUS`` is a usage error, so no
     requested case is dropped without notice.  Up to
     ``_SDELTA_CROSS_CHECK_MAX_MODULUS`` every case also runs the matrix-free
-    power iteration, and passes only if it converged and agrees with the
-    closed form within ``tol``.  Both norm reports go into the diagnostics;
-    a larger case says there that no cross-check ran.
+    power iteration, capped at ``_SDELTA_CROSS_CHECK_MAX_ITERATIONS`` steps,
+    and passes only if it converged and agrees with the closed form within
+    ``tol``.  Both norm reports go into the diagnostics; a larger case says
+    there that no cross-check ran.
     """
     tol = float(cfg.scalar("tol"))
     cases = []
@@ -319,7 +323,8 @@ def _run_sdelta_decay(cfg):
                          "closedForm": report.to_json()}
                 if ring.modulus <= _SDELTA_CROSS_CHECK_MAX_MODULUS:
                     power = finite_models.operator_norm(
-                        op, method="power-iteration", seed=cfg.seed)
+                        op, method="power-iteration", seed=cfg.seed,
+                        max_iterations=_SDELTA_CROSS_CHECK_MAX_ITERATIONS)
                     ok = (ok and power.converged
                           and abs(power.value - report.value) <= tol)
                     check["powerIteration"] = power.to_json()

@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 
-def _opnorm(m):
-    return float(np.linalg.norm(np.asarray(m), 2))
+def _opnorms(stack):
+    """Spectral norms over the last two axes: one batched SVD call."""
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
 class FiniteGroupModel:
@@ -94,28 +95,25 @@ class FiniteGroupModel:
         if {int(inverse[g]) for g in gens} != set(gens):
             raise ValueError("generating set must be symmetric")
         self.generators = tuple(gens)
-        self.lengths = self._bfs_lengths()
+        self.lengths = self._reach(self.generators)
+        if (self.lengths < 0).any():
+            raise ValueError("generators do not generate the group")
         self.labels = list(labels) if labels is not None else list(range(n))
         if n <= _EXHAUSTIVE_ORDER:
             self.check_axioms()
 
-    def _bfs_lengths(self):
+    def _reach(self, steps):
+        """Breadth-first distances from the identity along right
+        multiplication by `steps`, with -1 for unreached elements."""
         dist = np.full(self.order, -1, dtype=np.int64)
         dist[self.identity] = 0
-        frontier = [self.identity]
+        frontier = np.array([self.identity])
         d = 0
-        while frontier:
+        while frontier.size:
             d += 1
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = int(self.mult[x, g])
-                    if dist[y] < 0:
-                        dist[y] = d
-                        nxt.append(y)
-            frontier = nxt
-        if (dist < 0).any():
-            raise ValueError("generators do not generate the group")
+            nxt = self.mult[np.ix_(frontier, steps)]
+            dist[nxt[dist[nxt] < 0]] = d
+            frontier = np.flatnonzero(dist == d)
         return dist
 
     def check_axioms(self):
@@ -135,10 +133,9 @@ class FiniteGroupModel:
             raise ValueError(
                 f"regular representation capped at order {_REGULAR_CAP}")
         n = self.order
+        idx = np.arange(n)
         lam = np.zeros((n, n, n))
-        cols = np.arange(n)
-        for g in range(n):
-            lam[g, self.mult[g], cols] = 1.0
+        lam[idx[:, None], self.mult, idx[None, :]] = 1.0
         return lam
 
     def __repr__(self):
@@ -297,6 +294,12 @@ def convolution_powers(mu: FiniteMeasure, n: int):
     return out
 
 
+def _translate(m: FiniteMeasure, g, gp) -> FiniteMeasure:
+    """delta_g * m * delta_g': the weight permutation x -> m(g^-1 x g'^-1)."""
+    mult, inv = m.model.mult, m.model.inverse
+    return FiniteMeasure(m.model, m.weights[mult[mult[inv[g]], inv[gp]]])
+
+
 def left_regular_matrix(m: FiniteMeasure) -> np.ndarray:
     """Matrix of the left regular representation applied to the measure.
 
@@ -314,7 +317,8 @@ class TwoStepRep:
     equivalent to the two-variable form pi1(x) pi0(y) == pi(x y) with
     pi(z) := pi1(z) pi0(e), which needs only order^2 products; construction
     checks it exhaustively for orders <= 64 and on 10^4 random pairs beyond
-    that, and verifies the growth certificate ||pi_i(g)|| <= L e^{s l(g)}.
+    that, and verifies the growth certificate ||pi_i(g)|| <= L e^{s l(g)}
+    with one batched norm per family, naming the first violating element.
     """
 
     def __init__(self, model, pi0, pi1, L, s, seed=5):
@@ -378,36 +382,36 @@ class TwoStepRep:
                 f"once-composable relation fails (residual {worst:.3e})")
 
     def _check_growth(self):
-        for g in range(self.model.order):
-            cap = self.L * math.exp(self.s * self.model.lengths[g]) + 1e-9
-            if _opnorm(self._pi0[g]) > cap or _opnorm(self._pi1[g]) > cap:
-                raise ValueError(
-                    f"growth certificate (L={self.L}, s={self.s}) violated at "
-                    f"element {g}")
+        caps = self.L * np.exp(self.s * self.model.lengths) + 1e-9
+        norms = np.maximum(_opnorms(self._pi0), _opnorms(self._pi1))
+        bad = np.flatnonzero(norms > caps)
+        if bad.size:
+            raise ValueError(
+                f"growth certificate (L={self.L}, s={self.s}) violated at "
+                f"element {bad[0]}")
 
 
-def apply_measure(rep, m: FiniteMeasure) -> np.ndarray:
-    """pi(m) = sum_g m(g) pi(g); linear, and pi(m1 * m2) = pi1(m1) pi0(m2)."""
-    if isinstance(rep, TwoStepRep):
-        if rep.model is not m.model:
-            raise ValueError("representation and measure live on different groups")
-        return np.tensordot(m.weights, rep.pi_stack(), axes=1)
-    stack = np.asarray(rep)
-    if stack.ndim != 3 or stack.shape[0] != m.model.order:
-        raise ValueError("need one matrix per group element")
-    return np.tensordot(m.weights, stack, axes=1)
+def apply_measure(rep: TwoStepRep, m: FiniteMeasure) -> np.ndarray:
+    """pi(m) = sum_g m(g) pi(g) for a two-step representation; linear, and
+    pi(m1 * m2) = pi1(m1) pi0(m2)."""
+    if rep.model is not m.model:
+        raise ValueError("representation and measure live on different groups")
+    return np.tensordot(m.weights, rep.pi_stack(), axes=1)
 
 
 def sandwich_twostep(model, u_stack, A, B, weights=None, rate=0.0) -> TwoStepRep:
     """Canonical two-step family pi0(g) = u(g) A, pi1(g) = B u(g).
 
-    `u_stack` must be a unitary representation (one matrix per element,
-    identity at the identity); the once-composable relation then holds
-    identically.  Optional `weights` rescale the columns of A (a diagonal
+    `u_stack` must be a real orthogonal representation (one matrix per
+    element, identity at the identity) and A, B real; the once-composable
+    relation then holds identically.  Complex input is refused rather than
+    cast.  Optional `weights` rescale the columns of A (a diagonal
     reweighting of X0).  The growth certificate is measured directly:
     s = rate and L = max_g max_i ||pi_i(g)|| e^{-rate l(g)}; with the default
     rate this is just max(||A||, ||B||).
     """
+    if any(np.iscomplexobj(x) for x in (u_stack, A, B, weights)):
+        raise ValueError("sandwich families must be real, not complex")
     u = np.asarray(u_stack, dtype=float)
     n = model.order
     if u.ndim != 3 or u.shape[0] != n or u.shape[1] != u.shape[2]:
@@ -416,9 +420,11 @@ def sandwich_twostep(model, u_stack, A, B, weights=None, rate=0.0) -> TwoStepRep
     eye = np.eye(d)
     if np.max(np.abs(u[model.identity] - eye)) > 1e-12:
         raise ValueError("u must send the identity to the identity matrix")
-    for g in range(n):
-        if np.max(np.abs(u[g] @ u[g].T - eye)) > 1e-10:
-            raise ValueError(f"u({g}) is not orthogonal/unitary")
+    gram = u @ u.transpose(0, 2, 1)
+    gram -= eye
+    bad = np.flatnonzero(np.abs(gram, out=gram).max(axis=(1, 2)) > 1e-10)
+    if bad.size:
+        raise ValueError(f"u({bad[0]}) is not orthogonal/unitary")
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != d:
@@ -433,7 +439,7 @@ def sandwich_twostep(model, u_stack, A, B, weights=None, rate=0.0) -> TwoStepRep
     pi0 = np.einsum("gij,jk->gik", u, A)
     pi1 = np.einsum("ij,gjk->gik", B, u)
     scale = np.exp(-float(rate) * model.lengths.astype(float))
-    L = max(max(_opnorm(pi0[g]), _opnorm(pi1[g])) * scale[g] for g in range(n))
+    L = float((np.maximum(_opnorms(pi0), _opnorms(pi1)) * scale).max())
     rep = TwoStepRep(model, pi0, pi1, L, rate)
     rep.u_stack, rep.A, rep.B = u, A, B
     return rep
@@ -501,8 +507,10 @@ def spectral_gap_profile(model, mu: FiniteMeasure, horizon: int) -> GapProfile:
 
     P averages onto constants; since lambda(mu) fixes constants, the n-th
     value is the operator norm of (lambda(mu) - P)^n and the sequence is
-    nonincreasing.  A non-generating support is reported in the profile
-    rather than raised: the sequence may stall at a positive value.
+    nonincreasing.  A support that does not reach the whole group
+    (`FiniteGroupModel._reach`) is reported in the profile rather than
+    raised: the sequence may stall at a positive value.  Powers are formed
+    one at a time, so memory stays at a few order^2 matrices.
     """
     if mu.model is not model:
         raise ValueError("measure lives on a different group")
@@ -510,26 +518,14 @@ def spectral_gap_profile(model, mu: FiniteMeasure, horizon: int) -> GapProfile:
         raise ValueError("need a probability measure")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    support = [i for i, _ in mu.support]
-    reached = {model.identity}
-    frontier = [model.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in support:
-                y = int(model.mult[x, g])
-                if y not in reached:
-                    reached.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    generating = len(reached) == model.order
+    generating = bool((model._reach(np.flatnonzero(mu.weights)) >= 0).all())
     n = model.order
     T = left_regular_matrix(mu) - np.full((n, n), 1.0 / n)
     vals = []
     M = np.eye(n)
     for _ in range(horizon):
         M = M @ T
-        vals.append(_opnorm(M))
+        vals.append(float(_opnorms(M)))
     for a, b in zip(vals, vals[1:]):
         if b > a + 1e-12:
             raise AssertionError("internal error: profile must be nonincreasing")
@@ -569,7 +565,8 @@ def verify_star_instance(rep: TwoStepRep, measures, grid, start_n=1) -> StarRepo
     ||pi(m_n) - pi(m_{n+1})|| <= C L^2 e^{-t n}, solved by log-linear least
     squares over the noise-trimmed window; a failed fit is reported in the
     result, never raised.  Residuals are max over the (g, g') grid of
-    ||pi(delta_g m_n delta_g') - pi(m_n)||.
+    ||pi(delta_g m_n delta_g') - pi(m_n)||.  Fewer than two measures or an
+    empty grid would check nothing and are refused.
     """
     model = rep.model
     for i, m in enumerate(measures):
@@ -579,28 +576,28 @@ def verify_star_instance(rep: TwoStepRep, measures, grid, start_n=1) -> StarRepo
             raise ValueError(
                 f"measure at n={start_n + i} is supported outside the "
                 f"word-ball of radius {start_n + i}")
-    mats = [apply_measure(rep, m) for m in measures]
-    cauchy = tuple(_opnorm(a - b) for a, b in zip(mats, mats[1:]))
-    residuals = []
-    for mat, m in zip(mats, measures):
-        worst = 0.0
-        for g, gp in grid:
-            shifted = convolve(convolve(FiniteMeasure.point_mass(model, g), m),
-                               FiniteMeasure.point_mass(model, gp))
-            worst = max(worst, _opnorm(apply_measure(rep, shifted) - mat))
-        residuals.append(worst)
+    if len(measures) < 2:
+        raise ValueError("need at least two measures")
+    if len(grid) == 0:
+        raise ValueError("need a non-empty (g, g') grid")
+    mats = np.stack([apply_measure(rep, m) for m in measures])
+    cauchy = tuple(_opnorms(mats[:-1] - mats[1:]).tolist())
+    shifted = np.stack([[apply_measure(rep, _translate(m, g, gp))
+                         for g, gp in grid] for m in measures])
+    shifted -= mats[:, None]
+    residuals = tuple(_opnorms(shifted).max(axis=1).tolist())
     ns = np.arange(start_n, start_n + len(cauchy))
     fit = _log_linear_fit(ns, cauchy)
     if fit is None:
-        return StarReport(cauchy, mats[-1], tuple(residuals), None, None,
+        return StarReport(cauchy, mats[-1], residuals, None, None,
                           False, "no usable decay window in the differences")
     c_fit = fit.C / rep.L ** 2
     if fit.t <= 0 or c_fit <= 0:
-        return StarReport(cauchy, mats[-1], tuple(residuals), c_fit, fit.t,
+        return StarReport(cauchy, mats[-1], residuals, c_fit, fit.t,
                           False, "differences do not decay")
     note = (f"fit over n={fit.window[0] + start_n}..{fit.window[-1] + start_n} "
             f"({len(fit.window)} points)")
-    return StarReport(cauchy, mats[-1], tuple(residuals), c_fit, fit.t,
+    return StarReport(cauchy, mats[-1], residuals, c_fit, fit.t,
                       True, note)
 
 
@@ -622,12 +619,10 @@ def local_estimate_check(rep: TwoStepRep, mu, mu_prime, g1, g2) -> LocalEstimate
             raise ValueError("need probability measures")
     model = rep.model
     diff = mu - mu_prime
-    moved = convolve(convolve(FiniteMeasure.point_mass(model, g1), diff),
-                     FiniteMeasure.point_mass(model, g2))
-    lhs = _opnorm(apply_measure(rep, moved))
+    lhs = float(_opnorms(apply_measure(rep, _translate(diff, g1, g2))))
     rhs = (rep.L ** 2
            * math.exp(rep.s * (model.lengths[g1] + model.lengths[g2]))
-           * _opnorm(left_regular_matrix(diff)))
+           * float(_opnorms(left_regular_matrix(diff))))
     return LocalEstimate(lhs, rhs, lhs <= rhs + 1e-10)
 
 

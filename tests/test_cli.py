@@ -240,6 +240,24 @@ def test_sdelta_decay_case_fails_on_cross_check(monkeypatch):
         assert all(c["norm"] <= c["bound"] + 1e-9 for c in report.cases)
 
 
+def test_sdelta_decay_stalled_cross_check_stops_at_its_cap(monkeypatch):
+    # with A f = f shifted by one and A* = id, A*A is a cyclic permutation:
+    # the power iteration never converges, so each case must fail after
+    # the command's own iteration cap, not the library's default of 5000
+    stamp = cli.finite_models.StampOperator
+    monkeypatch.setattr(stamp, "apply", lambda self, f: np.roll(f, 1))
+    monkeypatch.setattr(stamp, "adjoint_apply", lambda self, f: f)
+    report = cli.run("sdelta-decay", cli.ExperimentConfig(
+        "sdelta-decay", {"p": [5], "n": [2]}))
+    assert report.failed == 2 and report.passed == 0
+    cap = cli._SDELTA_CROSS_CHECK_MAX_ITERATIONS
+    assert cap < 5000
+    for check in report.diagnostics["crossChecks"]:
+        power = check["powerIteration"]
+        assert not power["converged"]
+        assert power["iterations"] == cap
+
+
 def test_sdelta_decay_modulus_bound_exits_two(tmp_path, capsys):
     out = tmp_path / "sd.csv"
     bound = cli._SDELTA_MAX_MODULUS

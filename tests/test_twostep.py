@@ -1,5 +1,7 @@
 """Group models, measure algebra, two-step families, and decay profiles."""
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab.twostep import (FiniteGroupModel, FiniteMeasure, LocalEstimate,
-                            TwoStepRep, apply_measure, convolution_powers,
-                            convolve, cusp_measure_bound, cyclic_model,
-                            left_regular_matrix, local_estimate_check,
-                            sandwich_limit, sandwich_twostep,
-                            sl3_f2_model, spectral_gap_profile,
-                            symmetric_model, verify_star_instance)
+                            TwoStepRep, _opnorms, _translate, apply_measure,
+                            convolution_powers, convolve, cusp_measure_bound,
+                            cyclic_model, left_regular_matrix,
+                            local_estimate_check, sandwich_limit,
+                            sandwich_twostep, sl3_f2_model,
+                            spectral_gap_profile, symmetric_model,
+                            verify_star_instance)
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +23,60 @@ def sl3():
     return sl3_f2_model()
 
 
+@pytest.fixture(scope="module")
+def oracle_models(sl3):
+    """Z/3..Z/12, S3, S4 and SL3(F2): the models the oracles are run on."""
+    return ([cyclic_model(m) for m in range(3, 13)]
+            + [symmetric_model(3), symmetric_model(4), sl3])
+
+
 def _inversions(p):
     return sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
                if p[i] > p[j])
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the batched code paths
+
+
+def _bfs_oracle(model, steps):
+    """Set-based breadth-first search from the identity along right
+    multiplication by `steps`; distance per element, -1 if unreached."""
+    dist = {model.identity: 0}
+    frontier = [model.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in steps:
+                y = int(model.mult[x, g])
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return np.array([dist.get(g, -1) for g in range(model.order)])
+
+
+def _translate_oracle(m, g, gp):
+    """delta_g * m * delta_g' as two general convolutions."""
+    model = m.model
+    return convolve(convolve(FiniteMeasure.point_mass(model, g), m),
+                    FiniteMeasure.point_mass(model, gp)).weights
+
+
+def _opnorms_oracle(stack):
+    """Spectral norm of each matrix of a stack, one matrix at a time."""
+    flat = stack.reshape(-1, *stack.shape[-2:])
+    return np.array([np.linalg.norm(a, 2)
+                     for a in flat]).reshape(stack.shape[:-2])
+
+
+def _regular_stack_oracle(model):
+    n = model.order
+    lam = np.zeros((n, n, n))
+    for g in range(n):
+        for x in range(n):
+            lam[g, model.mult[g, x], x] = 1.0
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +138,31 @@ def test_regular_stack_is_permutations():
     for g in range(6):
         assert np.array_equal(lam[g].sum(axis=0), np.ones(6))
         assert np.array_equal(lam[g] @ lam[g].T, np.eye(6))
+
+
+def test_regular_stack_matches_loop(oracle_models):
+    for model in oracle_models:
+        assert np.array_equal(model.left_regular_stack(),
+                              _regular_stack_oracle(model))
+
+
+def test_reach_matches_set_bfs(oracle_models):
+    # the generators give the word metric; the other step sets include
+    # supports that do not generate (a single generator, a subgroup of Z/m,
+    # the identity alone, nothing at all)
+    rng = np.random.default_rng(11)
+    for model in oracle_models:
+        n = model.order
+        step_sets = [model.generators, model.generators[:1], (),
+                     (model.identity,), tuple(range(0, n, 2)),
+                     tuple(rng.choice(n, size=2, replace=False))]
+        for steps in step_sets:
+            assert np.array_equal(model._reach(steps),
+                                  _bfs_oracle(model, steps)), (model, steps)
+        assert np.array_equal(model.lengths,
+                              _bfs_oracle(model, model.generators))
+    z6 = cyclic_model(6)
+    assert list(z6._reach([2])) == [0, -1, 1, -1, 2, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +234,43 @@ def test_point_masses_convolve_like_the_group(m, a, b):
     assert out.support == [(int(model.mult[a % m, b % m]), 1.0)]
 
 
+def test_translate_matches_double_convolution(oracle_models):
+    # every (g, g') pair, capped at the first 20 x 20 on the larger groups;
+    # the weights are signed and have zeros, as Cauchy differences do
+    rng = np.random.default_rng(12)
+    for model in oracle_models:
+        n = model.order
+        w = rng.standard_normal(n)
+        w[rng.random(n) < 0.3] = 0.0
+        m = FiniteMeasure(model, w)
+        for g in range(min(n, 20)):
+            for gp in range(min(n, 20)):
+                got = _translate(m, g, gp)
+                assert got.model is model
+                assert np.array_equal(got.weights,
+                                      _translate_oracle(m, g, gp)), (model, g, gp)
+
+
 # ---------------------------------------------------------------------------
 # two-step representations
+
+
+def test_opnorms_match_per_matrix_loop(oracle_models):
+    rng = np.random.default_rng(13)
+    stacks = [rng.standard_normal((4, 3, 3)),
+              rng.standard_normal((2, 3, 5, 4)),
+              rng.standard_normal((3, 168, 168)),
+              rng.standard_normal((2, 6, 6)) + 1j * rng.standard_normal((2, 6, 6))]
+    for model in oracle_models[-4:-1]:
+        d = model.order
+        rep = sandwich_twostep(model, model.left_regular_stack(),
+                               rng.standard_normal((d, 3)),
+                               rng.standard_normal((2, d)))
+        stacks += [rep._pi0, rep._pi1]
+    for stack in stacks:
+        assert np.array_equal(_opnorms(stack), _opnorms_oracle(stack))
+    single = stacks[0][0]
+    assert float(_opnorms(single)) == np.linalg.norm(single, 2)
 
 
 def test_sandwich_identity_is_the_rep_itself():
@@ -212,6 +326,29 @@ def test_sandwich_rejections():
         sandwich_twostep(z3, lam, np.eye(3), np.eye(3), weights=[1.0, -1.0, 1.0])
 
 
+def test_sandwich_names_first_non_orthogonal_element():
+    z5 = cyclic_model(5)
+    lam = z5.left_regular_stack()
+    lam[2] *= 2.0
+    lam[4] *= 3.0
+    with pytest.raises(ValueError, match=r"^u\(2\) is not orthogonal"):
+        sandwich_twostep(z5, lam, np.eye(5), np.eye(5))
+
+
+def test_sandwich_rejects_complex_family():
+    # u(g) = e^{2 pi i g/3} is a unitary character of Z/3; a float cast would
+    # keep only its real part and then blame orthogonality
+    z3 = cyclic_model(3)
+    u = np.array([[[cmath.exp(2j * math.pi * g / 3)]] for g in range(3)])
+    with pytest.raises(ValueError, match="must be real"):
+        sandwich_twostep(z3, u, np.eye(1), np.eye(1))
+    lam = z3.left_regular_stack()
+    with pytest.raises(ValueError, match="must be real"):
+        sandwich_twostep(z3, lam, 1j * np.eye(3), np.eye(3))
+    with pytest.raises(ValueError, match="must be real"):
+        sandwich_twostep(z3, lam, np.eye(3), np.eye(3).astype(complex))
+
+
 def test_relation_enforced_on_tampered_family():
     z3 = cyclic_model(3)
     lam = z3.left_regular_stack()
@@ -227,6 +364,20 @@ def test_growth_certificate_enforced():
     lam = z3.left_regular_stack()
     with pytest.raises(ValueError, match="growth"):
         TwoStepRep(z3, 5.0 * lam, lam, L=1.0, s=0.0)
+    # a rotation representation of Z/6 conjugated by a shear is once-
+    # composable with norms that vary over the group; the message names the
+    # first element the per-element loop finds over the cap
+    z6 = cyclic_model(6)
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    rot = [np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+           for a in np.pi * np.arange(6) / 3]
+    u = np.stack([shear @ r @ np.linalg.inv(shear) for r in rot])
+    norms = [np.linalg.norm(a, 2) for a in u]
+    first = next(g for g in range(6) if norms[g] > 1.0 + 1e-9)
+    assert first > 0 and norms[3] <= 1.0 + 1e-9
+    with pytest.raises(ValueError, match=f"at element {first}$"):
+        TwoStepRep(z6, u, u, L=1.0, s=0.0)
+    TwoStepRep(z6, u, u, L=max(norms), s=0.0)
 
 
 def test_relation_sampled_on_large_model():
@@ -259,10 +410,6 @@ def test_apply_measure_oracle():
     g = 7
     assert np.allclose(apply_measure(rep, FiniteMeasure.point_mass(s4, g)),
                        rep.pi(g))
-
-    trivial = np.ones((24, 1, 1))
-    prob = FiniteMeasure.uniform(s4)
-    assert apply_measure(trivial, prob) == pytest.approx(np.array([[1.0]]))
 
 
 def test_apply_measure_once_composable_contract():
@@ -322,6 +469,19 @@ def test_profile_reports_non_generating_support():
     assert not prof.generating
     assert "not generate" in prof.note
     assert prof.values[-1] == pytest.approx(1.0)   # stalls
+
+
+def test_profile_memory_does_not_grow_with_horizon(sl3):
+    # the powers are formed one at a time; stacking all 32 of them for one
+    # batched norm call peaks near 14.5 MB at order 168, this stays near 0.75
+    mu = FiniteMeasure.uniform(sl3, list(sl3.generators))
+    tracemalloc.start()
+    try:
+        spectral_gap_profile(sl3, mu, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_profile_rejections():
@@ -404,6 +564,35 @@ def test_star_support_condition_enforced():
     ms = convolution_powers(FiniteMeasure.uniform(z7, [1, 6]), 2)
     with pytest.raises(ValueError, match="word-ball"):
         verify_star_instance(rep, [ms[1]], [(0, 0)])
+
+
+def test_star_refuses_a_run_that_checks_nothing():
+    _, rep, ms = _z3_classical(4)
+    with pytest.raises(ValueError, match="grid"):
+        verify_star_instance(rep, ms, [])
+    for few in ([], ms[:1]):
+        with pytest.raises(ValueError, match="two measures"):
+            verify_star_instance(rep, few, [(1, 2)])
+
+
+def test_star_residuals_match_double_convolution():
+    # Cauchy differences and invariance residuals against the per-element
+    # loops over double convolutions they replace, on a non-regular family
+    s4 = symmetric_model(4)
+    rng = np.random.default_rng(14)
+    rep = sandwich_twostep(s4, s4.left_regular_stack(),
+                           rng.standard_normal((24, 3)),
+                           rng.standard_normal((2, 24)))
+    ms = convolution_powers(FiniteMeasure.uniform(s4, s4.generators), 6)
+    grid = [(1, 5), (7, 0), (23, 11)]
+    report = verify_star_instance(rep, ms, grid)
+    mats = [apply_measure(rep, m) for m in ms]
+    assert report.cauchy_diffs == tuple(
+        np.linalg.norm(a - b, 2) for a, b in zip(mats, mats[1:]))
+    assert report.invariance_residuals == tuple(
+        max(np.linalg.norm(apply_measure(rep, FiniteMeasure(
+            s4, _translate_oracle(m, g, gp))) - mat, 2) for g, gp in grid)
+        for m, mat in zip(ms, mats))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,12 @@ carry exact Fraction matrices with det exactly 1, and all p-adic invariants
 (norms, Smith exponents) are integer-exact.  Lengths use the spectral norm
 in the real case and the maximum entry p-norm in the p-adic case, so that
 the respective maximal compact subgroups have length zero.
+
+The real KAK and the distortion solve also take stacks: `kak_real` factors
+an (N, 3, 3) array with one stacked SVD, and `solve_sphere_distortion`
+bisects a whole r-grid at once.  A single element is a stack of one through
+the same code, and every element of a stack gets the single element's checks
+(`_check_sl3`, `_check_exponents`).
 """
 from __future__ import annotations
 
@@ -18,16 +24,46 @@ import numpy as np
 # real side
 
 
+def _check_sl3(m: np.ndarray) -> None:
+    """Refuse a (3, 3) matrix or a stack (..., 3, 3) unless every matrix in
+    it is finite with |det - 1| <= 1e-12 max(1, max |entry|^3)."""
+    if m.shape[-2:] != (3, 3) or not np.all(np.isfinite(m)):
+        raise ValueError("need a finite 3x3 real matrix")
+    det = np.asarray(np.linalg.det(m))
+    bad = np.abs(det - 1.0) > 1e-12 * np.maximum(
+        1.0, np.abs(m).max(axis=(-2, -1)) ** 3)
+    if np.any(bad):
+        raise ValueError(f"determinant {det[bad][0]} != 1")
+
+
+def _check_exponents(a1, a2, a3, ordered: bool) -> None:
+    """Refuse exponents unless a1 >= a2 >= a3 (when `ordered`) and
+    a1 + a2 + a3 = 0, both to within 1e-10: scalars for one triple, arrays
+    of one shape for a stack of them.
+
+    Scalars give scalar bools, tested as they are: chamber walks build
+    triples by the thousand, and np.any on a scalar costs ~15 us.
+    """
+    if ordered:
+        bad = (a1 < a2 - 1e-10) | (a2 < a3 - 1e-10)
+        if bad.any() if isinstance(bad, np.ndarray) else bad:
+            rows = np.stack(np.broadcast_arrays(a1, a2, a3), axis=-1)
+            raise ValueError(
+                f"triple {tuple(rows[np.asarray(bad)][0].tolist())} not ordered")
+    bad = abs(a1 + a2 + a3) > 1e-10
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        raise ValueError("exponents must sum to 0")
+
+
 @dataclass
 class RealGroupElement:
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3) or not np.all(np.isfinite(m)):
+        if m.shape != (3, 3):
             raise ValueError("need a finite 3x3 real matrix")
-        if abs(np.linalg.det(m) - 1.0) > 1e-12 * max(1.0, np.abs(m).max() ** 3):
-            raise ValueError(f"determinant {np.linalg.det(m)} != 1")
+        _check_sl3(m)
         self.matrix = m
 
     def inv(self) -> "RealGroupElement":
@@ -37,11 +73,24 @@ class RealGroupElement:
         return RealGroupElement(self.matrix @ other.matrix)
 
 
+def d_matrices(a) -> np.ndarray:
+    """exp-diagonals D(a) over the last axis of zero-sum exponents a (..., 3).
+
+    Each entry is one math.exp, so a row gives d_matrix's matrix bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    _check_exponents(a[..., 0], a[..., 1], a[..., 2], ordered=False)
+    out = np.zeros(a.shape + (3,))
+    i = np.arange(3)
+    out[..., i, i] = np.reshape([math.exp(x) for x in a.ravel().tolist()],
+                                a.shape)
+    _check_sl3(out)
+    return out
+
+
 def d_matrix(a1: float, a2: float, a3: float) -> RealGroupElement:
     """exp-diagonal D(a1,a2,a3); requires zero sum."""
-    if abs(a1 + a2 + a3) > 1e-10:
-        raise ValueError("diagonal exponents must sum to 0")
-    return RealGroupElement(np.diag([math.exp(a1), math.exp(a2), math.exp(a3)]))
+    return RealGroupElement(d_matrices([a1, a2, a3]))
 
 
 def d_alpha(alpha: float) -> RealGroupElement:
@@ -49,14 +98,25 @@ def d_alpha(alpha: float) -> RealGroupElement:
     return d_matrix(2 * alpha, -alpha, -alpha)
 
 
+def _k_delta_matrices(delta) -> np.ndarray:
+    """Planar rotations with (1,1) entry delta, fixing the third axis: one
+    (3, 3) matrix per entry of delta, stacked like delta."""
+    d = np.asarray(delta, dtype=float)
+    outside = ~((0.0 <= d) & (d <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"delta = {d[outside][0]} outside [0, 1]")
+    s = np.sqrt(1.0 - d * d)
+    k = np.zeros(d.shape + (3, 3))
+    k[..., 0, 0] = k[..., 1, 1] = d
+    k[..., 0, 1] = -s
+    k[..., 1, 0] = s
+    k[..., 2, 2] = 1.0
+    return k
+
+
 def k_delta_real(delta: float) -> RealGroupElement:
     """Planar rotation with (1,1) entry delta, fixing the third axis."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta = {delta} outside [0, 1]")
-    s = math.sqrt(1.0 - delta * delta)
-    return RealGroupElement(np.array([[delta, -s, 0.0],
-                                      [s, delta, 0.0],
-                                      [0.0, 0.0, 1.0]]))
+    return RealGroupElement(_k_delta_matrices(delta))
 
 
 def is_special_orthogonal(m: np.ndarray, tol: float = 1e-9) -> bool:
@@ -83,10 +143,7 @@ class CartanTriple:
     a3: float
 
     def __post_init__(self):
-        if self.a1 < self.a2 - 1e-10 or self.a2 < self.a3 - 1e-10:
-            raise ValueError(f"triple {(self.a1, self.a2, self.a3)} not ordered")
-        if abs(self.a1 + self.a2 + self.a3) > 1e-10:
-            raise ValueError("triple must sum to 0")
+        _check_exponents(self.a1, self.a2, self.a3, ordered=True)
 
     def as_tuple(self):
         return (self.a1, self.a2, self.a3)
@@ -108,22 +165,35 @@ def length_real(g: RealGroupElement) -> float:
     return float(max(math.log(sv[0]), -math.log(sv[-1])))
 
 
-def kak_real(g: RealGroupElement):
+def kak_real(g):
     """g = k1 * expdiag(a) * k2 with k1, k2 in SO(3) and a ordered, zero-sum.
 
-    SVD supplies orthogonal factors; a negative determinant is repaired by
-    flipping the last column of k1 together with the last row of k2 (their
-    rank-one product is unchanged and singular values stay positive).
+    A `RealGroupElement` gives (RealGroupElement, CartanTriple,
+    RealGroupElement); an (N, 3, 3) stack gives arrays k1 (N, 3, 3),
+    a (N, 3) and k2 (N, 3, 3) from one stacked SVD, with every element's
+    input and output checked as the single case checks them.  SVD supplies
+    orthogonal factors; a negative determinant is repaired by flipping the
+    last column of k1 together with the last row of k2 (their rank-one
+    product is unchanged and singular values stay positive).
     """
-    u, sv, vt = np.linalg.svd(g.matrix)
-    if np.linalg.det(u) < 0:
-        u = u.copy(); vt = vt.copy()
-        u[:, 2] *= -1.0
-        vt[2, :] *= -1.0
+    if isinstance(g, RealGroupElement):
+        k1, a, k2 = kak_real(g.matrix[None])
+        return (RealGroupElement(k1[0]), CartanTriple(*a[0]),
+                RealGroupElement(k2[0]))
+    m = np.asarray(g, dtype=float)
+    if m.ndim != 3:
+        raise ValueError("need a RealGroupElement or an (N, 3, 3) stack")
+    _check_sl3(m)
+    u, sv, vt = np.linalg.svd(m)
+    flip = np.linalg.det(u) < 0
+    u[flip, :, 2] *= -1.0
+    vt[flip, 2, :] *= -1.0
     a = np.log(sv)
-    a = a - a.mean()                     # exact zero-sum despite rounding
-    return (RealGroupElement(u), CartanTriple(*a),
-            RealGroupElement(vt))
+    a = a - a.mean(axis=1, keepdims=True)    # exact zero-sum despite rounding
+    _check_exponents(a[:, 0], a[:, 1], a[:, 2], ordered=True)
+    _check_sl3(u)
+    _check_sl3(vt)
+    return u, a, vt
 
 
 def cartan_automorphism(g: RealGroupElement) -> RealGroupElement:
@@ -143,56 +213,93 @@ class SphereDistortion:
     delta_bound: float          # e^{r - 4 alpha}
 
 
-def distorted_length(alpha: float, delta: float) -> float:
-    """r_alpha(delta) = log || D_alpha k_delta D_alpha ||."""
-    g = d_alpha(alpha) @ k_delta_real(delta) @ d_alpha(alpha)
-    return float(math.log(np.linalg.svd(g.matrix, compute_uv=False)[0]))
+def _distorted(alpha: float, delta) -> np.ndarray:
+    """D_alpha k_delta D_alpha, one matrix per entry of delta; k_delta and
+    the product are checked as RealGroupElements were."""
+    d = d_alpha(alpha).matrix
+    k = _k_delta_matrices(delta)
+    _check_sl3(k)
+    g = d @ k @ d
+    _check_sl3(g)
+    return g
 
 
-def solve_sphere_distortion(alpha: float, r: float,
-                            tol: float = 1e-10) -> SphereDistortion:
+def distorted_length(alpha: float, delta):
+    """r_alpha(delta) = log || D_alpha k_delta D_alpha ||.
+
+    A float for a scalar delta; an array, from one stacked SVD, for a 1-D
+    array of deltas.  The log is math.log, entry by entry.
+    """
+    top = np.linalg.svd(_distorted(alpha, delta), compute_uv=False)[..., 0]
+    if np.ndim(top) == 0:
+        return math.log(top)
+    return np.array([math.log(v) for v in top.tolist()])
+
+
+def solve_sphere_distortion(alpha: float, r, tol: float = 1e-10):
     """Find delta with log||D_a k_delta D_a|| = r and the flanking rotations.
 
     r_alpha is continuous and increasing from alpha (delta = 0) to 4*alpha
     (delta = 1); bisection to |log norm - r| <= tol.  The flanking factors
     come from the SVD of the upper 2x2 block, embedded so both land in
     SO(3) with the (*,*,0 / *,*,0 / 0,0,*) block pattern.
+
+    A scalar r gives one `SphereDistortion`, a sequence a list of them in
+    order.  All r are bisected together, one stacked `distorted_length`
+    call per step, for at most 200 steps; each r stops once its bracket is
+    narrower than 1e-16 or a step leaves it unchanged, and is frozen from
+    then on, so its delta is the one it gets alone.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if not (alpha <= r <= 4 * alpha):
-        raise ValueError(f"r = {r} outside [{alpha}, {4 * alpha}]")
-    lo, hi = 0.0, 1.0
+    rs = np.asarray(r, dtype=float)
+    scalar = rs.ndim == 0
+    rs = np.atleast_1d(rs)
+    if rs.ndim != 1:
+        raise ValueError("r must be a scalar or a 1-D sequence")
+    outside = ~((alpha <= rs) & (rs <= 4 * alpha))
+    if np.any(outside):
+        raise ValueError(f"r = {rs[outside][0]} outside [{alpha}, {4 * alpha}]")
+    lo, hi = np.zeros_like(rs), np.ones_like(rs)
+    live = np.arange(rs.size)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if distorted_length(alpha, mid) < r:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16:
+        if live.size == 0:
             break
+        old_lo, old_hi = lo[live], hi[live]
+        mid = 0.5 * (old_lo + old_hi)
+        below = distorted_length(alpha, mid) < rs[live]
+        lo[live[below]] = mid[below]
+        hi[live[~below]] = mid[~below]
+        # a step that moved neither end (mid rounded onto one of them) is a
+        # fixed point: every later step repeats it, so the r is done
+        moved = (lo[live] != old_lo) | (hi[live] != old_hi)
+        live = live[moved & ~(hi[live] - lo[live] < 1e-16)]
     delta = 0.5 * (lo + hi)
-    # polish the endpoint cases where bisection cannot do better
-    if abs(distorted_length(alpha, 0.0) - r) <= tol:
-        delta = 0.0
-    elif abs(distorted_length(alpha, 1.0) - r) <= tol:
-        delta = 1.0
+    # polish the endpoint cases where bisection cannot do better; delta = 0
+    # wins where both ends are within tol
+    at_end = np.abs(distorted_length(alpha, np.array([0.0, 1.0]))[:, None]
+                    - rs) <= tol
+    delta[at_end[1]] = 1.0
+    delta[at_end[0]] = 0.0
 
-    g = (d_alpha(alpha) @ k_delta_real(delta) @ d_alpha(alpha)).matrix
-    b = g[:2, :2]
-    u2, _, v2t = np.linalg.svd(b)
-    if np.linalg.det(u2) < 0:
-        u2 = u2.copy(); v2t = v2t.copy()
-        u2[:, 1] *= -1.0
-        v2t[1, :] *= -1.0
-    u = np.eye(3); u[:2, :2] = u2
-    up = np.eye(3); up[:2, :2] = v2t
-    middle = d_matrix(r, 2 * alpha - r, -2 * alpha).matrix
-    residual = float(np.max(np.abs(u @ middle @ up - g)))
-    return SphereDistortion(alpha=alpha, r=r, delta=delta,
-                            u=RealGroupElement(u), u_prime=RealGroupElement(up),
-                            residual=residual,
-                            delta_bound=math.exp(r - 4 * alpha))
+    g = _distorted(alpha, delta)
+    u2, _, v2t = np.linalg.svd(g[:, :2, :2])
+    flip = np.linalg.det(u2) < 0
+    u2[flip, :, 1] *= -1.0
+    v2t[flip, 1, :] *= -1.0
+    u = np.tile(np.eye(3), (rs.size, 1, 1))
+    u[:, :2, :2] = u2
+    up = np.tile(np.eye(3), (rs.size, 1, 1))
+    up[:, :2, :2] = v2t
+    middle = d_matrices(np.stack(
+        [rs, 2 * alpha - rs, np.full_like(rs, -2 * alpha)], axis=1))
+    residual = np.abs(u @ middle @ up - g).max(axis=(1, 2))
+    out = [SphereDistortion(alpha=alpha, r=x, delta=dl,
+                            u=RealGroupElement(ui), u_prime=RealGroupElement(upi),
+                            residual=res, delta_bound=math.exp(x - 4 * alpha))
+           for x, dl, ui, upi, res in zip(rs.tolist(), delta.tolist(), u, up,
+                                          residual.tolist())]
+    return out[0] if scalar else out
 
 
 # ---------------------------------------------------------------------------

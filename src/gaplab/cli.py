@@ -403,35 +403,35 @@ def _random_sl3(rng):
 
 
 def _run_kak(cfg):
-    """KAK round-trips on random elements plus distortion-bound sweeps."""
+    """KAK round-trips on random elements plus distortion-bound sweeps.
+
+    All elements are drawn first, in the order the rng yields them, then
+    factored by one stacked `kak_real` call; each alpha's r-grid is one
+    `solve_sphere_distortion` call.
+    """
     tol = float(cfg.scalar("tol"))
     count = int(cfg.scalar("count"))
     r_count = int(cfg.scalar("rcount"))
     rng = np.random.default_rng(cfg.seed)
-    cases = []
-    for i in range(count):
-        g = cartan.RealGroupElement(_random_sl3(rng))
-        k1, triple, k2 = cartan.kak_real(g)
-        recon = k1.matrix @ cartan.d_matrix(*triple.as_tuple()).matrix @ k2.matrix
-        scale = max(1.0, float(np.abs(g.matrix).max()))
-        residual = float(np.abs(recon - g.matrix).max()) / scale
-        cases.append({
-            "kind": "roundtrip", "case": i, "alpha": "", "r": "",
-            "delta": "", "value": residual, "bound": tol,
-            "pass": bool(residual <= tol),
-        })
-    idx = count
+    g = np.array([_random_sl3(rng) for _ in range(count)]).reshape(-1, 3, 3)
+    k1, a, k2 = cartan.kak_real(g)
+    recon = k1 @ cartan.d_matrices(a) @ k2
+    scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
+    residuals = np.abs(recon - g).max(axis=(1, 2)) / scale
+    cases = [{"kind": "roundtrip", "case": i, "alpha": "", "r": "",
+              "delta": "", "value": residual, "bound": tol,
+              "pass": residual <= tol}
+             for i, residual in enumerate(residuals.tolist())]
     for alpha in cfg.values("alpha"):
         alpha = float(alpha)
-        for r in np.linspace(alpha, 4.0 * alpha, r_count):
-            sol = cartan.solve_sphere_distortion(alpha, float(r))
+        rs = np.linspace(alpha, 4.0 * alpha, r_count).tolist()
+        for sol in cartan.solve_sphere_distortion(alpha, rs):
             ok = sol.residual <= 1e-8 and sol.delta <= sol.delta_bound * (1 + 1e-9)
             cases.append({
-                "kind": "distortion", "case": idx, "alpha": alpha,
-                "r": float(r), "delta": sol.delta, "value": sol.residual,
-                "bound": sol.delta_bound, "pass": bool(ok),
+                "kind": "distortion", "case": len(cases), "alpha": alpha,
+                "r": sol.r, "delta": sol.delta, "value": sol.residual,
+                "bound": sol.delta_bound, "pass": ok,
             })
-            idx += 1
     columns = ("kind", "case", "alpha", "r", "delta", "value", "bound", "pass")
     return cases, columns, None
 
@@ -520,9 +520,16 @@ def _run_quotient_gap(cfg):
 
 
 def _run_star_verify(cfg):
-    """Cauchy/invariance/limit reports for sandwiched regular models."""
+    """Cauchy/invariance/limit reports for sandwiched regular models.
+
+    ``max_invariance`` is the largest invariance residual over n, which is
+    the n = 1 one; every case's full `StarReport` (all Cauchy differences
+    and residuals, the fit and its note) goes into the JSON
+    ``diagnostics.starReports``, in case order.
+    """
     horizon = int(cfg.scalar("horizon"))
     cases = []
+    reports = []
     for order in cfg.values("order"):
         order = int(order)
         if order < 3:
@@ -541,8 +548,9 @@ def _run_star_verify(cfg):
             "max_invariance": max(report.invariance_residuals),
             "pass": bool(report.passed),
         })
+        reports.append({"order": order, **report.to_json()})
     columns = ("order", "fitted_c", "fitted_t", "max_invariance", "pass")
-    return cases, columns, None
+    return cases, columns, {"starReports": reports}
 
 
 def _run_cocycle_mc(cfg):

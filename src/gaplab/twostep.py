@@ -24,6 +24,11 @@ _RELATION_TOL = 1e-10
 _REGULAR_CAP = 400
 _EXHAUSTIVE_ORDER = 64
 _NOISE_FLOOR = 100 * np.finfo(float).eps
+# A fitted total decay t * (window length - 1) at or below this is a flat
+# sequence: its first and last fitted values agree to about one part in 1e9.
+# A periodic walk's constant differences fit |t| ~ 1e-17; the slowest real
+# decay that star-verify meets (order 63, horizon 30) totals ~0.03.
+_DECAY_FLOOR = 1e-9
 
 __all__ = [
     "FiniteGroupModel",
@@ -167,9 +172,22 @@ def symmetric_model(n: int) -> FiniteGroupModel:
     return FiniteGroupModel(f"S{n}", mult, gens, labels=elems)
 
 
+_F2_BITS = (1 << np.arange(9)).astype(np.uint16)
+
+
+def _f2_keys(mats: np.ndarray) -> np.ndarray:
+    """The 9-bit key sum_k m_k 2^k of each 0/1 matrix in a (..., 3, 3) stack."""
+    return mats.reshape(mats.shape[:-2] + (9,)) @ _F2_BITS
+
+
 def sl3_f2_model() -> FiniteGroupModel:
     """SL(3) over the two-element field (order 168), generated by the six
-    elementary transvections, which are involutions in characteristic 2."""
+    elementary transvections, which are involutions in characteristic 2.
+
+    Elements are numbered in breadth-first order from the identity; the
+    table is one stacked uint8 product of all pairs, reduced mod 2 and
+    looked up through the 9-bit keys.
+    """
     eye = np.eye(3, dtype=np.uint8)
     gens_mats = []
     for i in range(3):
@@ -178,27 +196,25 @@ def sl3_f2_model() -> FiniteGroupModel:
                 m = eye.copy()
                 m[i, j] = 1
                 gens_mats.append(m)
+    gens = np.stack(gens_mats)
+    index = np.full(512, -1, dtype=np.int64)
+    index[_f2_keys(eye)] = 0
     elems = [eye]
-    index = {eye.tobytes(): 0}
-    frontier = [eye]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens_mats:
-                p = (g @ m) % 2
-                key = p.tobytes()
-                if key not in index:
-                    index[key] = len(elems)
-                    elems.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    n = len(elems)
-    mult = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            mult[a, b] = index[((elems[a] @ elems[b]) % 2).tobytes()]
-    gen_idx = [index[g.tobytes()] for g in gens_mats]
-    return FiniteGroupModel("SL3(F2)", mult, gen_idx, labels=elems)
+    frontier = eye[None]
+    while frontier.size:
+        # g @ m for each frontier m, then each generator g, in that order
+        prods = (gens[None] @ frontier[:, None]) % 2
+        new = []
+        for p, key in zip(prods.reshape(-1, 3, 3), _f2_keys(prods).ravel()):
+            if index[key] < 0:
+                index[key] = len(elems)
+                elems.append(p)
+                new.append(p)
+        frontier = np.array(new, dtype=np.uint8).reshape(-1, 3, 3)
+    stack = np.stack(elems)
+    mult = index[_f2_keys((stack[:, None] @ stack[None]) % 2)]
+    return FiniteGroupModel("SL3(F2)", mult, index[_f2_keys(gens)],
+                            labels=elems)
 
 
 class FiniteMeasure:
@@ -564,7 +580,10 @@ def verify_star_instance(rep: TwoStepRep, measures, grid, start_n=1) -> StarRepo
     supported in the word-ball of radius n.  The fit template is
     ||pi(m_n) - pi(m_{n+1})|| <= C L^2 e^{-t n}, solved by log-linear least
     squares over the noise-trimmed window; a failed fit is reported in the
-    result, never raised.  Residuals are max over the (g, g') grid of
+    result, never raised.  A fit whose total decay over its window,
+    t * (window length - 1), is at or below `_DECAY_FLOOR` has found no
+    decay (constant differences give a rounding-level t of either sign) and
+    fails.  Residuals are max over the (g, g') grid of
     ||pi(delta_g m_n delta_g') - pi(m_n)||.  Fewer than two measures or an
     empty grid would check nothing and are refused.
     """
@@ -592,7 +611,7 @@ def verify_star_instance(rep: TwoStepRep, measures, grid, start_n=1) -> StarRepo
         return StarReport(cauchy, mats[-1], residuals, None, None,
                           False, "no usable decay window in the differences")
     c_fit = fit.C / rep.L ** 2
-    if fit.t <= 0 or c_fit <= 0:
+    if fit.t * (len(fit.window) - 1) <= _DECAY_FLOOR or c_fit <= 0:
         return StarReport(cauchy, mats[-1], residuals, c_fit, fit.t,
                           False, "differences do not decay")
     note = (f"fit over n={fit.window[0] + start_n}..{fit.window[-1] + start_n} "

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from gaplab.cartan import (CartanTriple, PAdicGroupElement, RealGroupElement,
                            _adjugate3, _det3, _matmul3,
                            cartan_automorphism, d_alpha, d_alpha_padic,
-                           d_matrix, d_matrix_padic, distorted_length,
+                           d_matrices, d_matrix, d_matrix_padic,
+                           distorted_length,
                            frac_valuation, in_u_pattern, in_utilde_pattern,
                            is_special_orthogonal, k_delta_padic, k_delta_real,
                            kak_padic, kak_real, length_exponent_padic,
@@ -25,6 +26,87 @@ def _random_sl3(rng, scale=2.0):
         d = np.linalg.det(m)
         if abs(d) > 1e-6:
             return RealGroupElement(m / np.cbrt(d))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the batched real paths: one matrix per call
+
+
+def _check_element(m):
+    """The validation a RealGroupElement made of each matrix it held."""
+    assert m.shape == (3, 3) and np.all(np.isfinite(m))
+    assert abs(np.linalg.det(m) - 1.0) <= 1e-12 * max(1.0, np.abs(m).max() ** 3)
+    return m
+
+
+def _d_oracle(a1, a2, a3):
+    assert abs(a1 + a2 + a3) <= 1e-10
+    return _check_element(np.diag([math.exp(a1), math.exp(a2), math.exp(a3)]))
+
+
+def _k_delta_oracle(delta):
+    assert 0.0 <= delta <= 1.0
+    s = math.sqrt(1.0 - delta * delta)
+    return _check_element(np.array([[delta, -s, 0.0],
+                                    [s, delta, 0.0],
+                                    [0.0, 0.0, 1.0]]))
+
+
+def _dkd_oracle(alpha, delta):
+    d = _d_oracle(2 * alpha, -alpha, -alpha)
+    return _check_element(_check_element(d @ _k_delta_oracle(delta)) @ d)
+
+
+def _distorted_length_oracle(alpha, delta):
+    g = _dkd_oracle(alpha, delta)
+    return float(math.log(np.linalg.svd(g, compute_uv=False)[0]))
+
+
+def _kak_real_oracle(g):
+    """(k1, a, k2) of one matrix, with the single-element det repair."""
+    u, sv, vt = np.linalg.svd(_check_element(g))
+    if np.linalg.det(u) < 0:
+        u = u.copy(); vt = vt.copy()
+        u[:, 2] *= -1.0
+        vt[2, :] *= -1.0
+    a = np.log(sv)
+    a = a - a.mean()
+    CartanTriple(*a)
+    return _check_element(u), a, _check_element(vt)
+
+
+def _solve_distortion_oracle(alpha, r, tol=1e-10):
+    """(delta, residual) by a scalar bisection: 200 steps at most, stopping
+    once the bracket is narrower than 1e-16."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _distorted_length_oracle(alpha, mid) < r:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-16:
+            break
+    delta = 0.5 * (lo + hi)
+    if abs(_distorted_length_oracle(alpha, 0.0) - r) <= tol:
+        delta = 0.0
+    elif abs(_distorted_length_oracle(alpha, 1.0) - r) <= tol:
+        delta = 1.0
+    g = _dkd_oracle(alpha, delta)
+    u2, _, v2t = np.linalg.svd(g[:2, :2])
+    if np.linalg.det(u2) < 0:
+        u2 = u2.copy(); v2t = v2t.copy()
+        u2[:, 1] *= -1.0
+        v2t[1, :] *= -1.0
+    u = np.eye(3); u[:2, :2] = u2
+    up = np.eye(3); up[:2, :2] = v2t
+    middle = _d_oracle(r, 2 * alpha - r, -2 * alpha)
+    residual = float(np.max(np.abs(u @ middle @ up - g)))
+    return delta, residual, _check_element(u), _check_element(up)
+
+
+def _random_stack(rng, n, scale=2.0):
+    return np.stack([_random_sl3(rng, scale).matrix for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +179,89 @@ def test_kak_recovers_planted_triple():
                              / np.cbrt(np.linalg.det(q1) * np.linalg.det(q2)))
         _, a, _ = kak_real(g)
         assert a.as_tuple() == pytest.approx(tuple(vals), abs=1e-9)
+
+
+def _repair_cases(rng, n):
+    """Rotations, signed diagonals and sparse elements: the SVD returns
+    det(u) = -1 for a share of these, never for dense random ones."""
+    out = []
+    for _ in range(n):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        out.append(q * np.sign(np.linalg.det(q)))
+        a = rng.standard_normal(3)
+        out.append(np.diag(rng.permutation([-1.0, -1.0, 1.0])
+                           * np.exp(a - a.mean())))
+        while True:
+            m = rng.standard_normal((3, 3)) * (rng.random((3, 3)) < 0.5)
+            if abs(np.linalg.det(m)) > 1e-3:
+                out.append(m / np.cbrt(np.linalg.det(m)))
+                break
+    return np.stack(out)
+
+
+def test_kak_real_stack_matches_oracle():
+    rng = np.random.default_rng(21)
+    g = np.concatenate([_random_stack(rng, 100),
+                        _random_stack(rng, 40, scale=8.0),
+                        _repair_cases(rng, 20),
+                        [d_matrix(2, 0, -2).matrix, np.eye(3),
+                         k_delta_real(0.3).matrix]])
+    n = len(g)
+    k1, a, k2 = kak_real(g)
+    assert k1.shape == (n, 3, 3) and a.shape == (n, 3) and k2.shape == (n, 3, 3)
+    repaired = 0
+    for i, m in enumerate(g):
+        o1, oa, o2 = _kak_real_oracle(m)
+        assert np.array_equal(k1[i], o1)
+        assert np.array_equal(a[i], oa)
+        assert np.array_equal(k2[i], o2)
+        repaired += np.linalg.det(np.linalg.svd(m)[0]) < 0
+        e1, triple, e2 = kak_real(RealGroupElement(m))
+        assert np.array_equal(e1.matrix, o1) and np.array_equal(e2.matrix, o2)
+        assert triple.as_tuple() == tuple(oa)
+    # both branches of the det(u) < 0 repair ran
+    assert 10 < repaired < n - 10
+
+
+def test_kak_real_stack_refuses_bad_elements():
+    rng = np.random.default_rng(22)
+    good = _random_stack(rng, 8)
+    for bad in (2.0 * np.eye(3), np.full((3, 3), np.nan),
+                np.diag([1.0, 1.0, np.inf])):
+        stack = good.copy()
+        stack[5] = bad
+        with pytest.raises(ValueError):
+            kak_real(stack)
+    with pytest.raises(ValueError):
+        kak_real(good[0])            # a bare matrix is neither form
+
+
+def test_d_matrices_match_oracle():
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(40, 3)) * 3
+    a -= a.mean(axis=1, keepdims=True)
+    stack = d_matrices(a)
+    for row, m in zip(a, stack):
+        assert np.array_equal(m, _d_oracle(*row))
+    a[7, 0] += 1e-6
+    with pytest.raises(ValueError, match="sum to 0"):
+        d_matrices(a)
+
+
+@given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.1, 30.0))
+@settings(max_examples=60, deadline=None)
+def test_kak_real_stack_reconstructs(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    g = np.concatenate([_random_stack(rng, n, scale), _repair_cases(rng, 2)])
+    k1, a, k2 = kak_real(g)
+    recon = k1 @ (np.exp(a)[:, :, None] * np.eye(3)) @ k2
+    tol = 1e-10 * np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
+    assert np.all(np.abs(recon - g).max(axis=(1, 2)) <= tol)
+    assert np.all(np.abs(a.sum(axis=1)) <= 1e-12)
+    assert np.all(a[:, :-1] >= a[:, 1:])
+    for k in (*k1, *k2):
+        assert is_special_orthogonal(k)
 
 
 def test_cartan_triple_validation():
@@ -197,6 +362,53 @@ def test_distortion_solution_quality():
     assert in_utilde_pattern(sol.u_prime.matrix)
     assert is_special_orthogonal(sol.u.matrix)
     assert is_special_orthogonal(sol.u_prime.matrix)
+
+
+def test_distorted_length_stack_matches_oracle():
+    # np.log differs from math.log in the last bit on ~1 value in 3000, so
+    # the grid is large enough for a stray np.log to show
+    rng = np.random.default_rng(24)
+    deltas = np.concatenate([[0.0, 1.0, 0.5], rng.random(4000)])
+    for alpha in (0.5, 1.0, 2.0, float(rng.uniform(0.1, 3.0))):
+        stacked = distorted_length(alpha, deltas)
+        assert stacked.shape == deltas.shape
+        want = [_distorted_length_oracle(alpha, d) for d in deltas]
+        assert np.array_equal(stacked, want)
+        assert distorted_length(alpha, 0.3) == _distorted_length_oracle(alpha, 0.3)
+    with pytest.raises(ValueError, match="delta"):
+        distorted_length(1.0, np.array([0.2, 1.0 + 1e-12]))
+    with pytest.raises(ValueError, match="delta"):
+        distorted_length(1.0, np.array([0.2, np.nan]))
+
+
+def test_distortion_batch_matches_scalar_bisection():
+    rng = np.random.default_rng(25)
+    alphas = [0.5, 1.0, 2.0, *rng.uniform(0.2, 3.0, 2).tolist()]
+    for alpha in alphas:
+        rs = np.concatenate([np.linspace(alpha, 4 * alpha, 9),
+                             rng.uniform(alpha, 4 * alpha, 6)]).tolist()
+        sols = solve_sphere_distortion(alpha, rs)
+        assert isinstance(sols, list) and len(sols) == len(rs)
+        for r, sol in zip(rs, sols):
+            delta, residual, u, up = _solve_distortion_oracle(alpha, r)
+            assert sol.r == r and sol.alpha == alpha
+            assert sol.delta == delta and sol.residual == residual
+            assert np.array_equal(sol.u.matrix, u)
+            assert np.array_equal(sol.u_prime.matrix, up)
+            assert sol.delta_bound == math.exp(r - 4 * alpha)
+        # a scalar r is a batch of one
+        one = solve_sphere_distortion(alpha, rs[3])
+        assert one.delta == sols[3].delta and one.residual == sols[3].residual
+    assert solve_sphere_distortion(1.0, []) == []
+
+
+def test_distortion_batch_refuses_any_bad_r():
+    for rs in ([1.0, 2.0, 4.0 + 1e-9], [1.0, 0.999, 2.0], [1.0, np.nan],
+               [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            solve_sphere_distortion(1.0, rs)
+    with pytest.raises(ValueError, match="alpha"):
+        solve_sphere_distortion(0.0, [0.0])
 
 
 def test_distortion_monotone_on_grid():

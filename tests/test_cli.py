@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gaplab import cli, induction
+from gaplab import cli, induction, twostep
 
 
 def run_main(argv):
@@ -529,7 +529,26 @@ def test_star_verify_defaults_pass():
     report = cli.run("star-verify", cli.ExperimentConfig("star-verify", {}))
     assert report.failed == 0
     for case in report.cases:
-        assert case["fitted_t"] == "" or case["fitted_t"] > 0
+        # horizon 30: 29 differences, all in the fit window
+        assert case["fitted_t"] * 28 > twostep._DECAY_FLOOR
+
+
+def test_star_verify_reports_every_residual():
+    cfg = cli.ExperimentConfig("star-verify", {"order": [5, 4, 3],
+                                               "horizon": [12]})
+    report = cli.run("star-verify", cfg)
+    stars = report.to_json()["diagnostics"]["starReports"]
+    assert [s["order"] for s in stars] == [5, 4, 3]
+    for case, star in zip(report.cases, stars):
+        assert len(star["cauchyDiffs"]) == 11
+        assert len(star["invarianceResiduals"]) == 12
+        assert case["max_invariance"] == max(star["invarianceResiduals"])
+        assert case["pass"] == star["pass"]
+        assert case["fitted_t"] == star["fittedT"]
+    # the periodic walk on Z/4 fails, the others decay
+    assert [case["pass"] for case in report.cases] == [True, False, True]
+    assert stars[1]["notes"] == "differences do not decay"
+    assert stars[2]["invarianceResiduals"][-1] < 1e-3
 
 
 def test_zigzag_radii_respect_rmax():

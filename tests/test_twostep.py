@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab.twostep import (FiniteGroupModel, FiniteMeasure, LocalEstimate,
-                            TwoStepRep, _opnorms, _translate, apply_measure,
+from gaplab.twostep import (_DECAY_FLOOR, FiniteGroupModel, FiniteMeasure,
+                            LocalEstimate, TwoStepRep, _opnorms, _translate,
+                            apply_measure,
                             convolution_powers, convolve, cusp_measure_bound,
                             cyclic_model, left_regular_matrix,
                             local_estimate_check, sandwich_limit,
@@ -79,6 +80,39 @@ def _regular_stack_oracle(model):
     return lam
 
 
+def _sl3_f2_oracle():
+    """(mult, generator indices, labels) of SL3(F2) by one product per pair,
+    elements numbered in breadth-first order from the identity."""
+    eye = np.eye(3, dtype=np.uint8)
+    gens_mats = []
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                m = eye.copy()
+                m[i, j] = 1
+                gens_mats.append(m)
+    elems = [eye]
+    index = {eye.tobytes(): 0}
+    frontier = [eye]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens_mats:
+                p = (g @ m) % 2
+                key = p.tobytes()
+                if key not in index:
+                    index[key] = len(elems)
+                    elems.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    n = len(elems)
+    mult = np.zeros((n, n), dtype=np.int64)
+    for a in range(n):
+        for b in range(n):
+            mult[a, b] = index[((elems[a] @ elems[b]) % 2).tobytes()]
+    return mult, [index[g.tobytes()] for g in gens_mats], elems
+
+
 # ---------------------------------------------------------------------------
 # models
 
@@ -107,6 +141,15 @@ def test_sl3_f2_model(sl3):
     assert sl3.check_axioms()
     inv = sl3.inverse
     assert all(sl3.lengths[g] == sl3.lengths[inv[g]] for g in range(168))
+
+
+def test_sl3_f2_model_matches_pairwise_oracle(sl3):
+    mult, gens, labels = _sl3_f2_oracle()
+    assert np.array_equal(sl3.mult, mult)
+    assert np.array_equal(sl3.generators, sorted(gens))
+    assert len(sl3.labels) == len(labels)
+    for got, want in zip(sl3.labels, labels):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_length_subadditive(sl3):
@@ -555,6 +598,63 @@ def test_star_json_and_no_decay_reported():
     assert set(doc) == {"cauchyDiffs", "invarianceResiduals", "fittedC",
                         "fittedT", "pass", "notes"}
     assert doc["pass"] is False
+
+
+class _RegularFamily:
+    """What `verify_star_instance` reads of star-verify's representation,
+    sandwich_twostep(Z/order, regular stack, I, I): the model, L and the pi
+    stack.  The real constructor checks the relation exhaustively in
+    O(order^5), ~13 s over the orders 3..64;
+    `test_regular_family_gives_the_sandwich_report` shows both give the
+    same report."""
+
+    def __init__(self, model):
+        self.model = model
+        self._pi = model.left_regular_stack()
+        self.L = float(_opnorms(self._pi).max())
+
+    def pi_stack(self):
+        return self._pi
+
+
+def _star_verify_case(rep, horizon=30):
+    """star-verify's case on Z/order: the +-1 walk's powers and the grid
+    {(1, -1), (2, 0)}."""
+    model = rep.model
+    order = model.order
+    mu = FiniteMeasure.uniform(model, [1, order - 1])
+    return verify_star_instance(rep, convolution_powers(mu, horizon),
+                                [(1, order - 1), (2, 0)])
+
+
+@pytest.mark.parametrize("order", [3, 4, 7, 8, 11, 12])
+def test_regular_family_gives_the_sandwich_report(order):
+    model = cyclic_model(order)
+    rep = sandwich_twostep(model, model.left_regular_stack(),
+                           np.eye(order), np.eye(order))
+    want = _star_verify_case(rep)
+    got = _star_verify_case(_RegularFamily(model))
+    assert got.to_json() == want.to_json()
+    assert np.array_equal(got.p_estimate, want.p_estimate)
+
+
+def test_star_periodic_walks_fail_and_aperiodic_ones_pass():
+    """At horizon 30 every even order 4..64 fails: the +-1 walk on an even
+    cycle is periodic, so its Cauchy differences are constant and fit a
+    rounding-level t of either sign (|t| <= 2.1e-17 here; without the decay
+    floor the positive ones passed).  Every odd order 3..63 passes; order 63
+    decays slowest, t ~ 1.2e-3 over a 29-point window."""
+    for order in range(4, 65, 2):
+        report = _star_verify_case(_RegularFamily(cyclic_model(order)))
+        assert max(report.cauchy_diffs) - min(report.cauchy_diffs) < 1e-12
+        assert abs(report.fitted_t) < 1e-15
+        assert not report.passed, order
+        assert report.notes == "differences do not decay"
+    for order in range(3, 64, 2):
+        report = _star_verify_case(_RegularFamily(cyclic_model(order)))
+        assert report.passed, order
+        assert report.fitted_t * 28 > 1e6 * _DECAY_FLOOR
+    assert report.fitted_t == pytest.approx(1.2e-3, rel=0.05)
 
 
 def test_star_support_condition_enforced():

@@ -135,6 +135,27 @@ class ExperimentConfig:
             raise UsageError(f"key {key!r} takes a single value, got {values!r}")
         return values[0]
 
+    def integers(self, key):
+        """The values of an integer key.  An int, or a float with no
+        fractional part (``1e4``), is taken; any other value is a usage
+        error, never truncated."""
+        out = []
+        for value in self.grid[key]:
+            number = _parse_number(value) if isinstance(value, str) else value
+            if isinstance(number, float) and number.is_integer():
+                number = int(number)
+            if (isinstance(number, bool)
+                    or not isinstance(number, (int, np.integer))):
+                raise UsageError(f"{self.command}: --{key} must be an "
+                                 f"integer, got {value!r}")
+            out.append(int(number))
+        return out
+
+    def integer(self, key):
+        """The single value of an integer key (see `integers`)."""
+        self.scalar(key)
+        return self.integers(key)[0]
+
     def tolerances(self):
         return {k: v[0] for k, v in self.grid.items() if k.startswith("tol")}
 
@@ -301,10 +322,8 @@ def _run_sdelta_decay(cfg):
     tol = float(cfg.scalar("tol"))
     cases = []
     checks = []
-    for p in cfg.values("p"):
-        p = int(p)
-        for n in cfg.values("n"):
-            n = int(n)
+    for p in cfg.integers("p"):
+        for n in cfg.integers("n"):
             # test n first: any p >= 2 exceeds the bound from n = 13 on, and
             # forming p^n for a huge n would not finish
             if (n >= _SDELTA_MAX_MODULUS.bit_length()
@@ -348,14 +367,14 @@ def _run_sdelta_decay(cfg):
 def _run_sphere_gap(cfg):
     """sup_l |P_l(delta) - P_l(0)| against the 2 sqrt(delta) envelope."""
     tol = float(cfg.scalar("tol"))
-    dmax = int(cfg.scalar("dmax"))
+    dmax = cfg.integer("dmax")
     deltas = [float(delta) for delta in cfg.values("delta")]
     cases = []
-    for n in cfg.values("n"):
-        reports = spheres.tdelta_gap_report(int(n), deltas, dmax)
+    for n in cfg.integers("n"):
+        reports = spheres.tdelta_gap_report(n, deltas, dmax)
         for delta, rep in zip(deltas, reports):
             cases.append({
-                "n": int(n), "delta": delta,
+                "n": n, "delta": delta,
                 "value": rep.value, "bound": rep.holder_bound,
                 "arg_degree": rep.arg_degree, "tail": rep.tail_envelope,
                 "pass": bool(rep.value <= rep.holder_bound + tol),
@@ -375,8 +394,8 @@ def _run_su2_gap(cfg):
     failure is at 2j = 50), so a larger ``jmax`` is a usage error.
     """
     tol = float(cfg.scalar("tol"))
-    two_j_max = int(cfg.scalar("jmax"))
-    points = int(cfg.scalar("qpoints"))
+    two_j_max = cfg.integer("jmax")
+    points = cfg.integer("qpoints")
     if two_j_max > _SU2_MAX_TWO_J:
         raise UsageError(f"su2-gap: jmax = {two_j_max} exceeds "
                          f"{_SU2_MAX_TWO_J}: spin matrices above it are not "
@@ -410,8 +429,8 @@ def _run_kak(cfg):
     `solve_sphere_distortion` call.
     """
     tol = float(cfg.scalar("tol"))
-    count = int(cfg.scalar("count"))
-    r_count = int(cfg.scalar("rcount"))
+    count = cfg.integer("count")
+    r_count = cfg.integer("rcount")
     rng = np.random.default_rng(cfg.seed)
     g = np.array([_random_sl3(rng) for _ in range(count)]).reshape(-1, 3, 3)
     k1, a, k2 = cartan.kak_real(g)
@@ -447,7 +466,7 @@ def _chamber_triple(rng, r_max):
 
 def _run_zigzag_cert(cfg):
     """Certificate totals against the telescoped target, pair by pair."""
-    pairs = int(cfg.scalar("pairs"))
+    pairs = cfg.integer("pairs")
     r_max = float(cfg.scalar("rmax"))
     cases = []
     idx = 0
@@ -490,10 +509,12 @@ def _lazy_walk(model, order):
 
 def _run_quotient_gap(cfg):
     """Spectral-gap profiles on cyclic quotients (plus one simple group)."""
-    horizon = int(cfg.scalar("horizon"))
+    horizon = cfg.integer("horizon")
+    with_sl3 = cfg.integer("sl3")
+    if with_sl3 not in (0, 1):
+        raise UsageError(f"quotient-gap: --sl3 must be 0 or 1, got {with_sl3}")
     cases = []
-    for order in cfg.values("order"):
-        order = int(order)
+    for order in cfg.integers("order"):
         if order < 3:
             raise UsageError("quotient orders below 3 have no lazy walk gap")
         model = twostep.cyclic_model(order)
@@ -506,7 +527,7 @@ def _run_quotient_gap(cfg):
         cases.append({"group": f"cyclic-{order}", "size": order,
                       "rho": rho, "oracle": oracle,
                       "final": profile.values[-1], "pass": bool(ok)})
-    if int(cfg.scalar("sl3")):
+    if with_sl3:
         model = twostep.sl3_f2_model()
         mu = twostep.FiniteMeasure.uniform(model, model.generators)
         profile = twostep.spectral_gap_profile(model, mu, horizon)
@@ -527,11 +548,10 @@ def _run_star_verify(cfg):
     and residuals, the fit and its note) goes into the JSON
     ``diagnostics.starReports``, in case order.
     """
-    horizon = int(cfg.scalar("horizon"))
+    horizon = cfg.integer("horizon")
     cases = []
     reports = []
-    for order in cfg.values("order"):
-        order = int(order)
+    for order in cfg.integers("order"):
         if order < 3:
             raise UsageError("star instances need order at least 3")
         model = twostep.cyclic_model(order)
@@ -555,8 +575,8 @@ def _run_star_verify(cfg):
 
 def _run_cocycle_mc(cfg):
     """Monte-Carlo growth constants, cusp decay and tail truncation."""
-    samples = int(cfg.scalar("samples"))
-    g_count = int(cfg.scalar("gcount"))
+    samples = cfg.integer("samples")
+    g_count = cfg.integer("gcount")
     g_len = float(cfg.scalar("glen"))
     s = float(cfg.scalar("s"))
     s0 = float(cfg.scalar("s0"))

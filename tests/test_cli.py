@@ -314,6 +314,56 @@ def test_config_object_seed_is_checked():
         assert seed == want and type(seed) is int
 
 
+# every key a runner reads as an integer
+_INTEGER_KEYS = [
+    ("sdelta-decay", "p"), ("sdelta-decay", "n"),
+    ("sphere-gap", "n"), ("sphere-gap", "dmax"),
+    ("su2-gap", "jmax"), ("su2-gap", "qpoints"),
+    ("kak", "count"), ("kak", "rcount"),
+    ("zigzag-cert", "pairs"),
+    ("quotient-gap", "order"), ("quotient-gap", "horizon"),
+    ("quotient-gap", "sl3"),
+    ("star-verify", "order"), ("star-verify", "horizon"),
+    ("cocycle-mc", "samples"), ("cocycle-mc", "gcount"),
+]
+
+
+@pytest.mark.parametrize("command, key", _INTEGER_KEYS)
+def test_integer_keys_refuse_fractions(tmp_path, capsys, command, key):
+    # a fraction is refused, never truncated: --order=3.5 must not run
+    # order 3, and --sl3=0.5 must not drop the SL3 case
+    out = tmp_path / "out.csv"
+    assert run_main([command, f"--{key}=3.5", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: --{key} must be an integer, "
+                          f"got 3.5\n")
+    assert "Traceback" not in err
+    assert not out.exists()
+    for bad in (2.5, True, np.float64(4.25)):
+        cfg = cli.ExperimentConfig(command, {**_SMALL_GRIDS[command],
+                                             key: [bad]})
+        with pytest.raises(cli.UsageError,
+                           match=f"^{command}: --{key} must be an integer"):
+            cli.run(command, cfg)
+    # an integral float is the integer it spells
+    cfg = cli.ExperimentConfig(command, {key: [3.0, 1e1, np.int64(2), "4"]})
+    got = cfg.integers(key)
+    assert got == [3, 10, 2, 4] and all(type(v) is int for v in got)
+
+
+def test_sl3_must_be_zero_or_one(tmp_path, capsys):
+    out = tmp_path / "qg.csv"
+    for bad in ("2", "-1"):
+        assert run_main(["quotient-gap", f"--sl3={bad}", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: quotient-gap: --sl3 must be 0 or 1, "
+                              f"got {bad}\n")
+        assert not out.exists()
+    report = cli.run("quotient-gap", cli.ExperimentConfig(
+        "quotient-gap", {"order": [3.0], "sl3": [1.0]}))
+    assert [case["group"] for case in report.cases] == ["cyclic-3", "sl3-f2"]
+
+
 def _fake_command(monkeypatch, cases):
     """Swap sphere-gap's runner for one that returns ``cases``."""
     spec = cli.COMMANDS["sphere-gap"]

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab.twostep import (_DECAY_FLOOR, FiniteGroupModel, FiniteMeasure,
-                            LocalEstimate, TwoStepRep, _opnorms, _translate,
-                            apply_measure,
+                            LocalEstimate, TwoStepRep, _log_linear_fit,
+                            _opnorms, _translate, apply_measure,
                             convolution_powers, convolve, cusp_measure_bound,
                             cyclic_model, left_regular_matrix,
                             local_estimate_check, sandwich_limit,
@@ -78,6 +78,30 @@ def _regular_stack_oracle(model):
         for x in range(n):
             lam[g, model.mult[g, x], x] = 1.0
     return lam
+
+
+def _gap_profile_oracle(model, mu, horizon):
+    """(values, rho) of a gap profile from the powers of T = lambda(mu) - P,
+    formed one at a time, with one SVD each."""
+    n = model.order
+    T = left_regular_matrix(mu) - np.full((n, n), 1.0 / n)
+    vals = []
+    M = np.eye(n)
+    for _ in range(horizon):
+        M = M @ T
+        vals.append(float(np.linalg.norm(M, 2)))
+    fit = _log_linear_fit(np.arange(1, horizon + 1), vals)
+    return vals, (math.exp(-fit.t) if fit is not None else None)
+
+
+def _relation_residual_oracle(model, pi0, pi1):
+    """max |pi1(x) pi0(y) - pi(x y)| over all pairs, one einsum per x."""
+    pi = np.einsum("gij,jk->gik", pi1, pi0[model.identity])
+    worst = 0.0
+    for x in range(model.order):
+        lhs = np.einsum("ij,gjk->gik", pi1[x], pi0)
+        worst = max(worst, float(np.max(np.abs(lhs - pi[model.mult[x]]))))
+    return worst
 
 
 def _sl3_f2_oracle():
@@ -440,6 +464,60 @@ def test_relation_sampled_on_large_model():
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
+def _rectangular_families():
+    """Sandwich families with X0, X1, X2 of different dimensions: the
+    permutation representations of S3 (dims 2, 3, 4) and S4 (3, 4, 2), and a
+    plane rotation of Z/7 plus a trivial line (2, 3, 4)."""
+    rng = np.random.default_rng(15)
+    out = []
+    for model, d0, d2 in ((symmetric_model(3), 2, 4),
+                          (symmetric_model(4), 3, 2)):
+        d = len(model.labels[0])
+        u = np.zeros((model.order, d, d))
+        for g, perm in enumerate(model.labels):
+            u[g, list(perm), range(d)] = 1.0
+        out.append((model, u, d0, d2))
+    z7 = cyclic_model(7)
+    u = np.zeros((7, 3, 3))
+    for g, a in enumerate(2 * np.pi * np.arange(7) / 7):
+        u[g] = [[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0], [0, 0, 1]]
+    out.append((z7, u, 2, 4))
+    return [sandwich_twostep(model, u, rng.standard_normal((u.shape[1], d0)),
+                             rng.standard_normal((d2, u.shape[1])))
+            for model, u, d0, d2 in out]
+
+
+def test_relation_residual_matches_einsum_oracle():
+    # the gemm against the (j, n k) layout of pi0 and the per-element einsum
+    # measure the same residual, to rounding, on rectangular families
+    reps = _rectangular_families()
+    assert [rep.dims for rep in reps] == [(2, 3, 4), (3, 4, 2), (2, 3, 4)]
+    for rep in reps:
+        want = _relation_residual_oracle(rep.model, rep._pi0, rep._pi1)
+        got = rep._check_relation(5)
+        assert want <= 1e-14
+        assert abs(got - want) <= 1e-14
+
+
+@pytest.mark.parametrize("eps, fails", [(1e-8, True), (1e-12, False)])
+def test_relation_perturbed_entry(eps, fails):
+    # one entry of pi1 at one element moved by eps: the residual is about
+    # eps times an entry of A, so 1e-8 crosses the 1e-10 tolerance and
+    # 1e-12 stays under it
+    for rep in _rectangular_families():
+        model = rep.model
+        pi0, pi1 = rep._pi0.copy(), rep._pi1.copy()
+        pi1[model.order - 1, 1, 2] += eps
+        want = _relation_residual_oracle(model, pi0, pi1)
+        assert (want > 1e-10) == fails
+        if fails:
+            with pytest.raises(ValueError, match="once-composable"):
+                TwoStepRep(model, pi0, pi1, L=rep.L, s=0.0)
+        else:
+            got = TwoStepRep(model, pi0, pi1, L=rep.L, s=0.0)._check_relation(5)
+            assert abs(got - want) <= 1e-14
+
+
 def test_apply_measure_oracle():
     s4 = symmetric_model(4)
     rng = np.random.default_rng(5)
@@ -514,17 +592,63 @@ def test_profile_reports_non_generating_support():
     assert prof.values[-1] == pytest.approx(1.0)   # stalls
 
 
+def _lazy_walk(model):
+    """quotient-gap's hold-1/2 nearest-neighbour walk on Z/m."""
+    m = model.order
+    w = np.zeros(m)
+    w[0] = 0.5
+    w[1] += 0.25
+    w[m - 1] += 0.25
+    return FiniteMeasure(model, w)
+
+
+def _assert_matches_power_oracle(model, mu, horizon):
+    prof = spectral_gap_profile(model, mu, horizon)
+    vals, rho = _gap_profile_oracle(model, mu, horizon)
+    assert len(prof) == horizon
+    assert np.max(np.abs(np.array(prof.values) - vals)) <= 1e-12, model
+    assert (prof.rho is None) == (rho is None), model
+    if rho is not None:
+        assert abs(prof.rho - rho) <= 1e-12, model
+
+
+def test_profile_matches_power_oracle_on_lazy_walks():
+    for m in range(3, 65):
+        model = cyclic_model(m)
+        _assert_matches_power_oracle(model, _lazy_walk(model), 32)
+
+
+def test_profile_matches_power_oracle_on_generators(oracle_models):
+    # Z/3..Z/12, S3, S4 and SL3(F2) under the uniform measure on generators
+    for model in oracle_models:
+        mu = FiniteMeasure.uniform(model, list(model.generators))
+        _assert_matches_power_oracle(model, mu, 32)
+
+
+def test_profile_refuses_non_symmetric_measure():
+    z5 = cyclic_model(5)
+    with pytest.raises(ValueError, match="symmetric"):
+        spectral_gap_profile(z5, FiniteMeasure.point_mass(z5, 1), 4)
+    # symmetry is exact: one unit in the last place breaks it
+    w = _lazy_walk(z5).weights.copy()
+    w[4] = np.nextafter(w[4], 1.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        spectral_gap_profile(z5, FiniteMeasure(z5, w), 4)
+
+
 def test_profile_memory_does_not_grow_with_horizon(sl3):
-    # the powers are formed one at a time; stacking all 32 of them for one
-    # batched norm call peaks near 14.5 MB at order 168, this stays near 0.75
+    # one eigvalsh of the order-168 difference operator and no power of it:
+    # the peak is ~0.71 MB at horizon 32 and at 1000 alike; stacking all 32
+    # powers for one batched norm call peaked near 14.5 MB
     mu = FiniteMeasure.uniform(sl3, list(sl3.generators))
-    tracemalloc.start()
-    try:
-        spectral_gap_profile(sl3, mu, 32)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    for horizon in (32, 1000):
+        tracemalloc.start()
+        try:
+            spectral_gap_profile(sl3, mu, horizon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, horizon
 
 
 def test_profile_rejections():

@@ -389,9 +389,10 @@ _SU2_MAX_TWO_J = 48
 def _run_su2_gap(cfg):
     """Two-rotation gap must dominate the closed-form spin-1/2 branch.
 
-    Above 2j = ``_SU2_MAX_TWO_J`` the double-precision spin matrices lose
-    the unitarity the library asserts (on a 721-point theta grid the first
-    failure is at 2j = 50), so a larger ``jmax`` is a usage error.
+    Above 2j = ``_SU2_MAX_TWO_J`` the double-precision spin matrices come
+    close to failing the unitarity check the library asserts (on a
+    721-point theta grid the first failure is at 2j = 53), so a larger
+    ``jmax`` is a usage error.
     """
     tol = float(cfg.scalar("tol"))
     two_j_max = cfg.integer("jmax")
@@ -431,6 +432,10 @@ def _run_kak(cfg):
     tol = float(cfg.scalar("tol"))
     count = cfg.integer("count")
     r_count = cfg.integer("rcount")
+    for key, value in (("count", count), ("rcount", r_count)):
+        if value < 0:
+            raise UsageError(f"kak: --{key} must be a non-negative integer, "
+                             f"got {value}")
     rng = np.random.default_rng(cfg.seed)
     g = np.array([_random_sl3(rng) for _ in range(count)]).reshape(-1, 3, 3)
     k1, a, k2 = cartan.kak_real(g)

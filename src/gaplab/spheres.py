@@ -5,7 +5,10 @@ normalized Gegenbauer value q_l(delta) = C_l^lam(delta)/C_l^lam(1) with
 lam = (n-1)/2 (Legendre values for n = 2).  The circle average S_theta on
 L2(SU(2)) acts on the spin-j block as the phi-average of the spin-j matrix
 of a fixed two-parameter unitary; entries are trig polynomials in phi of
-degree <= 2j, so an M-point trapezoid average with M > 2j is exact.
+degree <= 2j, so an M-point trapezoid average with M > 2j is exact, and it
+is the diagonal of the phi = 0 matrix.  The spin matrices of every
+2j <= 2j_max come from one column recurrence in the orthonormal monomial
+basis, each spin from the one below, all asserted unitary.
 
 Norm gaps are suprema over the truncated degree range; the truncation is
 always reported together with an analytic Legendre envelope for the tail.
@@ -178,42 +181,69 @@ def su2_element(theta, phi) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _spin_tables(two_j: int):
-    """Flattened monomial table of the symmetric-power matrix.
+def _spin_tables(n: int):
+    """Weights of recurrence step n, from spin (n-1)/2 to spin n/2.
 
-    Entry (i2, i1) of the spin matrix is sum_k coef * a^k c^(P-k) b^(R-k)
-    d^(Q-R+k) with P = two_j-i1, Q = i1, R = two_j-i2, and coefficient
-    sqrt(R!S!/(P!Q!))*comb(P,k)*comb(Q,R-k); the factorial ratio is one
-    correctly rounded integer division.  Terms run column by column, rows
-    within a column, k within an entry.
+    Row i carries R = n-i powers of x and S = i of y; column q < n is
+    column q of the previous step times (a x + c y), so P = n-q, and the
+    last column is column n-1 times (b x + d y), so its P is Q = n.  The
+    two (n+1, n+1) tables are sqrt(R/P), weighting the x-term, and
+    sqrt(S/P), weighting the y-term.
     """
-    dim = two_j + 1
-    weight = [math.factorial(two_j - i) * math.factorial(i) for i in range(dim)]
-    scale = np.array([[math.sqrt(weight[i2] / weight[i1]) for i1 in range(dim)]
-                      for i2 in range(dim)])
-    binom = np.array([[float(math.comb(r, k)) for k in range(dim)]
-                      for r in range(dim)])
-    idx = np.arange(dim)
-    i1, i2, k = idx[:, None, None], idx[None, :, None], idx[None, None, :]
-    P, Q, R = two_j - i1, i1, two_j - i2
-    valid = (k >= np.maximum(0, R - Q)) & (k <= np.minimum(P, R))
-    i1, i2, k = np.nonzero(valid)
-    P, Q, R = two_j - i1, i1, two_j - i2
-    coef = scale[i2, i1] * binom[P, k] * binom[Q, R - k]
-    return (i2 * dim + i1, k, P - k, R - k, Q - R + k, coef)
+    i = np.arange(n + 1.0)
+    p = np.append(n - i[:-1], n)
+    return np.sqrt((n - i)[:, None] / p), np.sqrt(i[:, None] / p)
 
 
-# monomial terms evaluated per slice of a stack: bounds the temporaries of
-# spin_matrix to a few MB however many unitaries it is handed
-_SPIN_TERM_BUDGET = 1 << 16
+# spin-matrix entries per slice of a stack: bounds the temporaries of the
+# recurrence to a few MB however many unitaries it is handed
+_SPIN_ENTRY_BUDGET = 1 << 16
+
+
+def _spin_levels(stack: np.ndarray, two_j: int):
+    """Spin matrices of a (k, 2, 2) stack for every 2j' = 0..two_j.
+
+    Yields (rows, n, V) with V the spin-n/2 matrices of ``stack[rows]``,
+    n rising from 0 within each slice of the stack.  In the orthonormal
+    basis x^R y^S / sqrt(R!S!), column q of spin n/2 is
+    (a x + c y)^(n-q) (b x + d y)^q / sqrt((n-q)! q!), so each spin comes
+    from the one below by the weighted shift of ``_spin_tables``: entries
+    stay bounded by 1, and every step is element-wise, so a unitary gives
+    bit-for-bit the same matrices alone as inside any stack.
+    """
+    step = max(1, _SPIN_ENTRY_BUDGET // (two_j + 1) ** 2)
+    for start in range(0, len(stack), step):
+        rows = slice(start, start + step)
+        part = stack[rows]
+        a, b = part[:, 0, 0, None, None], part[:, 0, 1, None, None]
+        c, d = part[:, 1, 0, None, None], part[:, 1, 1, None, None]
+        v = np.ones((len(part), 1, 1), dtype=complex)
+        yield rows, 0, v
+        for n in range(1, two_j + 1):
+            wx, wy = _spin_tables(n)
+            last = v[:, :, -1:]
+            nxt = np.empty((len(part), n + 1, n + 1), dtype=complex)
+            nxt[:, :-1, :-1] = a * (wx[:-1, :-1] * v)
+            nxt[:, :-1, -1:] = b * (wx[:-1, -1:] * last)
+            nxt[:, -1:] = 0.0
+            nxt[:, 1:, :-1] += c * (wy[1:, :-1] * v)
+            nxt[:, 1:, -1:] += d * (wy[1:, -1:] * last)
+            v = nxt
+            yield rows, n, v
+
+
+def _assert_unitary(v: np.ndarray) -> None:
+    gram = v @ v.conj().swapaxes(-1, -2)
+    if not np.allclose(gram, np.eye(v.shape[-1]), atol=1e-9):
+        raise AssertionError("internal error: spin matrix is not unitary")
 
 
 def spin_matrix(two_j: int, u: np.ndarray) -> np.ndarray:
     """Spin-(two_j/2) matrix of a 2x2 unitary via the symmetric power.
 
     Basis ordered by weight m = j, j-1, ..., -j, so two_j = 1 returns u
-    itself.  A stack u of shape (k, 2, 2) gives the stack (k, dim, dim).
-    Combinatorial factors are exact integer ratios; unitarity of every
+    itself.  A stack u of shape (k, 2, 2) gives the stack (k, dim, dim),
+    from the column recurrence of ``_spin_levels``; unitarity of every
     result is asserted, not assumed.
     """
     if two_j < 0:
@@ -221,34 +251,11 @@ def spin_matrix(two_j: int, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u)
     stack = u.reshape(-1, 2, 2)
     dim = two_j + 1
-    pos, pa, pc, pb, pd, coef = _spin_tables(two_j)
-    pows = np.arange(dim)
-    count = len(stack)
-    # each entry's terms are summed in table order, real and imaginary parts
-    # in interleaved bins: bincount adds bin by bin in input order, as a
-    # sequential scatter-add of the complex terms would
-    bins = np.empty(2 * len(pos), dtype=pos.dtype)
-    bins[0::2] = 2 * pos
-    bins[1::2] = 2 * pos + 1
-    size = 2 * dim * dim
-    out = np.empty((count, dim * dim), dtype=complex)
-    step = max(1, _SPIN_TERM_BUDGET // len(coef))
-    for s in range(0, count, step):
-        part = stack[s:s + step]
-        a, b = part[:, 0, 0, None], part[:, 0, 1, None]
-        c, d = part[:, 1, 0, None], part[:, 1, 1, None]
-        vals = coef * np.take(a ** pows, pa, axis=1)
-        vals *= np.take(c ** pows, pc, axis=1)
-        vals *= np.take(b ** pows, pb, axis=1)
-        vals *= np.take(d ** pows, pd, axis=1)
-        sums = np.bincount((np.arange(len(part))[:, None] * size
-                            + bins).ravel(),
-                           vals.view(float).ravel(), len(part) * size)
-        out[s:s + step] = sums.view(complex).reshape(len(part), dim * dim)
-    out = out.reshape(count, dim, dim)
-    gram = out @ out.conj().swapaxes(-1, -2)
-    if not np.allclose(gram, np.eye(dim), atol=1e-9):
-        raise AssertionError("internal error: spin matrix is not unitary")
+    out = np.empty((len(stack), dim, dim), dtype=complex)
+    for rows, n, v in _spin_levels(stack, two_j):
+        if n == two_j:
+            _assert_unitary(v)
+            out[rows] = v
     return out.reshape(u.shape[:-2] + (dim, dim))
 
 
@@ -266,36 +273,43 @@ class SuTwoBlock:
 
 def _circle_averages(two_j: int, thetas: np.ndarray,
                      quadrature_points: int) -> np.ndarray:
-    """phi-averages of the spin blocks over the M-point circle grid, one per
-    theta, as a (k, dim, dim) stack.
+    """phi-averages of the spins 2j' = 0..two_j over the M-point circle grid,
+    one row per theta, each block as its diagonal: row entries
+    n(n+1)/2 .. (n+1)(n+2)/2 - 1 hold the diagonal of spin n/2.
 
     Entry (i2, i1) of the spin matrix carries the single phi-frequency
-    m2 - m1, so the M-point trapezoid average multiplies it by the grid mean
-    of exp(i*(m2-m1)*phi): exactly 1 when M | (m2-m1) and 0 otherwise.  With
-    M > 2j this is the phi = 0 matrix masked to its diagonal -- the exact
-    value of the finite average, not a discretisation of it (the unit test
-    cross-checks against the literal M-term sum).
+    m2 - m1 = i1 - i2, so the M-point trapezoid average multiplies it by the
+    grid mean of exp(i*(i1-i2)*phi): exactly 1 when M | (i1-i2) and 0
+    otherwise.  With M > 2j only i1 = i2 survives, so the average is the
+    diagonal of the phi = 0 spin matrix -- the exact value of the finite
+    average, not a discretisation of it (the unit test cross-checks against
+    the literal M-term sum).  A diagonal block's norm is its largest
+    modulus, so each average is checked to stay a contraction.
     """
     if quadrature_points < 64:
         raise ValueError("at least 64 quadrature points required")
     if quadrature_points <= two_j:
         raise ValueError("quadrature must resolve the top phi-frequency")
-    base = spin_matrix(two_j, su2_element(thetas, 0.0))
-    m = np.arange(two_j + 1)                # i index; weight m = j - i
-    freq = m[None, :] - m[:, None]          # m2 - m1 = i1 - i2
-    mask = (freq % quadrature_points == 0).astype(float)
-    blocks = base * mask
-    if np.any(np.linalg.norm(blocks, 2, axis=(-2, -1)) > 1.0 + 1e-12):
+    if two_j < 0:
+        raise ValueError("2j must be >= 0")
+    stack = su2_element(thetas, 0.0)
+    out = np.empty((len(stack), (two_j + 1) * (two_j + 2) // 2),
+                   dtype=complex)
+    for rows, n, v in _spin_levels(stack, two_j):
+        _assert_unitary(v)
+        out[rows, n * (n + 1) // 2:(n + 1) * (n + 2) // 2] = np.diagonal(
+            v, axis1=-2, axis2=-1)
+    if np.abs(out).max(initial=0.0) > 1.0 + 1e-12:
         raise AssertionError("internal error: average of unitaries expanded")
-    return blocks
+    return out
 
 
 def stheta_block(two_j: int, theta: float, quadrature_points: int = 128) -> SuTwoBlock:
-    """phi-average of the spin block over the M-point circle grid (see
-    ``_circle_averages``)."""
-    block = _circle_averages(two_j, np.array([theta], dtype=float),
-                             quadrature_points)[0]
-    return SuTwoBlock(two_j, theta, block, quadrature_points)
+    """phi-average of the spin block over the M-point circle grid: the
+    diagonal matrix of ``_circle_averages``."""
+    diag = _circle_averages(two_j, np.array([theta], dtype=float),
+                            quadrature_points)[0, two_j * (two_j + 1) // 2:]
+    return SuTwoBlock(two_j, theta, np.diag(diag), quadrature_points)
 
 
 def stheta_norm_gap(theta, two_j_max: int = 40,
@@ -303,18 +317,17 @@ def stheta_norm_gap(theta, two_j_max: int = 40,
                     base_theta: float = np.pi / 4):
     """sup over spins 2j <= two_j_max of ||block_j(theta) - block_j(base)||.
 
-    A scalar theta gives a float; a 1-D sequence of thetas gives an array of
-    gaps in its order, building each spin's base block once for all of them.
+    The blocks are diagonal, so each norm is the largest modulus of the
+    diagonal difference.  A scalar theta gives a float; a 1-D sequence of
+    thetas gives an array of gaps in its order, from one recurrence over
+    all of them and the base point.
     """
     if two_j_max < 1:
         raise ValueError("need at least spin 1/2")
     thetas, scalar = _batch(theta, "theta")
-    grid = np.append(thetas, base_theta)
-    best = np.zeros(thetas.size)
-    for two_j in range(1, two_j_max + 1):
-        blocks = _circle_averages(two_j, grid, quadrature_points)
-        gaps = np.linalg.norm(blocks[:-1] - blocks[-1], 2, axis=(-2, -1))
-        best = np.maximum(best, gaps)
+    diags = _circle_averages(two_j_max, np.append(thetas, base_theta),
+                             quadrature_points)
+    best = np.abs(diags[:-1] - diags[-1]).max(axis=1)
     return float(best[0]) if scalar else best
 
 

@@ -275,11 +275,12 @@ def test_su2_gap_jmax_bound_exits_two(tmp_path, capsys):
     out = tmp_path / "su2.csv"
     bound = cli._SU2_MAX_TWO_J
     assert bound < 51
-    assert run_main(["su2-gap", "--jmax=51", "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: su2-gap:") and str(bound) in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    for too_big in (51, bound + 1):
+        assert run_main(["su2-gap", f"--jmax={too_big}", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: su2-gap:") and str(bound) in err
+        assert "Traceback" not in err
+        assert not out.exists()
     assert run_main(["su2-gap", f"--jmax={bound}", "--theta=0.3,2.0",
                      "--out", out]) == 0
 
@@ -296,6 +297,24 @@ def test_negative_seed_names_the_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--seed" in err and "'-7'" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["count", "rcount"])
+def test_kak_negative_count_names_the_key(tmp_path, capsys, key):
+    # range(-1) would draw nothing: a run that checks no round-trip passes
+    out = tmp_path / "kak.csv"
+    values = {"count": 2, "rcount": 2, key: -1}
+    assert run_main(["kak"] + [f"--{k}={v}" for k, v in values.items()]
+                    + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: kak: --{key} must be a non-negative "
+                          f"integer, got -1\n")
+    assert "Traceback" not in err
+    assert not out.exists()
+    cfg = cli.ExperimentConfig("kak", {"count": [2], "rcount": [2],
+                                       key: [-2]})
+    with pytest.raises(cli.UsageError, match=f"--{key} must be"):
+        cli.run("kak", cfg)
 
 
 def test_config_object_seed_is_checked():

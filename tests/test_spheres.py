@@ -2,8 +2,10 @@
 
 The slow reference paths live here as test oracles: Gauss-Jacobi
 quadrature of the zonal average, the literal M-term circle average, the
-scalar Gegenbauer recurrence and the triple-loop spin tables.
+scalar Gegenbauer recurrence, the spin matrices as sums over a triple-loop
+monomial table, and the gap as a norm of masked spin blocks per spin.
 """
+import functools
 import math
 import os
 import subprocess
@@ -80,9 +82,14 @@ def stheta_block_summed(two_j, theta, quadrature_points=128):
     return acc / quadrature_points
 
 
+@functools.lru_cache(maxsize=None)
 def spin_tables_loop(two_j):
-    """The monomial table of ``spheres._spin_tables``, term by term, with
-    the factorial ratio as an exact Fraction."""
+    """Monomial table of the symmetric-power matrix, term by term.
+
+    Entry (i2, i1) of the spin matrix is sum_k coef * a^k c^(P-k) b^(R-k)
+    d^(Q-R+k) with P = two_j-i1, Q = i1, R = two_j-i2, and coefficient
+    sqrt(R!S!/(P!Q!))*comb(P,k)*comb(Q,R-k), the factorial ratio as an
+    exact Fraction."""
     pos, pa, pc, pb, pd, coef = [], [], [], [], [], []
     dim = two_j + 1
     for i1 in range(dim):          # column: m1 = j - i1
@@ -102,6 +109,37 @@ def spin_tables_loop(two_j):
                 coef.append(scale * math.comb(P, k) * math.comb(Q, R - k))
     return (np.array(pos), np.array(pa), np.array(pc), np.array(pb),
             np.array(pd), np.array(coef))
+
+
+def spin_matrix_monomial(two_j, u):
+    """Spin matrices of a (k, 2, 2) stack as sums of the monomial terms of
+    ``spin_tables_loop``."""
+    pos, pa, pc, pb, pd, coef = spin_tables_loop(two_j)
+    dim = two_j + 1
+    a, b = u[:, 0, 0, None], u[:, 0, 1, None]
+    c, d = u[:, 1, 0, None], u[:, 1, 1, None]
+    terms = coef * a ** pa * c ** pc * b ** pb * d ** pd
+    bins = (np.arange(len(u))[:, None] * dim * dim + pos).ravel()
+    size = len(u) * dim * dim
+    sums = (np.bincount(bins, terms.real.ravel(), size)
+            + 1j * np.bincount(bins, terms.imag.ravel(), size))
+    return sums.reshape(len(u), dim, dim)
+
+
+def stheta_gap_masked_svd(thetas, two_j_max, quadrature_points,
+                          base_theta=np.pi / 4):
+    """The gap spin by spin: the phi = 0 monomial-sum matrices masked to
+    the entries whose phi-frequency the M-point grid does not cancel, and
+    the norm of each block difference by SVD."""
+    grid = su2_element(np.append(thetas, base_theta), 0.0)
+    best = np.zeros(len(thetas))
+    for two_j in range(1, two_j_max + 1):
+        m = np.arange(two_j + 1)
+        mask = (m[None, :] - m[:, None]) % quadrature_points == 0
+        blocks = spin_matrix_monomial(two_j, grid) * mask
+        gaps = np.linalg.norm(blocks[:-1] - blocks[-1], 2, axis=(-2, -1))
+        best = np.maximum(best, gaps)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +396,57 @@ def test_batched_stheta_gap_matches_block_loop():
     assert gaps[thetas.index(np.pi / 4)] == 0.0
 
 
-def test_spin_tables_match_loop_oracle():
+def test_spin_recurrence_matches_monomial_oracle():
+    thetas, phis = np.meshgrid(np.linspace(0.1, 2.0 * np.pi, 9),
+                               np.linspace(0.0, 2.0 * np.pi, 5))
+    u = su2_element(thetas.ravel(), phis.ravel())
     for two_j in range(cli._SU2_MAX_TWO_J + 1):
-        fast = spheres._spin_tables(two_j)
-        slow = spin_tables_loop(two_j)
-        for got, want in zip(fast, slow):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        got = spin_matrix(two_j, u)
+        assert np.abs(got - spin_matrix_monomial(two_j, u)).max() <= 1e-9
+
+
+def test_stheta_gap_matches_masked_svd_oracle():
+    rng = np.random.default_rng(10)
+    thetas = np.concatenate([[0.0, np.pi / 4, np.pi],
+                             rng.uniform(0.0, 2.0 * np.pi, 9)])
+    for two_j_max, points in ((12, 64), (40, 128), (cli._SU2_MAX_TWO_J, 97)):
+        got = stheta_norm_gap(thetas, two_j_max, points)
+        want = stheta_gap_masked_svd(thetas, two_j_max, points)
+        assert np.abs(got - want).max() <= 1e-13
+
+
+def test_non_unitary_input_is_refused():
+    # a unitary scaled by 1.001 scales spin n by 1.001^n: every spin matrix
+    # check fires, for one matrix and inside a stack
+    u = 1.001 * su2_element(0.3, 1.1)
+    stack = 1.001 * su2_element(np.linspace(0.0, 3.0, 5), 0.7)
+    for two_j in (1, 2, 17):
+        with pytest.raises(AssertionError, match="not unitary"):
+            spin_matrix(two_j, u)
+        with pytest.raises(AssertionError, match="not unitary"):
+            spin_matrix(two_j, stack)
+
+
+def test_gap_checks_fire_on_the_stacked_path(monkeypatch):
+    element = spheres.su2_element
+
+    def scaled(factor, diagonal=False):
+        def make(theta, phi):
+            g = element(theta, phi)
+            if diagonal:
+                g = g * np.eye(2) * np.sqrt(2.0)
+            return factor * g
+        return make
+
+    # every spin of the recurrence is asserted unitary
+    monkeypatch.setattr(spheres, "su2_element", scaled(1.001))
+    with pytest.raises(AssertionError, match="not unitary"):
+        stheta_norm_gap([0.2, 1.0], 12, 64)
+    # diag(e^-i theta, e^i theta)(1 + 1e-7) passes the unitarity tolerance
+    # up to 2j = 48, but its averages have modulus (1 + 1e-7)^2j > 1
+    monkeypatch.setattr(spheres, "su2_element", scaled(1.0 + 1e-7, True))
+    with pytest.raises(AssertionError, match="expanded"):
+        stheta_norm_gap([0.2, 1.0], 12, 64)
 
 
 def test_spin_matrices_unitary_at_cli_bound():

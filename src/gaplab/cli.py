@@ -432,10 +432,13 @@ def _run_kak(cfg):
     tol = float(cfg.scalar("tol"))
     count = cfg.integer("count")
     r_count = cfg.integer("rcount")
-    for key, value in (("count", count), ("rcount", r_count)):
-        if value < 0:
-            raise UsageError(f"kak: --{key} must be a non-negative integer, "
-                             f"got {value}")
+    if count < 0:
+        raise UsageError(f"kak: --count must be a non-negative integer, "
+                         f"got {count}")
+    if r_count < 1:
+        # an empty r-grid would leave every alpha unchecked
+        raise UsageError(f"kak: --rcount must be a positive integer, "
+                         f"got {r_count}")
     rng = np.random.default_rng(cfg.seed)
     g = np.array([_random_sl3(rng) for _ in range(count)]).reshape(-1, 3, 3)
     k1, a, k2 = cartan.kak_real(g)
@@ -479,8 +482,8 @@ def _run_zigzag_cert(cfg):
         for L in cfg.values("L"):
             rng = np.random.default_rng([cfg.seed, idx])
             for _ in range(pairs):
-                a = zigzag.ChamberPoint(*_chamber_triple(rng, r_max))
-                a_prime = zigzag.ChamberPoint(*_chamber_triple(rng, r_max))
+                a = cartan.CartanTriple(*_chamber_triple(rng, r_max))
+                a_prime = cartan.CartanTriple(*_chamber_triple(rng, r_max))
                 base = {
                     "case": idx, "s": float(s), "L": float(L),
                     "r": a.length, "r_prime": a_prime.length,
@@ -521,7 +524,9 @@ def _run_quotient_gap(cfg):
     cases = []
     for order in cfg.integers("order"):
         if order < 3:
-            raise UsageError("quotient orders below 3 have no lazy walk gap")
+            raise UsageError(f"quotient-gap: --order must be at least 3, "
+                             f"got {order}: orders below 3 have no lazy "
+                             f"walk gap")
         model = twostep.cyclic_model(order)
         profile = twostep.spectral_gap_profile(model, _lazy_walk(model, order),
                                                horizon)
@@ -558,7 +563,8 @@ def _run_star_verify(cfg):
     reports = []
     for order in cfg.integers("order"):
         if order < 3:
-            raise UsageError("star instances need order at least 3")
+            raise UsageError(f"star-verify: --order must be at least 3, "
+                             f"got {order}")
         model = twostep.cyclic_model(order)
         rep = twostep.sandwich_twostep(model, model.left_regular_stack(),
                                        np.eye(order), np.eye(order))
@@ -600,7 +606,8 @@ def _run_cocycle_mc(cfg):
     # keep at least ~25 exceedances so the tail fit stays well-posed
     quantile = 1.0 - max(25.0, 0.02 * samples) / samples
     if quantile < 0.5:
-        raise UsageError("cusp fit needs at least 50 samples")
+        raise UsageError(f"cocycle-mc: --samples must be at least 50 for "
+                         f"the cusp fit, got {samples}")
     fit = induction.cusp_decay_fit(lengths, threshold_quantile=quantile)
     _, _, _, alt_lengths, _ = induction.sample_domain_arrays(samples, seed + 1000)
     fit_alt = induction.cusp_decay_fit(alt_lengths, threshold_quantile=quantile)

@@ -1,17 +1,25 @@
 """Certified decay bookkeeping for zig-zag paths in a rank-two chamber.
 
-Points live in the closed cone a1 >= a2 >= a3 with a1 + a2 + a3 = 0.  Two
-kinds of elementary moves carry explicit exponential bounds:
+Points are plain float triples (a1, a2, a3) in the closed cone
+a1 >= a2 >= a3 with a1 + a2 + a3 = 0.  The axis radius of a point is
+r = max(a1, -a3), and c_r = (r, 0, -r) is the axis point of that radius.
+A walk is a tuple of `ZigZagStep`s (kind, start, end, bound), and
+`step_bound` is the one place that knows the two kinds of move:
 
-* horizontal -- the lowest coordinate a3 is frozen; the bound decays in |a3|;
-* vertical   -- the top coordinate a1 is frozen; the bound decays in a1.
+    kind        frozen   region (both ends)   bound, t = 1/2 - 2s
+    horizontal  a3       a2 >= -1             14 L^2 e^{t a3}
+    vertical    a1       a2 <= 1              14 L^2 e^{-t a1}
 
-A general pair of points is compared by routing each to the central axis
-(a2 = 0) with one move and then walking the axis in unit moves, each a
-horizontal/vertical pair through an intermediate point.  The resulting
-`BoundCertificate` records every step with enough data to be re-validated
-from scratch.  The bounds are formula values, not distances: a degenerate
-move from a point to itself still pays the full formula amount.
+The frozen coordinate must agree at both ends (to 1e-12) and the bound
+reads it at the start.  The bounds are formula values, not distances: a
+degenerate move from a point to itself still pays the full amount.
+
+`zigzag_certificate` routes each off-axis endpoint to its axis point with
+one move (horizontal when a2 >= 0, vertical otherwise) and walks the axis
+in unit moves c_u -> c_v.  Going up, a unit move is a horizontal leg to
+(v, u-v, -u) and a vertical leg on to c_v; going down it is a vertical leg
+to (u, v-u, -v) and a horizontal one.  `revalidate_certificate` re-derives
+a `BoundCertificate` from its steps alone.
 
 `StarParams` packages a decay profile (s, t, C); `rescale_params` and
 `product_params` transport such profiles under length rescaling and direct
@@ -19,18 +27,17 @@ products.
 """
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .cartan import CartanTriple
+from .cartan import CartanTriple, _check_exponents
 
 _EQ_TOL = 1e-12
 
 __all__ = [
-    "ChamberPoint",
     "ZigZagStep",
     "BoundCertificate",
     "StarParams",
-    "horizontal_bound",
-    "vertical_bound",
+    "step_bound",
     "axis_chain_bound",
     "zigzag_certificate",
     "revalidate_certificate",
@@ -40,50 +47,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class ChamberPoint(CartanTriple):
-    """A chamber point; adds axis bookkeeping to the ordered zero-sum triple.
-
-    Its axis radius, the r of the nearest axis point c_r = (r, 0, -r), is
-    the inherited ``length``.
-    """
-
-    @property
-    def on_axis(self) -> bool:
-        return abs(self.a2) <= _EQ_TOL
-
-    def axis_point(self) -> "ChamberPoint":
-        r = self.length
-        return ChamberPoint(r, 0.0, -r)
-
-    def close_to(self, other, tol: float = _EQ_TOL) -> bool:
-        return all(abs(x - y) <= tol
-                   for x, y in zip(self.as_tuple(), other.as_tuple()))
-
-
-@dataclass
-class ZigZagStep:
+class ZigZagStep(NamedTuple):
+    """One recorded move; `revalidate_certificate` checks it."""
     kind: str              # "horizontal" | "vertical"
-    start: ChamberPoint
-    end: ChamberPoint
+    start: tuple
+    end: tuple
     bound: float
-    justification: str
-
-    def __post_init__(self):
-        if self.kind not in ("horizontal", "vertical"):
-            raise ValueError(f"unknown step kind {self.kind!r}")
-        if self.bound < 0:
-            raise ValueError("step bound must be nonnegative")
-        if self.kind == "horizontal":
-            if abs(self.start.a3 - self.end.a3) > _EQ_TOL:
-                raise ValueError("horizontal step must keep a3 fixed")
-            if min(self.start.a2, self.end.a2) < -1 - _EQ_TOL:
-                raise ValueError("horizontal step needs a2 >= -1 at both ends")
-        else:
-            if abs(self.start.a1 - self.end.a1) > _EQ_TOL:
-                raise ValueError("vertical step must keep a1 fixed")
-            if max(self.start.a2, self.end.a2) > 1 + _EQ_TOL:
-                raise ValueError("vertical step needs a2 <= 1 at both ends")
 
 
 @dataclass
@@ -110,73 +79,54 @@ def _check_scale(L):
         raise ValueError("scale constant L must be positive")
 
 
-def horizontal_bound(a, a_prime, s, L) -> float:
-    """Decay bound 14 L^2 e^{(1/2-2s) a3} for a move with a3 frozen.
+def step_bound(kind, start, end, s, L) -> float:
+    """Decay bound of one move from `start` to `end`, as in the module table.
 
-    Valid in the region a2, a2' >= -1 (the shared a3 is negative in all
-    intended uses, so the bound decays in |a3|).  The formula ignores how far
-    the middle coordinates move, and in particular a == a' is allowed.
+    Raises ValueError for an unknown kind, a move whose frozen coordinate
+    changes, or an end outside the kind's region.  The formula ignores how
+    far the other coordinates move, so start == end is allowed.
     """
     _check_rate(s)
     _check_scale(L)
-    if abs(a.a3 - a_prime.a3) > _EQ_TOL:
-        raise ValueError(
-            f"horizontal move requires equal a3, got {a.a3} vs {a_prime.a3}")
-    if min(a.a2, a_prime.a2) < -1 - _EQ_TOL:
-        raise ValueError(
-            f"horizontal move requires a2 >= -1 at both endpoints, got "
-            f"{a.a2} and {a_prime.a2}")
     t = 0.5 - 2.0 * s
-    return 14.0 * L * L * math.exp(t * a.a3)
-
-
-def vertical_bound(a, a_prime, s, L) -> float:
-    """Decay bound 14 L^2 e^{-(1/2-2s) a1} for a move with a1 frozen.
-
-    Valid in the region a2, a2' <= 1.  Mirror image of `horizontal_bound`
-    under the order-reversing chamber symmetry.
-    """
-    _check_rate(s)
-    _check_scale(L)
-    if abs(a.a1 - a_prime.a1) > _EQ_TOL:
+    if kind == "horizontal":
+        frozen, region, exponent = 2, "a2 >= -1", t * start[2]
+        outside = min(start[1], end[1]) < -1 - _EQ_TOL
+    elif kind == "vertical":
+        frozen, region, exponent = 0, "a2 <= 1", -t * start[0]
+        outside = max(start[1], end[1]) > 1 + _EQ_TOL
+    else:
+        raise ValueError(f"unknown step kind {kind!r}")
+    if abs(start[frozen] - end[frozen]) > _EQ_TOL:
         raise ValueError(
-            f"vertical move requires equal a1, got {a.a1} vs {a_prime.a1}")
-    if max(a.a2, a_prime.a2) > 1 + _EQ_TOL:
+            f"{kind} move requires equal a{frozen + 1}, got {start[frozen]} "
+            f"vs {end[frozen]}")
+    if outside:
         raise ValueError(
-            f"vertical move requires a2 <= 1 at both endpoints, got "
-            f"{a.a2} and {a_prime.a2}")
-    t = 0.5 - 2.0 * s
-    return 14.0 * L * L * math.exp(-t * a.a1)
+            f"{kind} move requires {region} at both endpoints, got "
+            f"{start[1]} and {end[1]}")
+    return 14.0 * L * L * math.exp(exponent)
 
 
-def _axis(r) -> ChamberPoint:
-    return ChamberPoint(float(r), 0.0, -float(r))
+def _close(p, q) -> bool:
+    return (abs(p[0] - q[0]) <= _EQ_TOL and abs(p[1] - q[1]) <= _EQ_TOL
+            and abs(p[2] - q[2]) <= _EQ_TOL)
 
 
-def _unit_move(u, v, s, L):
-    """Two legs joining axis points c_u -> c_v, |u - v| <= 1, u, v >= 1.
-
-    Ascending moves pass through (v, u-v, -u): a horizontal leg (a3 = -u
-    frozen) followed by a vertical leg (a1 = v frozen).  Descending moves
-    mirror this.  A degenerate move (u == v) keeps both legs at c_u, so it
-    pays 28 L^2 e^{-t u}.
-    """
-    cu, cv = _axis(u), _axis(v)
-    if v >= u:
-        mid = _axis(u) if v == u else ChamberPoint(v, u - v, -u)
-        return [
-            ZigZagStep("horizontal", cu, mid,
-                       horizontal_bound(cu, mid, s, L), "horizontal-estimate"),
-            ZigZagStep("vertical", mid, cv,
-                       vertical_bound(mid, cv, s, L), "vertical-estimate"),
-        ]
-    mid = ChamberPoint(u, v - u, -v)
-    return [
-        ZigZagStep("vertical", cu, mid,
-                   vertical_bound(cu, mid, s, L), "vertical-estimate"),
-        ZigZagStep("horizontal", mid, cv,
-                   horizontal_bound(mid, cv, s, L), "horizontal-estimate"),
-    ]
+def _unit_moves(nodes):
+    """(kind, start, end) of both legs of each unit move c_u -> c_v between
+    consecutive axis radii in `nodes`.  A degenerate move (u == v) keeps
+    both legs at c_u, so it pays 28 L^2 e^{-t u}."""
+    for u, v in zip(nodes, nodes[1:]):
+        cu, cv = (u, 0.0, -u), (v, 0.0, -v)
+        if v >= u:
+            mid = (v, u - v, -u)
+            yield "horizontal", cu, mid
+            yield "vertical", mid, cv
+        else:
+            mid = (u, v - u, -v)
+            yield "vertical", cu, mid
+            yield "horizontal", mid, cv
 
 
 def _node_ladder(r_from, r_to):
@@ -198,14 +148,6 @@ def _node_ladder(r_from, r_to):
     return ladder
 
 
-def _axis_steps(r_from, r_to, s, L):
-    ladder = _node_ladder(r_from, r_to)
-    steps = []
-    for u, v in zip(ladder, ladder[1:]):
-        steps.extend(_unit_move(u, v, s, L))
-    return steps
-
-
 def axis_chain_bound(r1, r2, s, L) -> float:
     """Summed bound for the unit-move chain joining c_{r1} to c_{r2}.
 
@@ -219,9 +161,9 @@ def axis_chain_bound(r1, r2, s, L) -> float:
         raise ValueError(f"axis chain starts at radius 1, got r1={r1}")
     if r2 < r1:
         raise ValueError("need r1 <= r2")
-    if r2 == r1:
-        return math.fsum(st.bound for st in _unit_move(r1, r1, s, L))
-    return math.fsum(st.bound for st in _axis_steps(r1, r2, s, L))
+    nodes = (r1, r1) if r2 == r1 else _node_ladder(r1, r2)
+    return math.fsum(step_bound(kind, p, q, s, L)
+                     for kind, p, q in _unit_moves(nodes))
 
 
 @dataclass
@@ -252,13 +194,8 @@ class BoundCertificate:
         return {
             "params": {"s": self.s, "L": self.L, "t": self.t},
             "steps": [
-                {
-                    "kind": st.kind,
-                    "from": list(st.start.as_tuple()),
-                    "to": list(st.end.as_tuple()),
-                    "bound": st.bound,
-                    "justification": st.justification,
-                }
+                {"kind": st.kind, "from": list(st.start), "to": list(st.end),
+                 "bound": st.bound}
                 for st in self.steps
             ],
             "total": self.total,
@@ -271,21 +208,12 @@ class BoundCertificate:
         }
 
 
-def _route_step(point, s, L, outbound):
-    """One move taking `point` to its axis point (or back, when not outbound).
-
-    Points with a2 >= 0 sit in the horizontal region (their a3 already has
-    the axis value); points with a2 < 0 route vertically.  Ties at a2 = 0
-    resolve toward horizontal, though on-axis points never reach here.
-    """
-    landing = point.axis_point()
-    start, end = (point, landing) if outbound else (landing, point)
-    if point.a2 >= 0:
-        return ZigZagStep("horizontal", start, end,
-                          horizontal_bound(start, end, s, L),
-                          "horizontal-estimate")
-    return ZigZagStep("vertical", start, end,
-                      vertical_bound(start, end, s, L), "vertical-estimate")
+def _endpoint(point):
+    """A chamber point (`CartanTriple` or triple) as a float triple and its
+    axis radius; a triple outside the chamber is refused."""
+    if not isinstance(point, CartanTriple):
+        point = CartanTriple(*point)
+    return tuple(map(float, point.as_tuple())), float(point.length)
 
 
 def zigzag_certificate(a, a_prime, s, L) -> BoundCertificate:
@@ -298,47 +226,54 @@ def zigzag_certificate(a, a_prime, s, L) -> BoundCertificate:
     """
     _check_rate(s)
     _check_scale(L)
-    if not isinstance(a, ChamberPoint):
-        a = ChamberPoint(*a.as_tuple()) if hasattr(a, "as_tuple") else ChamberPoint(*a)
-    if not isinstance(a_prime, ChamberPoint):
-        a_prime = (ChamberPoint(*a_prime.as_tuple())
-                   if hasattr(a_prime, "as_tuple") else ChamberPoint(*a_prime))
+    (a, r), (a_prime, r_prime) = _endpoint(a), _endpoint(a_prime)
     t = 0.5 - 2.0 * s
     target = (70.0 / (1.0 - 4.0 * s)) * L * L * max(
-        math.exp(-t * a.length), math.exp(-t * a_prime.length))
-    if a.close_to(a_prime):
+        math.exp(-t * r), math.exp(-t * r_prime))
+    if _close(a, a_prime):
         return BoundCertificate((), 0.0, target, s, L, t)
-    if a.length < 1 or a_prime.length < 1:
+    if r < 1 or r_prime < 1:
         raise ValueError("both endpoints need axis radius >= 1 "
                          "(the axis chain starts at radius 1)")
-    steps = []
-    if not a.on_axis:
-        steps.append(_route_step(a, s, L, outbound=True))
-    if abs(a.length - a_prime.length) > _EQ_TOL:
-        steps.extend(_axis_steps(a.length, a_prime.length, s, L))
-    if not a_prime.on_axis:
-        steps.append(_route_step(a_prime, s, L, outbound=False))
-    total = math.fsum(st.bound for st in steps)
-    return BoundCertificate(tuple(steps), total, target, s, L, t)
+    # an a2 >= 0 point already has the axis value of a3, an a2 < 0 one of a1
+    moves = []
+    if abs(a[1]) > _EQ_TOL:
+        moves.append(("horizontal" if a[1] >= 0 else "vertical",
+                      a, (r, 0.0, -r)))
+    if abs(r - r_prime) > _EQ_TOL:
+        moves.extend(_unit_moves(_node_ladder(r, r_prime)))
+    if abs(a_prime[1]) > _EQ_TOL:
+        moves.append(("horizontal" if a_prime[1] >= 0 else "vertical",
+                      (r_prime, 0.0, -r_prime), a_prime))
+    steps = tuple(ZigZagStep(kind, p, q, step_bound(kind, p, q, s, L))
+                  for kind, p, q in moves)
+    return BoundCertificate(steps, math.fsum(st.bound for st in steps),
+                            target, s, L, t)
 
 
 def revalidate_certificate(cert: BoundCertificate) -> bool:
-    """Recompute every step bound and region flag from scratch.
+    """Re-derive a certificate from its recorded steps alone.
 
-    Raises ValueError on the first discrepancy; returns True otherwise.
-    The step constructors already enforce region flags, so this re-derives
-    each bound with the public formula functions and checks exact equality,
-    path connectivity, and the total.
+    Every recorded point must lie in the chamber, every step must keep its
+    kind's frozen coordinate and region and carry exactly the bound
+    `step_bound` gives, and each step must start where the one before it
+    ended (to 1e-12).  The total must be the fsum of the step bounds and t
+    must be 1/2 - 2s.  Raises ValueError naming the first bad step (or the
+    total, or t); returns True otherwise.
     """
     prev = None
-    for i, st in enumerate(cert.steps):
-        fn = horizontal_bound if st.kind == "horizontal" else vertical_bound
-        fresh = fn(st.start, st.end, cert.s, cert.L)
-        if fresh != st.bound:
-            raise ValueError(f"step {i}: recorded bound {st.bound} != {fresh}")
-        if prev is not None and not st.start.close_to(prev):
-            raise ValueError(f"step {i} does not start where step {i-1} ended")
-        prev = st.end
+    for i, (kind, start, end, bound) in enumerate(cert.steps):
+        try:
+            _check_exponents(*start, ordered=True)
+            _check_exponents(*end, ordered=True)
+            fresh = step_bound(kind, start, end, cert.s, cert.L)
+        except ValueError as exc:
+            raise ValueError(f"step {i}: {exc}") from exc
+        if fresh != bound:
+            raise ValueError(f"step {i}: recorded bound {bound} != {fresh}")
+        if prev is not None and not _close(start, prev):
+            raise ValueError(f"step {i} does not start where step {i - 1} ended")
+        prev = end
     if cert.total != math.fsum(st.bound for st in cert.steps):
         raise ValueError("total does not match the sum of step bounds")
     if abs(cert.t - (0.5 - 2.0 * cert.s)) > _EQ_TOL:

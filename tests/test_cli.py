@@ -299,22 +299,42 @@ def test_negative_seed_names_the_flag(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["count", "rcount"])
-def test_kak_negative_count_names_the_key(tmp_path, capsys, key):
-    # range(-1) would draw nothing: a run that checks no round-trip passes
+@pytest.mark.parametrize("key, value, rule", [
+    ("count", -1, "a non-negative"),
+    ("rcount", -1, "a positive"),
+    ("rcount", 0, "a positive"),
+], ids=["count", "rcount", "rcount-zero"])
+def test_kak_negative_count_names_the_key(tmp_path, capsys, key, value, rule):
+    # range(-1) would draw no element and an empty r-grid no distortion
+    # case: a run that checks no round-trip or no alpha passes
     out = tmp_path / "kak.csv"
-    values = {"count": 2, "rcount": 2, key: -1}
+    values = {"count": 2, "rcount": 2, "alpha": "1.0,2.0", key: value}
     assert run_main(["kak"] + [f"--{k}={v}" for k, v in values.items()]
                     + ["--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: kak: --{key} must be a non-negative "
-                          f"integer, got -1\n")
+    assert err.startswith(f"error: kak: --{key} must be {rule} "
+                          f"integer, got {value}\n")
     assert "Traceback" not in err
     assert not out.exists()
     cfg = cli.ExperimentConfig("kak", {"count": [2], "rcount": [2],
-                                       key: [-2]})
+                                       key: [value - 1]})
     with pytest.raises(cli.UsageError, match=f"--{key} must be"):
         cli.run("kak", cfg)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["quotient-gap", "--order=3,2"], "order"),
+    (["star-verify", "--order=2", "--horizon=4"], "order"),
+    (["cocycle-mc", "--samples=49", "--gcount=2"], "samples"),
+], ids=["quotient-gap", "star-verify", "cocycle-mc"])
+def test_too_small_grid_values_name_command_and_key(tmp_path, capsys, argv,
+                                                    key):
+    out = tmp_path / "small.csv"
+    assert run_main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]}: --{key} must be at least ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_config_object_seed_is_checked():

@@ -1,30 +1,223 @@
 """Step bounds, axis chains, certificates, and decay-parameter transport."""
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab.zigzag import (BoundCertificate, ChamberPoint, StarParams,
-                           ZigZagStep, axis_chain_bound, horizontal_bound,
-                           product_params, rescale_params, rescale_reindex,
-                           revalidate_certificate, vertical_bound,
-                           zigzag_certificate)
+from gaplab.cartan import CartanTriple
+from gaplab.cli import _chamber_triple
+from gaplab.zigzag import (_EQ_TOL, BoundCertificate, StarParams, ZigZagStep,
+                           axis_chain_bound, product_params, rescale_params,
+                           rescale_reindex, revalidate_certificate,
+                           step_bound, zigzag_certificate)
 
 
 def _axis(r):
-    return ChamberPoint(r, 0.0, -r)
+    return (r, 0.0, -r)
+
+
+def _triple(r, a2):
+    """The chamber point of axis radius r with middle coordinate a2, which
+    is clipped to [-r/2, r/2] to keep the triple ordered."""
+    a2 = max(-r / 2, min(r / 2, a2))
+    if a2 >= 0:
+        return (r - a2, a2, -r)
+    return (r, a2, -r - a2)
 
 
 def _random_point(rng, rmin=1.0, rmax=20.0):
     r = rng.uniform(rmin, rmax)
     lo, hi = max(-1.0, -r / 2), min(1.0, r / 2)
     a2 = 0.0 if rng.random() < 0.4 else rng.uniform(lo, hi)
-    if a2 >= 0:
-        return ChamberPoint(r - a2, a2, -r)
-    return ChamberPoint(r, a2, -r - a2)
+    return _triple(r, a2)
+
+
+def _forge(cert, steps):
+    """`cert` with its steps replaced and its total made consistent."""
+    steps = tuple(steps)
+    return BoundCertificate(steps, math.fsum(st.bound for st in steps),
+                            cert.target, cert.s, cert.L, cert.t)
+
+
+# ---------------------------------------------------------------------------
+# the object path the tuple builder replaced, kept as its oracle: every walk
+# point a validated CartanTriple, a step class that checks its own region,
+# and one bound function per kind
+
+
+@dataclass
+class _OraclePoint(CartanTriple):
+
+    @property
+    def on_axis(self):
+        return abs(self.a2) <= _EQ_TOL
+
+    def axis_point(self):
+        r = self.length
+        return _OraclePoint(r, 0.0, -r)
+
+    def close_to(self, other):
+        return all(abs(x - y) <= _EQ_TOL
+                   for x, y in zip(self.as_tuple(), other.as_tuple()))
+
+
+@dataclass
+class _OracleStep:
+    kind: str
+    start: _OraclePoint
+    end: _OraclePoint
+    bound: float
+
+    def __post_init__(self):
+        if self.kind == "horizontal":
+            if abs(self.start.a3 - self.end.a3) > _EQ_TOL:
+                raise ValueError("horizontal step must keep a3 fixed")
+            if min(self.start.a2, self.end.a2) < -1 - _EQ_TOL:
+                raise ValueError("horizontal step needs a2 >= -1 at both ends")
+        else:
+            if abs(self.start.a1 - self.end.a1) > _EQ_TOL:
+                raise ValueError("vertical step must keep a1 fixed")
+            if max(self.start.a2, self.end.a2) > 1 + _EQ_TOL:
+                raise ValueError("vertical step needs a2 <= 1 at both ends")
+
+
+def _oracle_horizontal(a, a_prime, s, L):
+    assert abs(a.a3 - a_prime.a3) <= _EQ_TOL
+    assert min(a.a2, a_prime.a2) >= -1 - _EQ_TOL
+    return 14.0 * L * L * math.exp((0.5 - 2.0 * s) * a.a3)
+
+
+def _oracle_vertical(a, a_prime, s, L):
+    assert abs(a.a1 - a_prime.a1) <= _EQ_TOL
+    assert max(a.a2, a_prime.a2) <= 1 + _EQ_TOL
+    return 14.0 * L * L * math.exp(-(0.5 - 2.0 * s) * a.a1)
+
+
+def _oracle_step(kind, start, end, s, L):
+    fn = _oracle_horizontal if kind == "horizontal" else _oracle_vertical
+    return _OracleStep(kind, start, end, fn(start, end, s, L))
+
+
+def _oracle_unit_move(u, v, s, L):
+    cu, cv = _OraclePoint(float(u), 0.0, -float(u)), _OraclePoint(
+        float(v), 0.0, -float(v))
+    if v >= u:
+        mid = cu if v == u else _OraclePoint(v, u - v, -u)
+        return [_oracle_step("horizontal", cu, mid, s, L),
+                _oracle_step("vertical", mid, cv, s, L)]
+    mid = _OraclePoint(u, v - u, -v)
+    return [_oracle_step("vertical", cu, mid, s, L),
+            _oracle_step("horizontal", mid, cv, s, L)]
+
+
+def _oracle_ladder(r_from, r_to):
+    lo, hi = min(r_from, r_to), max(r_from, r_to)
+    ladder = [lo + k for k in range(int(math.floor(hi - lo)) + 1)]
+    if ladder[-1] < hi - _EQ_TOL:
+        ladder.append(hi)
+    else:
+        ladder[-1] = hi
+    if r_from > r_to:
+        ladder.reverse()
+    return ladder
+
+
+def _oracle_route(point, s, L, outbound):
+    landing = point.axis_point()
+    start, end = (point, landing) if outbound else (landing, point)
+    kind = "horizontal" if point.a2 >= 0 else "vertical"
+    return _oracle_step(kind, start, end, s, L)
+
+
+def _oracle_certificate(a, a_prime, s, L):
+    """(steps, total) as the object path built them."""
+    a, a_prime = _OraclePoint(*a), _OraclePoint(*a_prime)
+    if a.close_to(a_prime):
+        return [], 0.0
+    steps = []
+    if not a.on_axis:
+        steps.append(_oracle_route(a, s, L, outbound=True))
+    if abs(a.length - a_prime.length) > _EQ_TOL:
+        ladder = _oracle_ladder(a.length, a_prime.length)
+        for u, v in zip(ladder, ladder[1:]):
+            steps.extend(_oracle_unit_move(u, v, s, L))
+    if not a_prime.on_axis:
+        steps.append(_oracle_route(a_prime, s, L, outbound=False))
+    return steps, math.fsum(st.bound for st in steps)
+
+
+def _assert_matches_oracle(a, a_prime, s, L):
+    cert = zigzag_certificate(a, a_prime, s, L)
+    steps, total = _oracle_certificate(a, a_prime, s, L)
+    assert [tuple(st) for st in cert.steps] == [
+        (st.kind, st.start.as_tuple(), st.end.as_tuple(), st.bound)
+        for st in steps]
+    assert cert.total == total
+    return cert
+
+
+def test_builder_matches_oracle_on_light_sweeps_pairs():
+    # the 1200 pairs `zigzag-cert --pairs=200 --L=1,10 --s=0.05,0.1,0.2
+    # --rmax=20 --seed=20301` draws, in its order
+    idx = 0
+    for s in (0.05, 0.1, 0.2):
+        for L in (1.0, 10.0):
+            rng = np.random.default_rng([20301, idx])
+            for _ in range(200):
+                a = _chamber_triple(rng, 20.0)
+                cert = _assert_matches_oracle(a, _chamber_triple(rng, 20.0),
+                                              s, L)
+                assert revalidate_certificate(cert)
+                idx += 1
+    assert idx == 1200
+
+
+# on-axis within _EQ_TOL, a2 = 0 ties of either sign, just off the axis,
+# the region edges, and wide points beyond them
+_A2 = st.one_of(st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 2e-12, -2e-12,
+                                 1.0, -1.0]),
+                st.floats(-12.0, 12.0))
+
+
+@st.composite
+def _pairs(draw):
+    r = draw(st.floats(1.0, 20.0))
+    a = _triple(r, draw(_A2))
+    how = draw(st.sampled_from(["equal", "same-radius", "ladder", "free"]))
+    if how == "equal":
+        return a, a
+    if how == "same-radius":
+        r_prime = r + draw(st.floats(-_EQ_TOL, _EQ_TOL))
+    elif how == "ladder":
+        # integer gaps with a fractional end: none, below and above the
+        # tolerance, or a proper fraction
+        r_prime = r + draw(st.integers(-19, 19)) + draw(
+            st.sampled_from([0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.5]))
+    else:
+        r_prime = draw(st.floats(1.0, 20.0))
+    return a, _triple(max(r_prime, 1.0), draw(_A2))
+
+
+@given(_pairs(), st.sampled_from([0.05, 0.1, 0.2]),
+       st.sampled_from([1.0, 10.0]))
+@settings(max_examples=300, deadline=None)
+def test_builder_matches_oracle_on_edge_pairs(pair, s, L):
+    _assert_matches_oracle(*pair, s, L)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="radii a few ulps more than _EQ_TOL apart walk the "
+                          "axis, but the node ladder collapses to the far "
+                          "node, so the walk is not connected")
+def test_radii_just_beyond_tolerance_give_a_connected_walk():
+    cert = zigzag_certificate((0.999999999998, 2e-12, -1.0),
+                              (0.9999999999990001, 2e-12, -1.000000000001),
+                              0.05, 1.0)
+    assert revalidate_certificate(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -32,67 +225,101 @@ def _random_point(rng, rmin=1.0, rmax=20.0):
 
 
 def test_chamber_point_geometry():
-    p = ChamberPoint(5.0, 1.0, -6.0)
-    assert p.length == 6.0
-    assert not p.on_axis
-    assert p.axis_point().as_tuple() == (6.0, 0.0, -6.0)
-    q = ChamberPoint(3.0, -1.0, -2.0)
-    assert q.length == 3.0
-    assert _axis(2.0).on_axis
+    # the axis radius is max(a1, -a3); an a2 >= 0 point routes horizontally
+    # to its axis point, an a2 < 0 one vertically, an on-axis one not at all
+    cert = zigzag_certificate((5.0, 1.0, -6.0), (3.0, -1.0, -2.0), 0.1, 1.0)
+    assert cert.steps[0][:3] == ("horizontal", (5.0, 1.0, -6.0),
+                                 (6.0, 0.0, -6.0))
+    assert cert.steps[-1][:3] == ("vertical", (3.0, 0.0, -3.0),
+                                  (3.0, -1.0, -2.0))
+    walk = zigzag_certificate(_axis(2.0), _axis(3.0), 0.1, 1.0).steps
+    assert [st.kind for st in walk] == ["horizontal", "vertical"]
+    assert (walk[0].start, walk[-1].end) == (_axis(2.0), _axis(3.0))
 
 
 def test_chamber_point_validation():
-    with pytest.raises(ValueError):
-        ChamberPoint(0.0, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        ChamberPoint(2.0, 0.0, -1.0)
+    # unordered, and not summing to zero
+    for bad in [(0.0, 1.0, -1.0), (2.0, 0.0, -1.0)]:
+        with pytest.raises(ValueError):
+            zigzag_certificate(bad, _axis(2.0), 0.1, 1.0)
+        with pytest.raises(ValueError):
+            zigzag_certificate(_axis(2.0), bad, 0.1, 1.0)
+    # a CartanTriple endpoint is read as its triple
+    assert (zigzag_certificate(CartanTriple(5.0, 1.0, -6.0), _axis(2.0),
+                               0.1, 1.0)
+            == zigzag_certificate((5.0, 1.0, -6.0), _axis(2.0), 0.1, 1.0))
 
 
 def test_horizontal_bound_value():
-    a = ChamberPoint(3.0, 1.0, -4.0)
-    b = ChamberPoint(4.0, 0.0, -4.0)
-    assert horizontal_bound(a, b, 0.1, 1.0) == pytest.approx(
+    a = (3.0, 1.0, -4.0)
+    b = (4.0, 0.0, -4.0)
+    assert step_bound("horizontal", a, b, 0.1, 1.0) == pytest.approx(
         14.0 * math.exp(-1.2), rel=1e-15)
     # scale enters squared
-    assert horizontal_bound(a, b, 0.1, 3.0) == pytest.approx(
+    assert step_bound("horizontal", a, b, 0.1, 3.0) == pytest.approx(
         9 * 14.0 * math.exp(-1.2), rel=1e-15)
     # the formula ignores the middle coordinates, so a == a' is legal
-    assert horizontal_bound(a, a, 0.1, 1.0) == horizontal_bound(a, b, 0.1, 1.0)
+    assert (step_bound("horizontal", a, a, 0.1, 1.0)
+            == step_bound("horizontal", a, b, 0.1, 1.0))
+    # a3 is read at the start, even where the end differs within 1e-12
+    assert (step_bound("horizontal", a, (4.0 + 5e-13, 0.0, -4.0 - 5e-13),
+                       0.1, 1.0)
+            == 14.0 * math.exp(0.3 * -4.0))
 
 
 def test_horizontal_bound_rejections():
-    a = ChamberPoint(3.0, 1.0, -4.0)
-    b = ChamberPoint(4.0, 0.0, -4.0)
+    a = (3.0, 1.0, -4.0)
+    b = (4.0, 0.0, -4.0)
     with pytest.raises(ValueError, match="s < 1/4"):
-        horizontal_bound(a, b, 0.25, 1.0)
+        step_bound("horizontal", a, b, 0.25, 1.0)
     with pytest.raises(ValueError, match="equal a3"):
-        horizontal_bound(a, ChamberPoint(5.0, 0.0, -5.0), 0.1, 1.0)
+        step_bound("horizontal", a, (5.0, 0.0, -5.0), 0.1, 1.0)
     with pytest.raises(ValueError, match="a2 >= -1"):
-        horizontal_bound(ChamberPoint(6.0, -2.0, -4.0), b, 0.1, 1.0)
+        step_bound("horizontal", (6.0, -2.0, -4.0), b, 0.1, 1.0)
     with pytest.raises(ValueError, match="L"):
-        horizontal_bound(a, b, 0.1, 0.0)
+        step_bound("horizontal", a, b, 0.1, 0.0)
+    # revalidation refuses the same moves, naming the step
+    cert = zigzag_certificate(_axis(2.0), _axis(4.0), 0.1, 1.0)
+    moved = ZigZagStep("horizontal", a, (5.0, 0.0, -5.0), 1.0)
+    with pytest.raises(ValueError, match="step 0: .*equal a3"):
+        revalidate_certificate(_forge(cert, [moved]))
+    wide = ZigZagStep("horizontal", (6.0, -2.0, -4.0), b, 1.0)
+    with pytest.raises(ValueError, match="step 0: .*a2 >= -1"):
+        revalidate_certificate(_forge(cert, [wide]))
 
 
 def test_vertical_bound_value_and_rejections():
-    a = ChamberPoint(4.0, 0.0, -4.0)
-    b = ChamberPoint(4.0, -1.0, -3.0)
-    assert vertical_bound(a, b, 0.1, 1.0) == pytest.approx(
+    a = (4.0, 0.0, -4.0)
+    b = (4.0, -1.0, -3.0)
+    assert step_bound("vertical", a, b, 0.1, 1.0) == pytest.approx(
         14.0 * math.exp(-1.2), rel=1e-15)
-    assert vertical_bound(a, a, 0.1, 1.0) == vertical_bound(a, b, 0.1, 1.0)
+    assert (step_bound("vertical", a, a, 0.1, 1.0)
+            == step_bound("vertical", a, b, 0.1, 1.0))
+    assert (step_bound("vertical", a, (4.0 + 5e-13, -1.0, -3.0 - 5e-13),
+                       0.1, 1.0)
+            == 14.0 * math.exp(-0.3 * 4.0))
     with pytest.raises(ValueError, match="equal a1"):
-        vertical_bound(a, ChamberPoint(5.0, -1.0, -4.0), 0.1, 1.0)
+        step_bound("vertical", a, (5.0, -1.0, -4.0), 0.1, 1.0)
     with pytest.raises(ValueError, match="a2 <= 1"):
-        vertical_bound(ChamberPoint(4.0, 2.0, -6.0), a, 0.1, 1.0)
+        step_bound("vertical", (4.0, 2.0, -6.0), a, 0.1, 1.0)
+    cert = zigzag_certificate(_axis(2.0), _axis(4.0), 0.1, 1.0)
+    bad = ZigZagStep("vertical", (4.0, 2.0, -6.0), a, 1.0)
+    with pytest.raises(ValueError, match="step 1: .*a2 <= 1"):
+        revalidate_certificate(_forge(cert, [cert.steps[0], bad]))
 
 
 def test_step_region_invariants_enforced():
-    a = ChamberPoint(3.0, 1.0, -4.0)
-    with pytest.raises(ValueError, match="keep a3"):
-        ZigZagStep("horizontal", a, ChamberPoint(5.0, 0.0, -5.0), 1.0, "x")
+    a = (3.0, 1.0, -4.0)
     with pytest.raises(ValueError, match="kind"):
-        ZigZagStep("diagonal", a, a, 1.0, "x")
-    with pytest.raises(ValueError, match="nonnegative"):
-        ZigZagStep("horizontal", a, a, -1.0, "x")
+        step_bound("diagonal", a, a, 0.1, 1.0)
+    cert = zigzag_certificate(_axis(2.0), _axis(4.0), 0.1, 1.0)
+    for bad, match in [
+            (ZigZagStep("horizontal", a, (5.0, 0.0, -5.0), 1.0), "equal a3"),
+            (ZigZagStep("diagonal", a, a, 1.0), "kind"),
+            (cert.steps[0]._replace(bound=-cert.steps[0].bound),
+             "recorded bound")]:
+        with pytest.raises(ValueError, match=f"step 0: .*({match})"):
+            revalidate_certificate(_forge(cert, [bad]))
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +339,23 @@ def test_chain_explicit_partial_sum():
     want = 14.0 * (math.exp(-1.2) + 2 * math.exp(-1.5) + math.exp(-1.8))
     assert got == pytest.approx(want, rel=1e-15)
     assert got <= 42.0 / 0.6 * math.exp(-1.2)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.2])
+def test_chain_matches_geometric_closed_form(s):
+    # k unit moves from r cost 14 L^2 e^{-t r} (1 + q)(1 - q^k)/(1 - q),
+    # q = e^{-t}: a closed form that shares no code with the walk
+    L = 3.0
+    t = 0.5 - 2 * s
+    q = math.exp(-t)
+    for r in (1.0, 2.5, 7.0):
+        for k in (1, 2, 5, 19):
+            want = (14.0 * L * L * math.exp(-t * r) * (1 + q) * (1 - q ** k)
+                    / (1 - q))
+            got = axis_chain_bound(r, r + k, s, L)
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+            cert = zigzag_certificate(_axis(r), _axis(r + k), s, L)
+            assert cert.total == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_chain_rejections_and_boundary():
@@ -149,7 +393,7 @@ def test_chain_anchors_fraction_at_far_end():
 
 
 def test_certificate_equal_points_is_empty():
-    a = ChamberPoint(3.0, 1.0, -4.0)
+    a = (3.0, 1.0, -4.0)
     cert = zigzag_certificate(a, a, 0.1, 1.0)
     assert cert.steps == ()
     assert cert.total == 0.0
@@ -166,18 +410,17 @@ def test_certificate_axis_pair_matches_chain():
 
 
 def test_certificate_routes_off_axis_endpoint_first():
-    cert = zigzag_certificate(ChamberPoint(5.0, 1.0, -6.0), _axis(2.0), 0.1, 1.0)
+    cert = zigzag_certificate((5.0, 1.0, -6.0), _axis(2.0), 0.1, 1.0)
     first = cert.steps[0]
     assert first.kind == "horizontal"           # a2 >= 0 region
-    assert first.start.as_tuple() == (5.0, 1.0, -6.0)
-    assert first.end.as_tuple() == (6.0, 0.0, -6.0)
-    last = cert.steps[-1]
-    assert last.end.as_tuple() == (2.0, 0.0, -2.0)
+    assert first.start == (5.0, 1.0, -6.0)
+    assert first.end == (6.0, 0.0, -6.0)
+    assert cert.steps[-1].end == (2.0, 0.0, -2.0)
     assert revalidate_certificate(cert)
 
-    cert = zigzag_certificate(ChamberPoint(6.0, -1.0, -5.0), _axis(2.0), 0.1, 1.0)
+    cert = zigzag_certificate((6.0, -1.0, -5.0), _axis(2.0), 0.1, 1.0)
     assert cert.steps[0].kind == "vertical"     # a2 < 0 region
-    assert cert.steps[0].end.as_tuple() == (6.0, 0.0, -6.0)
+    assert cert.steps[0].end == (6.0, 0.0, -6.0)
 
 
 def test_certificate_direction_symmetric_total():
@@ -203,8 +446,8 @@ def test_certificate_seventy_envelope_grid():
 
 def test_certificate_wide_middle_coordinate_routes():
     # points outside the |a2| <= 1 band still reach the axis in one move
-    cert = zigzag_certificate(ChamberPoint(10.0, 8.0, -18.0),
-                              ChamberPoint(18.0, -8.0, -10.0), 0.05, 1.0)
+    cert = zigzag_certificate((10.0, 8.0, -18.0), (18.0, -8.0, -10.0),
+                              0.05, 1.0)
     assert revalidate_certificate(cert)
     assert cert.passed
 
@@ -217,27 +460,63 @@ def test_certificate_rejects_small_radius_and_bad_rate():
 
 
 def test_certificate_json_document():
-    cert = zigzag_certificate(ChamberPoint(5.0, 1.0, -6.0), _axis(2.0), 0.1, 1.0)
+    cert = zigzag_certificate((5.0, 1.0, -6.0), _axis(2.0), 0.1, 1.0)
     doc = cert.to_json()
     assert set(doc) == {"params", "steps", "total", "target", "pass", "notes"}
     assert doc["params"] == {"s": 0.1, "L": 1.0, "t": pytest.approx(0.3)}
     assert doc["pass"] is True
     assert doc["total"] == cert.total
+    assert doc["steps"][0] == {"kind": "horizontal", "from": [5.0, 1.0, -6.0],
+                               "to": [6.0, 0.0, -6.0],
+                               "bound": cert.steps[0].bound}
     for step in doc["steps"]:
-        assert set(step) == {"kind", "from", "to", "bound", "justification"}
+        assert set(step) == {"kind", "from", "to", "bound"}
     assert "100/(1-4s)" in doc["notes"]
     json.loads(json.dumps(doc))               # round-trips as plain JSON
 
 
 def test_revalidation_catches_tampering():
     cert = zigzag_certificate(_axis(2.0), _axis(5.0), 0.1, 1.0)
+    steps = list(cert.steps)
+    assert revalidate_certificate(_forge(cert, steps))
+    # a tampered bound, with the total made to agree
+    doctored = steps[:2] + [steps[2]._replace(bound=steps[2].bound * 0.5)]
+    with pytest.raises(ValueError, match="step 2: recorded bound"):
+        revalidate_certificate(_forge(cert, doctored))
+    # a region-rule break: a vertical move may not start above a2 = 1
+    wide = ZigZagStep("vertical", (5.0, 2.0, -7.0), (5.0, 0.0, -5.0), 1.0)
+    with pytest.raises(ValueError, match="step 1: .*a2 <= 1"):
+        revalidate_certificate(_forge(cert, steps[:1] + [wide]))
+    # a recorded point off the chamber (unordered, or not summing to zero),
+    # at a start or at the final end
+    for off in [(3.0, 4.0, -7.0), (3.0, -1.0, -1.0)]:
+        moved = steps[1]._replace(start=off)
+        with pytest.raises(ValueError, match="step 1: .*(ordered|sum to 0)"):
+            revalidate_certificate(_forge(cert, [steps[0], moved]))
+    assert steps[5].kind == "vertical" and steps[5].end == _axis(5.0)
+    for off in [(5.0, -3.0, -2.0), (5.0, 0.5, -5.0)]:
+        moved = steps[5]._replace(end=off)
+        with pytest.raises(ValueError, match="step 5: .*(ordered|sum to 0)"):
+            revalidate_certificate(_forge(cert, steps[:5] + [moved]))
+    # a broken connection: step 1 is skipped, or starts 5e-11 off in a2
+    # alone (inside the chamber check's 1e-10, outside the 1e-12 join)
+    a1, a2, a3 = steps[1].start
+    nudged = steps[1]._replace(start=(a1, a2 + 5e-11, a3))
+    for broken in [steps[:1] + steps[2:], [steps[0], nudged]]:
+        with pytest.raises(ValueError,
+                           match="step 1 does not start where step 0 ended"):
+            revalidate_certificate(_forge(cert, broken))
+    # a wrong total
+    bad_total = _forge(cert, steps)
+    bad_total.total *= 1 + 1e-15
+    with pytest.raises(ValueError, match="total"):
+        revalidate_certificate(bad_total)
+    # a wrong t
     bad = BoundCertificate(cert.steps, cert.total, cert.target,
                            cert.s, cert.L, 0.25)
     with pytest.raises(ValueError, match="1/2 - 2s"):
         revalidate_certificate(bad)
-    doctored = list(cert.steps)
-    doctored[0] = ZigZagStep(doctored[0].kind, doctored[0].start,
-                             doctored[0].end, doctored[0].bound * 0.5, "x")
+    # the constructor already refuses a total that is not the sum
     with pytest.raises(ValueError, match="total"):
         BoundCertificate(tuple(doctored), cert.total, cert.target,
                          cert.s, cert.L, cert.t)

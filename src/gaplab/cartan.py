@@ -36,22 +36,28 @@ def _check_sl3(m: np.ndarray) -> None:
         raise ValueError(f"determinant {det[bad][0]} != 1")
 
 
+def _exponent_faults(a1, a2, a3, ordered: bool):
+    """(unordered, unbalanced): where a1 >= a2 >= a3 fails (never, unless
+    `ordered`) and where a1 + a2 + a3 = 0 fails, both to within 1e-10.
+    Scalars give bools, arrays of one shape give masks of that shape."""
+    unordered = (a1 < a2 - 1e-10) | (a2 < a3 - 1e-10) if ordered else False
+    return unordered, abs(a1 + a2 + a3) > 1e-10
+
+
 def _check_exponents(a1, a2, a3, ordered: bool) -> None:
-    """Refuse exponents unless a1 >= a2 >= a3 (when `ordered`) and
-    a1 + a2 + a3 = 0, both to within 1e-10: scalars for one triple, arrays
-    of one shape for a stack of them.
+    """Refuse exponents where `_exponent_faults` finds a fault: scalars for
+    one triple, arrays of one shape for a stack of them.
 
     Scalars give scalar bools, tested as they are: chamber walks build
     triples by the thousand, and np.any on a scalar costs ~15 us.
     """
-    if ordered:
-        bad = (a1 < a2 - 1e-10) | (a2 < a3 - 1e-10)
-        if bad.any() if isinstance(bad, np.ndarray) else bad:
-            rows = np.stack(np.broadcast_arrays(a1, a2, a3), axis=-1)
-            raise ValueError(
-                f"triple {tuple(rows[np.asarray(bad)][0].tolist())} not ordered")
-    bad = abs(a1 + a2 + a3) > 1e-10
-    if bad.any() if isinstance(bad, np.ndarray) else bad:
+    unordered, unbalanced = _exponent_faults(a1, a2, a3, ordered)
+    if unordered.any() if isinstance(unordered, np.ndarray) else unordered:
+        rows = np.stack(np.broadcast_arrays(a1, a2, a3), axis=-1)
+        raise ValueError(
+            f"triple {tuple(rows[np.asarray(unordered)][0].tolist())} "
+            f"not ordered")
+    if unbalanced.any() if isinstance(unbalanced, np.ndarray) else unbalanced:
         raise ValueError("exponents must sum to 0")
 
 

@@ -305,6 +305,7 @@ _SDELTA_CROSS_CHECK_MAX_MODULUS = 1024
 # correct applies converge in 2-3 steps; a stalled iteration fails its case
 # after this many instead of running the library's default cap
 _SDELTA_CROSS_CHECK_MAX_ITERATIONS = 50
+_ZIGZAG_MAX_RADIUS = 1000.0
 
 
 def _run_sdelta_decay(cfg):
@@ -473,34 +474,48 @@ def _chamber_triple(rng, r_max):
 
 
 def _run_zigzag_cert(cfg):
-    """Certificate totals against the telescoped target, pair by pair."""
+    """Certificate totals against the telescoped target, one block per (s, L).
+
+    Each (s, L) block draws its pairs from its own stream, builds all their
+    certificates in one call and revalidates them in another.  A block the
+    library refuses (s >= 1/4, say) gives one failing case per pair with
+    the refusal as its note.  ``--rmax`` must lie in [1,
+    ``_ZIGZAG_MAX_RADIUS``]: a walk takes about two steps per unit of
+    radius, so an unbounded radius would mean unbounded step arrays.
+    """
     pairs = cfg.integer("pairs")
     r_max = float(cfg.scalar("rmax"))
+    if not r_max >= 1.0:
+        raise UsageError(f"zigzag-cert: --rmax must be at least 1, got {r_max}")
+    if r_max > _ZIGZAG_MAX_RADIUS:
+        raise UsageError(f"zigzag-cert: --rmax must be at most "
+                         f"{_ZIGZAG_MAX_RADIUS:g}, got {r_max}")
     cases = []
-    idx = 0
     for s in cfg.values("s"):
         for L in cfg.values("L"):
-            rng = np.random.default_rng([cfg.seed, idx])
-            for _ in range(pairs):
-                a = cartan.CartanTriple(*_chamber_triple(rng, r_max))
-                a_prime = cartan.CartanTriple(*_chamber_triple(rng, r_max))
-                base = {
-                    "case": idx, "s": float(s), "L": float(L),
-                    "r": a.length, "r_prime": a_prime.length,
-                }
-                try:
-                    cert = zigzag.zigzag_certificate(a, a_prime, float(s), float(L))
-                except ValueError as exc:
-                    cases.append({**base, "total": "", "target": "",
-                                  "steps": 0, "pass": False,
-                                  "note": str(exc)})
-                else:
-                    ok = cert.passed and zigzag.revalidate_certificate(cert)
-                    cases.append({**base, "total": cert.total,
-                                  "target": cert.target,
-                                  "steps": len(cert.steps),
-                                  "pass": bool(ok), "note": ""})
-                idx += 1
+            rng = np.random.default_rng([cfg.seed, len(cases)])
+            points = np.array([_chamber_triple(rng, r_max)
+                               for _ in range(2 * pairs)]).reshape(-1, 2, 3)
+            # the axis radius max(a1, -a3) of each endpoint
+            radii = np.maximum(points[..., 0], -points[..., 2]).tolist()
+            base = [{"case": len(cases) + i, "s": float(s), "L": float(L),
+                     "r": r, "r_prime": r_prime}
+                    for i, (r, r_prime) in enumerate(radii)]
+            try:
+                block = zigzag.zigzag_certificate(points[:, 0], points[:, 1],
+                                                  float(s), float(L))
+            except ValueError as exc:
+                cases += [{**case, "total": "", "target": "", "steps": 0,
+                           "pass": False, "note": str(exc)} for case in base]
+                continue
+            zigzag.revalidate_certificate(block)
+            cases += [{**case, "total": total, "target": target,
+                       "steps": steps, "pass": ok, "note": ""}
+                      for case, total, target, steps, ok in zip(
+                          base, block.totals.tolist(), block.targets.tolist(),
+                          np.diff(block.offsets).tolist(),
+                          block.passed.tolist())]
+            del block, points     # free this block's arrays before the next
     columns = ("case", "s", "L", "r", "r_prime", "total", "target",
                "steps", "pass")
     return cases, columns, None

@@ -1,10 +1,9 @@
 """Certified decay bookkeeping for zig-zag paths in a rank-two chamber.
 
-Points are plain float triples (a1, a2, a3) in the closed cone
-a1 >= a2 >= a3 with a1 + a2 + a3 = 0.  The axis radius of a point is
-r = max(a1, -a3), and c_r = (r, 0, -r) is the axis point of that radius.
-A walk is a tuple of `ZigZagStep`s (kind, start, end, bound), and
-`step_bound` is the one place that knows the two kinds of move:
+Points are float triples (a1, a2, a3) in the closed cone a1 >= a2 >= a3
+with a1 + a2 + a3 = 0.  The axis radius of a point is r = max(a1, -a3),
+and c_r = (r, 0, -r) is the axis point of that radius.  `step_bound` is
+the one place that knows the two kinds of move:
 
     kind        frozen   region (both ends)   bound, t = 1/2 - 2s
     horizontal  a3       a2 >= -1             14 L^2 e^{t a3}
@@ -18,24 +17,47 @@ degenerate move from a point to itself still pays the full amount.
 one move (horizontal when a2 >= 0, vertical otherwise) and walks the axis
 in unit moves c_u -> c_v.  Going up, a unit move is a horizontal leg to
 (v, u-v, -u) and a vertical leg on to c_v; going down it is a vertical leg
-to (u, v-u, -v) and a horizontal one.  `revalidate_certificate` re-derives
-a `BoundCertificate` from its steps alone.
+to (u, v-u, -v) and a horizontal one.  The unit grid anchors at the
+smaller radius, so any fractional move happens at the far (large-radius)
+end, where the bounds are smallest; anchoring at the start instead would
+put the short move next to the dominant e^{-t min(r, r')} term and break
+the geometric envelope.
+
+One tolerance rule decides everywhere whether two radii differ: by more
+than 1e-12.  The walk runs when the endpoint radii differ; the ladder
+gives the far radius a node of its own when it differs from the last
+unit node, and moves that node onto it otherwise; `axis_chain_bound`
+prices radii that do not differ as one radius.
+
+Certificates are built and revalidated a block at a time.  Two (N, 3)
+endpoint arrays sharing (s, L) give a `CertificateBlock`: every step of
+every certificate in flat arrays (kind, start, end, bound) cut by
+per-certificate offsets, each ladder made by index arithmetic.  One pair
+of points gives a `BoundCertificate`, the only certificate of a block of
+one.  `revalidate_certificate` re-derives either from its steps alone,
+each check an array mask over all of them.
 
 `StarParams` packages a decay profile (s, t, C); `rescale_params` and
 `product_params` transport such profiles under length rescaling and direct
 products.
 """
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cartan import CartanTriple, _check_exponents
+import numpy as np
+
+from .cartan import CartanTriple, _check_exponents, _exponent_faults
 
 _EQ_TOL = 1e-12
+_KINDS = np.array(["horizontal", "vertical"])
+_AXIS = np.array([1.0, 0.0, -1.0])
 
 __all__ = [
     "ZigZagStep",
     "BoundCertificate",
+    "CertificateBlock",
     "StarParams",
     "step_bound",
     "axis_chain_bound",
@@ -79,81 +101,83 @@ def _check_scale(L):
         raise ValueError("scale constant L must be positive")
 
 
-def step_bound(kind, start, end, s, L) -> float:
-    """Decay bound of one move from `start` to `end`, as in the module table.
+def _exp(x):
+    """e^x entry by entry through `math.exp`, so that every entry is the
+    float a scalar computation gives (np.exp may differ in the last bit)."""
+    return np.fromiter(map(math.exp, x.tolist()), dtype=float, count=len(x))
 
-    Raises ValueError for an unknown kind, a move whose frozen coordinate
-    changes, or an end outside the kind's region.  The formula ignores how
-    far the other coordinates move, so start == end is allowed.
+
+def _first(checks):
+    """(index, message) of the lowest index that any (mask, describe) in
+    `checks` flags, described by the first check that flags it; None when
+    nothing is flagged."""
+    found = None
+    for mask, describe in checks:
+        if np.any(mask) and (found is None or np.argmax(mask) < found[0]):
+            found = (int(np.argmax(mask)), describe)
+    return None if found is None else (found[0], found[1](found[0]))
+
+
+def _move_checks(kind, start, end):
+    """The move rules of the module table as (mask, describe) pairs over M
+    moves, in the order one move is checked: kind, frozen coordinate,
+    region."""
+    horizontal = kind == "horizontal"
+    unknown = ~horizontal & (kind != "vertical")
+    # an unknown kind is reported first, so its other masks never matter
+    frozen = np.where(horizontal, 2, 0)
+    thawed = np.abs(np.where(horizontal, start[:, 2] - end[:, 2],
+                             start[:, 0] - end[:, 0])) > _EQ_TOL
+    outside = np.where(horizontal,
+                       np.minimum(start[:, 1], end[:, 1]) < -1 - _EQ_TOL,
+                       np.maximum(start[:, 1], end[:, 1]) > 1 + _EQ_TOL)
+
+    def region(j):
+        return "a2 >= -1" if horizontal[j] else "a2 <= 1"
+
+    return [
+        (unknown, lambda j: f"unknown step kind {str(kind[j])!r}"),
+        (thawed, lambda j: (
+            f"{kind[j]} move requires equal a{frozen[j] + 1}, got "
+            f"{start[j, frozen[j]]} vs {end[j, frozen[j]]}")),
+        (outside, lambda j: (
+            f"{kind[j]} move requires {region(j)} at both endpoints, got "
+            f"{start[j, 1]} and {end[j, 1]}")),
+    ]
+
+
+def step_bound(kind, start, end, s, L):
+    """Decay bound of a move from `start` to `end`, as in the module table.
+
+    A kind name and two triples give a float; an (M,) array of kind names
+    and two (M, 3) arrays give the (M,) bounds of M moves, each the float
+    its single move gives.  Raises ValueError for an unknown kind, a move
+    whose frozen coordinate changes, or an end outside the kind's region,
+    naming the first bad move of an array.  The formula ignores how far the
+    other coordinates move, so start == end is allowed.
     """
     _check_rate(s)
     _check_scale(L)
+    single = isinstance(kind, str)
+    kind = np.atleast_1d(kind)
+    start = np.asarray(start, dtype=float).reshape(-1, 3)
+    end = np.asarray(end, dtype=float).reshape(-1, 3)
+    fault = _first(_move_checks(kind, start, end))
+    if fault is not None:
+        raise ValueError(fault[1] if single else f"step {fault[0]}: {fault[1]}")
     t = 0.5 - 2.0 * s
-    if kind == "horizontal":
-        frozen, region, exponent = 2, "a2 >= -1", t * start[2]
-        outside = min(start[1], end[1]) < -1 - _EQ_TOL
-    elif kind == "vertical":
-        frozen, region, exponent = 0, "a2 <= 1", -t * start[0]
-        outside = max(start[1], end[1]) > 1 + _EQ_TOL
-    else:
-        raise ValueError(f"unknown step kind {kind!r}")
-    if abs(start[frozen] - end[frozen]) > _EQ_TOL:
-        raise ValueError(
-            f"{kind} move requires equal a{frozen + 1}, got {start[frozen]} "
-            f"vs {end[frozen]}")
-    if outside:
-        raise ValueError(
-            f"{kind} move requires {region} at both endpoints, got "
-            f"{start[1]} and {end[1]}")
-    return 14.0 * L * L * math.exp(exponent)
-
-
-def _close(p, q) -> bool:
-    return (abs(p[0] - q[0]) <= _EQ_TOL and abs(p[1] - q[1]) <= _EQ_TOL
-            and abs(p[2] - q[2]) <= _EQ_TOL)
-
-
-def _unit_moves(nodes):
-    """(kind, start, end) of both legs of each unit move c_u -> c_v between
-    consecutive axis radii in `nodes`.  A degenerate move (u == v) keeps
-    both legs at c_u, so it pays 28 L^2 e^{-t u}."""
-    for u, v in zip(nodes, nodes[1:]):
-        cu, cv = (u, 0.0, -u), (v, 0.0, -v)
-        if v >= u:
-            mid = (v, u - v, -u)
-            yield "horizontal", cu, mid
-            yield "vertical", mid, cv
-        else:
-            mid = (u, v - u, -v)
-            yield "vertical", cu, mid
-            yield "horizontal", mid, cv
-
-
-def _node_ladder(r_from, r_to):
-    """Axis nodes visited between two radii, in path order.
-
-    The unit grid anchors at the smaller radius, so any fractional move
-    happens at the far (large-radius) end where the bounds are smallest;
-    anchoring at the start instead would put the short move next to the
-    dominant e^{-t min(r, r')} term and break the geometric envelope.
-    """
-    lo, hi = min(r_from, r_to), max(r_from, r_to)
-    ladder = [lo + k for k in range(int(math.floor(hi - lo)) + 1)]
-    if ladder[-1] < hi - _EQ_TOL:
-        ladder.append(hi)
-    else:
-        ladder[-1] = hi
-    if r_from > r_to:
-        ladder.reverse()
-    return ladder
+    bound = 14.0 * L * L * _exp(
+        np.where(kind == "horizontal", t * start[:, 2], -t * start[:, 0]))
+    return float(bound[0]) if single else bound
 
 
 def axis_chain_bound(r1, r2, s, L) -> float:
     """Summed bound for the unit-move chain joining c_{r1} to c_{r2}.
 
-    Honest partial sum over the actual legs: each unit move from u to v
-    costs 14 L^2 (e^{-t u} + e^{-t v}).  The degenerate case r1 == r2 is a
-    single vacuous move costing 28 L^2 e^{-t r1}.
+    Honest partial sum over the legs of the walk `zigzag_certificate` takes:
+    each unit move from u to v costs 14 L^2 (e^{-t u} + e^{-t v}).  Radii
+    within 1e-12 of each other are one radius, as in the walk, and their
+    chain is a single vacuous move costing 28 L^2 e^{-t r1}.
     """
     _check_rate(s)
     _check_scale(L)
@@ -161,9 +185,11 @@ def axis_chain_bound(r1, r2, s, L) -> float:
         raise ValueError(f"axis chain starts at radius 1, got r1={r1}")
     if r2 < r1:
         raise ValueError("need r1 <= r2")
-    nodes = (r1, r1) if r2 == r1 else _node_ladder(r1, r2)
-    return math.fsum(step_bound(kind, p, q, s, L)
-                     for kind, p, q in _unit_moves(nodes))
+    axis = (r1, 0.0, -r1)
+    if r2 - r1 <= _EQ_TOL:
+        # both legs of the move c_{r1} -> c_{r1} pay 14 L^2 e^{-t r1}
+        return 2.0 * step_bound("horizontal", axis, axis, s, L)
+    return zigzag_certificate(axis, (r2, 0.0, -r2), s, L).total
 
 
 @dataclass
@@ -208,75 +234,239 @@ class BoundCertificate:
         }
 
 
-def _endpoint(point):
-    """A chamber point (`CartanTriple` or triple) as a float triple and its
-    axis radius; a triple outside the chamber is refused."""
-    if not isinstance(point, CartanTriple):
-        point = CartanTriple(*point)
-    return tuple(map(float, point.as_tuple())), float(point.length)
+@dataclass(eq=False)
+class CertificateBlock:
+    """The certificates of N endpoint pairs sharing (s, L), in flat arrays.
 
-
-def zigzag_certificate(a, a_prime, s, L) -> BoundCertificate:
-    """Build the step-by-step bound certificate joining two chamber points.
-
-    Route each off-axis endpoint to the axis with one move, then walk the
-    axis in unit moves.  The target is (70/(1-4s)) L^2 max(e^{-t r}, e^{-t r'})
-    with r, r' the axis radii of the endpoints and t = 1/2 - 2s.  Equal
-    endpoints need no steps at all, so their total is zero.
+    Certificate i owns entries offsets[i]:offsets[i + 1] of the step arrays
+    `kind` (M,), `start` and `end` (M, 3) and `bound` (M,); `totals` and
+    `targets` are (N,).  `steps` is a read-only view of all M steps as
+    `ZigZagStep`s, and `certificate(i)` unpacks one `BoundCertificate`.
     """
+    kind: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    bound: np.ndarray
+    offsets: np.ndarray
+    totals: np.ndarray
+    targets: np.ndarray
+    s: float
+    L: float
+    t: float
+
+    @property
+    def steps(self):
+        return _BlockSteps(self)
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.totals <= self.targets
+
+    def certificate(self, i) -> BoundCertificate:
+        p, q = self.offsets[i], self.offsets[i + 1]
+        steps = tuple(map(ZigZagStep, self.kind[p:q].tolist(),
+                          map(tuple, self.start[p:q].tolist()),
+                          map(tuple, self.end[p:q].tolist()),
+                          self.bound[p:q].tolist()))
+        return BoundCertificate(steps, float(self.totals[i]),
+                                float(self.targets[i]), self.s, self.L, self.t)
+
+
+class _BlockSteps(Sequence):
+    """The steps of a `CertificateBlock`, one `ZigZagStep` per index."""
+
+    def __init__(self, block):
+        self._block = block
+
+    def __len__(self):
+        return len(self._block.bound)
+
+    def __getitem__(self, j):
+        b = self._block
+        return ZigZagStep(str(b.kind[j]), tuple(b.start[j].tolist()),
+                          tuple(b.end[j].tolist()), float(b.bound[j]))
+
+
+def _fsums(bound, offsets):
+    """The fsum of each certificate's slice of `bound`."""
+    bounds, cuts = bound.tolist(), offsets.tolist()
+    return np.array([math.fsum(bounds[p:q]) for p, q in zip(cuts, cuts[1:])],
+                    dtype=float)
+
+
+def _axis_points(r):
+    """(r, 0, -r) for each radius in r."""
+    return r[:, None] * _AXIS
+
+
+def _build_block(a, a_prime, s, L) -> CertificateBlock:
+    """The certificates joining a[i] to a_prime[i], two (N, 3) arrays."""
     _check_rate(s)
     _check_scale(L)
-    (a, r), (a_prime, r_prime) = _endpoint(a), _endpoint(a_prime)
+    if a.ndim != 2 or a.shape[1] != 3 or a_prime.shape != a.shape:
+        raise ValueError("need two chamber points or two (N, 3) arrays of them")
+    both = np.concatenate([a, a_prime])
+    _check_exponents(both[:, 0], both[:, 1], both[:, 2], ordered=True)
     t = 0.5 - 2.0 * s
-    target = (70.0 / (1.0 - 4.0 * s)) * L * L * max(
-        math.exp(-t * r), math.exp(-t * r_prime))
-    if _close(a, a_prime):
-        return BoundCertificate((), 0.0, target, s, L, t)
-    if r < 1 or r_prime < 1:
-        raise ValueError("both endpoints need axis radius >= 1 "
-                         "(the axis chain starts at radius 1)")
+    radii = np.maximum(both[:, 0], -both[:, 2])
+    r, r_prime = radii[:len(a)], radii[len(a):]
+    decay = _exp(-t * radii)
+    targets = (70.0 / (1.0 - 4.0 * s)) * L * L * np.maximum(
+        decay[:len(a)], decay[len(a):])
+    moving = ~(np.abs(a - a_prime) <= _EQ_TOL).all(axis=1)
+    short = np.flatnonzero(moving & ((r < 1) | (r_prime < 1)))
+    if short.size:
+        raise ValueError(f"pair {short[0]}: both endpoints need axis radius "
+                         ">= 1 (the axis chain starts at radius 1)")
     # an a2 >= 0 point already has the axis value of a3, an a2 < 0 one of a1
-    moves = []
-    if abs(a[1]) > _EQ_TOL:
-        moves.append(("horizontal" if a[1] >= 0 else "vertical",
-                      a, (r, 0.0, -r)))
-    if abs(r - r_prime) > _EQ_TOL:
-        moves.extend(_unit_moves(_node_ladder(r, r_prime)))
-    if abs(a_prime[1]) > _EQ_TOL:
-        moves.append(("horizontal" if a_prime[1] >= 0 else "vertical",
-                      (r_prime, 0.0, -r_prime), a_prime))
-    steps = tuple(ZigZagStep(kind, p, q, step_bound(kind, p, q, s, L))
-                  for kind, p, q in moves)
-    return BoundCertificate(steps, math.fsum(st.bound for st in steps),
-                            target, s, L, t)
+    leave = moving & (np.abs(a[:, 1]) > _EQ_TOL)
+    arrive = moving & (np.abs(a_prime[:, 1]) > _EQ_TOL)
+    # the ascending ladder is lo, lo + 1, ..., lo + k = last, then hi; the
+    # last unit node moves onto hi unless hi - last > 1e-12
+    walk = moving & (np.abs(r - r_prime) > _EQ_TOL)
+    lo, hi = np.minimum(r, r_prime), np.maximum(r, r_prime)
+    whole = np.floor(hi - lo)
+    nodes = np.where(walk, whole + 1 + (hi - (lo + whole) > _EQ_TOL),
+                     0).astype(np.int64)
+    units = np.maximum(nodes - 1, 0)
+    offsets = np.zeros(len(a) + 1, dtype=np.int64)
+    np.cumsum(leave + 2 * units + arrive, out=offsets[1:])
+
+    # unit move k of a pair joins its path nodes k and k + 1, read off the
+    # ascending ladder backwards when the walk goes down
+    pair = np.repeat(np.arange(len(a)), units)
+    k = np.arange(len(pair)) - np.repeat(np.cumsum(units) - units, units)
+    top = nodes[pair] - 1
+    down = (r > r_prime)[pair]
+    j_u = np.where(down, top - k, k)
+    j_v = np.where(down, j_u - 1, j_u + 1)
+    u = np.where(j_u == top, hi[pair], lo[pair] + j_u)
+    v = np.where(j_v == top, hi[pair], lo[pair] + j_v)
+    # going up (v >= u) a unit move passes (v, u-v, -u) with kinds h, v;
+    # going down it passes (u, v-u, -v) with kinds v, h
+    up = v >= u
+    walk_points = np.stack([
+        _axis_points(u),
+        np.column_stack([np.maximum(u, v), -np.abs(u - v), -np.minimum(u, v)]),
+        _axis_points(v)], axis=1)
+    legs = (offsets[pair] + leave[pair] + 2 * k)[:, None] + (0, 1)
+
+    count = int(offsets[-1])
+    start = np.empty((count, 3))
+    end = np.empty((count, 3))
+    vertical = np.empty(count, dtype=bool)
+    start[legs], end[legs] = walk_points[:, :2], walk_points[:, 1:]
+    vertical[legs] = np.column_stack([~up, up])
+    # the routes: off the axis from a, onto it at a'
+    out, back = np.flatnonzero(leave), np.flatnonzero(arrive)
+    routes = np.concatenate([offsets[out], offsets[back + 1] - 1])
+    start[routes] = np.concatenate([a[out], _axis_points(r_prime[back])])
+    end[routes] = np.concatenate([_axis_points(r[out]), a_prime[back]])
+    vertical[routes] = np.concatenate([a[out, 1], a_prime[back, 1]]) < 0
+    kind = _KINDS[vertical.view(np.int8)]
+
+    bound = step_bound(kind, start, end, s, L)
+    return CertificateBlock(kind, start, end, bound, offsets,
+                            _fsums(bound, offsets), targets, s, L, t)
 
 
-def revalidate_certificate(cert: BoundCertificate) -> bool:
-    """Re-derive a certificate from its recorded steps alone.
+def _points(p):
+    """A `CartanTriple`, a triple or an (N, 3) stack as a float array."""
+    if isinstance(p, CartanTriple):
+        p = p.as_tuple()
+    return np.asarray(p, dtype=float)
+
+
+def zigzag_certificate(a, a_prime, s, L):
+    """Build the step-by-step bound certificates joining chamber points.
+
+    Two points (`CartanTriple`s or triples) give their `BoundCertificate`;
+    two (N, 3) arrays give the `CertificateBlock` of the N pairs
+    (a[i], a_prime[i]), through the same code.  Each certificate routes the
+    off-axis endpoints to the axis with one move each and walks the axis in
+    unit moves.  The target is (70/(1-4s)) L^2 max(e^{-t r}, e^{-t r'})
+    with r, r' the axis radii of the endpoints and t = 1/2 - 2s.  Equal
+    endpoints (to 1e-12) need no steps at all, so their total is zero.
+    """
+    a, a_prime = _points(a), _points(a_prime)
+    if a.ndim == 1:
+        return _build_block(a[None], a_prime[None], s, L).certificate(0)
+    return _build_block(a, a_prime, s, L)
+
+
+def _as_block(cert: BoundCertificate) -> CertificateBlock:
+    """A certificate as the block of one that revalidation reads."""
+    steps, n = cert.steps, len(cert.steps)
+    return CertificateBlock(
+        np.array([st.kind for st in steps], dtype=str),
+        np.array([st.start for st in steps], dtype=float).reshape(n, 3),
+        np.array([st.end for st in steps], dtype=float).reshape(n, 3),
+        np.array([st.bound for st in steps], dtype=float), np.array([0, n]),
+        np.array([cert.total], dtype=float),
+        np.array([cert.target], dtype=float), cert.s, cert.L, cert.t)
+
+
+def _locate(offsets, j):
+    """(certificate, step within it) of flat step j."""
+    c = int(np.searchsorted(offsets, j, side="right")) - 1
+    return c, j - int(offsets[c])
+
+
+def revalidate_certificate(cert) -> bool:
+    """Re-derive a `BoundCertificate` or a `CertificateBlock` from its
+    recorded steps alone.
 
     Every recorded point must lie in the chamber, every step must keep its
     kind's frozen coordinate and region and carry exactly the bound
-    `step_bound` gives, and each step must start where the one before it
-    ended (to 1e-12).  The total must be the fsum of the step bounds and t
-    must be 1/2 - 2s.  Raises ValueError naming the first bad step (or the
-    total, or t); returns True otherwise.
+    `step_bound` gives, and each step but a certificate's first must start
+    where the one before it ended (to 1e-12).  Each total must be the fsum
+    of its certificate's step bounds, and t must be 1/2 - 2s.  Every check
+    runs as one mask over all steps.  Raises ValueError naming the first
+    bad certificate and its first bad step (or its total), or t; returns
+    True otherwise.
     """
-    prev = None
-    for i, (kind, start, end, bound) in enumerate(cert.steps):
-        try:
-            _check_exponents(*start, ordered=True)
-            _check_exponents(*end, ordered=True)
-            fresh = step_bound(kind, start, end, cert.s, cert.L)
-        except ValueError as exc:
-            raise ValueError(f"step {i}: {exc}") from exc
-        if fresh != bound:
-            raise ValueError(f"step {i}: recorded bound {bound} != {fresh}")
-        if prev is not None and not _close(start, prev):
-            raise ValueError(f"step {i} does not start where step {i - 1} ended")
-        prev = end
-    if cert.total != math.fsum(st.bound for st in cert.steps):
-        raise ValueError("total does not match the sum of step bounds")
-    if abs(cert.t - (0.5 - 2.0 * cert.s)) > _EQ_TOL:
+    block = _as_block(cert) if isinstance(cert, BoundCertificate) else cert
+    kind, start, end, bound = block.kind, block.start, block.end, block.bound
+    offsets, count = block.offsets, len(block.bound)
+    checks = []
+    for points in (start, end):
+        unordered, unbalanced = _exponent_faults(
+            points[:, 0], points[:, 1], points[:, 2], ordered=True)
+        checks += [
+            (unordered,
+             lambda j, p=points: f"triple {tuple(p[j].tolist())} not ordered"),
+            (unbalanced, lambda j: "exponents must sum to 0")]
+    checks += _move_checks(kind, start, end)
+    # the moves before the first fault keep the rules, so step_bound prices
+    # them without raising
+    clean = count if (fault := _first(checks)) is None else fault[0]
+    fresh = step_bound(kind[:clean], start[:clean], end[:clean],
+                       block.s, block.L)
+    mispriced = np.zeros(count, dtype=bool)
+    mispriced[:clean] = fresh != bound[:clean]
+    checks.append((mispriced,
+                   lambda j: f"recorded bound {bound[j]} != {fresh[j]}"))
+    fault = _first(checks)
+    broken = np.zeros(count + 1, dtype=bool)
+    broken[1:count] = ~(np.abs(start[1:] - end[:-1]) <= _EQ_TOL).all(axis=1)
+    broken[offsets] = False        # a certificate's first step joins nothing
+    gap = np.flatnonzero(broken)
+
+    bad = None                     # (certificate, message)
+    if gap.size and (fault is None or gap[0] < fault[0]):
+        c, i = _locate(offsets, int(gap[0]))
+        bad = (c, f"certificate {c}, step {i} does not start where step "
+                  f"{i - 1} ended")
+    elif fault is not None:
+        c, i = _locate(offsets, fault[0])
+        bad = (c, f"certificate {c}, step {i}: {fault[1]}")
+    untrue = np.flatnonzero(block.totals != _fsums(bound, offsets))
+    if untrue.size and (bad is None or untrue[0] < bad[0]):
+        bad = (untrue[0], f"certificate {untrue[0]}: total does not match "
+                          "the sum of step bounds")
+    if bad is not None:
+        raise ValueError(bad[1])
+    if abs(block.t - (0.5 - 2.0 * block.s)) > _EQ_TOL:
         raise ValueError("recorded t is not 1/2 - 2s")
     return True
 

@@ -648,3 +648,40 @@ def test_zigzag_radii_respect_rmax():
     for case in report.cases:
         assert 1.0 - 1e-12 <= case["r"] <= 6.0 + 1e-12
         assert 1.0 - 1e-12 <= case["r_prime"] <= 6.0 + 1e-12
+
+
+@pytest.mark.parametrize("value, rule", [
+    (0.5, "at least 1"),
+    (-3, "at least 1"),
+    (cli._ZIGZAG_MAX_RADIUS * 1e6, f"at most {cli._ZIGZAG_MAX_RADIUS:g}"),
+], ids=["below-one", "negative", "above-cap"])
+def test_zigzag_rmax_outside_its_range_names_the_key(tmp_path, capsys,
+                                                     value, rule):
+    # a walk takes ~2 steps per unit of radius, so the cap bounds the step
+    # arrays; the refusal comes before any pair is drawn
+    out = tmp_path / "zz.csv"
+    assert run_main(["zigzag-cert", f"--rmax={value}", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: zigzag-cert: --rmax must be {rule}, "
+                          f"got {float(value)}\n")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_quotient_gap_matches_the_lazy_walk_closed_form():
+    # the lazy walk on Z/N is a circulant with mu-hat(k) = 1/2 + cos(2 pi k
+    # / N)/2, so rho = max_{k != 0} |mu-hat(k)| and the profile's last value
+    # is rho^horizon (Diaconis 1988, ch. 3); nothing here reads the runner's
+    # own oracle column or the model matrices
+    orders = list(range(3, 65))
+    report = cli.run("quotient-gap", cli.ExperimentConfig(
+        "quotient-gap", {"order": orders, "sl3": [0], "horizon": [16]}))
+    assert [case["size"] for case in report.cases] == orders
+    for case in report.cases:
+        order = case["size"]
+        hat = 0.5 + 0.5 * np.cos(2.0 * np.pi * np.arange(order) / order)
+        rho = float(np.abs(hat[1:]).max())
+        assert case["rho"] == pytest.approx(rho, rel=1e-12, abs=0)
+        assert case["final"] == pytest.approx(rho ** 16, rel=1e-12, abs=0)
+        # every lazy walk here is aperiodic, so every verdict is a pass
+        assert rho < 1.0 and case["pass"]

@@ -774,11 +774,48 @@ def test_star_periodic_walks_fail_and_aperiodic_ones_pass():
         assert abs(report.fitted_t) < 1e-15
         assert not report.passed, order
         assert report.notes == "differences do not decay"
+        _assert_star_closed_form(report, order, 30)
     for order in range(3, 64, 2):
         report = _star_verify_case(_RegularFamily(cyclic_model(order)))
         assert report.passed, order
         assert report.fitted_t * 28 > 1e6 * _DECAY_FLOOR
+        _assert_star_closed_form(report, order, 30)
     assert report.fitted_t == pytest.approx(1.2e-3, rel=0.05)
+
+
+def _assert_star_closed_form(report, order, horizon):
+    """star-verify's family on Z/order is the regular representation, a
+    circulant, so its spectrum is closed-form (Diaconis 1988, ch. 3): with
+    mu-hat(k) = cos(2 pi k / order) the Cauchy differences are
+    ||lambda(mu^n) - lambda(mu^{n+1})|| = max_k |mu-hat(k)|^n |1 - mu-hat(k)|,
+    the exact rate is -log max_{k != 0} |mu-hat(k)|, and the verdict is
+    'the rate is positive'.  Nothing here reads the model matrices."""
+    hat = np.cos(2.0 * np.pi * np.arange(order) / order)
+    n = np.arange(1, horizon)[:, None]
+    diffs = (np.abs(hat) ** n * np.abs(1.0 - hat)).max(axis=1)
+    np.testing.assert_allclose(report.cauchy_diffs, diffs, rtol=0, atol=1e-13)
+    rate = -math.log(np.abs(hat[1:]).max())
+    assert report.passed == (rate > 0), (order, horizon)
+    if report.passed:
+        assert report.fitted_t == pytest.approx(rate, rel=1e-11)
+
+
+@pytest.mark.parametrize("horizon", [3, 4, 6, 10, 64])
+def test_star_verdict_is_the_exact_rate_at_every_horizon(horizon):
+    # horizon 30 runs over every order 3..64 above
+    for order in (3, 4, 5, 8, 9, 16, 17):
+        report = _star_verify_case(_RegularFamily(cyclic_model(order)),
+                                   horizon)
+        _assert_star_closed_form(report, order, horizon)
+
+
+def test_star_single_difference_cannot_be_fitted():
+    # at horizon 2 there is one Cauchy difference and no decay window
+    for order in (3, 4, 5, 8, 9, 16, 17):
+        report = _star_verify_case(_RegularFamily(cyclic_model(order)), 2)
+        assert len(report.cauchy_diffs) == 1
+        assert not report.passed
+        assert report.notes == "no usable decay window in the differences"
 
 
 def test_star_support_condition_enforced():

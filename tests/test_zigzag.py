@@ -1,7 +1,7 @@
 """Step bounds, axis chains, certificates, and decay-parameter transport."""
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -44,80 +44,42 @@ def _forge(cert, steps):
 
 
 # ---------------------------------------------------------------------------
-# the object path the tuple builder replaced, kept as its oracle: every walk
-# point a validated CartanTriple, a step class that checks its own region,
-# and one bound function per kind
+# the tuple builder the block builder replaced, kept as its oracle: walk
+# points as float triples, one move and one scalar bound at a time
 
 
-@dataclass
-class _OraclePoint(CartanTriple):
-
-    @property
-    def on_axis(self):
-        return abs(self.a2) <= _EQ_TOL
-
-    def axis_point(self):
-        r = self.length
-        return _OraclePoint(r, 0.0, -r)
-
-    def close_to(self, other):
-        return all(abs(x - y) <= _EQ_TOL
-                   for x, y in zip(self.as_tuple(), other.as_tuple()))
+def _oracle_bound(kind, start, end, s, L):
+    t = 0.5 - 2.0 * s
+    if kind == "horizontal":
+        frozen, exponent = 2, t * start[2]
+        assert min(start[1], end[1]) >= -1 - _EQ_TOL
+    else:
+        assert kind == "vertical"
+        frozen, exponent = 0, -t * start[0]
+        assert max(start[1], end[1]) <= 1 + _EQ_TOL
+    assert abs(start[frozen] - end[frozen]) <= _EQ_TOL
+    return 14.0 * L * L * math.exp(exponent)
 
 
-@dataclass
-class _OracleStep:
-    kind: str
-    start: _OraclePoint
-    end: _OraclePoint
-    bound: float
-
-    def __post_init__(self):
-        if self.kind == "horizontal":
-            if abs(self.start.a3 - self.end.a3) > _EQ_TOL:
-                raise ValueError("horizontal step must keep a3 fixed")
-            if min(self.start.a2, self.end.a2) < -1 - _EQ_TOL:
-                raise ValueError("horizontal step needs a2 >= -1 at both ends")
+def _oracle_unit_moves(nodes):
+    for u, v in zip(nodes, nodes[1:]):
+        cu, cv = (u, 0.0, -u), (v, 0.0, -v)
+        if v >= u:
+            mid = (v, u - v, -u)
+            yield "horizontal", cu, mid
+            yield "vertical", mid, cv
         else:
-            if abs(self.start.a1 - self.end.a1) > _EQ_TOL:
-                raise ValueError("vertical step must keep a1 fixed")
-            if max(self.start.a2, self.end.a2) > 1 + _EQ_TOL:
-                raise ValueError("vertical step needs a2 <= 1 at both ends")
-
-
-def _oracle_horizontal(a, a_prime, s, L):
-    assert abs(a.a3 - a_prime.a3) <= _EQ_TOL
-    assert min(a.a2, a_prime.a2) >= -1 - _EQ_TOL
-    return 14.0 * L * L * math.exp((0.5 - 2.0 * s) * a.a3)
-
-
-def _oracle_vertical(a, a_prime, s, L):
-    assert abs(a.a1 - a_prime.a1) <= _EQ_TOL
-    assert max(a.a2, a_prime.a2) <= 1 + _EQ_TOL
-    return 14.0 * L * L * math.exp(-(0.5 - 2.0 * s) * a.a1)
-
-
-def _oracle_step(kind, start, end, s, L):
-    fn = _oracle_horizontal if kind == "horizontal" else _oracle_vertical
-    return _OracleStep(kind, start, end, fn(start, end, s, L))
-
-
-def _oracle_unit_move(u, v, s, L):
-    cu, cv = _OraclePoint(float(u), 0.0, -float(u)), _OraclePoint(
-        float(v), 0.0, -float(v))
-    if v >= u:
-        mid = cu if v == u else _OraclePoint(v, u - v, -u)
-        return [_oracle_step("horizontal", cu, mid, s, L),
-                _oracle_step("vertical", mid, cv, s, L)]
-    mid = _OraclePoint(u, v - u, -v)
-    return [_oracle_step("vertical", cu, mid, s, L),
-            _oracle_step("horizontal", mid, cv, s, L)]
+            mid = (u, v - u, -v)
+            yield "vertical", cu, mid
+            yield "horizontal", mid, cv
 
 
 def _oracle_ladder(r_from, r_to):
+    # the far radius is a node of its own exactly when it lies more than
+    # _EQ_TOL beyond the last unit node: the walk's own rule
     lo, hi = min(r_from, r_to), max(r_from, r_to)
     ladder = [lo + k for k in range(int(math.floor(hi - lo)) + 1)]
-    if ladder[-1] < hi - _EQ_TOL:
+    if hi - ladder[-1] > _EQ_TOL:
         ladder.append(hi)
     else:
         ladder[-1] = hi
@@ -126,53 +88,61 @@ def _oracle_ladder(r_from, r_to):
     return ladder
 
 
-def _oracle_route(point, s, L, outbound):
-    landing = point.axis_point()
-    start, end = (point, landing) if outbound else (landing, point)
-    kind = "horizontal" if point.a2 >= 0 else "vertical"
-    return _oracle_step(kind, start, end, s, L)
-
-
 def _oracle_certificate(a, a_prime, s, L):
-    """(steps, total) as the object path built them."""
-    a, a_prime = _OraclePoint(*a), _OraclePoint(*a_prime)
-    if a.close_to(a_prime):
-        return [], 0.0
-    steps = []
-    if not a.on_axis:
-        steps.append(_oracle_route(a, s, L, outbound=True))
-    if abs(a.length - a_prime.length) > _EQ_TOL:
-        ladder = _oracle_ladder(a.length, a_prime.length)
-        for u, v in zip(ladder, ladder[1:]):
-            steps.extend(_oracle_unit_move(u, v, s, L))
-    if not a_prime.on_axis:
-        steps.append(_oracle_route(a_prime, s, L, outbound=False))
-    return steps, math.fsum(st.bound for st in steps)
+    """The `BoundCertificate` the tuple builder made."""
+    a, a_prime = CartanTriple(*a), CartanTriple(*a_prime)
+    r, r_prime = a.length, a_prime.length
+    a, a_prime = a.as_tuple(), a_prime.as_tuple()
+    t = 0.5 - 2.0 * s
+    target = (70.0 / (1.0 - 4.0 * s)) * L * L * max(
+        math.exp(-t * r), math.exp(-t * r_prime))
+    if all(abs(x - y) <= _EQ_TOL for x, y in zip(a, a_prime)):
+        return BoundCertificate((), 0.0, target, s, L, t)
+    assert r >= 1 and r_prime >= 1
+    moves = []
+    if abs(a[1]) > _EQ_TOL:
+        moves.append(("horizontal" if a[1] >= 0 else "vertical",
+                      a, (r, 0.0, -r)))
+    if abs(r - r_prime) > _EQ_TOL:
+        moves.extend(_oracle_unit_moves(_oracle_ladder(r, r_prime)))
+    if abs(a_prime[1]) > _EQ_TOL:
+        moves.append(("horizontal" if a_prime[1] >= 0 else "vertical",
+                      (r_prime, 0.0, -r_prime), a_prime))
+    steps = tuple(ZigZagStep(kind, p, q, _oracle_bound(kind, p, q, s, L))
+                  for kind, p, q in moves)
+    return BoundCertificate(steps, math.fsum(st.bound for st in steps),
+                            target, s, L, t)
 
 
-def _assert_matches_oracle(a, a_prime, s, L):
-    cert = zigzag_certificate(a, a_prime, s, L)
-    steps, total = _oracle_certificate(a, a_prime, s, L)
-    assert [tuple(st) for st in cert.steps] == [
-        (st.kind, st.start.as_tuple(), st.end.as_tuple(), st.bound)
-        for st in steps]
-    assert cert.total == total
-    return cert
+def _assert_block_matches_oracle(points, s, L):
+    """One block over the (a, a') pairs in `points`: every certificate ==
+    the oracle's (each step's kind, start, end and bound, the total and the
+    target), and the block revalidates."""
+    block = zigzag_certificate(np.array([a for a, _ in points]),
+                               np.array([b for _, b in points]), s, L)
+    want = [_oracle_certificate(a, b, s, L) for a, b in points]
+    assert [block.certificate(i) for i in range(len(points))] == want
+    assert len(block.steps) == sum(len(cert.steps) for cert in want)
+    assert list(block.steps) == [st for cert in want for st in cert.steps]
+    assert revalidate_certificate(block)
+    return block
 
 
 def test_builder_matches_oracle_on_light_sweeps_pairs():
     # the 1200 pairs `zigzag-cert --pairs=200 --L=1,10 --s=0.05,0.1,0.2
-    # --rmax=20 --seed=20301` draws, in its order
+    # --rmax=20 --seed=20301` draws, in its order and in its blocks
     idx = 0
     for s in (0.05, 0.1, 0.2):
         for L in (1.0, 10.0):
             rng = np.random.default_rng([20301, idx])
-            for _ in range(200):
-                a = _chamber_triple(rng, 20.0)
-                cert = _assert_matches_oracle(a, _chamber_triple(rng, 20.0),
-                                              s, L)
-                assert revalidate_certificate(cert)
-                idx += 1
+            points = [(_chamber_triple(rng, 20.0), _chamber_triple(rng, 20.0))
+                      for _ in range(200)]
+            _assert_block_matches_oracle(points, s, L)
+            # a single pair is the only certificate of a block of one
+            a, b = points[0]
+            assert zigzag_certificate(a, b, s, L) == _oracle_certificate(
+                a, b, s, L)
+            idx += 200
     assert idx == 1200
 
 
@@ -193,26 +163,23 @@ def _pairs(draw):
     if how == "same-radius":
         r_prime = r + draw(st.floats(-_EQ_TOL, _EQ_TOL))
     elif how == "ladder":
-        # integer gaps with a fractional end: none, below and above the
-        # tolerance, or a proper fraction
+        # integer gaps with a fractional end: none, below, at a few ulps
+        # beyond and above the tolerance, or a proper fraction
         r_prime = r + draw(st.integers(-19, 19)) + draw(
-            st.sampled_from([0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.5]))
+            st.sampled_from([0.0, 1e-13, -1e-13, 1.0001e-12, -1.0001e-12,
+                             2e-12, -2e-12, 0.5]))
     else:
         r_prime = draw(st.floats(1.0, 20.0))
     return a, _triple(max(r_prime, 1.0), draw(_A2))
 
 
-@given(_pairs(), st.sampled_from([0.05, 0.1, 0.2]),
-       st.sampled_from([1.0, 10.0]))
+@given(st.lists(_pairs(), min_size=1, max_size=3),
+       st.sampled_from([0.05, 0.1, 0.2]), st.sampled_from([1.0, 10.0]))
 @settings(max_examples=300, deadline=None)
-def test_builder_matches_oracle_on_edge_pairs(pair, s, L):
-    _assert_matches_oracle(*pair, s, L)
+def test_builder_matches_oracle_on_edge_pairs(points, s, L):
+    _assert_block_matches_oracle(points, s, L)
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="radii a few ulps more than _EQ_TOL apart walk the "
-                          "axis, but the node ladder collapses to the far "
-                          "node, so the walk is not connected")
 def test_radii_just_beyond_tolerance_give_a_connected_walk():
     cert = zigzag_certificate((0.999999999998, 2e-12, -1.0),
                               (0.9999999999990001, 2e-12, -1.000000000001),
@@ -331,6 +298,22 @@ def test_chain_degenerate_is_one_vacuous_move():
         t = 0.5 - 2 * s
         assert axis_chain_bound(r, r, s, L) == pytest.approx(
             28.0 * L * L * math.exp(-t * r), rel=1e-15)
+
+
+def test_chain_follows_the_walk_tolerance_rule():
+    # radii within _EQ_TOL are one radius, for the chain as for the walk:
+    # r + 1e-13 pays the vacuous move, as r itself does, not nothing
+    for r, s, L in [(3.0, 0.1, 1.0), (1.0, 0.05, 10.0)]:
+        same = axis_chain_bound(r, r, s, L)
+        for gap in (1e-13, 5e-13):
+            assert axis_chain_bound(r, r + gap, s, L) == same
+    # radii a few ulps more than _EQ_TOL apart walk one connected unit move
+    r2 = 1.000000000001
+    assert r2 - 1.0 > _EQ_TOL
+    cert = zigzag_certificate(_axis(1.0), _axis(r2), 0.05, 1.0)
+    assert [st.kind for st in cert.steps] == ["horizontal", "vertical"]
+    assert revalidate_certificate(cert)
+    assert axis_chain_bound(1.0, r2, 0.05, 1.0) == cert.total
 
 
 def test_chain_explicit_partial_sum():
@@ -520,6 +503,141 @@ def test_revalidation_catches_tampering():
     with pytest.raises(ValueError, match="total"):
         BoundCertificate(tuple(doctored), cert.total, cert.target,
                          cert.s, cert.L, cert.t)
+
+
+# a block whose certificates do not join one another: 6 steps, none, 8
+# and 5
+_BLOCK_PAIRS = [(_axis(2.0), _axis(5.0)),
+                ((3.0, 1.0, -4.0), (3.0, 1.0, -4.0)),
+                ((5.0, 1.0, -6.0), (3.0, -1.0, -2.0)),
+                (_axis(4.0), (6.0, -1.0, -5.0))]
+
+
+def _block():
+    return zigzag_certificate(np.array([a for a, _ in _BLOCK_PAIRS]),
+                              np.array([b for _, b in _BLOCK_PAIRS]),
+                              0.1, 1.0)
+
+
+def _tamper(block, j, **fields):
+    """`block` with flat step j's fields replaced, on copies of its arrays."""
+    arrays = {name: getattr(block, name).copy() for name in fields}
+    for name, value in fields.items():
+        arrays[name][j] = value
+    return dataclasses.replace(block, **arrays)
+
+
+def test_block_revalidation_checks_within_certificates_only():
+    block = _block()
+    assert np.diff(block.offsets).tolist() == [6, 0, 8, 5]
+    assert len(block.steps) == 19
+    assert revalidate_certificate(block)
+    # consecutive certificates do not join, and that is no fault
+    assert not np.allclose(block.start[6], block.end[5])
+    assert not np.allclose(block.start[14], block.end[13])
+
+
+def test_block_revalidation_names_the_bad_certificate_and_step():
+    block = _block()
+    at = block.offsets.tolist()      # certificate i starts at flat step at[i]
+    cases = [
+        # a bound, one ulp either way or halved, the totals untouched
+        (_tamper(block, at[2] + 3, bound=np.nextafter(block.bound[at[2] + 3],
+                                                      np.inf)),
+         "certificate 2, step 3: recorded bound"),
+        (_tamper(block, at[0] + 1, bound=np.nextafter(block.bound[at[0] + 1],
+                                                      0.0)),
+         "certificate 0, step 1: recorded bound"),
+        (_tamper(block, at[3] + 4, bound=block.bound[at[3] + 4] * 0.5),
+         "certificate 3, step 4: recorded bound"),
+        # an unknown kind
+        (_tamper(block, at[0] + 1, kind="diagonal"),
+         "certificate 0, step 1: unknown step kind 'diagonal'"),
+        # vertical moves that start above a2 = 1, far or just beyond 1e-12
+        (_tamper(block, at[2] + 1, kind="vertical", start=(5.0, 2.0, -7.0),
+                 end=(5.0, 0.0, -5.0)),
+         "certificate 2, step 1: vertical move requires a2 <= 1"),
+        (_tamper(block, at[3] + 4, end=(6.0, 1.0 + 1e-11, -7.0 - 1e-11)),
+         "certificate 3, step 4: vertical move requires a2 <= 1"),
+        # a horizontal move that ends just below a2 = -1
+        (_tamper(block, at[0], end=(3.0 + 1e-11, -1.0 - 1e-11, -2.0)),
+         "certificate 0, step 0: horizontal move requires a2 >= -1"),
+        # a frozen coordinate that moves, far or by 5e-11
+        (_tamper(block, at[0] + 2, end=(7.0, -1.0, -6.0)),
+         "certificate 0, step 2: horizontal move requires equal a3"),
+        (_tamper(block, at[0] + 2, end=(4.0 + 5e-11, -1.0, -3.0 - 5e-11)),
+         "certificate 0, step 2: horizontal move requires equal a3"),
+        # recorded points off the chamber: at a certificate's first start,
+        # at a later start and at the last end
+        (_tamper(block, at[2], start=(3.0, 4.0, -7.0)),
+         r"certificate 2, step 0: triple \(3.0, 4.0, -7.0\) not ordered"),
+        (_tamper(block, at[3] + 1, start=(3.0, 4.0, -7.0)),
+         r"certificate 3, step 1: triple \(3.0, 4.0, -7.0\) not ordered"),
+        (_tamper(block, at[4] - 1, end=(6.0, -0.5, -6.0)),
+         "certificate 3, step 4: exponents must sum to 0"),
+        # a start 5e-11 off in a2 alone: inside the chamber check's 1e-10,
+        # outside the 1e-12 join
+        (_tamper(block, at[2] + 2, start=block.start[at[2] + 2]
+                 + (0.0, 5e-11, 0.0)),
+         "certificate 2, step 2 does not start where step 1 ended"),
+    ]
+    # a boundary moved by one step, totals made to agree: certificate 2
+    # ends with certificate 3's first step, or certificate 3 starts with
+    # certificate 2's last one
+    for shift, name in [(1, "certificate 2, step 8 does not start where "
+                            "step 7 ended"),
+                        (-1, "certificate 3, step 1 does not start where "
+                             "step 0 ended")]:
+        cuts = at.copy()
+        cuts[3] += shift
+        totals = np.array([math.fsum(block.bound[p:q])
+                           for p, q in zip(cuts, cuts[1:])])
+        cases.append((dataclasses.replace(block, offsets=np.array(cuts),
+                                          totals=totals), name))
+    for c, toward in [(3, np.inf), (0, 0.0)]:
+        totals = block.totals.copy()
+        totals[c] = np.nextafter(totals[c], toward)
+        cases.append((dataclasses.replace(block, totals=totals),
+                      f"certificate {c}: total does not match"))
+    cases.append((dataclasses.replace(block, t=0.25), "1/2 - 2s"))
+    for bad, match in cases:
+        with pytest.raises(ValueError, match=match):
+            revalidate_certificate(bad)
+    assert revalidate_certificate(block)   # the tampering used copies
+
+
+def test_block_revalidation_reports_the_first_bad_certificate():
+    block = _block()
+    at = block.offsets.tolist()
+    bad_step = _tamper(block, at[2] + 3, bound=1.0)
+    totals = bad_step.totals.copy()
+    totals[1] = 1.0                  # the empty certificate claims a total
+    with pytest.raises(ValueError, match="certificate 1: total"):
+        revalidate_certificate(dataclasses.replace(bad_step, totals=totals))
+    # within one certificate a bad step comes before its total
+    totals = bad_step.totals.copy()
+    totals[2] += 1.0
+    with pytest.raises(ValueError, match="certificate 2, step 3"):
+        revalidate_certificate(dataclasses.replace(bad_step, totals=totals))
+    # the earlier of two bad steps wins, whatever checks find them
+    worse = _tamper(bad_step, at[2] + 1, start=(5.0, 2.0, -7.0))
+    with pytest.raises(ValueError, match="certificate 2, step 1"):
+        revalidate_certificate(worse)
+    worse = _tamper(worse, at[2] + 5, start=(4.0, 5.0, -9.0))
+    with pytest.raises(ValueError, match="certificate 2, step 1: vertical"):
+        revalidate_certificate(worse)
+    cut = _tamper(bad_step, at[2] + 2, start=block.start[at[2] + 2]
+                  + (0.0, 5e-11, 0.0))
+    with pytest.raises(ValueError, match="certificate 2, step 2 does not"):
+        revalidate_certificate(cut)
+    # and at one step the checks go in order: chamber, move rules, bound,
+    # connection
+    both = _tamper(bad_step, at[2] + 3, start=(4.0, 5.0, -9.0))
+    with pytest.raises(ValueError, match="certificate 2, step 3: triple"):
+        revalidate_certificate(both)
+    both = _tamper(bad_step, at[2] + 3, start=(5.0, -1.0 + 1e-11, -4.0))
+    with pytest.raises(ValueError, match="certificate 2, step 3: recorded"):
+        revalidate_certificate(both)
 
 
 @given(st.floats(1.0, 20.0), st.floats(1.0, 20.0),

@@ -464,13 +464,20 @@ def _run_kak(cfg):
     return cases, columns, None
 
 
-def _chamber_triple(rng, r_max):
-    """A random ordered zero-sum triple with radius in [1, r_max]."""
-    r = float(rng.uniform(1.0, r_max))
-    a2 = float(rng.uniform(-r / 2.0, r / 2.0))
-    if a2 >= 0:
-        return (r - a2, a2, -r)  # radius attained by -a3
-    return (r, a2, -r - a2)      # radius attained by a1
+def _chamber_points(rng, count, r_max):
+    """``count`` random ordered zero-sum triples as a (count, 3) array.
+
+    Each takes a radius r ~ U[1, r_max] and then a2 ~ U[-r/2, r/2], from one
+    ``rng.random((count, 2))`` scaled as low + (high - low) u: the doubles
+    that per-triple ``rng.uniform`` calls give, in the same order.
+    """
+    u = rng.random((count, 2))
+    r = 1.0 + (r_max - 1.0) * u[:, 0]
+    low, high = -r / 2.0, r / 2.0
+    a2 = low + (high - low) * u[:, 1]
+    # the radius is attained by -a3 when a2 >= 0, by a1 otherwise
+    return np.where((a2 >= 0)[:, None], np.stack([r - a2, a2, -r], axis=1),
+                    np.stack([r, a2, -r - a2], axis=1))
 
 
 def _run_zigzag_cert(cfg):
@@ -494,8 +501,7 @@ def _run_zigzag_cert(cfg):
     for s in cfg.values("s"):
         for L in cfg.values("L"):
             rng = np.random.default_rng([cfg.seed, len(cases)])
-            points = np.array([_chamber_triple(rng, r_max)
-                               for _ in range(2 * pairs)]).reshape(-1, 2, 3)
+            points = _chamber_points(rng, 2 * pairs, r_max).reshape(-1, 2, 3)
             # the axis radius max(a1, -a3) of each endpoint
             radii = np.maximum(points[..., 0], -points[..., 2]).tolist()
             base = [{"case": len(cases) + i, "s": float(s), "L": float(L),

@@ -12,18 +12,19 @@ g*omega in that splitting, and finitely supported measures on the integer
 group are pushed forward, tail-truncated, and Monte-Carlo integrated against
 the normalized hyperbolic measure on the domain.
 
-Reduction is continued-fraction reduction of the associated half-plane point.
-A float pass proposes the integer matrix gamma, and a certificate decides
-whether the proposal can be trusted: gamma is accepted only when the float
-image gamma . z lies inside F by more than a rigorous forward-error bound on
-that float image (see ``_certify``).  Away from the boundary of F the
-interior point fixes gamma up to sign, so an accepted proposal is exact.
-Points inside the error band, and proposals that fail for any other reason,
-go through exact rational arithmetic (``fractions.Fraction`` on the binary
-float values, which is lossless), which verifies or repairs the proposal.
-The scalar functions and the array function ``cocycle_alphas`` share the
-certificate and the fallback, so every returned gamma is exact even for
-badly conditioned inputs; the rational path also serves as the test oracle.
+Reduction is nearest-integer continued-fraction reduction of the associated
+half-plane point (Serre, A Course in Arithmetic, ch. VII), one loop
+``_reduce`` over floats and over rationals.  The float pass proposes the
+integer matrix gamma, and a certificate accepts it only when the float image
+gamma . z lies inside F by more than a rigorous forward-error bound (see
+``_certify``); an interior point fixes gamma up to sign, so an accepted
+proposal is exact.  Otherwise the loop runs again on exact rationals
+(``fractions.Fraction`` on the binary float values, which is lossless): from
+the proposed image, where it returns the identity if the proposal landed in
+F, or from the point itself when the float pass declines.  ``cocycle`` and
+the array function ``cocycle_alphas`` (float pass ``_reduce_float_batch``)
+share the certificate and the fallback, so every returned gamma is exact
+even for badly conditioned inputs; the rational path is also the oracle.
 Boundary convention: the right half of the boundary (Re z = 1/2, and the
 right unit-arc) is folded onto the left, which makes the splitting a true
 bijection modulo the +-identity center away from the orbits of the elliptic
@@ -140,25 +141,21 @@ def _int_matrix(entries):
 
 
 # ---------------------------------------------------------------------------
-# exact rational half-plane arithmetic
+# half-plane points and their reduction
 
 
-def _point_of_inverse(M):
-    """The half-plane point M^{-1} . i, exact over the rationals, for a
-    row-major 4-tuple M.
+def _point_of_inverse(m):
+    """The half-plane point m^{-1} . i = x + iy of a row-major 4-tuple
+    m = (a, b, c, d):
 
-    Uses the adjugate, which acts projectively like the inverse; requires
-    det M > 0 so the point stays in the upper half-plane.
+        x = -(ab + cd) / (a^2 + c^2),    y = (ad - bc) / (a^2 + c^2).
+
+    Plain arithmetic: exact on Fractions, elementwise on arrays.  Callers
+    check a zero first column before a scalar division, and y > 0.
     """
-    p, q, r, s = _adjugate4(M)
-    den = s * s + r * r
-    if den == 0:
-        raise ValueError("singular matrix")
-    x = (q * s + p * r) / den
-    y = (p * s - q * r) / den
-    if y <= 0:
-        raise ValueError("matrix must have positive determinant")
-    return x, y
+    a, b, c, d = m
+    den = a * a + c * c
+    return -(a * b + c * d) / den, (a * d - b * c) / den
 
 
 def _mobius_int(gamma, x, y):
@@ -171,87 +168,71 @@ def _mobius_int(gamma, x, y):
     return x2, y2
 
 
-def _in_domain_exact(x, y):
-    """Canonical (half-open) membership: |x| <= 1/2 with the right edge
-    excluded, |z| >= 1 with the right arc excluded."""
-    if y <= 0:
-        return False
-    norm = x * x + y * y
-    if norm > 1:
-        return -_HALF <= x < _HALF
-    return norm == 1 and -_HALF <= x <= 0
+def _reduce(x, y, half, max_iter):
+    """Nearest-integer continued-fraction reduction of x + iy towards F.
 
-
-def _reduce_float(x, y, max_iter=120):
-    """Float continued-fraction pass; returns a candidate integer matrix or
-    None when the iteration fails to settle."""
+    Each step recentres x by n = floor(x + half), which lands it in
+    [-1/2, 1/2) and so folds the right edge onto the left, then inverts
+    z -> -1/z while |z| < 1.  The one loop runs on floats (half = 0.5) and
+    on Fractions (half = 1/2).  Returns (gamma, x', y') with gamma a 4-tuple
+    of Python ints and gamma . (x + iy) = x' + iy', or None when the point
+    is not finite, y <= 0, x^2 + y^2 = 0 (float underflow) or the loop does
+    not settle within max_iter steps.  The right unit-arc is left unfolded.
+    """
     a, b, c, d = 1, 0, 0, 1
     for _ in range(max_iter):
-        if not (math.isfinite(x) and math.isfinite(y)) or y <= 0.0:
+        if not (0 < y < math.inf and -math.inf < x < math.inf):
             return None
-        n = math.floor(x + 0.5)
+        n = math.floor(x + half)
         if n:
             x -= n
             a, b = a - n * c, b - n * d
         norm = x * x + y * y
-        if norm < 1.0:
-            x, y = -x / norm, y / norm
-            a, b, c, d = -c, -d, a, b
-        else:
-            return a, b, c, d
+        if norm >= 1:
+            return (a, b, c, d), x, y
+        if not norm:
+            return None
+        x, y = -x / norm, y / norm
+        a, b, c, d = -c, -d, a, b
     return None
 
 
-def _reduce_exact(x, y, max_iter=10000):
-    """Exact continued-fraction reduction of a rational point into F.
-
-    Returns (gamma, x', y') with gamma . (x + iy) = x' + iy' canonical.  The
-    recentering step uses n = floor(x + 1/2), which lands x in [-1/2, 1/2)
-    and thereby folds the right edge onto the left; a final inversion folds
-    the right unit-arc.
-    """
-    a, b, c, d = 1, 0, 0, 1
-    norm = x * x + y * y
-    for _ in range(max_iter):
-        n = math.floor(x + _HALF)
-        if n:
-            x = x - n
-            a, b = a - n * c, b - n * d
-        norm = x * x + y * y
-        if norm < 1:
-            x, y = -x / norm, y / norm
-            a, b, c, d = -c, -d, a, b
-        else:
-            break
-    else:
-        raise RuntimeError("fundamental-domain reduction did not terminate")
-    if norm == 1 and x > 0:
-        x = -x
-        a, b, c, d = -c, -d, a, b
-    return (a, b, c, d), x, y
-
-
 def _reduce_point(x, y):
-    """Reduce the exact rational point x + iy into F.
+    """Reduce the exact rational point x + iy into F; returns (gamma, x', y').
 
-    Fast path: propose gamma with float arithmetic, verify membership
-    exactly; finish (or redo) exactly when the proposal misses.
+    The float loop proposes gamma.  The exact loop then runs from the
+    proposed image, where it returns the identity if the proposal landed in
+    F, or from x + iy itself when there is no proposal.  Last, the right
+    unit-arc is folded onto the left.
     """
-    cand = _reduce_float(float(x), float(y))
-    if cand is not None:
-        x2, y2 = _mobius_int(cand, x, y)
-        if _in_domain_exact(x2, y2):
-            return cand, x2, y2
-        tail, x3, y3 = _reduce_exact(x2, y2)
-        return _matmul4(tail, cand), x3, y3
-    return _reduce_exact(x, y)
+    try:
+        proposal = _reduce(float(x), float(y), 0.5, 120)
+    except OverflowError:       # a coordinate past the float range
+        proposal = None
+    gamma = (1, 0, 0, 1)
+    if proposal is not None:
+        gamma = proposal[0]
+        x, y = _mobius_int(gamma, x, y)
+    reduced = _reduce(x, y, _HALF, 10000)
+    if reduced is None:
+        raise RuntimeError("fundamental-domain reduction did not terminate")
+    tail, x, y = reduced
+    gamma = _matmul4(tail, gamma)
+    if x > 0 and x * x + y * y == 1:
+        x, gamma = -x, _matmul4((0, -1, 1, 0), gamma)    # S: z -> -1/z
+    return gamma, x, y
 
 
 def _exact_gamma(g, w):
     """The integer part of g w on the rational path: gamma with gamma . z in
     F for the exact point z = (g w)^{-1} . i (g, w row-major float 4-tuples)."""
     M = _matmul4(tuple(map(Fraction, g)), tuple(map(Fraction, w)))
-    gamma, _, _ = _reduce_point(*_point_of_inverse(M))
+    if not (M[0] or M[2]):
+        raise ValueError("singular matrix")
+    x, y = _point_of_inverse(M)
+    if y <= 0:
+        raise ValueError("matrix must have positive determinant")
+    gamma, _, _ = _reduce_point(x, y)
     return gamma
 
 
@@ -342,23 +323,23 @@ def _split(g, w):
     otherwise the rational path decides.
     """
     m = _matmul4(g, w)
-    a, b, c, d = m
-    den = a * a + c * c
-    cand = None
-    if den > 0.0:
-        cand = _reduce_float(-(a * b + c * d) / den, (a * d - b * c) / den)
+    a, _, c, _ = m
+    gamma = None
+    if a * a + c * c > 0.0:
+        reduced = _reduce(*_point_of_inverse(m), 0.5, 120)
+        gamma = reduced and reduced[0]
     # entries past 2^26 never certify; checking here keeps float() exact
-    if (cand is None or max(map(abs, cand)) >= 1 << 26
-            or not _certify(g, w, m, tuple(map(float, cand)))):
-        cand = _exact_gamma(g, w)
-    gamma = _canonical_sign(cand)
+    if (gamma is None or max(map(abs, gamma)) >= 1 << 26
+            or not _certify(g, w, m, tuple(map(float, gamma)))):
+        gamma = _exact_gamma(g, w)
+    gamma = _canonical_sign(gamma)
     return gamma, _rounded_representative(g, w, gamma), m
 
 
 def _reduce_float_batch(x, y, max_iter=120):
-    """``_reduce_float`` over arrays: candidate integer matrices as four
-    float arrays.  A row that fails to settle keeps what it reached, which
-    the certificate then rejects."""
+    """The float loop of ``_reduce`` over arrays: candidate integer matrices
+    as four float arrays.  A row that fails to settle, or turns non-finite,
+    gives a candidate that the certificate rejects."""
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
     gamma = np.zeros((4, x.size))
@@ -388,10 +369,8 @@ def _alphas(g, omegas):
     count = len(omegas)
     w = tuple(np.ascontiguousarray(omegas.reshape(count, 4).T))
     m = _matmul4(g, w)
-    a, b, c, d = m
     with np.errstate(all="ignore"):
-        den = a * a + c * c
-        cand = _reduce_float_batch(-(a * b + c * d) / den, (a * d - b * c) / den)
+        cand = _reduce_float_batch(*_point_of_inverse(m))
         ok = _certify(g, w, m, cand)
     p, q = cand[0][ok], cand[1][ok]
     sign = np.where(p != 0, np.sign(p), np.sign(q))
@@ -430,11 +409,9 @@ def _domain_points(a, b, c, d):
     bad = (off > _DET_TOL) & (off > _DET_TOL * (a * a + b * b + c * c + d * d))
     if _any(bad):
         raise ValueError(f"determinant must be 1, got {_first(det, bad)!r}")
-    den = a * a + c * c
-    if _any(den <= 0):
+    if _any(a * a + c * c <= 0):
         raise ValueError("representative has a zero first column")
-    x = -(a * b + c * d) / den
-    y = det / den
+    x, y = _point_of_inverse((a, b, c, d))
     if _any(y <= 0):
         raise ValueError("associated point must lie in the upper half-plane")
     bad = (abs(x) > 0.5 + _MEMBER_TOL) | (x * x + y * y < 1.0 - _MEMBER_TOL)
@@ -529,6 +506,35 @@ def _representatives(domain_samples):
     return omegas, np.array([p.x for p in points]), np.array([p.y for p in points])
 
 
+def _check_probability(weights, what):
+    """Refuse weights unless each is finite and nonnegative (to 1e-12) and
+    they sum to one within 1e-9."""
+    if not all(map(math.isfinite, weights)):
+        raise ValueError(f"{what} must be finite")
+    if any(w < -1e-12 for w in weights):
+        raise ValueError(f"{what} must be nonnegative")
+    if abs(math.fsum(weights) - 1.0) > 1e-9:
+        raise ValueError(f"{what} must sum to one")
+
+
+def _weighted_sample(domain_samples, weights):
+    """A nonempty domain sample as (omegas, x, y, weights), see
+    ``_representatives``.  The weights default to uniform; given weights
+    must be one probability weight per representative."""
+    omegas, x, y = _representatives(domain_samples)
+    count = len(omegas)
+    if not count:
+        raise ValueError("empty domain sample")
+    if weights is None:
+        return omegas, x, y, np.full(count, 1.0 / count)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (count,):
+        raise ValueError(f"expected one domain weight per representative, "
+                         f"got {weights.size} weights for {count} representatives")
+    _check_probability(weights.tolist(), "domain weights")
+    return omegas, x, y, weights
+
+
 def reduce_to_domain(g):
     """Split g = omega * gamma with omega a domain representative.
 
@@ -575,7 +581,9 @@ def cocycle(g, omega):
 
     Satisfies the composition rule alpha(g1 g2, omega) =
     alpha(g1, g2.omega) * alpha(g2, omega) exactly (as sign-canonicalized
-    integer matrices), and alpha(k, omega) = identity for rotations k.
+    integer matrices) except on the orbits of the elliptic points i and rho,
+    whose stabilizers are larger and where alpha is the one the rational
+    path picks; and alpha(k, omega) = identity for rotations k.
     """
     m = _check_unimodular(g)
     if not isinstance(omega, SiegelPoint):
@@ -854,13 +862,7 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
     g_list = [_check_unimodular(g) for g in g_samples]
     if not g_list:
         raise ValueError("no group elements to check")
-    omegas, x, y = _representatives(domain_samples)
-    count = len(omegas)
-    if not count:
-        raise ValueError("empty domain sample")
-    if weights is None:
-        weights = np.full(count, 1.0 / count)
-    weights = np.asarray(weights, dtype=float)
+    omegas, x, y, weights = _weighted_sample(domain_samples, weights)
     omega_lengths = _point_lengths(x, y)
     kappa = -math.inf
     c_emp = -math.inf
@@ -879,7 +881,7 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
             c_emp_stderr = stderr / math.exp(2.0 * s * lg)
     exp_integral, exp_stderr = domain_exp_integral(omega_lengths, s0, weights)
     return DomainStats(
-        sample_count=count,
+        sample_count=len(omegas),
         g_count=len(g_list),
         s=float(s),
         s0=float(s0),
@@ -985,21 +987,14 @@ def pushforward_mn0(m_tilde, n, domain_samples, weights=None):
     pairs = [(_check_unimodular(g), float(w)) for g, w in m_tilde]
     if not pairs:
         raise ValueError("empty measure")
-    if any(w < -1e-12 for _, w in pairs):
-        raise ValueError("weights must be nonnegative")
-    if abs(math.fsum(w for _, w in pairs) - 1.0) > 1e-9:
-        raise ValueError("weights must sum to one")
+    _check_probability([w for _, w in pairs], "weights")
     for g, _ in pairs:
         if element_length(g) > n + 1e-9:
             raise ValueError(
                 f"support leaves the length ball: length {element_length(g):.6g} > n={n}"
             )
-    omegas, _, _ = _representatives(domain_samples)
-    if not len(omegas):
-        raise ValueError("empty domain sample")
-    if weights is None:
-        weights = np.full(len(omegas), 1.0 / len(omegas))
-    weights = np.asarray(weights, dtype=float).tolist()
+    omegas, _, _, weights = _weighted_sample(domain_samples, weights)
+    weights = weights.tolist()
     entries = {}
     for g, wg in pairs:
         alphas, _ = _alphas(_adjugate4(g.ravel().tolist()), omegas)

@@ -650,6 +650,30 @@ def test_zigzag_radii_respect_rmax():
         assert 1.0 - 1e-12 <= case["r_prime"] <= 6.0 + 1e-12
 
 
+def _uniform_triple(rng, r_max):
+    """One chamber point from two scalar ``Generator.uniform`` draws, the
+    oracle for ``cli._chamber_points``."""
+    r = float(rng.uniform(1.0, r_max))
+    a2 = float(rng.uniform(-r / 2.0, r / 2.0))
+    if a2 >= 0:
+        return (r - a2, a2, -r)
+    return (r, a2, -r - a2)
+
+
+@pytest.mark.parametrize("r_max", [1.0, 1.5, 20.0, 1000.0])
+def test_chamber_points_are_the_scalar_uniform_draws(r_max):
+    # six (s, L) blocks of 20 pairs, each from its own stream as zigzag-cert
+    # seeds it, compared bit for bit
+    pairs = 20
+    for seed in range(50):
+        for block in range(6):
+            rng = np.random.default_rng([seed, pairs * block])
+            want = np.array([_uniform_triple(rng, r_max) for _ in range(2 * pairs)])
+            got = cli._chamber_points(np.random.default_rng([seed, pairs * block]),
+                                      2 * pairs, r_max)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("value, rule", [
     (0.5, "at least 1"),
     (-3, "at least 1"),

@@ -2,12 +2,13 @@
 
 import csv
 import math
+import random
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import svdvals
@@ -174,23 +175,46 @@ def test_reduce_rejects_nonunimodular():
         reduce_to_domain(np.diag([2.0, 1.0]))
 
 
+def exact_reduction(x, y):
+    """The rational oracle: the continued-fraction loop on Fractions from the
+    identity, then the right unit-arc folded onto the left."""
+    gamma, x, y = ind._reduce(x, y, Fraction(1, 2), 10000)
+    if x * x + y * y == 1 and x > 0:
+        a, b, c, d = gamma
+        gamma, x = (-c, -d, a, b), -x
+    return gamma, x, y
+
+
+def in_domain(x, y):
+    """Canonical (half-open) membership of a rational point: |x| <= 1/2 with
+    the right edge excluded, |z| >= 1 with the right arc excluded."""
+    if y <= 0:
+        return False
+    norm = x * x + y * y
+    if norm > 1:
+        return -Fraction(1, 2) <= x < Fraction(1, 2)
+    return norm == 1 and -Fraction(1, 2) <= x <= 0
+
+
 def test_exact_reduction_boundary_tiebreaks():
-    # Re z = 1/2 exactly folds to the left edge
-    gamma, x, y = ind._reduce_exact(Fraction(1, 2), Fraction(2))
-    assert gamma == (1, -1, 0, 1)
-    assert (x, y) == (Fraction(-1, 2), Fraction(2))
-    # right unit-arc folds to the left arc: z = 5/13 + 12i/13
-    gamma, x, y = ind._reduce_exact(Fraction(5, 13), Fraction(12, 13))
-    assert x == Fraction(-5, 13) and y == Fraction(12, 13)
-    assert x * x + y * y == 1
-    # a unit-arc point outside |x| <= 1/2 reduces through the corner chart
-    gamma, x, y = ind._reduce_exact(Fraction(3, 5), Fraction(4, 5))
-    assert (x, y) == (Fraction(-1, 2), Fraction(1))
-    assert ind._in_domain_exact(x, y)
-    # the corner 1/2 + i sqrt(3)/2 is rational only in x; use the half-integer
-    # shift on a point just inside the arc instead: i stays put
-    gamma, x, y = ind._reduce_exact(Fraction(0), Fraction(1))
-    assert gamma == (1, 0, 0, 1) and (x, y) == (0, 1)
+    for reduce in (ind._reduce_point, exact_reduction):
+        # Re z = 1/2 exactly folds to the left edge
+        gamma, x, y = reduce(Fraction(1, 2), Fraction(2))
+        assert gamma == (1, -1, 0, 1)
+        assert (x, y) == (Fraction(-1, 2), Fraction(2))
+        # right unit-arc folds to the left arc: z = 5/13 + 12i/13
+        gamma, x, y = reduce(Fraction(5, 13), Fraction(12, 13))
+        assert x == Fraction(-5, 13) and y == Fraction(12, 13)
+        assert x * x + y * y == 1
+        # a unit-arc point outside |x| <= 1/2 reduces through the corner chart
+        gamma, x, y = reduce(Fraction(3, 5), Fraction(4, 5))
+        assert (x, y) == (Fraction(-1, 2), Fraction(1))
+        assert in_domain(x, y)
+        # the corner 1/2 + i sqrt(3)/2 is rational only in x; use the
+        # half-integer shift on a point just inside the arc instead: i stays
+        # put
+        gamma, x, y = reduce(Fraction(0), Fraction(1))
+        assert gamma == (1, 0, 0, 1) and (x, y) == (0, 1)
 
 
 def test_exact_reduction_matches_public_api():
@@ -199,11 +223,12 @@ def test_exact_reduction_matches_public_api():
         g = random_group_elements(1, rng.integers(1 << 30), max_length=2.5)[0]
         pt, gamma = reduce_to_domain(g)
         x, y = ind._point_of_inverse(_fractions(g))
-        exact_gamma, xr, yr = ind._reduce_exact(x, y)
-        assert canonical(exact_gamma) == tuple(int(v) for v in gamma.ravel())
-        assert ind._in_domain_exact(xr, yr)
-        assert pt.x == pytest.approx(float(xr), abs=1e-12)
-        assert pt.y == pytest.approx(float(yr), rel=1e-12)
+        for reduce in (ind._reduce_point, exact_reduction):
+            exact_gamma, xr, yr = reduce(x, y)
+            assert canonical(exact_gamma) == tuple(int(v) for v in gamma.ravel())
+            assert in_domain(xr, yr)
+            assert pt.x == pytest.approx(float(xr), abs=1e-12)
+            assert pt.y == pytest.approx(float(yr), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +500,66 @@ def test_integer_parts_past_int64_are_python_ints():
         CocycleResult(pt, np.array([[1.0, 0], [0, 1]], dtype=object))
 
 
+def test_underflowing_points_take_the_exact_path():
+    # x^2 + y^2 of the point 1e-200 i underflows to 0 in floats, so the float
+    # loop declines and the exact loop inverts it
+    g = np.diag([1e100, 1e-100])
+    flip = [[0, 1], [-1, 0]]
+    pt, gamma = reduce_to_domain(g)
+    assert gamma.tolist() == flip
+    assert pt.point == pytest.approx(1e200j, rel=1e-12)
+    assert cocycle(g, np.eye(2)).alpha.tolist() == flip
+    alphas, fallbacks = cocycle_alphas(g, np.eye(2)[None])
+    assert alphas.tolist() == [flip] and fallbacks == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(-600, 600), shear=st.booleans())
+@example(k=600, shear=False).via("the point 2^-1200 i underflows")
+@example(k=-600, shear=False).via("the point 2^1200 i overflows")
+@example(k=600, shear=True).via("an integer part past int64")
+def test_extreme_scales_match_the_oracle_or_refuse(k, shear):
+    g = np.array([[1.0, 2.0**k], [0.0, 1.0]]) if shear else np.diag([2.0**k, 2.0**-k])
+    want, _, _ = exact_reduction(*ind._point_of_inverse(_fractions(g)))
+    calls = (lambda: reduce_to_domain(g)[1],
+             lambda: cocycle(g, np.eye(2)).alpha,
+             lambda: cocycle_alphas(g, np.eye(2)[None])[0][0])
+    for call in calls:
+        try:
+            gamma = call()
+        except ValueError:
+            continue   # a representative whose first column underflows
+        assert canonical(gamma) == canonical(want)
+
+
+def item3_triples():
+    """300 pairs (g1, g2) of S/T/T^-1 words of length 1-7 from Random(0)."""
+    rng = random.Random(0)
+
+    def word():
+        g = np.eye(2, dtype=np.int64)
+        for _ in range(rng.randint(1, 7)):
+            g = g @ rng.choice((S_MAT, T_MAT, T_INV))
+        return g
+
+    return [(word(), word()) for _ in range(300)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize("omega", [np.eye(2), S_MAT.astype(float)], ids=["I", "S"])
+def test_cocycle_identity_on_the_orbit_of_i(omega):
+    # i is fixed by S, so a domain in the half-plane cannot choose between
+    # gamma and S gamma there; 67 (omega = I) and 96 (omega = S) triples break
+    broken = 0
+    for g1, g2 in item3_triples():
+        r2 = cocycle(g2.astype(float), omega)
+        r1 = cocycle(g1.astype(float), r2.g_dot_omega)
+        r12 = cocycle((g1 @ g2).astype(float), omega)
+        prod = np.array(r1.alpha, dtype=object) @ np.array(r2.alpha, dtype=object)
+        broken += tuple(int(v) for v in r12.alpha.ravel()) != canonical(prod)
+    assert broken == 0, f"{broken} of 300 triples break the composition rule"
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -652,6 +737,25 @@ def test_growth_check_rejects_empty_inputs():
         cocycle_growth_check([np.eye(2)], 0.2, [])
     with pytest.raises(ValueError, match="empty domain sample"):
         cocycle_growth_check([np.eye(2)], 0.2, np.empty((0, 2, 2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda pts, w: cocycle_growth_check([np.eye(2)], 0.2, pts, w),
+    lambda pts, w: dict(pushforward_mn0([(np.eye(2), 1.0)], 1.0, pts, w).items()),
+], ids=["growth-check", "pushforward"])
+def test_domain_weights_are_one_probability_weight_per_point(call):
+    x, y, theta, _, weights = sample_domain_arrays(200, 4)
+    omegas = domain_matrices(x, y, theta)
+    with pytest.raises(ValueError, match="100 weights for 200 representatives"):
+        call(omegas, 2.0 * weights[:100])
+    with pytest.raises(ValueError, match="1 weights for 200 representatives"):
+        call(omegas, 1.0)
+    for bad, what in ((np.where(np.arange(200) == 3, np.nan, weights), "be finite"),
+                      (np.where(np.arange(200) == 3, -1e-3, weights), "be nonnegative"),
+                      (2.0 * weights, "sum to one")):
+        with pytest.raises(ValueError, match=f"domain weights must {what}"):
+            call(omegas, bad)
+    assert call(omegas, weights) == call(omegas, None)
 
 
 def test_growth_check_enforces_minimum_samples():

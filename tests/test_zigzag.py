@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab.cartan import CartanTriple
-from gaplab.cli import _chamber_triple
+from gaplab.cli import _chamber_points
 from gaplab.zigzag import (_EQ_TOL, BoundCertificate, StarParams, ZigZagStep,
                            axis_chain_bound, product_params, rescale_params,
                            rescale_reindex, revalidate_certificate,
@@ -135,8 +135,8 @@ def test_builder_matches_oracle_on_light_sweeps_pairs():
     for s in (0.05, 0.1, 0.2):
         for L in (1.0, 10.0):
             rng = np.random.default_rng([20301, idx])
-            points = [(_chamber_triple(rng, 20.0), _chamber_triple(rng, 20.0))
-                      for _ in range(200)]
+            points = [(tuple(a), tuple(b)) for a, b in
+                      _chamber_points(rng, 400, 20.0).reshape(-1, 2, 3).tolist()]
             _assert_block_matches_oracle(points, s, L)
             # a single pair is the only certificate of a block of one
             a, b = points[0]

@@ -17,9 +17,11 @@ star-verify    sandwiched-representation convergence reports
 cocycle-mc     Monte-Carlo cocycle growth, cusp decay and truncation checks
 
 Configuration is flat ``key = value`` text (values may be comma-separated
-lists); command-line ``--key=value`` pairs override the file.  Unknown keys
-and empty grids are rejected with exit status 2.  Exit status is 0 when all
-cases pass, 1 when any bound is violated, 2 on usage errors.
+lists); command-line ``--key=value`` pairs override the file.  What each
+key accepts is declared once, in ``COMMANDS``, and checked before any work.
+Unknown keys, empty grids and values a key does not accept are rejected
+with exit status 2.  Exit status is 0 when all cases pass, 1 when any bound
+is violated, 2 on usage errors.
 
 The output CSV starts with a ``# schema=<command>/v1`` line followed by a
 ``# generated=...`` timestamp comment; everything below the timestamp line
@@ -33,10 +35,10 @@ import csv
 import datetime
 import json
 import math
-import operator
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +73,7 @@ class UsageError(Exception):
 
 
 def _parse_number(token):
+    """The int, or else the finite float, that ``token`` spells."""
     text = token.strip()
     try:
         return int(text)
@@ -79,9 +82,9 @@ def _parse_number(token):
     try:
         value = float(text)
     except ValueError:
-        raise UsageError(f"could not parse numeric value {token!r}") from None
+        value = math.nan
     if not math.isfinite(value):
-        raise UsageError(f"non-finite value {token!r} not allowed")
+        raise UsageError(f"must be a finite number, got {token!r}")
     return value
 
 
@@ -89,8 +92,63 @@ def _parse_values(text):
     """A comma-separated list of numbers; at least one entry required."""
     values = [_parse_number(t) for t in str(text).split(",") if t.strip()]
     if not values:
-        raise UsageError(f"empty value list {text!r}")
+        raise UsageError(f"takes at least one value, got {text!r}")
     return values
+
+
+class Key(NamedTuple):
+    """What one key of a command accepts.
+
+    ``default`` holds its default values.  An ``integer`` key takes
+    integers only: an integral float is the integer it spells, any other
+    value is refused, never truncated.  Every value must lie in [``low``,
+    ``high``].  An ``axis`` takes any number of values; any other key takes
+    exactly one.
+    """
+
+    default: tuple
+    integer: bool = False
+    low: float = -math.inf
+    high: float = math.inf
+    axis: bool = False
+
+    def check(self, command, key, values):
+        """The typed values of ``key``: a list for an axis, the single value
+        otherwise.  A value the key does not accept is a `UsageError` of
+        the form ``<command>: --<key> <rule>, got <value>``."""
+        def refuse(rule, value):
+            raise UsageError(f"{command}: --{key} {rule}, got {value!r}")
+
+        if not self.axis and len(values) != 1:
+            refuse("takes a single value", list(values))
+        out = []
+        for value in values:
+            number = value
+            if isinstance(value, (bool, np.bool_)) or not isinstance(
+                    value, (int, float, np.integer, np.floating)):
+                number = math.nan
+            elif isinstance(value, (float, np.floating)):
+                number = float(value)
+            if self.integer:
+                if isinstance(number, float) and not number.is_integer():
+                    refuse("must be an integer", value)
+                number = int(number)
+            else:
+                try:
+                    number = float(number)
+                except OverflowError:       # an int past the float range
+                    number = math.inf
+                if not math.isfinite(number):
+                    refuse("must be a finite number", value)
+            if number < self.low:
+                refuse(f"must be at least {self.low:g}", number)
+            if number > self.high:
+                refuse(f"must be at most {self.high:g}", number)
+            out.append(number)
+        return out if self.axis else out[0]
+
+
+_SEED = Key((0,), integer=True, low=0)
 
 
 @dataclass
@@ -98,7 +156,10 @@ class ExperimentConfig:
     """A command name plus a parameter grid, output path and seed.
 
     Every grid key must be one the command declares; missing keys fall back
-    to the command defaults.  Values are stored as lists (axes of the grid).
+    to the command defaults.  Values are stored as lists of numbers (axes of
+    the grid): a string is a comma-separated list and is parsed, as is a
+    string item of a list.  The seed is checked here; `run` checks what
+    every grid key accepts.
     """
 
     command: str
@@ -113,48 +174,31 @@ class ExperimentConfig:
             raise UsageError(f"unknown command {self.command!r} (expected one of: {known})")
         merged = {}
         for key, values in self.grid.items():
-            if key not in spec.defaults:
+            if key not in spec.keys:
                 raise UsageError(f"unknown config key {key!r} for command {self.command!r}")
-            if not isinstance(values, (list, tuple)):
-                values = [values]
-            values = [v for v in values]
+            values = self._numbers(key, values)
             if not values:
                 raise UsageError(f"empty grid for key {key!r}")
             merged[key] = values
-        for key, values in spec.defaults.items():
-            merged.setdefault(key, list(values))
+        for key, rule in spec.keys.items():
+            merged.setdefault(key, list(rule.default))
         self.grid = merged
-        self.seed = _parse_seed(self.command, self.seed)
+        self.seed = _SEED.check(self.command, "seed",
+                                self._numbers("seed", self.seed))
+
+    def _numbers(self, key, values):
+        try:
+            if isinstance(values, str):
+                return _parse_values(values)
+            if not isinstance(values, (list, tuple)):
+                values = [values]
+            return [_parse_number(v) if isinstance(v, str) else v
+                    for v in values]
+        except UsageError as exc:
+            raise UsageError(f"{self.command}: --{key} {exc}") from None
 
     def values(self, key):
         return list(self.grid[key])
-
-    def scalar(self, key):
-        values = self.grid[key]
-        if len(values) != 1:
-            raise UsageError(f"key {key!r} takes a single value, got {values!r}")
-        return values[0]
-
-    def integers(self, key):
-        """The values of an integer key.  An int, or a float with no
-        fractional part (``1e4``), is taken; any other value is a usage
-        error, never truncated."""
-        out = []
-        for value in self.grid[key]:
-            number = _parse_number(value) if isinstance(value, str) else value
-            if isinstance(number, float) and number.is_integer():
-                number = int(number)
-            if (isinstance(number, bool)
-                    or not isinstance(number, (int, np.integer))):
-                raise UsageError(f"{self.command}: --{key} must be an "
-                                 f"integer, got {value!r}")
-            out.append(int(number))
-        return out
-
-    def integer(self, key):
-        """The single value of an integer key (see `integers`)."""
-        self.scalar(key)
-        return self.integers(key)[0]
 
     def tolerances(self):
         return {k: v[0] for k, v in self.grid.items() if k.startswith("tol")}
@@ -234,10 +278,11 @@ class RunReport:
 def run(command, config=None):
     """Execute ``command`` over its grid; deterministic given (config, seed).
 
-    A ``ValueError`` from the library means the configuration asked for
-    something the library rejects, so it surfaces as a ``UsageError``; so
-    does a grid that yields no case.  A case with a non-finite float cell
-    fails whatever its runner decided.
+    Every key is checked against its `Key` before the runner starts, and
+    the runner gets the typed values.  A ``ValueError`` from the library
+    means the configuration asked for something the library rejects, so it
+    surfaces as a ``UsageError``; so does a grid that yields no case.  A
+    case with a non-finite float cell fails whatever its runner decided.
     """
     if config is None:
         config = ExperimentConfig(command)
@@ -246,9 +291,11 @@ def run(command, config=None):
     if config.command != command:
         raise UsageError(f"config is for {config.command!r}, not {command!r}")
     spec = COMMANDS[command]
+    params = {key: rule.check(command, key, config.grid[key])
+              for key, rule in spec.keys.items()}
     start = time.perf_counter()
     try:
-        cases, columns, diagnostics = spec.runner(config)
+        cases, columns, diagnostics = spec.runner(params, config.seed)
     except ValueError as exc:
         raise UsageError(f"{command}: {exc}") from exc
     wall = time.perf_counter() - start
@@ -305,10 +352,9 @@ _SDELTA_CROSS_CHECK_MAX_MODULUS = 1024
 # correct applies converge in 2-3 steps; a stalled iteration fails its case
 # after this many instead of running the library's default cap
 _SDELTA_CROSS_CHECK_MAX_ITERATIONS = 50
-_ZIGZAG_MAX_RADIUS = 1000.0
 
 
-def _run_sdelta_decay(cfg):
+def _run_sdelta_decay(params, seed):
     """Depth-h character norms against the p^{-(n-h)/2} staircase.
 
     The norms come from the closed-form block law and never build a dense
@@ -320,17 +366,18 @@ def _run_sdelta_decay(cfg):
     ``tol``.  Both norm reports go into the diagnostics; a larger case says
     there that no cross-check ran.
     """
-    tol = float(cfg.scalar("tol"))
+    tol = params["tol"]
+    # p^n grows with both keys, so the largest pair decides; test n first:
+    # any p >= 2 exceeds the bound from n = 13 on, and forming p^n for a
+    # huge n would not finish
+    p, n = max(params["p"]), max(params["n"])
+    if n >= _SDELTA_MAX_MODULUS.bit_length() or p ** n > _SDELTA_MAX_MODULUS:
+        raise UsageError(f"sdelta-decay: modulus {p}^{n} exceeds "
+                         f"{_SDELTA_MAX_MODULUS}")
     cases = []
     checks = []
-    for p in cfg.integers("p"):
-        for n in cfg.integers("n"):
-            # test n first: any p >= 2 exceeds the bound from n = 13 on, and
-            # forming p^n for a huge n would not finish
-            if (n >= _SDELTA_MAX_MODULUS.bit_length()
-                    or p ** n > _SDELTA_MAX_MODULUS):
-                raise UsageError(f"sdelta-decay: modulus {p}^{n} exceeds "
-                                 f"{_SDELTA_MAX_MODULUS}")
+    for p in params["p"]:
+        for n in params["n"]:
             ring = residue.ResidueRing(p, n)
             for h in range(1, n + 1):
                 # index p^{h-1} is the slowest-decaying character of depth h
@@ -343,7 +390,7 @@ def _run_sdelta_decay(cfg):
                          "closedForm": report.to_json()}
                 if ring.modulus <= _SDELTA_CROSS_CHECK_MAX_MODULUS:
                     power = finite_models.operator_norm(
-                        op, method="power-iteration", seed=cfg.seed,
+                        op, method="power-iteration", seed=seed,
                         max_iterations=_SDELTA_CROSS_CHECK_MAX_ITERATIONS)
                     ok = (ok and power.converged
                           and abs(power.value - report.value) <= tol)
@@ -365,14 +412,12 @@ def _run_sdelta_decay(cfg):
     return cases, columns, {"crossChecks": checks}
 
 
-def _run_sphere_gap(cfg):
+def _run_sphere_gap(params, seed):
     """sup_l |P_l(delta) - P_l(0)| against the 2 sqrt(delta) envelope."""
-    tol = float(cfg.scalar("tol"))
-    dmax = cfg.integer("dmax")
-    deltas = [float(delta) for delta in cfg.values("delta")]
+    tol, deltas = params["tol"], params["delta"]
     cases = []
-    for n in cfg.integers("n"):
-        reports = spheres.tdelta_gap_report(n, deltas, dmax)
+    for n in params["n"]:
+        reports = spheres.tdelta_gap_report(n, deltas, params["dmax"])
         for delta, rep in zip(deltas, reports):
             cases.append({
                 "n": n, "delta": delta,
@@ -384,33 +429,17 @@ def _run_sphere_gap(cfg):
     return cases, columns, None
 
 
-_SU2_MAX_TWO_J = 48
-
-
-def _run_su2_gap(cfg):
-    """Two-rotation gap must dominate the closed-form spin-1/2 branch.
-
-    Above 2j = ``_SU2_MAX_TWO_J`` the double-precision spin matrices come
-    close to failing the unitarity check the library asserts (on a
-    721-point theta grid the first failure is at 2j = 53), so a larger
-    ``jmax`` is a usage error.
-    """
-    tol = float(cfg.scalar("tol"))
-    two_j_max = cfg.integer("jmax")
-    points = cfg.integer("qpoints")
-    if two_j_max > _SU2_MAX_TWO_J:
-        raise UsageError(f"su2-gap: jmax = {two_j_max} exceeds "
-                         f"{_SU2_MAX_TWO_J}: spin matrices above it are not "
-                         f"unitary to double precision")
-    thetas = [float(theta) for theta in cfg.values("theta")]
-    values = spheres.stheta_norm_gap(thetas, two_j_max=two_j_max,
-                                     quadrature_points=points)
+def _run_su2_gap(params, seed):
+    """Two-rotation gap must dominate the closed-form spin-1/2 branch."""
+    thetas = params["theta"]
+    values = spheres.stheta_norm_gap(thetas, two_j_max=params["jmax"],
+                                     quadrature_points=params["qpoints"])
     cases = []
     for theta, value in zip(thetas, values.tolist()):
         lower = spheres.spin_half_gap(theta)
         cases.append({
             "theta": theta, "value": value, "lower": lower,
-            "pass": bool(value >= lower - tol),
+            "pass": bool(value >= lower - params["tol"]),
         })
     return cases, ("theta", "value", "lower", "pass"), None
 
@@ -423,25 +452,17 @@ def _random_sl3(rng):
             return m / np.cbrt(det)
 
 
-def _run_kak(cfg):
+def _run_kak(params, seed):
     """KAK round-trips on random elements plus distortion-bound sweeps.
 
     All elements are drawn first, in the order the rng yields them, then
     factored by one stacked `kak_real` call; each alpha's r-grid is one
     `solve_sphere_distortion` call.
     """
-    tol = float(cfg.scalar("tol"))
-    count = cfg.integer("count")
-    r_count = cfg.integer("rcount")
-    if count < 0:
-        raise UsageError(f"kak: --count must be a non-negative integer, "
-                         f"got {count}")
-    if r_count < 1:
-        # an empty r-grid would leave every alpha unchecked
-        raise UsageError(f"kak: --rcount must be a positive integer, "
-                         f"got {r_count}")
-    rng = np.random.default_rng(cfg.seed)
-    g = np.array([_random_sl3(rng) for _ in range(count)]).reshape(-1, 3, 3)
+    tol = params["tol"]
+    rng = np.random.default_rng(seed)
+    g = np.array([_random_sl3(rng)
+                  for _ in range(params["count"])]).reshape(-1, 3, 3)
     k1, a, k2 = cartan.kak_real(g)
     recon = k1 @ cartan.d_matrices(a) @ k2
     scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
@@ -450,9 +471,8 @@ def _run_kak(cfg):
               "delta": "", "value": residual, "bound": tol,
               "pass": residual <= tol}
              for i, residual in enumerate(residuals.tolist())]
-    for alpha in cfg.values("alpha"):
-        alpha = float(alpha)
-        rs = np.linspace(alpha, 4.0 * alpha, r_count).tolist()
+    for alpha in params["alpha"]:
+        rs = np.linspace(alpha, 4.0 * alpha, params["rcount"]).tolist()
         for sol in cartan.solve_sphere_distortion(alpha, rs):
             ok = sol.residual <= 1e-8 and sol.delta <= sol.delta_bound * (1 + 1e-9)
             cases.append({
@@ -480,36 +500,28 @@ def _chamber_points(rng, count, r_max):
                     np.stack([r, a2, -r - a2], axis=1))
 
 
-def _run_zigzag_cert(cfg):
+def _run_zigzag_cert(params, seed):
     """Certificate totals against the telescoped target, one block per (s, L).
 
     Each (s, L) block draws its pairs from its own stream, builds all their
     certificates in one call and revalidates them in another.  A block the
     library refuses (s >= 1/4, say) gives one failing case per pair with
-    the refusal as its note.  ``--rmax`` must lie in [1,
-    ``_ZIGZAG_MAX_RADIUS``]: a walk takes about two steps per unit of
-    radius, so an unbounded radius would mean unbounded step arrays.
+    the refusal as its note.
     """
-    pairs = cfg.integer("pairs")
-    r_max = float(cfg.scalar("rmax"))
-    if not r_max >= 1.0:
-        raise UsageError(f"zigzag-cert: --rmax must be at least 1, got {r_max}")
-    if r_max > _ZIGZAG_MAX_RADIUS:
-        raise UsageError(f"zigzag-cert: --rmax must be at most "
-                         f"{_ZIGZAG_MAX_RADIUS:g}, got {r_max}")
     cases = []
-    for s in cfg.values("s"):
-        for L in cfg.values("L"):
-            rng = np.random.default_rng([cfg.seed, len(cases)])
-            points = _chamber_points(rng, 2 * pairs, r_max).reshape(-1, 2, 3)
+    for s in params["s"]:
+        for L in params["L"]:
+            rng = np.random.default_rng([seed, len(cases)])
+            points = _chamber_points(rng, 2 * params["pairs"],
+                                     params["rmax"]).reshape(-1, 2, 3)
             # the axis radius max(a1, -a3) of each endpoint
             radii = np.maximum(points[..., 0], -points[..., 2]).tolist()
-            base = [{"case": len(cases) + i, "s": float(s), "L": float(L),
+            base = [{"case": len(cases) + i, "s": s, "L": L,
                      "r": r, "r_prime": r_prime}
                     for i, (r, r_prime) in enumerate(radii)]
             try:
                 block = zigzag.zigzag_certificate(points[:, 0], points[:, 1],
-                                                  float(s), float(L))
+                                                  s, L)
             except ValueError as exc:
                 cases += [{**case, "total": "", "target": "", "steps": 0,
                            "pass": False, "note": str(exc)} for case in base]
@@ -536,18 +548,11 @@ def _lazy_walk(model, order):
     return twostep.FiniteMeasure(model, weights)
 
 
-def _run_quotient_gap(cfg):
+def _run_quotient_gap(params, seed):
     """Spectral-gap profiles on cyclic quotients (plus one simple group)."""
-    horizon = cfg.integer("horizon")
-    with_sl3 = cfg.integer("sl3")
-    if with_sl3 not in (0, 1):
-        raise UsageError(f"quotient-gap: --sl3 must be 0 or 1, got {with_sl3}")
+    horizon = params["horizon"]
     cases = []
-    for order in cfg.integers("order"):
-        if order < 3:
-            raise UsageError(f"quotient-gap: --order must be at least 3, "
-                             f"got {order}: orders below 3 have no lazy "
-                             f"walk gap")
+    for order in params["order"]:
         model = twostep.cyclic_model(order)
         profile = twostep.spectral_gap_profile(model, _lazy_walk(model, order),
                                                horizon)
@@ -558,7 +563,7 @@ def _run_quotient_gap(cfg):
         cases.append({"group": f"cyclic-{order}", "size": order,
                       "rho": rho, "oracle": oracle,
                       "final": profile.values[-1], "pass": bool(ok)})
-    if with_sl3:
+    if params["sl3"]:
         model = twostep.sl3_f2_model()
         mu = twostep.FiniteMeasure.uniform(model, model.generators)
         profile = twostep.spectral_gap_profile(model, mu, horizon)
@@ -571,7 +576,7 @@ def _run_quotient_gap(cfg):
     return cases, columns, None
 
 
-def _run_star_verify(cfg):
+def _run_star_verify(params, seed):
     """Cauchy/invariance/limit reports for sandwiched regular models.
 
     ``max_invariance`` is the largest invariance residual over n, which is
@@ -579,18 +584,14 @@ def _run_star_verify(cfg):
     and residuals, the fit and its note) goes into the JSON
     ``diagnostics.starReports``, in case order.
     """
-    horizon = cfg.integer("horizon")
     cases = []
     reports = []
-    for order in cfg.integers("order"):
-        if order < 3:
-            raise UsageError(f"star-verify: --order must be at least 3, "
-                             f"got {order}")
+    for order in params["order"]:
         model = twostep.cyclic_model(order)
         rep = twostep.sandwich_twostep(model, model.left_regular_stack(),
                                        np.eye(order), np.eye(order))
         mu = twostep.FiniteMeasure.uniform(model, [1, order - 1])
-        measures = twostep.convolution_powers(mu, horizon)
+        measures = twostep.convolution_powers(mu, params["horizon"])
         grid = [(1, order - 1), (2, 0)]
         report = twostep.verify_star_instance(rep, measures, grid)
         cases.append({
@@ -605,30 +606,20 @@ def _run_star_verify(cfg):
     return cases, columns, {"starReports": reports}
 
 
-def _run_cocycle_mc(cfg):
+def _run_cocycle_mc(params, seed):
     """Monte-Carlo growth constants, cusp decay and tail truncation."""
-    samples = cfg.integer("samples")
-    g_count = cfg.integer("gcount")
-    g_len = float(cfg.scalar("glen"))
-    s = float(cfg.scalar("s"))
-    s0 = float(cfg.scalar("s0"))
-    radius = float(cfg.scalar("radius"))
-    tol_kappa = float(cfg.scalar("tolkappa"))
-    seed = cfg.seed
-
+    samples, tol_kappa = params["samples"], params["tolkappa"]
     x, y, theta, lengths, _ = induction.sample_domain_arrays(samples, seed)
     head = min(200, samples)
     subset = induction.domain_matrices(x[:head], y[:head], theta[:head])
 
-    g_samples = induction.random_group_elements(g_count, seed + 1,
-                                                max_length=g_len)
-    stats = induction.cocycle_growth_check(g_samples, s, subset, s0=s0)
+    g_samples = induction.random_group_elements(params["gcount"], seed + 1,
+                                                max_length=params["glen"])
+    stats = induction.cocycle_growth_check(g_samples, params["s"], subset,
+                                           s0=params["s0"])
 
     # keep at least ~25 exceedances so the tail fit stays well-posed
     quantile = 1.0 - max(25.0, 0.02 * samples) / samples
-    if quantile < 0.5:
-        raise UsageError(f"cocycle-mc: --samples must be at least 50 for "
-                         f"the cusp fit, got {samples}")
     fit = induction.cusp_decay_fit(lengths, threshold_quantile=quantile)
     _, _, _, alt_lengths, _ = induction.sample_domain_arrays(samples, seed + 1000)
     fit_alt = induction.cusp_decay_fit(alt_lengths, threshold_quantile=quantile)
@@ -638,7 +629,7 @@ def _run_cocycle_mc(cfg):
     push_gs = induction.random_group_elements(8, seed + 2, max_length=1.0)
     m_tilde = [(g, 1.0 / len(push_gs)) for g in push_gs]
     pushed = induction.pushforward_mn0(m_tilde, 1.0 + 1e-6, subset)
-    truncated, tail = induction.truncate_tail(pushed, radius)
+    truncated, tail = induction.truncate_tail(pushed, params["radius"])
     tv = induction.total_variation(truncated, pushed)
 
     cases = [
@@ -677,47 +668,80 @@ def _write_sample_log(path, report, preamble):
 class CommandSpec:
     name: str
     runner: object
-    defaults: dict
+    keys: dict
     summary: str
     write_csv: object = _write_case_table
 
 
+_SU2_MAX_TWO_J = 48
+_ZIGZAG_MAX_RADIUS = 1000.0
+
+# What every key accepts.  A count is at least 1, so that no axis value
+# goes unchecked (kak's --count may be 0: its alphas still get their cases),
+# and an order at least 3, since Z/1 and Z/2 have no lazy-walk gap.  The
+# bounds with a reason of their own:
+# - su2-gap --jmax (the largest 2j) stops at 48: above it the
+#   double-precision spin matrices come close to failing the unitarity
+#   check the library asserts (on a 721-point theta grid the first 2j that
+#   fails it is 53);
+# - zigzag-cert --rmax lies in [1, 1000]: a walk takes about two steps per
+#   unit of radius, so the cap bounds the step arrays;
+# - cocycle-mc --samples starts at 50, where the cusp fit's threshold
+#   quantile 1 - max(25, samples / 50) / samples reaches 1/2;
+# - su2-gap --qpoints starts at the library's 64 quadrature points, and
+#   star-verify --horizon at the 2 measures one Cauchy difference needs.
 COMMANDS = {
     "sdelta-decay": CommandSpec(
         "sdelta-decay", _run_sdelta_decay,
-        {"p": [2, 3], "n": [1, 2, 3], "tol": [1e-9]},
+        {"p": Key((2, 3), integer=True, low=2, axis=True),
+         "n": Key((1, 2, 3), integer=True, low=1, axis=True),
+         "tol": Key((1e-9,))},
         "character-block norm decay on residue rings"),
     "sphere-gap": CommandSpec(
         "sphere-gap", _run_sphere_gap,
-        {"n": [2], "delta": [i / 100.0 for i in range(1, 100)],
-         "dmax": [200], "tol": [1e-9]},
+        {"n": Key((2,), integer=True, low=2, axis=True),
+         "delta": Key(tuple(i / 100.0 for i in range(1, 100)), axis=True),
+         "dmax": Key((200,), integer=True, low=1),
+         "tol": Key((1e-9,))},
         "sphere averaging gap vs. Holder envelope"),
     "su2-gap": CommandSpec(
         "su2-gap", _run_su2_gap,
-        {"theta": [0.05, 0.2, 0.4, math.pi / 4, 1.0, 1.3, 2.0],
-         "jmax": [20], "qpoints": [128], "tol": [1e-9]},
+        {"theta": Key((0.05, 0.2, 0.4, math.pi / 4, 1.0, 1.3, 2.0), axis=True),
+         "jmax": Key((20,), integer=True, low=1, high=_SU2_MAX_TWO_J),
+         "qpoints": Key((128,), integer=True, low=64),
+         "tol": Key((1e-9,))},
         "two-rotation gap vs. spin-1/2 branch"),
     "kak": CommandSpec(
         "kak", _run_kak,
-        {"count": [20], "alpha": [0.5, 1.0, 2.0], "rcount": [5],
-         "tol": [1e-10]},
+        {"count": Key((20,), integer=True, low=0),
+         "alpha": Key((0.5, 1.0, 2.0), axis=True),
+         "rcount": Key((5,), integer=True, low=1),
+         "tol": Key((1e-10,))},
         "KAK round-trips and distortion bounds"),
     "zigzag-cert": CommandSpec(
         "zigzag-cert", _run_zigzag_cert,
-        {"s": [0.05, 0.1, 0.2], "L": [1.0], "pairs": [12], "rmax": [20.0]},
+        {"s": Key((0.05, 0.1, 0.2), axis=True),
+         "L": Key((1.0,), axis=True),
+         "pairs": Key((12,), integer=True, low=1),
+         "rmax": Key((20.0,), low=1.0, high=_ZIGZAG_MAX_RADIUS)},
         "chamber-walk norm certificates"),
     "quotient-gap": CommandSpec(
         "quotient-gap", _run_quotient_gap,
-        {"order": [3, 4, 5, 6, 8], "horizon": [16], "sl3": [1]},
+        {"order": Key((3, 4, 5, 6, 8), integer=True, low=3, axis=True),
+         "horizon": Key((16,), integer=True, low=1),
+         "sl3": Key((1,), integer=True, low=0, high=1)},
         "lazy-walk spectral gaps on finite quotients"),
     "star-verify": CommandSpec(
         "star-verify", _run_star_verify,
-        {"order": [3, 5], "horizon": [30]},
+        {"order": Key((3, 5), integer=True, low=3, axis=True),
+         "horizon": Key((30,), integer=True, low=2)},
         "sandwiched-representation convergence"),
     "cocycle-mc": CommandSpec(
         "cocycle-mc", _run_cocycle_mc,
-        {"samples": [2000], "gcount": [20], "glen": [2.0], "s": [0.2],
-         "s0": [1.0], "radius": [2.5], "tolkappa": [1e-9]},
+        {"samples": Key((2000,), integer=True, low=50),
+         "gcount": Key((20,), integer=True, low=1),
+         "glen": Key((2.0,)), "s": Key((0.2,)), "s0": Key((1.0,)),
+         "radius": Key((2.5,)), "tolkappa": Key((1e-9,))},
         "cocycle growth / cusp decay Monte-Carlo", _write_sample_log),
 }
 
@@ -732,24 +756,6 @@ def _usage():
     for name in sorted(COMMANDS):
         lines.append(f"  {name:<14} {COMMANDS[name].summary}")
     return "\n".join(lines)
-
-
-def _parse_seed(command, value):
-    """The ``--seed`` value (flag, config key or
-    ``ExperimentConfig.seed``): a non-negative integer."""
-    seed = None
-    if not isinstance(value, bool):
-        try:
-            # a string is parsed; a number must be an integer already,
-            # since int() would truncate a float
-            seed = (int(value) if isinstance(value, str)
-                    else operator.index(value))
-        except (TypeError, ValueError):
-            pass
-    if seed is None or seed < 0:
-        raise UsageError(f"{command}: --seed must be a non-negative integer, "
-                         f"got {value!r}")
-    return seed
 
 
 def _parse_argv(argv):
@@ -781,7 +787,7 @@ def _parse_argv(argv):
         elif key == "seed":
             seed = value
         else:
-            overrides[key] = _parse_values(value)
+            overrides[key] = value
     return command, config_path, out_path, seed, overrides
 
 
@@ -795,26 +801,18 @@ def main(argv=None):
         return 0
     try:
         command, config_path, out_path, seed, overrides = _parse_argv(argv)
-        if command not in COMMANDS:
-            known = ", ".join(sorted(COMMANDS))
-            raise UsageError(f"unknown command {command!r} (expected one of: {known})")
-        grid = {}
-        if config_path is not None:
-            for key, value in load_config_file(config_path).items():
-                if key == "out":
-                    out_path = out_path if out_path is not None else value
-                elif key == "seed":
-                    if seed is None:
-                        seed = value
-                else:
-                    grid[key] = _parse_values(value)
-        grid.update(overrides)
-        config = ExperimentConfig(command, grid, out_path=out_path,
-                                  seed=seed if seed is not None else 0)
+        grid = {} if config_path is None else load_config_file(config_path)
+        file_out, file_seed = grid.pop("out", None), grid.pop("seed", 0)
+        config = ExperimentConfig(
+            command, {**grid, **overrides},
+            out_path=file_out if out_path is None else out_path,
+            seed=file_seed if seed is None else seed)
         report = run(command, config)
         target = config.out_path or f"{command}.csv"
         write_report_csv(target, report)
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        # indent would force the pure-Python encoder
+        print(json.dumps(report.to_json(), sort_keys=True,
+                         separators=(",", ":")))
         return 0 if report.all_passed else 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,6 +45,7 @@ _MEMBER_TOL = 1e-10
 _DET_TOL = 1e-12
 _RECON_TOL = 1e-9
 _INT64_GUARD = 2 ** 62
+_MIN_COLUMN_SQUARE = 2.0 ** -1022   # keeps y = 1/(a^2 + c^2) finite
 
 _UNIT = 2.0 ** -53        # unit roundoff of binary64
 _TINY = 2.0 ** -1060      # absolute slack covering gradual underflow
@@ -402,15 +403,21 @@ def _domain_points(a, b, c, d):
     omega = [[a, b], [c, d]], elementwise over floats or arrays.
 
     Raises ValueError unless every omega has determinant 1 (to _DET_TOL at
-    its scale) and its point lies in F (to _MEMBER_TOL).
+    its scale) and its point lies in F (to _MEMBER_TOL) with y at most
+    about 2^1022, inside the float range.
     """
     det = a * d - b * c
     off = abs(det - 1.0)
     bad = (off > _DET_TOL) & (off > _DET_TOL * (a * a + b * b + c * c + d * d))
     if _any(bad):
         raise ValueError(f"determinant must be 1, got {_first(det, bad)!r}")
-    if _any(a * a + c * c <= 0):
+    if _any((a == 0) & (c == 0)):
         raise ValueError("representative has a zero first column")
+    # y is about 1/(a^2 + c^2): it overflows once a^2 + c^2 falls below
+    # 2^-1024, and a^2 + c^2 itself underflows to 0 below 2^-1075
+    if _any(a * a + c * c < _MIN_COLUMN_SQUARE):
+        raise ValueError("associated point lies too high in the cusp for "
+                         "floats: y = 1/(a^2 + c^2) exceeds 2^1022")
     x, y = _point_of_inverse((a, b, c, d))
     if _any(y <= 0):
         raise ValueError("associated point must lie in the upper half-plane")

@@ -2,9 +2,12 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gaplab import cli, induction, twostep
 
@@ -35,13 +38,16 @@ def test_empty_grid_rejected():
 def test_defaults_fill_missing_axes():
     cfg = cli.ExperimentConfig("su2-gap", {"theta": [0.3]})
     assert cfg.values("theta") == [0.3]
-    assert cfg.scalar("jmax") == cli.COMMANDS["su2-gap"].defaults["jmax"][0]
+    assert cfg.values("jmax") == list(
+        cli.COMMANDS["su2-gap"].keys["jmax"].default)
 
 
 def test_scalar_rejects_lists():
     cfg = cli.ExperimentConfig("su2-gap", {"jmax": [4, 8]})
-    with pytest.raises(cli.UsageError, match="single value"):
-        cfg.scalar("jmax")
+    with pytest.raises(cli.UsageError,
+                       match=r"^su2-gap: --jmax takes a single value, "
+                             r"got \[4, 8\]$"):
+        cli.run("su2-gap", cfg)
 
 
 def test_scalar_values_are_wrapped():
@@ -143,9 +149,9 @@ def test_positional_junk_exits_two():
 
 def test_library_value_error_exits_two(tmp_path, capsys):
     out = tmp_path / "mc.csv"
-    assert run_main(["cocycle-mc", "--samples=10", "--out", out]) == 2
+    assert run_main(["cocycle-mc", "--s=0.6", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert "below the declared minimum" in err
+    assert err.startswith("error: cocycle-mc: rate s=0.6 out of admissible")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -271,6 +277,17 @@ def test_sdelta_decay_modulus_bound_exits_two(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_sdelta_decay_refuses_the_modulus_before_any_block(tmp_path, capsys,
+                                                         monkeypatch):
+    # p^n grows in both keys, so the largest pair is refused up front
+    monkeypatch.setattr(cli.residue, "ResidueRing",
+                        lambda p, n: pytest.fail(f"block ({p}, {n}) computed"))
+    assert run_main(["sdelta-decay", "--p=2,7", "--n=3,5",
+                     "--out", tmp_path / "sd.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sdelta-decay: modulus 7^5 exceeds 4096\n")
+
+
 def test_su2_gap_jmax_bound_exits_two(tmp_path, capsys):
     out = tmp_path / "su2.csv"
     bound = cli._SU2_MAX_TWO_J
@@ -289,20 +306,20 @@ def test_negative_seed_names_the_flag(tmp_path, capsys):
     out = tmp_path / "kak.csv"
     assert run_main(["kak", "--seed", "-1", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: kak: --seed must be a non-negative integer")
-    assert "'-1'" in err
+    assert err.startswith("error: kak: --seed must be at least 0, got -1\n")
     cfg = tmp_path / "kak.cfg"
     cfg.write_text("count = 2\nseed = -7\n")
     assert run_main(["kak", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert "--seed" in err and "'-7'" in err and "Traceback" not in err
+    assert err.startswith("error: kak: --seed must be at least 0, got -7\n")
+    assert "Traceback" not in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value, rule", [
-    ("count", -1, "a non-negative"),
-    ("rcount", -1, "a positive"),
-    ("rcount", 0, "a positive"),
+    ("count", -1, "at least 0"),
+    ("rcount", -1, "at least 1"),
+    ("rcount", 0, "at least 1"),
 ], ids=["count", "rcount", "rcount-zero"])
 def test_kak_negative_count_names_the_key(tmp_path, capsys, key, value, rule):
     # range(-1) would draw no element and an empty r-grid no distortion
@@ -312,8 +329,8 @@ def test_kak_negative_count_names_the_key(tmp_path, capsys, key, value, rule):
     assert run_main(["kak"] + [f"--{k}={v}" for k, v in values.items()]
                     + ["--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: kak: --{key} must be {rule} "
-                          f"integer, got {value}\n")
+    assert err.startswith(f"error: kak: --{key} must be {rule}, "
+                          f"got {value}\n")
     assert "Traceback" not in err
     assert not out.exists()
     cfg = cli.ExperimentConfig("kak", {"count": [2], "rcount": [2],
@@ -340,15 +357,17 @@ def test_too_small_grid_values_name_command_and_key(tmp_path, capsys, argv,
 def test_config_object_seed_is_checked():
     cfg = {"count": [2], "rcount": [2]}
     with pytest.raises(cli.UsageError,
-                       match="kak: --seed must be a non-negative integer, got -1"):
+                       match="^kak: --seed must be at least 0, got -1$"):
         cli.run("kak", cli.ExperimentConfig("kak", cfg, seed=-1))
-    # a float or a bool is not truncated to a seed
+    # a fraction or a bool is not truncated to a seed
     for bad in (2.7, True):
         with pytest.raises(cli.UsageError,
-                           match="kak: --seed must be a non-negative integer, "
-                                 f"got {bad!r}"):
+                           match=f"^kak: --seed must be an integer, "
+                                 f"got {bad!r}$"):
             cli.ExperimentConfig("kak", cfg, seed=bad)
-    for good, want in ((5, 5), (np.int64(6), 6), ("7", 7)):
+    # an integral float is the integer it spells, as for every integer key
+    for good, want in ((5, 5), (np.int64(6), 6), ("7", 7), (7.0, 7),
+                       ("7.0", 7)):
         seed = cli.ExperimentConfig("kak", cfg, seed=good).seed
         assert seed == want and type(seed) is int
 
@@ -384,9 +403,11 @@ def test_integer_keys_refuse_fractions(tmp_path, capsys, command, key):
         with pytest.raises(cli.UsageError,
                            match=f"^{command}: --{key} must be an integer"):
             cli.run(command, cfg)
-    # an integral float is the integer it spells
+    # an integral float is the integer it spells (the key's range aside)
+    rule = cli.COMMANDS[command].keys[key]._replace(
+        low=-math.inf, high=math.inf, axis=True)
     cfg = cli.ExperimentConfig(command, {key: [3.0, 1e1, np.int64(2), "4"]})
-    got = cfg.integers(key)
+    got = rule.check(command, key, cfg.values(key))
     assert got == [3, 10, 2, 4] and all(type(v) is int for v in got)
 
 
@@ -395,7 +416,8 @@ def test_sl3_must_be_zero_or_one(tmp_path, capsys):
     for bad in ("2", "-1"):
         assert run_main(["quotient-gap", f"--sl3={bad}", "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: quotient-gap: --sl3 must be 0 or 1, "
+        rule = "at most 1" if bad == "2" else "at least 0"
+        assert err.startswith(f"error: quotient-gap: --sl3 must be {rule}, "
                               f"got {bad}\n")
         assert not out.exists()
     report = cli.run("quotient-gap", cli.ExperimentConfig(
@@ -407,8 +429,8 @@ def _fake_command(monkeypatch, cases):
     """Swap sphere-gap's runner for one that returns ``cases``."""
     spec = cli.COMMANDS["sphere-gap"]
     fake = cli.CommandSpec(spec.name,
-                           lambda cfg: (cases, ("value", "pass"), None),
-                           spec.defaults, spec.summary)
+                           lambda params, seed: (cases, ("value", "pass"), None),
+                           spec.keys, spec.summary)
     monkeypatch.setitem(cli.COMMANDS, "sphere-gap", fake)
 
 
@@ -608,7 +630,9 @@ def test_quotient_gap_matches_character_oracle():
 
 
 def test_quotient_gap_rejects_tiny_orders():
-    with pytest.raises(cli.UsageError, match="below 3"):
+    with pytest.raises(cli.UsageError,
+                       match="^quotient-gap: --order must be at least 3, "
+                             "got 2$"):
         cli.run("quotient-gap",
                 cli.ExperimentConfig("quotient-gap", {"order": [2],
                                                       "sl3": [0]}))
@@ -709,3 +733,122 @@ def test_quotient_gap_matches_the_lazy_walk_closed_form():
         assert case["final"] == pytest.approx(rho ** 16, rel=1e-12, abs=0)
         # every lazy walk here is aperiodic, so every verdict is a pass
         assert rho < 1.0 and case["pass"]
+
+
+# ---------------------------------------------------------------------------
+# the command-line contract, over every command
+
+
+def _candidates(rule):
+    """Values around a key's declared range: each bound and a step past it,
+    zero, a negative, a fraction and the key's defaults."""
+    values = {0, -1, 2.5, *rule.default[:2]}
+    for bound, step in ((rule.low, -1), (rule.high, 1)):
+        if math.isfinite(bound):
+            values |= {bound, bound + step, bound - step}
+    return sorted(values)
+
+
+def _breaks(rule, values):
+    """Whether ``values`` break the rule a `Key` declares (the oracle the
+    check in `Key.check` must agree with)."""
+    if not rule.axis and len(values) != 1:
+        return True
+    return any((rule.integer and value != int(value))
+               or not rule.low <= value <= rule.high for value in values)
+
+
+@st.composite
+def _invocations(draw, command):
+    """A command's argv over a small grid and the values it asks for, seed
+    included.  Each key keeps its default, or takes values its rule
+    accepts, or takes any candidates (a single-valued key perhaps two), so
+    that about half the grids break no rule."""
+    asked = {}
+    for key, rule in [("seed", cli._SEED), *cli.COMMANDS[command].keys.items()]:
+        mode = draw(st.sampled_from(["valid", "valid", "default", "any"]))
+        values = _candidates(rule)
+        if mode == "valid":
+            values = [v for v in values if not _breaks(rule, [v])]
+        if mode != "default":
+            asked[key] = draw(st.lists(
+                st.sampled_from(values), min_size=1,
+                max_size=3 if rule.axis else 1 + (mode == "any")))
+    argv = [command] + [f"--{key}={','.join(map(repr, values))}"
+                        for key, values in asked.items()]
+    return argv, asked
+
+
+# the case column that carries each axis, where it is not the key's name
+_AXIS_COLUMNS = {("quotient-gap", "order"): "size"}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_contract_on_small_grids(command, data, tmp_path, capsys,
+                                     monkeypatch):
+    # exit 0, 1 or 2 and never a traceback; a value its Key refuses exits 2
+    # naming the first such key (the seed, then the keys in declared order);
+    # a finished run has every column in every case, no passing non-finite
+    # cell, and a case for every value of every axis, asked or default
+    argv, asked = data.draw(_invocations(command))
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    reports = []
+    run = cli.run
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run",
+                      lambda *args: reports.append(run(*args)) or reports[-1])
+        code = cli.main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err
+    keys = [("seed", cli._SEED), *cli.COMMANDS[command].keys.items()]
+    broken = [key for key, rule in keys
+              if key in asked and _breaks(rule, asked[key])]
+    if broken:
+        assert code == 2
+        assert err.startswith(f"error: {command}: --{broken[0]} ")
+    if code == 2:
+        assert err.startswith(f"error: {command}:") and not out.exists()
+        return
+    (report,) = reports
+    assert code == (0 if report.failed == 0 else 1) and out.exists()
+    for case in report.cases:
+        assert set(report.columns) <= set(case)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in case.values()):
+            assert not case["pass"]
+    for key, rule in cli.COMMANDS[command].keys.items():
+        if rule.axis:
+            column = _AXIS_COLUMNS.get((command, key), key)
+            assert (set(asked.get(key, rule.default))
+                    <= {case[column] for case in report.cases})
+
+
+def _readme_key_rows():
+    """{(command, key): [type, range, axis]} from the README's key table."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip("| ").split("|")]
+        if len(cells) == 5 and line.split("|")[2].strip().startswith("`"):
+            rows[cells[0], cells[1]] = cells[2:]
+    return rows
+
+
+def test_readme_key_table_matches_the_declared_keys():
+    declared = {("every command", "seed"): cli._SEED}
+    declared.update({(command, key): rule
+                     for command, spec in cli.COMMANDS.items()
+                     for key, rule in spec.keys.items()})
+    rows = _readme_key_rows()
+    assert set(rows) == set(declared)
+    for name, rule in declared.items():
+        if math.isfinite(rule.high):
+            bounds = f"[{rule.low:g}, {rule.high:g}]"
+        else:
+            bounds = f"≥ {rule.low:g}" if math.isfinite(rule.low) else "any"
+        assert rows[name] == ["integer" if rule.integer else "float", bounds,
+                              "yes" if rule.axis else "no"], name

@@ -527,9 +527,33 @@ def test_extreme_scales_match_the_oracle_or_refuse(k, shear):
     for call in calls:
         try:
             gamma = call()
-        except ValueError:
-            continue   # a representative whose first column underflows
+        except ValueError as exc:
+            # only a point past the float range, 2^|2k| i with |k| >= 512
+            assert str(exc).startswith(_PAST_FLOATS) and not shear
+            assert abs(k) >= 512
+            continue
         assert canonical(gamma) == canonical(want)
+
+
+_PAST_FLOATS = "associated point lies too high in the cusp for floats"
+
+
+@pytest.mark.parametrize("k", [512, 600, -512, -600])
+def test_points_past_the_float_range_are_refused(k):
+    # diag(2^k, 2^-k) reduces to the point 2^|2k| i, whose y passes the float
+    # range; no first column is zero, and the batch path, which keeps no
+    # point, still returns the oracle's gamma
+    g = np.diag([2.0 ** k, 2.0 ** -k])
+    want, _, _ = exact_reduction(*ind._point_of_inverse(_fractions(g)))
+    for call in (reduce_to_domain, lambda g: cocycle(g, np.eye(2))):
+        with pytest.raises(ValueError, match=f"^{_PAST_FLOATS}"):
+            call(g)
+    assert canonical(cocycle_alphas(g, np.eye(2)[None])[0][0]) == canonical(want)
+    if abs(k) == 512:
+        # one step in, y = 2^1022 is still a float
+        inner = k - 1 if k > 0 else k + 1
+        pt, _ = reduce_to_domain(np.diag([2.0 ** inner, 2.0 ** -inner]))
+        assert pt.y == 2.0 ** 1022
 
 
 def item3_triples():

@@ -635,8 +635,10 @@ def _run_cocycle_mc(params, seed):
     cases = [
         {"check": "growth-kappa", "value": stats.kappa, "bound": tol_kappa,
          "pass": bool(stats.kappa <= tol_kappa)},
+        # a sample of trivial cocycles checks no growth
         {"check": "growth-ratio", "value": stats.c_emp, "bound": "",
-         "pass": bool(math.isfinite(stats.c_emp) and stats.c_emp > 0)},
+         "pass": bool(math.isfinite(stats.c_emp) and stats.c_emp > 0
+                      and stats.nontrivial > 0)},
         {"check": "cusp-rate", "value": fit.rate,
          "bound": 3.0 * fit.rate_stderr,
          "pass": bool(fit.rate > 3.0 * fit.rate_stderr)},
@@ -740,7 +742,7 @@ COMMANDS = {
         "cocycle-mc", _run_cocycle_mc,
         {"samples": Key((2000,), integer=True, low=50),
          "gcount": Key((20,), integer=True, low=1),
-         "glen": Key((2.0,)), "s": Key((0.2,)), "s0": Key((1.0,)),
+         "glen": Key((2.0,), low=0.0), "s": Key((0.2,)), "s0": Key((1.0,)),
          "radius": Key((2.5,)), "tolkappa": Key((1e-9,))},
         "cocycle growth / cusp decay Monte-Carlo", _write_sample_log),
 }

@@ -33,8 +33,9 @@ rational path picks.  Integer matrices are canonicalized by the sign of
 their first nonzero entry.
 """
 
-import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -681,16 +682,18 @@ def write_sample_log(path, seed, columns, weights, preamble=()):
     (seed, omega_x, omega_y, rotation, length, weight).
 
     ``columns`` holds the arrays (x, y, theta, lengths) of
-    ``sample_domain_arrays``.
+    ``sample_domain_arrays``; ``seed`` is an integer.  Preamble lines end in
+    ``\\n``; the header and rows end in ``\\r\\n`` and carry every float as
+    ``.17g``, the bytes ``csv.writer`` gives.  One format string, with the
+    seed baked in, makes each row, and the rows stream to the file unjoined.
     """
+    fmt = f"{operator.index(seed)}" + ",{:.17g}" * 5 + "\r\n"
+    rows = zip(*(np.asarray(v, dtype=float).tolist() for v in (*columns, weights)))
     with open(path, "w", newline="") as fh:
         for line in preamble:
             fh.write(str(line).rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "omega_x", "omega_y", "rotation", "length", "weight"])
-        rows = zip(*(np.asarray(v, dtype=float).tolist() for v in (*columns, weights)))
-        for row in rows:
-            writer.writerow([seed] + [f"{v:.17g}" for v in row])
+        fh.write("seed,omega_x,omega_y,rotation,length,weight\r\n")
+        fh.writelines(itertools.starmap(fmt.format, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +802,10 @@ class DomainStats:
     the empirical integral of e^{s length(alpha)} over the domain to
     e^{2 s length(g)}.  Monte-Carlo estimates carry standard errors.
     ``exact_fallbacks`` counts the (g, omega) pairs whose float reduction
-    was not certified and went through exact rational arithmetic.
+    was not certified and went through exact rational arithmetic, and
+    ``nontrivial`` the pairs whose alpha is not the canonical identity.  A
+    sample whose every alpha is +-I (g a rotation fixes i, so length 0
+    gives that) checks no growth at all.
     """
 
     sample_count: int
@@ -812,6 +818,7 @@ class DomainStats:
     exp_integral: float
     exp_integral_stderr: float
     exact_fallbacks: int = 0
+    nontrivial: int = 0
 
     def __post_init__(self):
         if self.sample_count < MIN_DOMAIN_SAMPLES:
@@ -832,6 +839,7 @@ class DomainStats:
             "expIntegral": self.exp_integral,
             "expIntegralStderr": self.exp_integral_stderr,
             "exactFallbacks": self.exact_fallbacks,
+            "nontrivial": self.nontrivial,
         }
 
 
@@ -875,10 +883,12 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
     c_emp = -math.inf
     c_emp_stderr = 0.0
     fallbacks = 0
+    nontrivial = 0
     for g in g_list:
         lg = element_length(g)
         alphas, fell_back = _alphas(tuple(g.ravel().tolist()), omegas)
         fallbacks += fell_back
+        nontrivial += int(np.any(alphas.reshape(-1, 4) != (1, 0, 0, 1), axis=1).sum())
         alpha_lengths = element_length(alphas)
         kappa = max(kappa, float(np.max(alpha_lengths - 2.0 * lg - 2.0 * omega_lengths)))
         mean, stderr = weighted_mean_stderr(np.exp(s * alpha_lengths), weights)
@@ -898,6 +908,7 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
         exp_integral=exp_integral,
         exp_integral_stderr=exp_stderr,
         exact_fallbacks=fallbacks,
+        nontrivial=nontrivial,
     )
 
 

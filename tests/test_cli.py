@@ -558,6 +558,36 @@ def test_cocycle_csv_is_a_sample_log(tmp_path, capsys):
         [np.full(600, 11.0), x, y, theta, lengths, weights]))
 
 
+def test_cocycle_json_counts_nontrivial_cocycles(tmp_path, capsys):
+    code = run_main(["cocycle-mc", "--samples=600", "--gcount=4", "--seed", 11,
+                     "--out", tmp_path / "mc.csv"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    stats = report["diagnostics"]["domainStats"]
+    assert 0 < stats["nontrivial"] <= stats["gCount"] * stats["sampleCount"]
+
+
+@pytest.mark.parametrize("glen", ["0", "1e-9"])
+def test_cocycle_of_rotations_only_fails_growth_ratio(tmp_path, capsys, glen):
+    # a length-0 g is a rotation, which fixes i: every cocycle is +-I, so
+    # the run checked no growth and must not pass
+    code = run_main(["cocycle-mc", "--samples=600", "--gcount=4", f"--glen={glen}",
+                     "--out", tmp_path / "mc.csv"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["diagnostics"]["domainStats"]["nontrivial"] == 0
+    failed = [c["check"] for c in report["cases"] if not c["pass"]]
+    assert failed == ["growth-ratio"]
+
+
+def test_cocycle_negative_glen_names_the_key(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    assert run_main(["cocycle-mc", "--glen=-1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cocycle-mc: --glen must be at least 0, got -1.0\n")
+    assert not out.exists()
+
+
 # small grids, one per command, for contract checks over every runner
 _SMALL_GRIDS = {
     "sdelta-decay": {"p": [2], "n": [2]},

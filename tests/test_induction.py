@@ -704,6 +704,48 @@ def test_write_sample_log(tmp_path):
     assert float(rows[0][4]) == pytest.approx(pts[0].length, rel=1e-15)
 
 
+def _sample_log_oracle(path, seed, columns, weights, preamble=()):
+    """The csv.writer loop that write_sample_log replaced: one writerow
+    call per row, each of its floats an f-string."""
+    with open(path, "w", newline="") as fh:
+        for line in preamble:
+            fh.write(str(line).rstrip("\n") + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(["seed", "omega_x", "omega_y", "rotation", "length", "weight"])
+        rows = zip(*(np.asarray(v, dtype=float).tolist() for v in (*columns, weights)))
+        for row in rows:
+            writer.writerow([seed] + [f"{v:.17g}" for v in row])
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                1.7976931348623157e308, -1.7976931348623157e308]
+# every edge value in every column
+_EDGE_ROWS = [(_EDGE_FLOATS * 2)[i:i + 5] for i in range(len(_EDGE_FLOATS))]
+_PREAMBLES = [(), ("# schema=cocycle-mc/v1", "# generated=2026-01-01T00:00:00+00:00"),
+              ("# ends in a newline\n",)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(),
+                              min_size=5, max_size=5), max_size=12),
+       seed=st.sampled_from([0, 2**62]) | st.integers(0, 2**63 - 1),
+       preamble=st.sampled_from(_PREAMBLES))
+@example(rows=_EDGE_ROWS, seed=0, preamble=_PREAMBLES[0])
+@example(rows=_EDGE_ROWS, seed=2**62, preamble=_PREAMBLES[1])
+@example(rows=_EDGE_ROWS, seed=2**62, preamble=_PREAMBLES[2])
+@example(rows=[], seed=0, preamble=_PREAMBLES[1])
+def test_write_sample_log_matches_csv_writer_oracle(tmp_path_factory, rows, seed, preamble):
+    # byte for byte: the preamble ends in \n, the header and rows in \r\n,
+    # and every float, non-finite, signed zero or subnormal, is .17g
+    columns = np.array(rows, dtype=float).reshape(-1, 5).T
+    base = tmp_path_factory.mktemp("log")
+    write_sample_log(base / "got.csv", seed, columns[:4], columns[4], preamble=preamble)
+    _sample_log_oracle(base / "want.csv", seed, columns[:4], columns[4], preamble=preamble)
+    got = (base / "got.csv").read_bytes()
+    assert got == (base / "want.csv").read_bytes()
+    assert got.count(b"\r\n") == len(rows) + 1
+
+
 # ---------------------------------------------------------------------------
 # cocycle growth statistics
 
@@ -749,6 +791,22 @@ def test_growth_check_reads_iterables_once():
     x, y, theta, _, _ = sample_domain_arrays(32, 4)
     assert cocycle_growth_check(gs, 0.2, domain_matrices(x, y, theta), weights) == from_lists
     assert from_lists.to_json()["exactFallbacks"] == from_lists.exact_fallbacks == 0
+
+
+def test_growth_check_counts_nontrivial_cocycles():
+    # nontrivial counts the (g, omega) pairs whose alpha is not the canonical
+    # identity: none for rotations (they fix i), and as many as scalar
+    # cocycle calls find for any g
+    pts, weights = sample_domain(64, 9)
+    rotations = [np.eye(2)] + random_group_elements(4, 2, max_length=0.0)
+    trivial = cocycle_growth_check(rotations, 0.2, pts, weights)
+    assert trivial.nontrivial == 0 and trivial.to_json()["nontrivial"] == 0
+    gs = random_group_elements(6, 3, max_length=2.0)
+    stats = cocycle_growth_check(gs, 0.2, pts, weights)
+    want = sum(cocycle(g, p).alpha.ravel().tolist() != [1, 0, 0, 1]
+               for g in gs for p in pts)
+    assert stats.nontrivial == want > 0
+    assert stats.to_json()["nontrivial"] == want
 
 
 def test_growth_check_rejects_empty_inputs():

@@ -57,6 +57,37 @@ def _bfs_oracle(model, steps):
     return np.array([dist.get(g, -1) for g in range(model.order)])
 
 
+def _associativity_oracle(mult):
+    """Exhaustive associativity, O(order^3): (a b) c == a (b c) for every
+    triple, one row a at a time."""
+    m = np.asarray(mult)
+    return all(np.array_equal(m[m[a], :], m[a][m]) for a in range(len(m)))
+
+
+def _identity_inverse_oracle(mult):
+    """The two-sided identity and each element's two-sided inverse, found
+    element by element."""
+    m = np.asarray(mult)
+    idx = np.arange(len(m))
+    (e,) = [e for e in idx
+            if np.array_equal(m[e], idx) and np.array_equal(m[:, e], idx)]
+    inverse = []
+    for g in idx:
+        (h,) = np.nonzero(m[g] == e)[0]
+        assert m[h, g] == e
+        inverse.append(h)
+    return e, np.array(inverse)
+
+
+def _z12_mutant():
+    """Z/12 with row 3's entries at columns 1 and 2 swapped: it keeps its
+    identity and inverses (columns 0 and 9 are untouched) and +-1 still
+    generate it, but 3 * 1 = 5 breaks associativity."""
+    mult = cyclic_model(12).mult.copy()
+    mult[3, [1, 2]] = mult[3, [2, 1]]
+    return mult
+
+
 def _translate_oracle(m, g, gp):
     """delta_g * m * delta_g' as two general convolutions."""
     model = m.model
@@ -174,6 +205,40 @@ def test_sl3_f2_model_matches_pairwise_oracle(sl3):
     assert len(sl3.labels) == len(labels)
     for got, want in zip(sl3.labels, labels):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_constructor_checks_associativity_like_the_oracle(sl3):
+    # Light's test at construction agrees with the exhaustive triple loop,
+    # and the array identity, inverses and BFS with their loops, on every
+    # cyclic model of orders 3..64 and on the order-168 SL3(F2)
+    for model in [cyclic_model(m) for m in range(3, 65)] + [sl3]:
+        assert _associativity_oracle(model.mult)
+        assert model.check_axioms()
+        identity, inverse = _identity_inverse_oracle(model.mult)
+        assert model.identity == identity
+        assert np.array_equal(model.inverse, inverse)
+        assert np.array_equal(model.lengths, _bfs_oracle(model, model.generators))
+
+
+def test_non_associative_table_is_refused_at_every_order():
+    mutant = _z12_mutant()
+    assert not _associativity_oracle(mutant)
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroupModel("Z/12 mutant", mutant, [1, 11])
+    # swapped entries in larger tables, past the order-64 relation cap too,
+    # keep identity, inverses and reach, and fail associativity
+    rng = np.random.default_rng(16)
+    for m in (13, 40, 65, 100):
+        model = cyclic_model(m)
+        for _ in range(5):
+            mult = model.mult.copy()
+            row = int(rng.integers(1, m))
+            free = [c for c in range(1, m) if c != model.inverse[row]]
+            c1, c2 = rng.choice(free, size=2, replace=False)
+            mult[row, [c1, c2]] = mult[row, [c2, c1]]
+            assert not _associativity_oracle(mult)
+            with pytest.raises(ValueError, match="not associative"):
+                FiniteGroupModel("mutant", mult, model.generators)
 
 
 def test_length_subadditive(sl3):

@@ -16,11 +16,11 @@ from .finite_models import (DenseOperator, FourierBlocks, KDeltaConjugation,
                             verify_S_decomposition,
                             verify_kdelta_conjugation)
 from .spheres import (TdeltaGapReport, spin_half_gap, stheta_norm_gap,
-                      tdelta_gap_report, tdelta_norm_gap)
+                      tdelta_gap_report)
 from .cartan import (CartanTriple, PAdicGroupElement, RealGroupElement,
-                     SphereDistortion, kak_padic, kak_real, length_real,
+                     SphereDistortion, kak_padic, kak_real,
                      padic_sphere_distortion, solve_sphere_distortion)
-from .zigzag import (BoundCertificate, StarParams, product_params,
+from .zigzag import (CertificateBlock, StarParams, product_params,
                      rescale_params, revalidate_certificate,
                      zigzag_certificate)
 from .twostep import (FiniteGroupModel, FiniteMeasure, GapProfile, StarReport,
@@ -41,11 +41,11 @@ __all__ = [
     "stamp_s_chi", "stamp_s_delta", "verify_S_decomposition",
     "verify_kdelta_conjugation",
     "TdeltaGapReport", "spin_half_gap", "stheta_norm_gap",
-    "tdelta_gap_report", "tdelta_norm_gap",
+    "tdelta_gap_report",
     "CartanTriple", "PAdicGroupElement", "RealGroupElement",
-    "SphereDistortion", "kak_padic", "kak_real", "length_real",
+    "SphereDistortion", "kak_padic", "kak_real",
     "padic_sphere_distortion", "solve_sphere_distortion",
-    "BoundCertificate", "StarParams", "product_params", "rescale_params",
+    "CertificateBlock", "StarParams", "product_params", "rescale_params",
     "revalidate_certificate", "zigzag_certificate",
     "FiniteGroupModel", "FiniteMeasure", "GapProfile", "StarReport",
     "convolution_powers", "cyclic_model", "sandwich_twostep", "sl3_f2_model",

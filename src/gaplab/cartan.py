@@ -162,13 +162,8 @@ class CartanTriple:
 
     @property
     def length(self) -> float:
+        """max(a1, -a3): the element's length (real), or e in e log p."""
         return max(self.a1, -self.a3)
-
-
-def length_real(g: RealGroupElement) -> float:
-    """max(log ||g||, log ||g^{-1}||) in the spectral norm."""
-    sv = np.linalg.svd(g.matrix, compute_uv=False)
-    return float(max(math.log(sv[0]), -math.log(sv[-1])))
 
 
 def kak_real(g):
@@ -382,16 +377,6 @@ class PAdicGroupElement:
 
     def is_integral(self) -> bool:
         return self.min_valuation() >= 0
-
-
-def length_exponent_padic(g: PAdicGroupElement) -> int:
-    """Integer exponent e with length = e * log p: the length of the Cartan
-    triple, max over g, g^{-1} of -min entry valuation."""
-    return int(kak_padic(g).length)
-
-
-def length_padic(g: PAdicGroupElement) -> float:
-    return length_exponent_padic(g) * math.log(g.p)
 
 
 def d_matrix_padic(p: int, a1: int, a2: int, a3: int) -> PAdicGroupElement:

@@ -459,7 +459,9 @@ def _run_kak(params, seed):
     factored by one stacked `kak_real` call; each alpha's r-grid is one
     `solve_sphere_distortion` call.
     """
-    tol = params["tol"]
+    tol, smallest = params["tol"], min(params["alpha"])
+    if smallest <= 0:
+        raise UsageError(f"kak: --alpha must be positive, got {smallest!r}")
     rng = np.random.default_rng(seed)
     g = np.array([_random_sl3(rng)
                   for _ in range(params["count"])]).reshape(-1, 3, 3)
@@ -609,14 +611,19 @@ def _run_star_verify(params, seed):
 def _run_cocycle_mc(params, seed):
     """Monte-Carlo growth constants, cusp decay and tail truncation."""
     samples, tol_kappa = params["samples"], params["tolkappa"]
+    s, s0 = params["s"], params["s0"]
+    if s <= 0:
+        raise UsageError(f"cocycle-mc: --s must be positive, got {s!r}")
+    if s > s0 / 2.0 + 1e-12:    # the library's admissible range
+        raise UsageError(f"cocycle-mc: --s0 must be at least 2s = {2 * s:g}, "
+                         f"got {s0!r}")
     x, y, theta, lengths, _ = induction.sample_domain_arrays(samples, seed)
     head = min(200, samples)
     subset = induction.domain_matrices(x[:head], y[:head], theta[:head])
 
     g_samples = induction.random_group_elements(params["gcount"], seed + 1,
                                                 max_length=params["glen"])
-    stats = induction.cocycle_growth_check(g_samples, params["s"], subset,
-                                           s0=params["s0"])
+    stats = induction.cocycle_growth_check(g_samples, s, subset, s0=s0)
 
     # keep at least ~25 exceedances so the tail fit stays well-posed
     quantile = 1.0 - max(25.0, 0.02 * samples) / samples
@@ -677,6 +684,8 @@ class CommandSpec:
 
 _SU2_MAX_TWO_J = 48
 _ZIGZAG_MAX_RADIUS = 1000.0
+_KAK_MAX_ALPHA = 3.0
+_MAX_TOL = 1e-6
 
 # What every key accepts.  A count is at least 1, so that no axis value
 # goes unchecked (kak's --count may be 0: its alphas still get their cases),
@@ -691,34 +700,46 @@ _ZIGZAG_MAX_RADIUS = 1000.0
 # - cocycle-mc --samples starts at 50, where the cusp fit's threshold
 #   quantile 1 - max(25, samples / 50) / samples reaches 1/2;
 # - su2-gap --qpoints starts at the library's 64 quadrature points, and
-#   star-verify --horizon at the 2 measures one Cauchy difference needs.
+#   star-verify --horizon at the 2 measures one Cauchy difference needs;
+# - a tolerance (--tol, --tolkappa) lies in [0, 1e-6]: a negative one fails
+#   every comparison and a large one passes every comparison.  The compared
+#   norms, gaps and lengths are far above 1e-6 (an sdelta-decay bound is at
+#   least 2^(-11/2)), the compared residuals far below it (near 1e-15);
+# - kak --alpha lies in (0, 3]: the residual check is absolute at 1e-8 and
+#   D_a k D_a has entries up to e^(4 alpha); its worst residual is 2e-10 at
+#   alpha = 3 and 9e-9 at 4, rounding fails cases at 4.5, and 200 overflows;
+# - sphere-gap --delta and cocycle-mc --radius: a latitude and a length.
+# The runner checks a strict or joint rule (alpha > 0, 0 < s <= s0/2, the
+# growth check's admissible rates) before any work, in the same form.
 COMMANDS = {
     "sdelta-decay": CommandSpec(
         "sdelta-decay", _run_sdelta_decay,
         {"p": Key((2, 3), integer=True, low=2, axis=True),
          "n": Key((1, 2, 3), integer=True, low=1, axis=True),
-         "tol": Key((1e-9,))},
+         "tol": Key((1e-9,), low=0.0, high=_MAX_TOL)},
         "character-block norm decay on residue rings"),
     "sphere-gap": CommandSpec(
         "sphere-gap", _run_sphere_gap,
         {"n": Key((2,), integer=True, low=2, axis=True),
-         "delta": Key(tuple(i / 100.0 for i in range(1, 100)), axis=True),
+         "delta": Key(tuple(i / 100.0 for i in range(1, 100)), low=-1.0,
+                      high=1.0, axis=True),
          "dmax": Key((200,), integer=True, low=1),
-         "tol": Key((1e-9,))},
+         "tol": Key((1e-9,), low=0.0, high=_MAX_TOL)},
         "sphere averaging gap vs. Holder envelope"),
     "su2-gap": CommandSpec(
         "su2-gap", _run_su2_gap,
         {"theta": Key((0.05, 0.2, 0.4, math.pi / 4, 1.0, 1.3, 2.0), axis=True),
          "jmax": Key((20,), integer=True, low=1, high=_SU2_MAX_TWO_J),
          "qpoints": Key((128,), integer=True, low=64),
-         "tol": Key((1e-9,))},
+         "tol": Key((1e-9,), low=0.0, high=_MAX_TOL)},
         "two-rotation gap vs. spin-1/2 branch"),
     "kak": CommandSpec(
         "kak", _run_kak,
         {"count": Key((20,), integer=True, low=0),
-         "alpha": Key((0.5, 1.0, 2.0), axis=True),
+         "alpha": Key((0.5, 1.0, 2.0), low=0.0, high=_KAK_MAX_ALPHA,
+                      axis=True),
          "rcount": Key((5,), integer=True, low=1),
-         "tol": Key((1e-10,))},
+         "tol": Key((1e-10,), low=0.0, high=_MAX_TOL)},
         "KAK round-trips and distortion bounds"),
     "zigzag-cert": CommandSpec(
         "zigzag-cert", _run_zigzag_cert,
@@ -742,8 +763,9 @@ COMMANDS = {
         "cocycle-mc", _run_cocycle_mc,
         {"samples": Key((2000,), integer=True, low=50),
          "gcount": Key((20,), integer=True, low=1),
-         "glen": Key((2.0,), low=0.0), "s": Key((0.2,)), "s0": Key((1.0,)),
-         "radius": Key((2.5,)), "tolkappa": Key((1e-9,))},
+         "glen": Key((2.0,), low=0.0), "s": Key((0.2,), low=0.0),
+         "s0": Key((1.0,), low=0.0), "radius": Key((2.5,), low=0.0),
+         "tolkappa": Key((1e-9,), low=0.0, high=_MAX_TOL)},
         "cocycle growth / cusp decay Monte-Carlo", _write_sample_log),
 }
 

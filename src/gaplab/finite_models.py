@@ -340,12 +340,6 @@ def fourier_diagonalize_S_delta(ring: ResidueRing) -> FourierBlocks:
 # decomposition of shifted averages into character averages
 
 
-def decompose_coefficients(a: RingElem, b: RingElem):
-    """Nonzero coefficients (chi, t_chi) of p^h*(delta_a - delta_b)."""
-    return [(chi, t) for chi, t in character_decompose(a, b).items()
-            if abs(t) > 0.0]
-
-
 def verify_S_decomposition(ring: ResidueRing, a: RingElem, b: RingElem,
                            row_block: int = 2048) -> float:
     """Max-entry residual of S_{n,delta(a)} - S_{n,delta(b)}
@@ -360,7 +354,8 @@ def verify_S_decomposition(ring: ResidueRing, a: RingElem, b: RingElem,
     m = ring.modulus
     lhs_kernel = (_kernel_s_delta(ring, step * a.value)
                   - _kernel_s_delta(ring, step * b.value))
-    terms = [(_kernel_s_chi(ring, chi), t) for chi, t in decompose_coefficients(a, b)]
+    terms = [(_kernel_s_chi(ring, chi), t)
+             for chi, t in character_decompose(a, b).items() if abs(t) > 0.0]
     worst = 0.0
     for start in range(0, m * m, row_block):
         rows = np.arange(start, min(start + row_block, m * m))

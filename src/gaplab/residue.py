@@ -204,8 +204,3 @@ def character_decompose(a: RingElem, b: RingElem) -> dict[AdditiveCharacter, com
         out[chi] = (char_eval(chi, a).conjugate()
                     - char_eval(chi, b).conjugate())
     return out
-
-
-def reconstruct(coeffs: dict[AdditiveCharacter, complex], z: RingElem) -> complex:
-    """Evaluate sum_chi t_chi*chi(z) for a coefficient table."""
-    return sum(t * char_eval(chi, z) for chi, t in coeffs.items())

@@ -21,7 +21,7 @@ pointwise calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,6 +49,8 @@ def tdelta_eigenvalues(n: int, max_degree: int, delta) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("sphere dimension must be >= 2")
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     deltas, scalar = _batch(delta, "delta")
     inside = (deltas >= -1.0) & (deltas <= 1.0)      # False for NaN
     if not inside.all():
@@ -72,53 +74,11 @@ def tdelta_eigenvalues(n: int, max_degree: int, delta) -> np.ndarray:
     return vals[:, 0] if scalar else vals
 
 
-def tdelta_eigenvalue(n: int, ell: int, delta: float) -> float:
-    if ell < 0:
-        raise ValueError("degree must be >= 0")
-    return float(tdelta_eigenvalues(n, ell, delta)[ell])
-
-
 def legendre_envelope(ell: int, delta: float) -> float:
     """Classical uniform envelope |P_ell(delta)| <= sqrt(2/(pi*ell*(1-delta^2)))."""
     if ell <= 0 or abs(delta) >= 1.0:
         return 1.0
     return min(1.0, math.sqrt(2.0 / (math.pi * ell * (1.0 - delta * delta))))
-
-
-@dataclass
-class HarmonicSpectrum:
-    """Tabulated action of the latitude average on harmonic subspaces."""
-
-    sphere_dim: int
-    max_degree: int
-    deltas: tuple
-    table: np.ndarray = field(repr=False)  # [ell, delta index]
-
-    def eigenvalue(self, ell: int, delta: float) -> float:
-        j = self.deltas.index(delta)
-        return float(self.table[ell, j])
-
-    def verify_invariants(self, tol: float = 1e-12) -> bool:
-        if not np.allclose(self.table[0], 1.0, atol=tol):
-            return False
-        if np.max(np.abs(self.table)) > 1.0 + tol:
-            return False
-        for j, d in enumerate(self.deltas):
-            if d == 1.0 and not np.allclose(self.table[:, j], 1.0, atol=tol):
-                return False
-        return True
-
-
-def build_harmonic_spectrum(n: int, max_degree: int, deltas) -> HarmonicSpectrum:
-    deltas = tuple(float(d) for d in deltas)
-    table = tdelta_eigenvalues(n, max_degree, deltas)
-    return HarmonicSpectrum(n, max_degree, deltas, table)
-
-
-def tdelta_norm_gap(n: int, delta: float, max_degree: int = 200) -> float:
-    """sup_{l <= D} |q_l(delta) - q_l(0)|: the norm of T_delta - T_0 on the
-    span of harmonics of degree <= D."""
-    return tdelta_gap_report(n, delta, max_degree).value
 
 
 @dataclass
@@ -135,6 +95,9 @@ class TdeltaGapReport:
 def tdelta_gap_report(n: int, delta, max_degree: int = 200):
     """Gap value plus explicit truncation data: the degree attaining the sup
     and the analytic envelope for every discarded degree.
+
+    The value sup_{l <= D} |q_l(delta) - q_l(0)| is the norm of T_delta - T_0
+    on the harmonics of degree <= D = max_degree.
 
     A scalar delta gives one report; a 1-D sequence gives a list of reports
     in its order, from one recurrence that also carries the delta = 0
@@ -259,18 +222,6 @@ def spin_matrix(two_j: int, u: np.ndarray) -> np.ndarray:
     return out.reshape(u.shape[:-2] + (dim, dim))
 
 
-@dataclass
-class SuTwoBlock:
-    two_j: int
-    theta: float
-    block: np.ndarray = field(repr=False)
-    quadrature_points: int
-
-    @property
-    def spin(self) -> float:
-        return self.two_j / 2.0
-
-
 def _circle_averages(two_j: int, thetas: np.ndarray,
                      quadrature_points: int) -> np.ndarray:
     """phi-averages of the spins 2j' = 0..two_j over the M-point circle grid,
@@ -302,14 +253,6 @@ def _circle_averages(two_j: int, thetas: np.ndarray,
     if np.abs(out).max(initial=0.0) > 1.0 + 1e-12:
         raise AssertionError("internal error: average of unitaries expanded")
     return out
-
-
-def stheta_block(two_j: int, theta: float, quadrature_points: int = 128) -> SuTwoBlock:
-    """phi-average of the spin block over the M-point circle grid: the
-    diagonal matrix of ``_circle_averages``."""
-    diag = _circle_averages(two_j, np.array([theta], dtype=float),
-                            quadrature_points)[0, two_j * (two_j + 1) // 2:]
-    return SuTwoBlock(two_j, theta, np.diag(diag), quadrature_points)
 
 
 def stheta_norm_gap(theta, two_j_max: int = 40,

@@ -29,13 +29,13 @@ gives the far radius a node of its own when it differs from the last
 unit node, and moves that node onto it otherwise; `axis_chain_bound`
 prices radii that do not differ as one radius.
 
-Certificates are built and revalidated a block at a time.  Two (N, 3)
-endpoint arrays sharing (s, L) give a `CertificateBlock`: every step of
-every certificate in flat arrays (kind, start, end, bound) cut by
-per-certificate offsets, each ladder made by index arithmetic.  One pair
-of points gives a `BoundCertificate`, the only certificate of a block of
-one.  `revalidate_certificate` re-derives either from its steps alone,
-each check an array mask over all of them.
+Certificates are built and revalidated a block at a time, and a block is
+the only certificate type.  Two (N, 3) endpoint arrays sharing (s, L)
+give a `CertificateBlock`: every step of every certificate in flat arrays
+(kind, start, end, bound) cut by per-certificate offsets, each ladder made
+by index arithmetic.  One pair of points gives the block of one, through
+the same code.  `revalidate_certificate` re-derives a block from its steps
+alone, each check an array mask over all of them.
 
 `StarParams` packages a decay profile (s, t, C); `rescale_params` and
 `product_params` transport such profiles under length rescaling and direct
@@ -56,7 +56,6 @@ _AXIS = np.array([1.0, 0.0, -1.0])
 
 __all__ = [
     "ZigZagStep",
-    "BoundCertificate",
     "CertificateBlock",
     "StarParams",
     "step_bound",
@@ -64,7 +63,6 @@ __all__ = [
     "zigzag_certificate",
     "revalidate_certificate",
     "rescale_params",
-    "rescale_reindex",
     "product_params",
 ]
 
@@ -189,49 +187,7 @@ def axis_chain_bound(r1, r2, s, L) -> float:
     if r2 - r1 <= _EQ_TOL:
         # both legs of the move c_{r1} -> c_{r1} pay 14 L^2 e^{-t r1}
         return 2.0 * step_bound("horizontal", axis, axis, s, L)
-    return zigzag_certificate(axis, (r2, 0.0, -r2), s, L).total
-
-
-@dataclass
-class BoundCertificate:
-    steps: tuple
-    total: float
-    target: float
-    s: float
-    L: float
-    t: float
-
-    def __post_init__(self):
-        if self.total != math.fsum(st.bound for st in self.steps):
-            raise ValueError("certificate total must equal the sum of step bounds")
-
-    @property
-    def params(self):
-        return (self.s, self.L, self.t)
-
-    @property
-    def passed(self) -> bool:
-        return self.total <= self.target
-
-    def to_json(self) -> dict:
-        # the coarser companion envelope scales the same max(...) term by
-        # 100/(1-4s) instead of 70/(1-4s)
-        loose = self.target * (100.0 / 70.0)
-        return {
-            "params": {"s": self.s, "L": self.L, "t": self.t},
-            "steps": [
-                {"kind": st.kind, "from": list(st.start), "to": list(st.end),
-                 "bound": st.bound}
-                for st in self.steps
-            ],
-            "total": self.total,
-            "target": self.target,
-            "pass": self.passed,
-            "notes": (
-                "target uses the sharp constant 70/(1-4s); the coarser "
-                f"100/(1-4s) envelope evaluates to {loose:.17g}"
-            ),
-        }
+    return float(zigzag_certificate(axis, (r2, 0.0, -r2), s, L).totals[0])
 
 
 @dataclass(eq=False)
@@ -241,7 +197,7 @@ class CertificateBlock:
     Certificate i owns entries offsets[i]:offsets[i + 1] of the step arrays
     `kind` (M,), `start` and `end` (M, 3) and `bound` (M,); `totals` and
     `targets` are (N,).  `steps` is a read-only view of all M steps as
-    `ZigZagStep`s, and `certificate(i)` unpacks one `BoundCertificate`.
+    `ZigZagStep`s, and `to_json(i)` is the document of certificate i.
     """
     kind: np.ndarray
     start: np.ndarray
@@ -262,14 +218,23 @@ class CertificateBlock:
     def passed(self) -> np.ndarray:
         return self.totals <= self.targets
 
-    def certificate(self, i) -> BoundCertificate:
+    def to_json(self, i) -> dict:
+        """Certificate i: its parameters, steps, total, target and verdict."""
         p, q = self.offsets[i], self.offsets[i + 1]
-        steps = tuple(map(ZigZagStep, self.kind[p:q].tolist(),
-                          map(tuple, self.start[p:q].tolist()),
-                          map(tuple, self.end[p:q].tolist()),
-                          self.bound[p:q].tolist()))
-        return BoundCertificate(steps, float(self.totals[i]),
-                                float(self.targets[i]), self.s, self.L, self.t)
+        target = float(self.targets[i])
+        # the coarser companion envelope scales the same max(...) term by
+        # 100/(1-4s) instead of 70/(1-4s)
+        return {
+            "params": {"s": self.s, "L": self.L, "t": self.t},
+            "steps": [{"kind": st.kind, "from": list(st.start),
+                       "to": list(st.end), "bound": st.bound}
+                      for st in (self.steps[j] for j in range(p, q))],
+            "total": float(self.totals[i]), "target": target,
+            "pass": bool(self.passed[i]),
+            "notes": ("target uses the sharp constant 70/(1-4s); the coarser "
+                      "100/(1-4s) envelope evaluates to "
+                      f"{target * (100.0 / 70.0):.17g}"),
+        }
 
 
 class _BlockSteps(Sequence):
@@ -371,39 +336,25 @@ def _build_block(a, a_prime, s, L) -> CertificateBlock:
 
 
 def _points(p):
-    """A `CartanTriple`, a triple or an (N, 3) stack as a float array."""
+    """A `CartanTriple`, a triple or an (N, 3) stack as a 2-D float array:
+    a single point is a stack of one."""
     if isinstance(p, CartanTriple):
         p = p.as_tuple()
-    return np.asarray(p, dtype=float)
+    return np.atleast_2d(np.asarray(p, dtype=float))
 
 
-def zigzag_certificate(a, a_prime, s, L):
+def zigzag_certificate(a, a_prime, s, L) -> CertificateBlock:
     """Build the step-by-step bound certificates joining chamber points.
 
-    Two points (`CartanTriple`s or triples) give their `BoundCertificate`;
-    two (N, 3) arrays give the `CertificateBlock` of the N pairs
-    (a[i], a_prime[i]), through the same code.  Each certificate routes the
+    Two (N, 3) arrays give the `CertificateBlock` of the N pairs
+    (a[i], a_prime[i]); two points (`CartanTriple`s or triples) give the
+    block of one, through the same code.  Each certificate routes the
     off-axis endpoints to the axis with one move each and walks the axis in
     unit moves.  The target is (70/(1-4s)) L^2 max(e^{-t r}, e^{-t r'})
     with r, r' the axis radii of the endpoints and t = 1/2 - 2s.  Equal
     endpoints (to 1e-12) need no steps at all, so their total is zero.
     """
-    a, a_prime = _points(a), _points(a_prime)
-    if a.ndim == 1:
-        return _build_block(a[None], a_prime[None], s, L).certificate(0)
-    return _build_block(a, a_prime, s, L)
-
-
-def _as_block(cert: BoundCertificate) -> CertificateBlock:
-    """A certificate as the block of one that revalidation reads."""
-    steps, n = cert.steps, len(cert.steps)
-    return CertificateBlock(
-        np.array([st.kind for st in steps], dtype=str),
-        np.array([st.start for st in steps], dtype=float).reshape(n, 3),
-        np.array([st.end for st in steps], dtype=float).reshape(n, 3),
-        np.array([st.bound for st in steps], dtype=float), np.array([0, n]),
-        np.array([cert.total], dtype=float),
-        np.array([cert.target], dtype=float), cert.s, cert.L, cert.t)
+    return _build_block(_points(a), _points(a_prime), s, L)
 
 
 def _locate(offsets, j):
@@ -412,9 +363,8 @@ def _locate(offsets, j):
     return c, j - int(offsets[c])
 
 
-def revalidate_certificate(cert) -> bool:
-    """Re-derive a `BoundCertificate` or a `CertificateBlock` from its
-    recorded steps alone.
+def revalidate_certificate(block: CertificateBlock) -> bool:
+    """Re-derive a `CertificateBlock` from its recorded steps alone.
 
     Every recorded point must lie in the chamber, every step must keep its
     kind's frozen coordinate and region and carry exactly the bound
@@ -425,7 +375,6 @@ def revalidate_certificate(cert) -> bool:
     bad certificate and its first bad step (or its total), or t; returns
     True otherwise.
     """
-    block = _as_block(cert) if isinstance(cert, BoundCertificate) else cert
     kind, start, end, bound = block.kind, block.start, block.end, block.bound
     offsets, count = block.offsets, len(block.bound)
     checks = []
@@ -471,16 +420,12 @@ def revalidate_certificate(cert) -> bool:
     return True
 
 
-def rescale_reindex(n: int, a, b) -> int:
-    """Index bookkeeping for rescaled lengths: step n maps to floor((n-b)/a)."""
-    return math.floor((n - b) / a)
-
-
 def rescale_params(params: StarParams, a, b) -> StarParams:
     """Transport a decay profile along a length rescaling l' <= a*l + b.
 
     New profile (s/a, t/a, C * e^{(2sb + ta + tb)/a}); the associated measure
-    sequence is reindexed by `rescale_reindex`.  The constant never shrinks.
+    sequence is reindexed, step n going to floor((n - b)/a).  The constant
+    never shrinks.
     """
     if a <= 0:
         raise ValueError("rescaling factor a must be positive")

@@ -300,12 +300,12 @@ def test_criterion_06_zigzag_certificates():
                     target = (70.0 / (1.0 - 4.0 * s)) * L * L * max(
                         math.exp(-t * max(a[0], -a[2])),
                         math.exp(-t * max(b[0], -b[2])))
-                    assert cert.passed
-                    assert cert.total <= target * (1 + 1e-12)
-                    assert abs(cert.target - target) <= 1e-9 * target
+                    assert cert.passed[0]
+                    assert cert.totals[0] <= target * (1 + 1e-12)
+                    assert abs(cert.targets[0] - target) <= 1e-9 * target
                     assert zigzag.revalidate_certificate(cert)
-                    if cert.total > 0:  # identical endpoints telescope away
-                        worst_slack = min(worst_slack, target / cert.total)
+                    if cert.totals[0] > 0:  # identical endpoints telescope away
+                        worst_slack = min(worst_slack, target / cert.totals[0])
                     count += 1
     return (f"{count} certificates over s in (0.05,0.1,0.2), L in (1,10); "
             f"every step revalidated; tightest target/total = "

@@ -14,10 +14,24 @@ from gaplab.cartan import (CartanTriple, PAdicGroupElement, RealGroupElement,
                            distorted_length,
                            frac_valuation, in_u_pattern, in_utilde_pattern,
                            is_special_orthogonal, k_delta_padic, k_delta_real,
-                           kak_padic, kak_real, length_exponent_padic,
-                           length_padic, length_real, padic_sphere_distortion,
+                           kak_padic, kak_real, padic_sphere_distortion,
                            random_padic_integral, solve_sphere_distortion,
                            u0_automorphism)
+
+
+def _length(g):
+    return kak_real(g)[1].length
+
+
+def _length_oracle(g):
+    """max(log ||g||, log ||g^{-1}||) from an SVD of its own."""
+    sv = np.linalg.svd(g.matrix, compute_uv=False)
+    return float(max(math.log(sv[0]), -math.log(sv[-1])))
+
+
+def _padic_length_oracle(g):
+    """e in the p-adic length e log p: max over g, g^{-1} of -min v_p."""
+    return max(-g.min_valuation(), -g.inv().min_valuation())
 
 
 def _random_sl3(rng, scale=2.0):
@@ -114,9 +128,9 @@ def _random_stack(rng, n, scale=2.0):
 
 
 def test_length_identity_and_ray():
-    assert length_real(RealGroupElement(np.eye(3))) == 0.0
-    assert length_real(d_alpha(1.5)) == pytest.approx(3.0, abs=1e-12)
-    assert length_real(d_matrix(2, 0, -2)) == pytest.approx(2.0, abs=1e-12)
+    assert _length(RealGroupElement(np.eye(3))) == 0.0
+    assert _length(d_alpha(1.5)) == pytest.approx(3.0, abs=1e-12)
+    assert _length(d_matrix(2, 0, -2)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_length_vanishes_on_rotations():
@@ -125,7 +139,7 @@ def test_length_vanishes_on_rotations():
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] *= -1
-        assert abs(length_real(RealGroupElement(q))) < 1e-12
+        assert abs(_length(RealGroupElement(q))) < 1e-12
 
 
 def test_length_symmetry_and_subadditivity():
@@ -133,8 +147,8 @@ def test_length_symmetry_and_subadditivity():
     for _ in range(300):
         g = _random_sl3(rng)
         h = _random_sl3(rng)
-        assert length_real(g) == pytest.approx(length_real(g.inv()), abs=1e-9)
-        assert length_real(g @ h) <= length_real(g) + length_real(h) + 1e-9
+        assert _length(g) == pytest.approx(_length(g.inv()), abs=1e-9)
+        assert _length(g @ h) <= _length(g) + _length(h) + 1e-9
 
 
 def test_group_element_validation():
@@ -156,7 +170,7 @@ def test_kak_real_roundtrip():
         assert is_special_orthogonal(k1.matrix)
         assert is_special_orthogonal(k2.matrix)
         assert abs(sum(a.as_tuple())) < 1e-12
-        assert length_real(g) == pytest.approx(a.length, abs=1e-10)
+        assert _length_oracle(g) == pytest.approx(a.length, abs=1e-10)
 
 
 def test_kak_real_on_diagonal_and_rotation():
@@ -277,6 +291,7 @@ def test_cartan_triple_validation():
 
 
 def test_k_delta_real_endpoints():
+    """Paper: the stamps k_delta run from I (delta = 1) to k_0 (delta = 0)."""
     assert np.allclose(k_delta_real(1.0).matrix, np.eye(3))
     k0 = k_delta_real(0.0).matrix
     assert np.allclose(k0, np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]))
@@ -296,6 +311,7 @@ def test_d_alpha_k0_identity():
 
 
 def test_cartan_automorphism_involution():
+    """Paper: g -> J (g^{-1})^T J, which trades U and U~, is an involution."""
     rng = np.random.default_rng(4)
     for _ in range(30):
         g = _random_sl3(rng)
@@ -304,6 +320,7 @@ def test_cartan_automorphism_involution():
 
 
 def test_cartan_automorphism_on_diagonals():
+    """Paper: it maps D(a1, a2, a3) to D(-a3, -a2, -a1), fixing the chamber."""
     out = cartan_automorphism(d_matrix(2, 0, -2))
     assert np.allclose(out.matrix, d_matrix(2, 0, -2).matrix, atol=1e-12)
     out = cartan_automorphism(d_matrix(3, 1, -4))
@@ -311,6 +328,7 @@ def test_cartan_automorphism_on_diagonals():
 
 
 def test_cartan_automorphism_swaps_patterns():
+    """Paper: it swaps U (rotations of e2, e3) and U~ (rotations of e1, e2)."""
     theta = 0.77
     u_elem = np.array([[1, 0, 0],
                        [0, math.cos(theta), -math.sin(theta)],
@@ -325,11 +343,12 @@ def test_cartan_automorphism_swaps_patterns():
 
 
 def test_length_invariant_under_cartan_automorphism():
+    """Paper: the automorphism preserves length."""
     rng = np.random.default_rng(5)
     for _ in range(20):
         g = _random_sl3(rng)
-        assert length_real(cartan_automorphism(g)) == pytest.approx(
-            length_real(g), abs=1e-9)
+        assert _length(cartan_automorphism(g)) == pytest.approx(
+            _length(g), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +479,7 @@ def test_padic_validation_and_length():
     with pytest.raises(ValueError):
         PAdicGroupElement(2, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])   # det 2
     g = PAdicGroupElement(2, [[Fraction(1, 4), 0, 0], [0, 2, 0], [0, 0, 2]])
-    assert length_exponent_padic(g) == 2
-    assert length_padic(g) == pytest.approx(2 * math.log(2))
+    assert kak_padic(g).length == _padic_length_oracle(g) == 2
 
 
 def test_padic_length_symmetry_subadditive():
@@ -470,17 +488,18 @@ def test_padic_length_symmetry_subadditive():
     for _ in range(60):
         g = random_padic_integral(3, rng) @ x @ random_padic_integral(3, rng)
         h = random_padic_integral(3, rng, 4)
-        assert length_exponent_padic(g) == length_exponent_padic(g.inv())
-        assert (length_exponent_padic(g @ h)
-                <= length_exponent_padic(g) + length_exponent_padic(h))
+        assert kak_padic(g).length == kak_padic(g.inv()).length
+        assert (kak_padic(g @ h).length
+                <= kak_padic(g).length + kak_padic(h).length)
 
 
 def test_padic_integral_has_zero_length():
+    """Paper: the maximal compact SL3(Z_p) has length zero."""
     rng = np.random.default_rng(7)
     for _ in range(40):
         k = random_padic_integral(5, rng, 8)
         assert k.is_integral()
-        assert length_exponent_padic(k) == 0
+        assert kak_padic(k).length == 0
         assert kak_padic(k).as_int_tuple() == (0, 0, 0)
 
 
@@ -492,6 +511,7 @@ def test_kak_padic_examples():
 
 
 def test_kak_padic_bi_invariance():
+    """Paper: the p-adic Cartan projection is SL3(Z_p)-bi-invariant."""
     rng = np.random.default_rng(8)
     x = d_matrix_padic(3, 3, 1, -4)
     base = kak_padic(x).as_int_tuple()
@@ -511,7 +531,7 @@ def test_kak_padic_matches_length():
         oracle = _kak_padic_oracle(g)
         assert oracle == (a1, a2, a3)
         assert kak_padic(g).as_int_tuple() == oracle
-        assert length_exponent_padic(g) == max(a1, -a3)
+        assert kak_padic(g).length == _padic_length_oracle(g) == max(a1, -a3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -525,7 +545,7 @@ def test_kak_padic_matches_minor_oracle(p):
              @ random_padic_integral(p, rng))
         oracle = _kak_padic_oracle(g)
         assert kak_padic(g).as_int_tuple() == oracle
-        assert length_exponent_padic(g) == max(oracle[0], -oracle[2])
+        assert kak_padic(g).length == max(oracle[0], -oracle[2])
         assert oracle == tuple(sorted((a1, a2, -a1 - a2), reverse=True))
 
 
@@ -563,6 +583,7 @@ def test_padic_distortion_rejects():
 
 
 def test_u0_fixed_points_and_distortion():
+    """Paper: conjugation by diag(p,1,1) changes length by at most log p."""
     ident = PAdicGroupElement(5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert u0_automorphism(ident).matrix == ident.matrix
     diag = d_matrix_padic(5, 1, 0, -1)
@@ -572,12 +593,13 @@ def test_u0_fixed_points_and_distortion():
     x = d_matrix_padic(5, 2, 0, -2)
     for _ in range(100):
         g = random_padic_integral(5, rng, 5) @ x @ random_padic_integral(5, rng, 3)
-        drift = abs(length_exponent_padic(g)
-                    - length_exponent_padic(u0_automorphism(g)))
+        drift = abs(kak_padic(g).length
+                    - kak_padic(u0_automorphism(g)).length)
         assert drift <= 1
 
 
 def test_u0_is_multiplicative():
+    """Paper: conjugation by diag(p, 1, 1) is a group automorphism."""
     rng = np.random.default_rng(11)
     for _ in range(20):
         g = random_padic_integral(7, rng)

@@ -148,10 +148,11 @@ def test_positional_junk_exits_two():
 
 
 def test_library_value_error_exits_two(tmp_path, capsys):
-    out = tmp_path / "mc.csv"
-    assert run_main(["cocycle-mc", "--s=0.6", "--out", out]) == 2
+    # no key declares that p is prime; the library refuses p = 4
+    out = tmp_path / "sd.csv"
+    assert run_main(["sdelta-decay", "--p=4", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: cocycle-mc: rate s=0.6 out of admissible")
+    assert err.startswith("error: sdelta-decay: p=4 is not prime\n")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -160,7 +161,28 @@ def test_sphere_gap_delta_out_of_range_exits_two(tmp_path, capsys):
     out = tmp_path / "sg.csv"
     assert run_main(["sphere-gap", "--delta=1.5", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: sphere-gap:") and "Traceback" not in err
+    assert err.startswith("error: sphere-gap: --delta must be at most 1, got 1.5")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    # tolerances that pass or fail every comparison, then the runner rules
+    (["sphere-gap", "--tol=1e300"], "--tol must be at most 1e-06, got 1e+300"),
+    (["sphere-gap", "--tol=-1"], "--tol must be at least 0, got -1.0"),
+    (["kak", "--alpha=1,0"], "--alpha must be positive, got 0.0"),
+    (["cocycle-mc", "--s=0"], "--s must be positive, got 0.0"),
+    (["cocycle-mc", "--s0=0.3"], "--s0 must be at least 2s = 0.4, got 0.3"),
+    (["cocycle-mc", "--s0=0"], "--s0 must be at least 2s = 0.4, got 0.0"),
+])
+def test_rules_refuse_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                      message):
+    monkeypatch.setattr(cli.cartan, "kak_real", lambda *a: pytest.fail("ran"))
+    monkeypatch.setattr(cli.induction, "sample_domain_arrays",
+                        lambda *a: pytest.fail("ran"))
+    out = tmp_path / "out.csv"
+    assert run_main([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]}: {message}\n")
     assert not out.exists()
 
 

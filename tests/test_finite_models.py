@@ -443,6 +443,7 @@ def test_hausdorff_young_is_parseval(m, seed):
 
 
 def test_kdelta_conjugation_frozen_example():
+    """Paper: the corner words conjugate to k_{p^(2j) delta}; one instance."""
     R = ResidueRing(3, 3)
     r = verify_kdelta_conjugation(1, R.elem(1), R.elem(0), R.elem(1), R.elem(2))
     assert r.ok and r.determinants_ok and r.pattern_ok and r.product_ok
@@ -459,6 +460,7 @@ def test_kdelta_conjugation_omega_unit_case():
 
 
 def test_kdelta_conjugation_random_sweep():
+    """Paper: the conjugation holds iff valuation(delta) <= n - j."""
     rng = np.random.default_rng(2)
     checked = 0
     for _ in range(120):
@@ -492,6 +494,7 @@ def test_kdelta_conjugation_rejects_bad_shapes():
        st.integers(0, 3 ** 3 - 1), st.integers(0, 3 ** 3 - 1))
 @settings(max_examples=60)
 def test_kdelta_conjugation_holds_whenever_claimed(av, bv, xv, yv):
+    """Paper: the conjugation holds for every admissible input in Z/27."""
     R = ResidueRing(3, 3)
     a, b, x, y = R.elem(av), R.elem(bv), R.elem(xv), R.elem(yv)
     dval = (yv - av * xv - bv) % 27

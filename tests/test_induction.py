@@ -944,6 +944,8 @@ def test_truncate_tail_empty_ball_rejected():
 
 
 def test_exp_tail_mass():
+    """Paper: the e^{s length} mass outside a ball, which the tail lemma
+    bounds."""
     m = LatticeMeasure({(1, 0, 0, 1): 0.5, (8, 3, 5, 2): 0.5})
     ell = element_length(np.array([[8.0, 3.0], [5.0, 2.0]]))
     assert exp_tail_mass(m, 0.3, 1.0) == pytest.approx(0.5 * math.exp(0.3 * ell), rel=1e-12)

@@ -20,11 +20,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import eval_gegenbauer, roots_jacobi
 
 from gaplab import cli, spheres
-from gaplab.spheres import (build_harmonic_spectrum, fit_stheta_constant,
-                            legendre_envelope, spin_half_gap, spin_matrix,
-                            stheta_block, stheta_norm_gap, su2_element,
-                            tdelta_eigenvalue, tdelta_eigenvalues,
-                            tdelta_gap_report, tdelta_norm_gap)
+from gaplab.spheres import (fit_stheta_constant, legendre_envelope,
+                            spin_half_gap, spin_matrix, stheta_norm_gap,
+                            su2_element, tdelta_eigenvalues,
+                            tdelta_gap_report)
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +69,12 @@ def scalar_recurrence(n, max_degree, delta):
         vals.append(c / norm)
         c_prev2, c_prev1 = c_prev1, c
     return np.array(vals)
+
+
+def averaged_block(two_j, theta, quadrature_points=128):
+    """The phi-averaged spin-(two_j/2) block: `_circle_averages`' diagonal."""
+    row = spheres._circle_averages(two_j, [theta], quadrature_points)[0]
+    return np.diag(row[two_j * (two_j + 1) // 2:])
 
 
 def stheta_block_summed(two_j, theta, quadrature_points=128):
@@ -149,19 +154,19 @@ def stheta_gap_masked_svd(thetas, two_j_max, quadrature_points,
 def test_constants_are_fixed():
     for n in (2, 3, 4):
         for d in (-0.7, 0.0, 0.3, 1.0):
-            assert tdelta_eigenvalue(n, 0, d) == 1.0
+            assert tdelta_eigenvalues(n, 0, d)[0] == 1.0
 
 
 def test_linear_harmonic():
     # n=2, l=1: eigenvalue is delta itself
     for d in np.linspace(-1, 1, 9):
-        assert tdelta_eigenvalue(2, 1, d) == pytest.approx(d, abs=1e-14)
+        assert tdelta_eigenvalues(2, 1, d)[1] == pytest.approx(d, abs=1e-14)
 
 
 def test_frozen_legendre_values():
-    assert tdelta_eigenvalue(2, 2, 0.0) == pytest.approx(-0.5, abs=1e-14)
+    assert tdelta_eigenvalues(2, 2, 0.0)[2] == pytest.approx(-0.5, abs=1e-14)
     # P_3(x) = (5x^3-3x)/2 at 0.4
-    assert tdelta_eigenvalue(2, 3, 0.4) == pytest.approx(
+    assert tdelta_eigenvalues(2, 3, 0.4)[3] == pytest.approx(
         (5 * 0.4 ** 3 - 3 * 0.4) / 2, abs=1e-13)
 
 
@@ -178,18 +183,20 @@ def test_eigenvalues_bounded_by_one():
 
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        tdelta_eigenvalue(2, 3, 1.5)
+        tdelta_eigenvalues(2, 3, 1.5)
     with pytest.raises(ValueError):
-        tdelta_eigenvalue(1, 3, 0.5)
+        tdelta_eigenvalues(1, 3, 0.5)
+    with pytest.raises(ValueError, match="max_degree"):
+        tdelta_eigenvalues(2, -1, 0.5)
     with pytest.raises(ValueError):
-        tdelta_norm_gap(2, 0.5, 0)
+        tdelta_gap_report(2, 0.5, 0)
 
 
 def test_matches_quadrature_oracle():
     for n in (2, 3, 4):
         for ell in (0, 1, 2, 5, 11, 30):
             for d in (-0.9, -0.3, 0.0, 0.45, 0.9):
-                assert tdelta_eigenvalue(n, ell, d) == pytest.approx(
+                assert tdelta_eigenvalues(n, ell, d)[ell] == pytest.approx(
                     quadrature_eigenvalue(n, ell, d), abs=1e-8)
 
 
@@ -197,7 +204,7 @@ def test_matches_quadrature_oracle():
        st.floats(-0.95, 0.95, allow_nan=False))
 @settings(max_examples=60)
 def test_quadrature_agreement_property(n, ell, d):
-    assert abs(tdelta_eigenvalue(n, ell, d)
+    assert abs(tdelta_eigenvalues(n, ell, d)[ell]
                - quadrature_eigenvalue(n, ell, d)) < 1e-8
 
 
@@ -206,29 +213,30 @@ def test_quadrature_agreement_property(n, ell, d):
 
 
 def test_gap_zero_at_origin():
-    assert tdelta_norm_gap(2, 0.0, 50) == 0.0
+    assert tdelta_gap_report(2, 0.0, 50).value == 0.0
 
 
 def test_holder_bound_sample():
     for d in (-0.9, -0.5, -0.1, 0.05, 0.25, 0.7, 0.98):
-        gap = tdelta_norm_gap(2, d, 200)
+        gap = tdelta_gap_report(2, d, 200).value
         assert gap <= 2 * math.sqrt(abs(d)) + 1e-9
 
 
 def test_gap_weaker_on_higher_spheres():
-    v2 = tdelta_norm_gap(2, 0.25, 200)
-    v3 = tdelta_norm_gap(3, 0.25, 200)
+    v2 = tdelta_gap_report(2, 0.25, 200).value
+    v3 = tdelta_gap_report(3, 0.25, 200).value
     assert v3 <= v2 + 1e-9
 
 
 def test_gap_monotone_in_truncation():
-    vals = [tdelta_norm_gap(2, 0.35, D) for D in (5, 20, 80, 200)]
+    vals = [tdelta_gap_report(2, 0.35, D).value for D in (5, 20, 80, 200)]
     assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_gap_report_contents():
     rep = tdelta_gap_report(2, 0.25, 200)
-    assert rep.value == tdelta_norm_gap(2, 0.25, 200)
+    table = tdelta_eigenvalues(2, 200, [0.25, 0.0])
+    assert rep.value == np.abs(table[:, 0] - table[:, 1]).max()
     assert 0 <= rep.arg_degree <= 200
     assert rep.holder_bound == pytest.approx(1.0)
     assert rep.value <= rep.holder_bound + 1e-9
@@ -239,14 +247,16 @@ def test_legendre_envelope_dominates():
     # the envelope really does bound the eigenvalues it truncates
     for d in (0.1, 0.45, 0.8):
         env = legendre_envelope(201, d)
-        assert abs(tdelta_eigenvalue(2, 201, d)) <= env + 1e-12
+        assert abs(tdelta_eigenvalues(2, 201, d)[201]) <= env + 1e-12
 
 
 def test_spectrum_table():
-    spec = build_harmonic_spectrum(3, 60, (0.0, 0.25, 1.0))
-    assert spec.verify_invariants()
-    assert spec.eigenvalue(0, 0.25) == 1.0
-    assert spec.eigenvalue(17, 1.0) == pytest.approx(1.0, abs=1e-12)
+    # a table over deltas (0, 0.25, 1) keeps the zonal invariants: degree 0
+    # is fixed, every eigenvalue is a contraction, delta = 1 fixes all
+    table = tdelta_eigenvalues(3, 60, (0.0, 0.25, 1.0))
+    assert table.shape == (61, 3) and np.all(table[0] == 1.0)
+    assert np.abs(table).max() <= 1.0 + 1e-12
+    assert np.allclose(table[:, 2], 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +279,7 @@ def test_spin_half_is_identity_map():
 def test_spin_zero_is_trivial():
     g = su2_element(1.3, 0.4)
     assert np.allclose(spin_matrix(0, g), np.eye(1), atol=1e-15)
-    blk = stheta_block(0, 1.3, 64)
-    assert np.allclose(blk.block, np.eye(1), atol=1e-15)
+    assert np.allclose(averaged_block(0, 1.3, 64), np.eye(1), atol=1e-15)
 
 
 def test_spin_matrices_are_homomorphic():
@@ -290,29 +299,29 @@ def test_spin_matrices_unitary():
 
 def test_block_spin_half_closed_form():
     th = 0.7
-    blk = stheta_block(1, th, 64).block
+    blk = averaged_block(1, th, 64)
     want = np.diag([np.exp(-1j * th), np.exp(1j * th)]) / np.sqrt(2)
     assert np.allclose(blk, want, atol=1e-12)
 
 
 def test_block_matches_literal_average():
     for (tj, th) in [(1, 0.7), (4, 2.1), (9, 5.0)]:
-        fast = stheta_block(tj, th, 64).block
+        fast = averaged_block(tj, th, 64)
         slow = stheta_block_summed(tj, th, 64)
         assert np.max(np.abs(fast - slow)) < 1e-10
 
 
 def test_block_contractive():
     for tj in range(1, 24):
-        blk = stheta_block(tj, 1.234, 128)
-        assert np.linalg.norm(blk.block, 2) <= 1 + 1e-12
+        blk = averaged_block(tj, 1.234, 128)
+        assert np.linalg.norm(blk, 2) <= 1 + 1e-12
 
 
 def test_block_rejects_coarse_quadrature():
     with pytest.raises(ValueError):
-        stheta_block(3, 0.5, 32)
+        averaged_block(3, 0.5, 32)
     with pytest.raises(ValueError):
-        stheta_block(70, 0.5, 64)
+        averaged_block(70, 0.5, 64)
 
 
 def test_gap_vanishes_at_base_point():
@@ -326,13 +335,14 @@ def test_gap_dominates_spin_half():
 
 def test_spin_half_gap_formula():
     for th in (0.0, 0.5, np.pi / 4 + 0.02, 3.0):
-        blk1 = stheta_block(1, th, 64).block
-        blk0 = stheta_block(1, np.pi / 4, 64).block
+        blk1 = averaged_block(1, th, 64)
+        blk0 = averaged_block(1, np.pi / 4, 64)
         got = np.linalg.norm(blk1 - blk0, 2)
         assert got == pytest.approx(spin_half_gap(th), abs=1e-12)
 
 
 def test_quarter_power_fit_is_uniform():
+    """Paper: ||S_theta - S_(pi/4)|| <= C |theta - pi/4|^(1/4), one C."""
     C = fit_stheta_constant(two_j_max=16, quadrature_points=64,
                             thetas=np.linspace(0, 2 * np.pi, 17, endpoint=False))
     assert 0 < C < 3.0
@@ -388,8 +398,8 @@ def test_batched_stheta_gap_matches_block_loop():
     gaps = stheta_norm_gap(thetas, 24, 64)
     assert gaps.shape == (len(thetas),)
     for th, gap in zip(thetas, gaps):
-        want = max(np.linalg.norm(stheta_block(tj, th, 64).block
-                                  - stheta_block(tj, np.pi / 4, 64).block, 2)
+        want = max(np.linalg.norm(averaged_block(tj, th, 64)
+                                  - averaged_block(tj, np.pi / 4, 64), 2)
                    for tj in range(1, 25))
         assert abs(gap - want) <= 1e-15
         assert stheta_norm_gap(th, 24, 64) == gap

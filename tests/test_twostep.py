@@ -183,6 +183,7 @@ def test_cyclic_model_basics():
 
 
 def test_symmetric_model_lengths_are_inversions():
+    """Paper: word length on S_n (adjacent transpositions) = inversions."""
     # adjacent transpositions generate S_n with word length = inversion count
     s4 = symmetric_model(4)
     assert s4.order == 24
@@ -974,6 +975,7 @@ def test_local_estimate_requires_probabilities():
 
 
 def test_cusp_measure_bound():
+    """Paper: |Omega_(n+1)| >= 1 - eps_n / |Omega_1|, clamped to [0, 1]."""
     assert np.allclose(cusp_measure_bound(0.5, [0.0, 0.0]), [1.0, 1.0])
     got = cusp_measure_bound(0.1, [2.0 ** -n for n in range(1, 8)])
     want = np.clip([1 - 10 * 2.0 ** -n for n in range(1, 8)], 0, 1)

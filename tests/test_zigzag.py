@@ -1,5 +1,7 @@
 """Step bounds, axis chains, certificates, and decay-parameter transport."""
+import collections
 import dataclasses
+import itertools
 import json
 import math
 
@@ -10,10 +12,10 @@ from hypothesis import strategies as st
 
 from gaplab.cartan import CartanTriple
 from gaplab.cli import _chamber_points
-from gaplab.zigzag import (_EQ_TOL, BoundCertificate, StarParams, ZigZagStep,
-                           axis_chain_bound, product_params, rescale_params,
-                           rescale_reindex, revalidate_certificate,
-                           step_bound, zigzag_certificate)
+from gaplab.zigzag import (_EQ_TOL, StarParams, ZigZagStep, axis_chain_bound,
+                           product_params, rescale_params,
+                           revalidate_certificate, step_bound,
+                           zigzag_certificate)
 
 
 def _axis(r):
@@ -36,11 +38,24 @@ def _random_point(rng, rmin=1.0, rmax=20.0):
     return _triple(r, a2)
 
 
-def _forge(cert, steps):
-    """`cert` with its steps replaced and its total made consistent."""
-    steps = tuple(steps)
-    return BoundCertificate(steps, math.fsum(st.bound for st in steps),
-                            cert.target, cert.s, cert.L, cert.t)
+# one certificate as plain values, as the tuple-builder oracle makes it
+_Cert = collections.namedtuple("_Cert", "steps total target")
+
+
+def _unpack(block, i):
+    p, q = block.offsets[i], block.offsets[i + 1]
+    return _Cert(tuple(block.steps[j] for j in range(p, q)),
+                 float(block.totals[i]), float(block.targets[i]))
+
+
+def _forge(block, steps):
+    """The block of one with `steps`, its total their fsum, and the target
+    and parameters of `block`'s first certificate."""
+    kind, start, end, bound = map(np.array, zip(*steps))
+    return dataclasses.replace(
+        block, kind=kind, start=start, end=end, bound=bound,
+        offsets=np.array([0, len(bound)]), totals=np.array([math.fsum(bound)]),
+        targets=block.targets[:1].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +104,7 @@ def _oracle_ladder(r_from, r_to):
 
 
 def _oracle_certificate(a, a_prime, s, L):
-    """The `BoundCertificate` the tuple builder made."""
+    """The certificate the tuple builder made, as a `_Cert`."""
     a, a_prime = CartanTriple(*a), CartanTriple(*a_prime)
     r, r_prime = a.length, a_prime.length
     a, a_prime = a.as_tuple(), a_prime.as_tuple()
@@ -97,7 +112,7 @@ def _oracle_certificate(a, a_prime, s, L):
     target = (70.0 / (1.0 - 4.0 * s)) * L * L * max(
         math.exp(-t * r), math.exp(-t * r_prime))
     if all(abs(x - y) <= _EQ_TOL for x, y in zip(a, a_prime)):
-        return BoundCertificate((), 0.0, target, s, L, t)
+        return _Cert((), 0.0, target)
     assert r >= 1 and r_prime >= 1
     moves = []
     if abs(a[1]) > _EQ_TOL:
@@ -110,8 +125,7 @@ def _oracle_certificate(a, a_prime, s, L):
                       (r_prime, 0.0, -r_prime), a_prime))
     steps = tuple(ZigZagStep(kind, p, q, _oracle_bound(kind, p, q, s, L))
                   for kind, p, q in moves)
-    return BoundCertificate(steps, math.fsum(st.bound for st in steps),
-                            target, s, L, t)
+    return _Cert(steps, math.fsum(st.bound for st in steps), target)
 
 
 def _assert_block_matches_oracle(points, s, L):
@@ -121,7 +135,8 @@ def _assert_block_matches_oracle(points, s, L):
     block = zigzag_certificate(np.array([a for a, _ in points]),
                                np.array([b for _, b in points]), s, L)
     want = [_oracle_certificate(a, b, s, L) for a, b in points]
-    assert [block.certificate(i) for i in range(len(points))] == want
+    assert (block.s, block.L, block.t) == (s, L, 0.5 - 2.0 * s)
+    assert [_unpack(block, i) for i in range(len(points))] == want
     assert len(block.steps) == sum(len(cert.steps) for cert in want)
     assert list(block.steps) == [st for cert in want for st in cert.steps]
     assert revalidate_certificate(block)
@@ -140,8 +155,9 @@ def test_builder_matches_oracle_on_light_sweeps_pairs():
             _assert_block_matches_oracle(points, s, L)
             # a single pair is the only certificate of a block of one
             a, b = points[0]
-            assert zigzag_certificate(a, b, s, L) == _oracle_certificate(
-                a, b, s, L)
+            one = zigzag_certificate(a, b, s, L)
+            assert len(one.totals) == 1
+            assert _unpack(one, 0) == _oracle_certificate(a, b, s, L)
             idx += 200
     assert idx == 1200
 
@@ -212,9 +228,9 @@ def test_chamber_point_validation():
         with pytest.raises(ValueError):
             zigzag_certificate(_axis(2.0), bad, 0.1, 1.0)
     # a CartanTriple endpoint is read as its triple
-    assert (zigzag_certificate(CartanTriple(5.0, 1.0, -6.0), _axis(2.0),
-                               0.1, 1.0)
-            == zigzag_certificate((5.0, 1.0, -6.0), _axis(2.0), 0.1, 1.0))
+    got, want = (_unpack(zigzag_certificate(a, _axis(2.0), 0.1, 1.0), 0)
+                 for a in (CartanTriple(5.0, 1.0, -6.0), (5.0, 1.0, -6.0)))
+    assert got == want
 
 
 def test_horizontal_bound_value():
@@ -313,7 +329,7 @@ def test_chain_follows_the_walk_tolerance_rule():
     cert = zigzag_certificate(_axis(1.0), _axis(r2), 0.05, 1.0)
     assert [st.kind for st in cert.steps] == ["horizontal", "vertical"]
     assert revalidate_certificate(cert)
-    assert axis_chain_bound(1.0, r2, 0.05, 1.0) == cert.total
+    assert axis_chain_bound(1.0, r2, 0.05, 1.0) == cert.totals[0]
 
 
 def test_chain_explicit_partial_sum():
@@ -338,7 +354,7 @@ def test_chain_matches_geometric_closed_form(s):
             got = axis_chain_bound(r, r + k, s, L)
             assert got == pytest.approx(want, rel=1e-13, abs=0)
             cert = zigzag_certificate(_axis(r), _axis(r + k), s, L)
-            assert cert.total == pytest.approx(want, rel=1e-13, abs=0)
+            assert cert.totals[0] == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_chain_rejections_and_boundary():
@@ -378,18 +394,19 @@ def test_chain_anchors_fraction_at_far_end():
 def test_certificate_equal_points_is_empty():
     a = (3.0, 1.0, -4.0)
     cert = zigzag_certificate(a, a, 0.1, 1.0)
-    assert cert.steps == ()
-    assert cert.total == 0.0
-    assert cert.target > 0
-    assert cert.passed
+    assert len(cert.steps) == 0
+    assert cert.totals.tolist() == [0.0]
+    assert cert.targets[0] > 0
+    assert cert.passed.tolist() == [True]
     assert revalidate_certificate(cert)
 
 
 def test_certificate_axis_pair_matches_chain():
     cert = zigzag_certificate(_axis(2.0), _axis(4.0), 0.1, 1.0)
-    assert cert.total == axis_chain_bound(2.0, 4.0, 0.1, 1.0)
-    assert cert.target == pytest.approx(70.0 / 0.6 * math.exp(-0.6), rel=1e-15)
-    assert cert.passed
+    assert cert.totals[0] == axis_chain_bound(2.0, 4.0, 0.1, 1.0)
+    assert cert.targets[0] == pytest.approx(70.0 / 0.6 * math.exp(-0.6),
+                                            rel=1e-15)
+    assert cert.passed[0]
 
 
 def test_certificate_routes_off_axis_endpoint_first():
@@ -412,8 +429,8 @@ def test_certificate_direction_symmetric_total():
         a, b = _random_point(rng), _random_point(rng)
         fwd = zigzag_certificate(a, b, 0.1, 1.0)
         back = zigzag_certificate(b, a, 0.1, 1.0)
-        assert fwd.total == pytest.approx(back.total, rel=1e-12)
-        assert fwd.target == back.target
+        assert fwd.totals[0] == pytest.approx(back.totals[0], rel=1e-12)
+        assert fwd.targets[0] == back.targets[0]
 
 
 def test_certificate_seventy_envelope_grid():
@@ -424,7 +441,7 @@ def test_certificate_seventy_envelope_grid():
                 cert = zigzag_certificate(_random_point(rng),
                                           _random_point(rng), s, L)
                 assert revalidate_certificate(cert)
-                assert cert.passed
+                assert cert.passed[0]
 
 
 def test_certificate_wide_middle_coordinate_routes():
@@ -432,7 +449,7 @@ def test_certificate_wide_middle_coordinate_routes():
     cert = zigzag_certificate((10.0, 8.0, -18.0), (18.0, -8.0, -10.0),
                               0.05, 1.0)
     assert revalidate_certificate(cert)
-    assert cert.passed
+    assert cert.passed[0]
 
 
 def test_certificate_rejects_small_radius_and_bad_rate():
@@ -444,11 +461,11 @@ def test_certificate_rejects_small_radius_and_bad_rate():
 
 def test_certificate_json_document():
     cert = zigzag_certificate((5.0, 1.0, -6.0), _axis(2.0), 0.1, 1.0)
-    doc = cert.to_json()
+    doc = cert.to_json(0)
     assert set(doc) == {"params", "steps", "total", "target", "pass", "notes"}
     assert doc["params"] == {"s": 0.1, "L": 1.0, "t": pytest.approx(0.3)}
     assert doc["pass"] is True
-    assert doc["total"] == cert.total
+    assert doc["total"] == cert.totals[0]
     assert doc["steps"][0] == {"kind": "horizontal", "from": [5.0, 1.0, -6.0],
                                "to": [6.0, 0.0, -6.0],
                                "bound": cert.steps[0].bound}
@@ -491,18 +508,16 @@ def test_revalidation_catches_tampering():
             revalidate_certificate(_forge(cert, broken))
     # a wrong total
     bad_total = _forge(cert, steps)
-    bad_total.total *= 1 + 1e-15
-    with pytest.raises(ValueError, match="total"):
+    bad_total.totals *= 1 + 1e-15
+    with pytest.raises(ValueError, match="certificate 0: total"):
         revalidate_certificate(bad_total)
+    # the doctored steps under the true total: the bad bound comes first
+    with pytest.raises(ValueError, match="step 2: recorded bound"):
+        revalidate_certificate(dataclasses.replace(_forge(cert, doctored),
+                                                   totals=cert.totals))
     # a wrong t
-    bad = BoundCertificate(cert.steps, cert.total, cert.target,
-                           cert.s, cert.L, 0.25)
     with pytest.raises(ValueError, match="1/2 - 2s"):
-        revalidate_certificate(bad)
-    # the constructor already refuses a total that is not the sum
-    with pytest.raises(ValueError, match="total"):
-        BoundCertificate(tuple(doctored), cert.total, cert.target,
-                         cert.s, cert.L, cert.t)
+        revalidate_certificate(dataclasses.replace(cert, t=0.25))
 
 
 # a block whose certificates do not join one another: 6 steps, none, 8
@@ -646,7 +661,7 @@ def test_block_revalidation_reports_the_first_bad_certificate():
 def test_axis_certificates_always_pass(r1, r2, s):
     cert = zigzag_certificate(_axis(r1), _axis(r2), s, 1.0)
     assert revalidate_certificate(cert)
-    assert cert.passed
+    assert cert.passed[0]
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +693,11 @@ def test_rescale_rejections_and_reindex():
         rescale_params(p, 0.0, 0.0)
     with pytest.raises(ValueError):
         rescale_params(p, 1.0, -1.0)
-    assert rescale_reindex(7, 2, 1) == 3
-    assert rescale_reindex(0, 2, 1) == -1
+    # step n of the rescaled sequence reads step m = floor((n - b)/a) of the
+    # old one, where the new profile bounds the old: C e^{-tm} <= C' e^{-t'n}
+    for (a, b), n in itertools.product([(2, 1), (1, 0), (3.5, 2.25)], range(40)):
+        q, m = rescale_params(p, a, b), math.floor((n - b) / a)
+        assert p.C * math.exp(-p.t * m) <= q.C * math.exp(-q.t * n) * (1 + 1e-12)
 
 
 @given(st.floats(0.01, 0.4), st.floats(0.01, 0.9), st.floats(0.1, 50.0),

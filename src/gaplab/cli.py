@@ -374,6 +374,9 @@ def _run_sdelta_decay(params, seed):
     if n >= _SDELTA_MAX_MODULUS.bit_length() or p ** n > _SDELTA_MAX_MODULUS:
         raise UsageError(f"sdelta-decay: modulus {p}^{n} exceeds "
                          f"{_SDELTA_MAX_MODULUS}")
+    for p in params["p"]:
+        if not residue._is_prime(p):
+            raise UsageError(f"sdelta-decay: --p must be prime, got {p!r}")
     cases = []
     checks = []
     for p in params["p"]:
@@ -614,6 +617,8 @@ def _run_cocycle_mc(params, seed):
     s, s0 = params["s"], params["s0"]
     if s <= 0:
         raise UsageError(f"cocycle-mc: --s must be positive, got {s!r}")
+    if s0 >= 2.0:       # the domain integral of e^{s0 length} diverges
+        raise UsageError(f"cocycle-mc: --s0 must be below 2, got {s0!r}")
     if s > s0 / 2.0 + 1e-12:    # the library's admissible range
         raise UsageError(f"cocycle-mc: --s0 must be at least 2s = {2 * s:g}, "
                          f"got {s0!r}")
@@ -709,8 +714,13 @@ _MAX_TOL = 1e-6
 #   D_a k D_a has entries up to e^(4 alpha); its worst residual is 2e-10 at
 #   alpha = 3 and 9e-9 at 4, rounding fails cases at 4.5, and 200 overflows;
 # - sphere-gap --delta and cocycle-mc --radius: a latitude and a length.
-# The runner checks a strict or joint rule (alpha > 0, 0 < s <= s0/2, the
-# growth check's admissible rates) before any work, in the same form.
+# The runner checks a strict, joint or arithmetic rule before any work, in
+# the same form: kak --alpha > 0; cocycle-mc 0 < s <= s0/2 (the growth
+# check's admissible rates) and s0 < 2, because over F the integral of
+# e^{s0 length} behaves like the integral of y^{s0/2 - 2} dy as y grows:
+# from s0 = 2 on it diverges, and a sample reports a finite "estimate" of
+# it, or inf once e^{s0 length} overflows; sdelta-decay --p prime, checked
+# once the modulus bound has capped p.
 COMMANDS = {
     "sdelta-decay": CommandSpec(
         "sdelta-decay", _run_sdelta_decay,

@@ -25,6 +25,8 @@ F, or from the point itself when the float pass declines.  ``cocycle`` and
 the array function ``cocycle_alphas`` (float pass ``_reduce_float_batch``)
 share the certificate and the fallback, so every returned gamma is exact
 even for badly conditioned inputs; the rational path is also the oracle.
+The representative g w gamma^{-1} that ``cocycle`` and ``reduce_to_domain``
+return is the exact product, formed in integers and rounded once per entry.
 Boundary convention: the right half of the boundary (Re z = 1/2, and the
 right unit-arc) is folded onto the left, which makes the splitting a true
 bijection modulo the +-identity center away from the orbits of the elliptic
@@ -66,12 +68,15 @@ MIN_DOMAIN_SAMPLES = 16
 
 
 def _as_matrix(g):
+    """g as a finite 2x2 float array, with its row-major entries as a list
+    of Python floats."""
     m = np.asarray(g, dtype=float)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not all(map(math.isfinite, m.ravel().tolist())):
+    entries = m.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
         raise ValueError("matrix entries must be finite")
-    return m
+    return m, entries
 
 
 def _matmul4(u, v):
@@ -91,14 +96,14 @@ def _sumsq4(u):
 
 
 def _check_unimodular(g):
-    """Validate det = 1 up to rounding at the matrix's own scale."""
-    m = _as_matrix(g)
-    entries = m.ravel().tolist()
+    """Validate det = 1 up to rounding at the matrix's own scale; returns
+    (m, entries) as ``_as_matrix`` does."""
+    m, entries = _as_matrix(g)
     a, b, c, d = entries
     det = a * d - b * c
     if abs(det - 1.0) > 1e-12 * max(1.0, _sumsq4(entries)):
         raise ValueError(f"matrix must have determinant 1, got {det!r}")
-    return m
+    return m, entries
 
 
 def element_length(g):
@@ -124,14 +129,12 @@ def element_length(g):
 
 def _canonical_sign(entries):
     """Flip a +-pair of integer matrices to the one whose first nonzero entry
-    (row-major) is positive."""
-    a, b, c, d = (int(v) for v in entries)
-    for v in (a, b, c, d):
-        if v:
-            if v < 0:
-                return -a, -b, -c, -d
-            return a, b, c, d
-    raise ValueError("zero matrix has no canonical sign")
+    (row-major) is positive.  The entries are Python ints."""
+    a, b, c, d = entries
+    first = a or b or c or d
+    if not first:
+        raise ValueError("zero matrix has no canonical sign")
+    return (-a, -b, -c, -d) if first < 0 else (a, b, c, d)
 
 
 def _int_matrix(entries):
@@ -238,24 +241,30 @@ def _exact_gamma(g, w):
     return gamma
 
 
-def _dyadic(values):
-    """Integers n_i and one k with values[i] == n_i / 2**k exactly."""
-    ratios = [v.as_integer_ratio() for v in values]
-    k = max(den.bit_length() for _, den in ratios) - 1
-    return [num << (k + 1 - den.bit_length()) for num, den in ratios], k
-
-
 def _rounded_representative(g, w, gamma):
     """g w gamma^{-1}, each entry correctly rounded from its exact value.
 
-    Every float is an integer over a power of two, so the product is an
-    integer matrix over one power of two, and Python's int / int is
-    correctly rounded (as is the float conversion of a Fraction).
+    Every float is an integer over a power of two (``as_integer_ratio``).
+    The largest denominator D_g of g's entries is a multiple of each of
+    theirs, so n / den = n (D_g // den) / D_g puts g over one denominator
+    with integer numerators, exactly; w likewise over D_w.  gamma^{-1} is
+    the integer adjugate of gamma, so D_g D_w g w gamma^{-1} is an integer
+    matrix, formed here without rounding, and each entry is one int / int
+    by D_g D_w.  Python rounds int / int correctly (to nearest, ties to
+    even) over the whole float range, subnormals included, and raises
+    OverflowError, never returns inf, past it.
     """
-    gi, kg = _dyadic(g)
-    wi, kw = _dyadic(w)
-    den = 1 << (kg + kw)
-    return tuple(v / den for v in _matmul4(_matmul4(gi, wi), _adjugate4(gamma)))
+    (a, da), (b, db), (c, dc), (d, dd) = [v.as_integer_ratio() for v in g]
+    (e, de), (f, df), (h, dh), (k, dk) = [v.as_integer_ratio() for v in w]
+    dg = max(da, db, dc, dd)
+    dw = max(de, df, dh, dk)
+    a, b, c, d = a * (dg // da), b * (dg // db), c * (dg // dc), d * (dg // dd)
+    e, f, h, k = e * (dw // de), f * (dw // df), h * (dw // dh), k * (dw // dk)
+    m00, m01, m10, m11 = a * e + b * h, a * f + b * k, c * e + d * h, c * f + d * k
+    p, q, r, s = gamma
+    den = dg * dw
+    return ((m00 * s - m01 * r) / den, (m01 * p - m00 * q) / den,
+            (m10 * s - m11 * r) / den, (m11 * p - m10 * q) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +455,8 @@ class SiegelPoint:
     __slots__ = ("matrix", "_x", "_y")
 
     def __init__(self, matrix):
-        m = _as_matrix(matrix)
-        self._x, self._y = _domain_points(*m.ravel().tolist())
+        m, entries = _as_matrix(matrix)
+        self._x, self._y = _domain_points(*entries)
         self.matrix = m.copy()
         self.matrix.setflags(write=False)
 
@@ -458,6 +467,14 @@ class SiegelPoint:
         point = object.__new__(cls)
         point.matrix, point._x, point._y = matrix, x, y
         return point
+
+    @classmethod
+    def _of_entries(cls, entries):
+        """The point of finite row-major float entries (a, b, c, d), under
+        the checks of ``_domain_points``."""
+        matrix = np.array(entries).reshape(2, 2)
+        matrix.setflags(write=False)
+        return cls._checked(matrix, *_domain_points(*entries))
 
     @property
     def x(self):
@@ -552,9 +569,9 @@ def reduce_to_domain(g):
     thanks to the boundary folding convention, except on the orbits of the
     elliptic points i and rho.
     """
-    m = _check_unimodular(g)
-    gamma, (a, b, c, d), _ = _split(tuple(m.ravel().tolist()), _IDENTITY)
-    return SiegelPoint([[a, b], [c, d]]), _int_matrix(gamma)
+    _, g4 = _check_unimodular(g)
+    gamma, rep, _ = _split(g4, _IDENTITY)
+    return SiegelPoint._of_entries(rep), _int_matrix(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +590,13 @@ class CocycleResult:
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha)
-        integral = alpha.dtype.kind in "iu" or (
-            alpha.dtype == object and all(isinstance(v, int) for v in alpha.flat))
-        if alpha.shape != (2, 2) or not integral:
+        # integer dtypes list as Python ints; an object array lists its
+        # entries as they are, and only Python ints (bool included) pass
+        entries = (alpha.ravel().tolist()
+                   if alpha.shape == (2, 2) and alpha.dtype.kind in "iuO" else ())
+        if not (entries and all(isinstance(v, int) for v in entries)):
             raise ValueError("alpha must be a 2x2 integer matrix")
-        a, b, c, d = (int(v) for v in alpha.ravel())
+        a, b, c, d = entries
         if a * d - b * c != 1:
             raise ValueError("alpha must have determinant 1")
         if not self.residual <= _RECON_TOL:
@@ -593,15 +612,16 @@ def cocycle(g, omega):
     whose stabilizers are larger and where alpha is the one the rational
     path picks; and alpha(k, omega) = identity for rotations k.
     """
-    m = _check_unimodular(g)
-    if not isinstance(omega, SiegelPoint):
-        omega = SiegelPoint(omega)
-    gamma, rep, product = _split(tuple(m.ravel().tolist()),
-                                 tuple(omega.matrix.ravel().tolist()))
-    a, b, c, d = rep
-    point = SiegelPoint([[a, b], [c, d]])
+    _, g4 = _check_unimodular(g)
+    if isinstance(omega, SiegelPoint):
+        w4 = omega.matrix.ravel().tolist()
+    else:
+        _, w4 = _as_matrix(omega)
+        _domain_points(*w4)
+    gamma, rep, product = _split(g4, w4)
+    point = SiegelPoint._of_entries(rep)
     recon = _matmul4(rep, gamma)
-    residual = (max(abs(u - v) for u, v in zip(product, recon))
+    residual = (max(map(abs, map(operator.sub, product, recon)))
                 / max(1.0, max(map(abs, product))))
     return CocycleResult(point, _int_matrix(gamma), residual)
 
@@ -617,9 +637,9 @@ def cocycle_alphas(g, omegas):
     to ``cocycle(g, omega).alpha`` (int64, or object dtype of Python ints
     once an entry reaches 2^62), and the number of rows that fell back.
     """
-    m = _check_unimodular(g)
+    _, g4 = _check_unimodular(g)
     omegas, _, _ = _representatives(omegas)
-    return _alphas(tuple(m.ravel().tolist()), omegas)
+    return _alphas(g4, omegas)
 
 
 # ---------------------------------------------------------------------------
@@ -884,9 +904,9 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
     c_emp_stderr = 0.0
     fallbacks = 0
     nontrivial = 0
-    for g in g_list:
+    for g, g4 in g_list:
         lg = element_length(g)
-        alphas, fell_back = _alphas(tuple(g.ravel().tolist()), omegas)
+        alphas, fell_back = _alphas(g4, omegas)
         fallbacks += fell_back
         nontrivial += int(np.any(alphas.reshape(-1, 4) != (1, 0, 0, 1), axis=1).sum())
         alpha_lengths = element_length(alphas)
@@ -1002,11 +1022,11 @@ def pushforward_mn0(m_tilde, n, domain_samples, weights=None):
     or an (N, 2, 2) array of representatives.  Returns a LatticeMeasure of
     total mass one.
     """
-    pairs = [(_check_unimodular(g), float(w)) for g, w in m_tilde]
+    pairs = [(*_check_unimodular(g), float(w)) for g, w in m_tilde]
     if not pairs:
         raise ValueError("empty measure")
-    _check_probability([w for _, w in pairs], "weights")
-    for g, _ in pairs:
+    _check_probability([w for _, _, w in pairs], "weights")
+    for g, _, _ in pairs:
         if element_length(g) > n + 1e-9:
             raise ValueError(
                 f"support leaves the length ball: length {element_length(g):.6g} > n={n}"
@@ -1014,8 +1034,8 @@ def pushforward_mn0(m_tilde, n, domain_samples, weights=None):
     omegas, _, _, weights = _weighted_sample(domain_samples, weights)
     weights = weights.tolist()
     entries = {}
-    for g, wg in pairs:
-        alphas, _ = _alphas(_adjugate4(g.ravel().tolist()), omegas)
+    for _, g4, wg in pairs:
+        alphas, _ = _alphas(_adjugate4(g4), omegas)
         for (a, b, c, d), wp in zip(alphas.reshape(-1, 4).tolist(), weights):
             key = _canonical_sign((d, -b, -c, a))
             entries[key] = entries.get(key, 0.0) + wg * wp

@@ -147,12 +147,17 @@ def test_positional_junk_exits_two():
     assert run_main(["su2-gap", "extra"]) == 2
 
 
-def test_library_value_error_exits_two(tmp_path, capsys):
-    # no key declares that p is prime; the library refuses p = 4
+def test_library_value_error_exits_two(tmp_path, capsys, monkeypatch):
+    # a refusal no runner rule foresees: the library's ValueError
+    # becomes exit 2 with its message after the command's name
+    def refuse(p, n):
+        raise ValueError(f"the library refuses Z/{p}^{n}")
+
+    monkeypatch.setattr(cli.residue, "ResidueRing", refuse)
     out = tmp_path / "sd.csv"
-    assert run_main(["sdelta-decay", "--p=4", "--out", out]) == 2
+    assert run_main(["sdelta-decay", "--p=3", "--n=2", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: sdelta-decay: p=4 is not prime\n")
+    assert err.startswith("error: sdelta-decay: the library refuses Z/3^2\n")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -173,10 +178,16 @@ def test_sphere_gap_delta_out_of_range_exits_two(tmp_path, capsys):
     (["cocycle-mc", "--s=0"], "--s must be positive, got 0.0"),
     (["cocycle-mc", "--s0=0.3"], "--s0 must be at least 2s = 0.4, got 0.3"),
     (["cocycle-mc", "--s0=0"], "--s0 must be at least 2s = 0.4, got 0.0"),
+    # the domain integral of e^{s0 length} diverges from s0 = 2 on
+    (["cocycle-mc", "--s0=2"], "--s0 must be below 2, got 2.0"),
+    (["cocycle-mc", "--s0=1000"], "--s0 must be below 2, got 1000.0"),
+    (["sdelta-decay", "--p=4"], "--p must be prime, got 4"),
+    (["sdelta-decay", "--p=2,3,9", "--n=1"], "--p must be prime, got 9"),
 ])
 def test_rules_refuse_before_any_work(tmp_path, capsys, monkeypatch, argv,
                                       message):
     monkeypatch.setattr(cli.cartan, "kak_real", lambda *a: pytest.fail("ran"))
+    monkeypatch.setattr(cli.residue, "ResidueRing", lambda *a: pytest.fail("ran"))
     monkeypatch.setattr(cli.induction, "sample_domain_arrays",
                         lambda *a: pytest.fail("ran"))
     out = tmp_path / "out.csv"

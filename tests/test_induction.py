@@ -306,6 +306,63 @@ def test_cocycle_result_validation():
         CocycleResult(good.g_dot_omega, np.eye(2, dtype=np.int64), residual=1e-3)
     with pytest.raises(ValueError, match="determinant"):
         cocycle(np.diag([3.0, 1.0]), pts[0])
+    # omega given as a matrix is checked as a SiegelPoint would be
+    with pytest.raises(ValueError, match="determinant"):
+        cocycle(np.eye(2), np.diag([2.0, 1.0]))
+    with pytest.raises(ValueError, match="outside the fundamental domain"):
+        cocycle(np.eye(2), np.diag([2.0, 0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        cocycle(np.eye(2), np.array([[1.0, math.inf], [0.0, 1.0]]))
+
+
+def _object_matrix(entries):
+    out = np.empty((2, 2), dtype=object)
+    out[0, 0], out[0, 1], out[1, 0], out[1, 1] = entries
+    return out
+
+
+_AFTER_TOL = math.nextafter(1e-9, 1.0)
+
+
+@pytest.mark.parametrize("alpha,residual,refusal", [
+    (np.eye(2, dtype=np.int64), 0.0, None),
+    (np.array([[1, 2], [0, 1]], dtype=np.int32), 1e-9, None),
+    (np.array([[1, 0], [5, 1]], dtype=np.uint8), -1.0, None),
+    ([[2, 3], [1, 2]], 0.0, None),
+    (_object_matrix([1, 2**63, 0, 1]), 0.0, None),
+    (_object_matrix([True, False, False, True]), 0.0, None),
+    (_object_matrix([True, 7, False, True]), 0.0, None),
+    (np.eye(2), 0.0, "integer"),
+    (np.eye(2, dtype=bool), 0.0, "integer"),
+    (_object_matrix([1.0, 0, 0, 1]), 0.0, "integer"),
+    (_object_matrix([np.int64(1), 0, 0, 1]), 0.0, "integer"),
+    (_object_matrix([1, 0, 0, np.int64(1)]), 0.0, "integer"),
+    (_object_matrix([1, 0, 0, Fraction(1)]), 0.0, "integer"),
+    (np.eye(3, dtype=np.int64), 0.0, "integer"),
+    (np.array([1, 0, 0, 1]), 0.0, "integer"),
+    (np.array([[1, 0, 0, 1]]), 0.0, "integer"),
+    (np.eye(2, dtype=np.int64)[:, :, None], 0.0, "integer"),
+    (np.array([1, 0, 0, 1], dtype=object), 0.0, "integer"),
+    (np.int64(1), 0.0, "integer"),
+    (np.array([[1, 0], [0, -1]]), 0.0, "determinant"),
+    (np.array([[2, 0], [0, 1]], dtype=np.uint64), 0.0, "determinant"),
+    (_object_matrix([2**63, 0, 0, 1]), 0.0, "determinant"),
+    (_object_matrix([True, True, True, True]), 0.0, "determinant"),
+    (np.eye(2, dtype=np.int64), 1e-3, "residual"),
+    (np.eye(2, dtype=np.int64), _AFTER_TOL, "residual"),
+    (np.eye(2, dtype=np.int64), math.inf, "residual"),
+    (np.eye(2, dtype=np.int64), math.nan, "residual"),
+    (np.eye(2), math.nan, "integer"),
+    (np.array([[1, 0], [0, -1]]), math.nan, "determinant"),
+])
+def test_cocycle_result_accepts_and_refuses(alpha, residual, refusal):
+    point = SiegelPoint(np.eye(2))
+    if refusal is None:
+        result = CocycleResult(point, alpha, residual)
+        assert result.alpha is alpha and result.residual is residual
+    else:
+        with pytest.raises(ValueError, match=refusal):
+            CocycleResult(point, alpha, residual)
 
 
 @settings(max_examples=60, deadline=None)
@@ -554,6 +611,130 @@ def test_points_past_the_float_range_are_refused(k):
         inner = k - 1 if k > 0 else k + 1
         pt, _ = reduce_to_domain(np.diag([2.0 ** inner, 2.0 ** -inner]))
         assert pt.y == 2.0 ** 1022
+
+
+# ---------------------------------------------------------------------------
+# the moved representative against exact arithmetic
+
+
+def dyadic(values):
+    """Integers n_i and one k with values[i] == n_i / 2**k exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    k = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (k + 1 - den.bit_length()) for num, den in ratios], k
+
+
+def dyadic_representative(g, w, gamma):
+    """g w gamma^{-1} through one power of two per factor: g and w as
+    integer matrices over 2^kg and 2^kw, their integer product with the
+    adjugate of gamma, and one int / int per entry."""
+    gi, kg = dyadic(g)
+    wi, kw = dyadic(w)
+    den = 1 << (kg + kw)
+    return tuple(v / den for v in ind._matmul4(ind._matmul4(gi, wi), ind._adjugate4(gamma)))
+
+
+def fraction_representative(g, w, gamma):
+    """float(Fraction) of g w adj(gamma), entry by entry."""
+    exact = (np.array(_fractions(g), dtype=object).reshape(2, 2)
+             @ np.array(_fractions(w), dtype=object).reshape(2, 2)
+             @ adjugate(np.array(gamma, dtype=object).reshape(2, 2)))
+    return tuple(float(v) for v in exact.ravel())
+
+
+def assert_representative_is_exact(g, omega):
+    res = cocycle(g, omega)
+    alpha = tuple(int(v) for v in res.alpha.ravel())
+    g4, w4 = (tuple(np.asarray(m, dtype=float).ravel().tolist()) for m in (g, omega))
+    want = fraction_representative(g4, w4, alpha)
+    assert tuple(res.g_dot_omega.matrix.ravel().tolist()) == want
+    assert (res.g_dot_omega.x, res.g_dot_omega.y) == ind._domain_points(*want)
+    assert dyadic_representative(g4, w4, alpha) == want
+
+
+@st.composite
+def generic_pairs(draw):
+    """A rotation-stretch-rotation g of length up to 2.5 and a
+    representative drawn anywhere in F with y <= 1000.  Both determinants
+    stay within the representative's tolerance of 1, as the moved one must."""
+    t1, t2 = (draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(2))
+    ell = draw(st.floats(0.0, 2.5))
+    g = rotation(t1) @ np.diag([math.exp(ell), math.exp(-ell)]) @ rotation(t2)
+    x = draw(st.floats(-0.5, 0.5))
+    y = draw(st.floats(math.sqrt(1.0 - x * x), 1e3))
+    theta = draw(st.floats(0.0, math.pi, exclude_max=True))
+    return g, domain_matrices([x], [y], [theta])[0]
+
+
+@st.composite
+def boundary_pairs(draw):
+    """An integer word or a rotation on a float boundary point or an exact
+    dyadic one."""
+    word = word_matrix(draw(st.lists(st.sampled_from([0, 1, 2]), max_size=12)))
+    g = draw(st.sampled_from([word.astype(float), rotation(0.7), rotation(2.0)]))
+    omega = draw(boundary_points() | st.sampled_from(list(EXACT_BOUNDARY)))
+    return g, omega
+
+
+@st.composite
+def cusp_pairs(draw):
+    """diag(2^k, 2^-k) times an integer word, with omega = I: the reduced
+    point is 2^|2k| i, inside the float range for |k| <= 511."""
+    k = draw(st.integers(-511, 511))
+    word = word_matrix(draw(st.lists(st.sampled_from([0, 1, 2]), max_size=6)))
+    return np.diag([2.0**k, 2.0**-k]) @ word.astype(float), np.eye(2)
+
+
+@st.composite
+def subnormal_pairs(draw):
+    """Entries at or near the subnormal range: a shear by m 2^-1074 on a
+    diagonal of 2^k (det exactly 1), and a representative whose off-diagonal
+    entry is subnormal."""
+    k = draw(st.integers(-511, 511))
+    m = draw(st.integers(-2**20, 2**20))
+    g = np.array([[2.0**k, m * 2.0**-1074], [0.0, 2.0**-k]])
+    if draw(st.booleans()):
+        g = g.T
+    s = draw(st.integers(-2**10, 2**10)) * 2.0**-1074
+    return g, np.array([[1.0, s], [0.0, 1.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=generic_pairs() | boundary_pairs() | cusp_pairs() | subnormal_pairs())
+@example(pair=(np.diag([2.0**511, 2.0**-511]), np.eye(2)))
+@example(pair=(np.diag([2.0**-511, 2.0**511]), np.eye(2)))
+@example(pair=(np.array([[1.0, 2.0**-1074], [0.0, 1.0]]),
+               np.array([[1.0, -(2.0**-1074)], [0.0, 1.0]])))
+def test_moved_representative_is_the_rounded_exact_product(pair):
+    assert_representative_is_exact(*pair)
+
+
+_SCALES = (0, 30, -30, 200, -200, 500, -500, -1060, -1070)
+
+
+@st.composite
+def scaled_floats(draw, count):
+    """count finite floats sharing a scale 2^e, e from _SCALES, each within a
+    factor 16 of it; some are zero."""
+    scale = draw(st.sampled_from(_SCALES))
+    return [0.0 if draw(st.integers(0, 9)) == 0
+            else draw(st.floats(-2.0, 2.0)) * 2.0 ** (scale + draw(st.integers(-3, 3)))
+            for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=scaled_floats(4), w=scaled_floats(4),
+       gamma=st.lists(st.integers(-2**25, 2**25) | st.integers(-9, 9),
+                      min_size=4, max_size=4))
+def test_rounded_representative_matches_both_oracles(g, w, gamma):
+    try:
+        want = fraction_representative(g, w, gamma)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            ind._rounded_representative(g, w, gamma)
+        return
+    assert ind._rounded_representative(g, w, gamma) == want
+    assert dyadic_representative(g, w, gamma) == want
 
 
 def item3_triples():

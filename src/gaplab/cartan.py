@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,8 +127,10 @@ def k_delta_real(delta: float) -> RealGroupElement:
 
 
 def is_special_orthogonal(m: np.ndarray, tol: float = 1e-9) -> bool:
-    return (np.allclose(m @ m.T, np.eye(3), atol=tol)
-            and abs(np.linalg.det(m) - 1.0) < tol)
+    """Every entry of m m^T within tol of the identity's, and det m within
+    tol of 1."""
+    return bool(np.abs(m @ m.T - np.eye(3)).max() <= tol
+                and abs(np.linalg.det(m) - 1.0) < tol)
 
 
 _U_ZERO = [(0, 1), (0, 2), (1, 0), (2, 0)]          # {(*,0,0),(0,*,*),(0,*,*)}
@@ -214,15 +217,23 @@ class SphereDistortion:
     delta_bound: float          # e^{r - 4 alpha}
 
 
-def _distorted(alpha: float, delta) -> np.ndarray:
-    """D_alpha k_delta D_alpha, one matrix per entry of delta; k_delta and
-    the product are checked as RealGroupElements were."""
-    d = d_alpha(alpha).matrix
+def _distorted(d: np.ndarray, delta) -> np.ndarray:
+    """D k_delta D for the matrix d of D = D_alpha, one matrix per entry of
+    delta; k_delta and the product are checked as RealGroupElements were."""
     k = _k_delta_matrices(delta)
     _check_sl3(k)
     g = d @ k @ d
     _check_sl3(g)
     return g
+
+
+@lru_cache(maxsize=8)
+def _d_alpha_matrix(alpha: float) -> np.ndarray:
+    """The checked matrix of `d_alpha`, read-only, built once per alpha
+    rather than once per bisection step."""
+    d = d_alpha(alpha).matrix
+    d.setflags(write=False)
+    return d
 
 
 def distorted_length(alpha: float, delta):
@@ -231,7 +242,8 @@ def distorted_length(alpha: float, delta):
     A float for a scalar delta; an array, from one stacked SVD, for a 1-D
     array of deltas.  The log is math.log, entry by entry.
     """
-    top = np.linalg.svd(_distorted(alpha, delta), compute_uv=False)[..., 0]
+    d = _d_alpha_matrix(alpha)
+    top = np.linalg.svd(_distorted(d, delta), compute_uv=False)[..., 0]
     if np.ndim(top) == 0:
         return math.log(top)
     return np.array([math.log(v) for v in top.tolist()])
@@ -249,7 +261,9 @@ def solve_sphere_distortion(alpha: float, r, tol: float = 1e-10):
     order.  All r are bisected together, one stacked `distorted_length`
     call per step, for at most 200 steps; each r stops once its bracket is
     narrower than 1e-16 or a step leaves it unchanged, and is frozen from
-    then on, so its delta is the one it gets alone.
+    then on, so its delta is the one it gets alone.  D_alpha is built and
+    checked once per alpha (`_d_alpha_matrix`), not once per step; every
+    step's k_delta and product are still checked by `_check_sl3`.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -283,7 +297,7 @@ def solve_sphere_distortion(alpha: float, r, tol: float = 1e-10):
     delta[at_end[1]] = 1.0
     delta[at_end[0]] = 0.0
 
-    g = _distorted(alpha, delta)
+    g = _distorted(_d_alpha_matrix(alpha), delta)
     u2, _, v2t = np.linalg.svd(g[:, :2, :2])
     flip = np.linalg.det(u2) < 0
     u2[flip, :, 1] *= -1.0

@@ -416,11 +416,12 @@ def _run_sdelta_decay(params, seed):
 
 
 def _run_sphere_gap(params, seed):
-    """sup_l |P_l(delta) - P_l(0)| against the 2 sqrt(delta) envelope."""
+    """sup_l |P_l(delta) - P_l(0)| against the 2 sqrt(delta) envelope, for
+    every (n, delta) from one joint recurrence."""
     tol, deltas = params["tol"], params["delta"]
     cases = []
-    for n in params["n"]:
-        reports = spheres.tdelta_gap_report(n, deltas, params["dmax"])
+    joint = spheres.tdelta_gap_report(params["n"], deltas, params["dmax"])
+    for n, reports in zip(params["n"], joint):
         for delta, rep in zip(deltas, reports):
             cases.append({
                 "n": n, "delta": delta,
@@ -447,27 +448,37 @@ def _run_su2_gap(params, seed):
     return cases, ("theta", "value", "lower", "pass"), None
 
 
-def _random_sl3(rng):
-    while True:
-        m = rng.normal(size=(3, 3))
+def _random_sl3(rng, count):
+    """``count`` random SL(3, R) elements as a (count, 3, 3) array.
+
+    Each is a standard normal 3x3 draw with |det| > 1e-3, scaled by the
+    cube root of its determinant.  The draws are batches of
+    ``rng.normal(size=(k, 3, 3))`` with one stacked determinant, and the
+    rejected ones are drawn again from the same stream, as many as were
+    rejected: the stream and the elements are those of one draw at a time.
+    """
+    kept, need = [np.empty((0, 3, 3))], count
+    while need:
+        m = rng.normal(size=(need, 3, 3))
         det = np.linalg.det(m)
-        if abs(det) > 1e-3:
-            return m / np.cbrt(det)
+        ok = np.abs(det) > 1e-3
+        kept.append(m[ok] / np.cbrt(det[ok])[:, None, None])
+        need -= len(kept[-1])
+    return np.concatenate(kept)
 
 
 def _run_kak(params, seed):
     """KAK round-trips on random elements plus distortion-bound sweeps.
 
-    All elements are drawn first, in the order the rng yields them, then
-    factored by one stacked `kak_real` call; each alpha's r-grid is one
-    `solve_sphere_distortion` call.
+    All elements are drawn first (`_random_sl3`), in the order the rng
+    yields them, then factored by one stacked `kak_real` call; each alpha's
+    r-grid is one `solve_sphere_distortion` call.
     """
     tol, smallest = params["tol"], min(params["alpha"])
     if smallest <= 0:
         raise UsageError(f"kak: --alpha must be positive, got {smallest!r}")
     rng = np.random.default_rng(seed)
-    g = np.array([_random_sl3(rng)
-                  for _ in range(params["count"])]).reshape(-1, 3, 3)
+    g = _random_sl3(rng, params["count"])
     k1, a, k2 = cartan.kak_real(g)
     recon = k1 @ cartan.d_matrices(a) @ k2
     scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
@@ -698,8 +709,9 @@ _MAX_TOL = 1e-6
 # bounds with a reason of their own:
 # - su2-gap --jmax (the largest 2j) stops at 48: above it the
 #   double-precision spin matrices come close to failing the unitarity
-#   check the library asserts (on a 721-point theta grid the first 2j that
-#   fails it is 53);
+#   check the library asserts, max |V V* - I| <= 1e-9 (on a 721-point theta
+#   grid the worst entry is 2.4e-10 at 2j = 48, and 2j = 53, at 1.1e-9, is
+#   the first that fails it);
 # - zigzag-cert --rmax lies in [1, 1000]: a walk takes about two steps per
 #   unit of radius, so the cap bounds the step arrays;
 # - cocycle-mc --samples starts at 50, where the cusp fit's threshold

@@ -408,18 +408,32 @@ def _first(values, mask):
     return float(np.asarray(values)[np.asarray(mask)][0])
 
 
-def _domain_points(a, b, c, d):
+def _det_tol(m):
+    """The determinant tolerance of a row-major float 4-tuple at its own
+    scale: _DET_TOL max(1, ||m||_F^2), the rule of ``_check_unimodular``."""
+    return _DET_TOL * max(1.0, _sumsq4(m))
+
+
+def _domain_points(a, b, c, d, factors=()):
     """The points x + iy = omega^{-1} . i of representatives
     omega = [[a, b], [c, d]], elementwise over floats or arrays.
 
     Raises ValueError unless every omega has determinant 1 (to _DET_TOL at
     its scale) and its point lies in F (to _MEMBER_TOL) with y at most
     about 2^1022, inside the float range.
+
+    A scalar omega that rounds the exact product of `factors` (float
+    4-tuples g, w whose determinants passed at their own scales) and an
+    integer matrix of determinant 1 has determinant det g det w exactly, so
+    it inherits what theirs miss: it is held to its own tolerance plus
+    theirs, t_g + t_w + t_g t_w.  That sum is formed only when the plain
+    test fails.
     """
     det = a * d - b * c
     off = abs(det - 1.0)
     bad = (off > _DET_TOL) & (off > _DET_TOL * (a * a + b * b + c * c + d * d))
-    if _any(bad):
+    if _any(bad) and not (factors and off <= _inherited_det_tol(
+            (a, b, c, d), *factors)):
         raise ValueError(f"determinant must be 1, got {_first(det, bad)!r}")
     if _any((a == 0) & (c == 0)):
         raise ValueError("representative has a zero first column")
@@ -438,9 +452,20 @@ def _domain_points(a, b, c, d):
     return x, y
 
 
+def _inherited_det_tol(rep, g, w):
+    """Determinant tolerance of rep = g w gamma^-1 (see ``_domain_points``)."""
+    t_g, t_w = _det_tol(g), _det_tol(w)
+    return _det_tol(rep) + t_g + t_w + t_g * t_w
+
+
 def _point_lengths(x, y):
-    """Half the hyperbolic distance from i to x + iy, elementwise."""
-    return 0.5 * np.arccosh((x * x + y * y + 1.0) / (2.0 * y))
+    """Half the hyperbolic distance from i to x + iy, elementwise.
+
+    cosh(2 length) = (x^2 + y^2 + 1) / (2y), taken as
+    y/2 + (x^2 + 1)/(2y) so that no y^2 overflows: finite for every y up to
+    the float range.
+    """
+    return 0.5 * np.arccosh(y / 2.0 + (x * x + 1.0) / (2.0 * y))
 
 
 class SiegelPoint:
@@ -469,12 +494,12 @@ class SiegelPoint:
         return point
 
     @classmethod
-    def _of_entries(cls, entries):
+    def _of_entries(cls, entries, factors=()):
         """The point of finite row-major float entries (a, b, c, d), under
-        the checks of ``_domain_points``."""
+        the checks of ``_domain_points`` (``factors`` as there)."""
         matrix = np.array(entries).reshape(2, 2)
         matrix.setflags(write=False)
-        return cls._checked(matrix, *_domain_points(*entries))
+        return cls._checked(matrix, *_domain_points(*entries, factors))
 
     @property
     def x(self):
@@ -494,10 +519,11 @@ class SiegelPoint:
         """Half the hyperbolic distance from i to the associated point.
 
         Agrees with ``element_length(self.matrix)``: both equal log of the
-        largest singular value of omega.
+        largest singular value of omega.  Formed as ``_point_lengths`` forms
+        it, finite for every y up to the float range.
         """
         x, y = self._x, self._y
-        return 0.5 * math.acosh((x * x + y * y + 1.0) / (2.0 * y))
+        return 0.5 * math.acosh(y / 2.0 + (x * x + 1.0) / (2.0 * y))
 
     @property
     def rotation(self):
@@ -571,7 +597,7 @@ def reduce_to_domain(g):
     """
     _, g4 = _check_unimodular(g)
     gamma, rep, _ = _split(g4, _IDENTITY)
-    return SiegelPoint._of_entries(rep), _int_matrix(gamma)
+    return SiegelPoint._of_entries(rep, (g4, _IDENTITY)), _int_matrix(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +645,7 @@ def cocycle(g, omega):
         _, w4 = _as_matrix(omega)
         _domain_points(*w4)
     gamma, rep, product = _split(g4, w4)
-    point = SiegelPoint._of_entries(rep)
+    point = SiegelPoint._of_entries(rep, (g4, w4))
     recon = _matmul4(rep, gamma)
     residual = (max(map(abs, map(operator.sub, product, recon)))
                 / max(1.0, max(map(abs, product))))

@@ -14,9 +14,9 @@ Norm gaps are suprema over the truncated degree range; the truncation is
 always reported together with an analytic Legendre envelope for the tail.
 
 The grid functions take a scalar or a 1-D batch (of deltas, thetas or
-unitaries) and do the same per-element arithmetic either way: a scalar is a
-batch of one, so a sweep over a grid gives bit-for-bit the values of the
-pointwise calls.
+unitaries, and for `tdelta_gap_report` of sphere dimensions too) and do the
+same per-element arithmetic either way: a scalar is a batch of one, so a
+sweep over a grid gives bit-for-bit the values of the pointwise calls.
 """
 from __future__ import annotations
 
@@ -39,6 +39,77 @@ def _batch(values, what):
 # zonal eigenvalues
 
 
+# Gegenbauer table entries held at once while `tdelta_gap_report` reduces a
+# grid to its suprema: bounds the table to half a MB however many degrees,
+# dimensions and deltas it is handed
+_GEGENBAUER_ENTRY_BUDGET = 1 << 16
+
+
+def _checked_deltas(delta):
+    """``_batch`` of delta, refused unless every entry lies in [-1, 1]."""
+    deltas, scalar = _batch(delta, "delta")
+    inside = (deltas >= -1.0) & (deltas <= 1.0)      # False for NaN
+    if not inside.all():
+        raise ValueError(f"delta = {deltas[~inside][0]} outside [-1, 1]")
+    return deltas, scalar
+
+
+def _gegenbauer_rows(dims, deltas, max_degree, block):
+    """q_l(delta) on S^n for every n in `dims` and every delta, `block`
+    degrees at a time, from one recurrence over all (n, delta) columns.
+
+    Yields (start, rows) with rows[i, a, b] = q_{start+i}(deltas[b]) on
+    S^{dims[a]}; the rows array is reused from one block to the next.  The
+    per-degree factors (l + lam - 1), (l + 2 lam - 2) and the normaliser
+    C_l(1) of each n are the scalar expressions of a one-dimension
+    recurrence, so every column is bit for bit the recurrence of its
+    (n, delta) alone.
+    """
+    lams = [(n - 1) / 2.0 for n in dims]
+    norms = []
+    for lam in lams:
+        norm, column = 2.0 * lam, []
+        for l in range(2, max_degree + 1):
+            norm = norm * (l + 2.0 * lam - 1.0) / l
+            column.append(norm)
+        norms.append(column)
+    # entry l - 2 of each holds degree l's factors, one row per dimension
+    norms = np.array(norms, dtype=float).T[:, :, None]
+    ls = np.arange(2, max_degree + 1)[:, None, None]
+    lam = np.array(lams)[:, None]
+    rise, fall, two_lam = ls + lam - 1.0, ls + 2.0 * lam - 2.0, 2.0 * lam
+    two_delta = 2.0 * deltas
+    c_prev2 = np.ones((len(dims), deltas.size))
+    c_prev1 = two_lam * deltas
+    rows = np.empty((min(block, max_degree + 1),) + c_prev2.shape)
+    start = 0
+    for l in range(max_degree + 1):
+        if l - start == block:
+            yield start, rows
+            start = l
+        if l == 0:
+            rows[0] = 1.0
+        elif l == 1:
+            np.divide(c_prev1, two_lam, out=rows[1 - start])
+        else:
+            c = two_delta * rise[l - 2]
+            c *= c_prev1
+            c -= fall[l - 2] * c_prev2
+            c /= l
+            np.divide(c, norms[l - 2], out=rows[l - start])
+            c_prev2, c_prev1 = c_prev1, c
+    yield start, rows[:max_degree + 1 - start]
+
+
+def _check_dims(dims, max_degree):
+    if not dims:
+        raise ValueError("need at least one sphere dimension")
+    if any(n < 2 for n in dims):
+        raise ValueError("sphere dimension must be >= 2")
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+
+
 def tdelta_eigenvalues(n: int, max_degree: int, delta) -> np.ndarray:
     """q_l(delta) for l = 0..max_degree via the three-term recurrence.
 
@@ -46,32 +117,12 @@ def tdelta_eigenvalues(n: int, max_degree: int, delta) -> np.ndarray:
     C_l(1) = prod_{i<=l} (i+2*lam-1)/i (polynomial growth, no overflow).
     A scalar delta gives shape (max_degree+1,); a 1-D array of k deltas
     gives (max_degree+1, k), one recurrence stepping all columns at once.
+    It is the recurrence `tdelta_gap_report` runs, in a single block.
     """
-    if n < 2:
-        raise ValueError("sphere dimension must be >= 2")
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    deltas, scalar = _batch(delta, "delta")
-    inside = (deltas >= -1.0) & (deltas <= 1.0)      # False for NaN
-    if not inside.all():
-        raise ValueError(f"delta = {deltas[~inside][0]} outside [-1, 1]")
-    lam = (n - 1) / 2.0
-    vals = np.empty((max_degree + 1, deltas.size))
-    two_delta = 2.0 * deltas
-    c_prev2, c_prev1 = np.ones_like(deltas), 2.0 * lam * deltas
-    norm = 2.0 * lam
-    vals[0] = 1.0
-    if max_degree >= 1:
-        vals[1] = c_prev1 / norm
-    for l in range(2, max_degree + 1):
-        c = two_delta * (l + lam - 1.0)
-        c *= c_prev1
-        c -= (l + 2.0 * lam - 2.0) * c_prev2
-        c /= l
-        norm = norm * (l + 2.0 * lam - 1.0) / l
-        np.divide(c, norm, out=vals[l])
-        c_prev2, c_prev1 = c_prev1, c
-    return vals[:, 0] if scalar else vals
+    _check_dims([n], max_degree)
+    deltas, scalar = _checked_deltas(delta)
+    ((_, rows),) = _gegenbauer_rows([n], deltas, max_degree, max_degree + 1)
+    return rows[:, 0, 0] if scalar else rows[:, 0]
 
 
 def legendre_envelope(ell: int, delta: float) -> float:
@@ -92,7 +143,7 @@ class TdeltaGapReport:
     holder_bound: float
 
 
-def tdelta_gap_report(n: int, delta, max_degree: int = 200):
+def tdelta_gap_report(n, delta, max_degree: int = 200):
     """Gap value plus explicit truncation data: the degree attaining the sup
     and the analytic envelope for every discarded degree.
 
@@ -100,25 +151,46 @@ def tdelta_gap_report(n: int, delta, max_degree: int = 200):
     on the harmonics of degree <= D = max_degree.
 
     A scalar delta gives one report; a 1-D sequence gives a list of reports
-    in its order, from one recurrence that also carries the delta = 0
-    column they are all compared against.
+    in its order.  A 1-D sequence of sphere dimensions n gives one such
+    result per n, in its order.  Every (n, delta) column, and the delta = 0
+    column of each n that they are compared against, comes from one
+    `_gegenbauer_rows` recurrence, reduced block by block to a running
+    maximum and its first argmax, so the table is never held whole.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    deltas, scalar = _batch(delta, "delta")
-    table = tdelta_eigenvalues(n, max_degree, np.append(deltas, 0.0))
-    diffs = np.abs(table[:, :-1] - table[:, -1:])
-    args = np.argmax(diffs, axis=0)
+    if np.ndim(n) > 1:
+        raise ValueError("n must be a scalar or a 1-D sequence")
+    dims = np.atleast_1d(n).tolist()
+    _check_dims(dims, max_degree)
+    deltas, scalar = _checked_deltas(delta)
+    columns = np.append(deltas, 0.0)
+    block = max(1, _GEGENBAUER_ENTRY_BUDGET // (len(dims) * columns.size))
+    best = best_arg = None
+    for start, rows in _gegenbauer_rows(dims, columns, max_degree, block):
+        diffs = np.abs(rows[:, :, :-1] - rows[:, :, -1:])
+        arg = np.argmax(diffs, axis=0)       # the first NaN, if there is one
+        top = np.take_along_axis(diffs, arg[None], axis=0)[0]
+        if best is None:
+            best, best_arg = top, arg
+            continue
+        # a later block wins only with a larger value or a first NaN, so
+        # the argmax stays the first over the whole column
+        take = (top > best) | (np.isnan(top) & ~np.isnan(best))
+        best = np.where(take, top, best)
+        best_arg = np.where(take, arg + start, best_arg)
     tail_zero = legendre_envelope(max_degree + 1, 0.0)
-    reports = []
-    for j, d in enumerate(deltas.tolist()):
-        arg = int(args[j])
-        tail = legendre_envelope(max_degree + 1, d) + tail_zero
-        reports.append(TdeltaGapReport(
-            sphere_dim=n, delta=d, max_degree=max_degree,
-            value=float(diffs[arg, j]), arg_degree=arg,
-            tail_envelope=float(tail), holder_bound=2.0 * math.sqrt(abs(d))))
-    return reports[0] if scalar else reports
+    out = []
+    for dim, values, args in zip(dims, best.tolist(), best_arg.tolist()):
+        reports = [TdeltaGapReport(
+            sphere_dim=dim, delta=d, max_degree=max_degree, value=value,
+            arg_degree=arg,
+            tail_envelope=float(legendre_envelope(max_degree + 1, d)
+                                + tail_zero),
+            holder_bound=2.0 * math.sqrt(abs(d)))
+            for d, value, arg in zip(deltas.tolist(), values, args)]
+        out.append(reports[0] if scalar else reports)
+    return out[0] if np.ndim(n) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +208,7 @@ def su2_element(theta, phi) -> np.ndarray:
     g = np.stack([np.stack([np.exp(-1j * theta), -np.exp(1j * phi)], axis=-1),
                   np.stack([np.exp(-1j * phi), np.exp(1j * theta)], axis=-1)],
                  axis=-2) / np.sqrt(2.0)
-    if not np.allclose(g @ g.conj().swapaxes(-1, -2), np.eye(2), atol=1e-12):
+    if not _max_unitary_error(g) <= 1e-12:
         raise AssertionError("internal error: matrix is not unitary")
     if np.any(np.abs(np.linalg.det(g) - 1.0) > 1e-12):
         raise AssertionError("internal error: determinant is not 1")
@@ -195,9 +267,19 @@ def _spin_levels(stack: np.ndarray, two_j: int):
             yield rows, n, v
 
 
-def _assert_unitary(v: np.ndarray) -> None:
+def _max_unitary_error(v: np.ndarray) -> float:
+    """max |v v^* - I| over every entry of a matrix or a stack; NaN if any
+    entry is NaN, so a comparison with it fails."""
     gram = v @ v.conj().swapaxes(-1, -2)
-    if not np.allclose(gram, np.eye(v.shape[-1]), atol=1e-9):
+    diagonal = np.einsum("...ii->...i", gram)
+    diagonal -= 1.0
+    return np.abs(gram).max(initial=0.0)
+
+
+def _assert_unitary(v: np.ndarray) -> None:
+    """Every entry of v v^* within 1e-9 of the identity's, diagonal and off
+    it alike."""
+    if not _max_unitary_error(v) <= 1e-9:
         raise AssertionError("internal error: spin matrix is not unitary")
 
 

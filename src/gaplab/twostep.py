@@ -322,10 +322,18 @@ def convolution_powers(mu: FiniteMeasure, n: int):
     return out
 
 
+def _translate_index(model, g, gp) -> np.ndarray:
+    """The weight permutation of delta_g * m * delta_g': the translate's
+    weight at x is m(g^-1 x g'^-1), so it is ``m.weights[index]``.  Scalars
+    g, g' give one (order,) index; arrays of one shape (k,) give (k, order).
+    """
+    mult, inv = model.mult, model.inverse
+    return mult[mult[inv[g]], np.expand_dims(inv[gp], -1)]
+
+
 def _translate(m: FiniteMeasure, g, gp) -> FiniteMeasure:
-    """delta_g * m * delta_g': the weight permutation x -> m(g^-1 x g'^-1)."""
-    mult, inv = m.model.mult, m.model.inverse
-    return FiniteMeasure(m.model, m.weights[mult[mult[inv[g]], inv[gp]]])
+    """delta_g * m * delta_g', through `_translate_index`."""
+    return FiniteMeasure(m.model, m.weights[_translate_index(m.model, g, gp)])
 
 
 def left_regular_matrix(m: FiniteMeasure) -> np.ndarray:
@@ -347,9 +355,12 @@ class TwoStepRep:
     checks it exhaustively for orders <= 64 and on 10^4 random pairs beyond
     that, and verifies the growth certificate ||pi_i(g)|| <= L e^{s l(g)}
     with one batched norm per family, naming the first violating element.
+    A caller that has measured them already (`sandwich_twostep`) passes the
+    norms max(||pi0(g)||, ||pi1(g)||) as `norms`; they are checked against
+    (L, s) the same way.
     """
 
-    def __init__(self, model, pi0, pi1, L, s, seed=5):
+    def __init__(self, model, pi0, pi1, L, s, seed=5, norms=None):
         pi0 = np.asarray(pi0)
         pi1 = np.asarray(pi1)
         n = model.order
@@ -369,7 +380,7 @@ class TwoStepRep:
         self.B = None
         self._pi = np.einsum("gij,jk->gik", pi1, pi0[model.identity])
         self._check_relation(seed)
-        self._check_growth()
+        self._check_growth(norms)
 
     @property
     def dims(self):
@@ -420,9 +431,10 @@ class TwoStepRep:
                 f"once-composable relation fails (residual {worst:.3e})")
         return worst
 
-    def _check_growth(self):
+    def _check_growth(self, norms=None):
         caps = self.L * np.exp(self.s * self.model.lengths) + 1e-9
-        norms = np.maximum(_opnorms(self._pi0), _opnorms(self._pi1))
+        if norms is None:
+            norms = np.maximum(_opnorms(self._pi0), _opnorms(self._pi1))
         bad = np.flatnonzero(norms > caps)
         if bad.size:
             raise ValueError(
@@ -430,12 +442,21 @@ class TwoStepRep:
                 f"element {bad[0]}")
 
 
+def _apply_weights(weights, pi) -> np.ndarray:
+    """sum_g w(g) pi(g) for every weight vector along the last axis of
+    `weights`, by one einsum.  Its loop sums each entry the same way for
+    one vector as for a whole stack, so a vector gives bit for bit its row
+    of any stack it sits in; a BLAS product would not."""
+    return np.einsum("...g,gij->...ij", weights, pi)
+
+
 def apply_measure(rep: TwoStepRep, m: FiniteMeasure) -> np.ndarray:
     """pi(m) = sum_g m(g) pi(g) for a two-step representation; linear, and
-    pi(m1 * m2) = pi1(m1) pi0(m2)."""
+    pi(m1 * m2) = pi1(m1) pi0(m2).  Computed by `_apply_weights`, so it is
+    bit for bit what `verify_star_instance` computes for the same measure."""
     if rep.model is not m.model:
         raise ValueError("representation and measure live on different groups")
-    return np.tensordot(m.weights, rep.pi_stack(), axes=1)
+    return _apply_weights(m.weights, rep.pi_stack())
 
 
 def sandwich_twostep(model, u_stack, A, B, weights=None, rate=0.0) -> TwoStepRep:
@@ -447,7 +468,8 @@ def sandwich_twostep(model, u_stack, A, B, weights=None, rate=0.0) -> TwoStepRep
     cast.  Optional `weights` rescale the columns of A (a diagonal
     reweighting of X0).  The growth certificate is measured directly:
     s = rate and L = max_g max_i ||pi_i(g)|| e^{-rate l(g)}; with the default
-    rate this is just max(||A||, ||B||).
+    rate this is just max(||A||, ||B||).  Those norms are taken once, here,
+    and the constructor checks the certificate against them.
     """
     if any(np.iscomplexobj(x) for x in (u_stack, A, B, weights)):
         raise ValueError("sandwich families must be real, not complex")
@@ -478,8 +500,9 @@ def sandwich_twostep(model, u_stack, A, B, weights=None, rate=0.0) -> TwoStepRep
     pi0 = np.einsum("gij,jk->gik", u, A)
     pi1 = np.einsum("ij,gjk->gik", B, u)
     scale = np.exp(-float(rate) * model.lengths.astype(float))
-    L = float((np.maximum(_opnorms(pi0), _opnorms(pi1)) * scale).max())
-    rep = TwoStepRep(model, pi0, pi1, L, rate)
+    norms = np.maximum(_opnorms(pi0), _opnorms(pi1))
+    L = float((norms * scale).max())
+    rep = TwoStepRep(model, pi0, pi1, L, rate, norms=norms)
     rep.u_stack, rep.A, rep.B = u, A, B
     return rep
 
@@ -611,6 +634,11 @@ def verify_star_instance(rep: TwoStepRep, measures, grid, start_n=1) -> StarRepo
     fails.  Residuals are max over the (g, g') grid of
     ||pi(delta_g m_n delta_g') - pi(m_n)||.  Fewer than two measures or an
     empty grid would check nothing and are refused.
+
+    Each translate is a permutation of the weights (`_translate_index`), so
+    the weights of every measure and every translate form one
+    (measures, 1 + grid, order) stack, and one `_apply_weights` gives every
+    pi(.) at once, each bit for bit its `apply_measure`.
     """
     model = rep.model
     for i, m in enumerate(measures):
@@ -624,10 +652,14 @@ def verify_star_instance(rep: TwoStepRep, measures, grid, start_n=1) -> StarRepo
         raise ValueError("need at least two measures")
     if len(grid) == 0:
         raise ValueError("need a non-empty (g, g') grid")
-    mats = np.stack([apply_measure(rep, m) for m in measures])
+    weights = np.stack([m.weights for m in measures])
+    gs, gps = np.asarray(grid).reshape(-1, 2).T
+    index = np.vstack([np.arange(model.order),
+                       _translate_index(model, gs, gps)])
+    pis = _apply_weights(weights[:, index], rep.pi_stack())
+    mats = pis[:, 0]
     cauchy = tuple(_opnorms(mats[:-1] - mats[1:]).tolist())
-    shifted = np.stack([[apply_measure(rep, _translate(m, g, gp))
-                         for g, gp in grid] for m in measures])
+    shifted = pis[:, 1:]
     shifted -= mats[:, None]
     residuals = tuple(_opnorms(shifted).max(axis=1).tolist())
     ns = np.arange(start_n, start_n + len(cauchy))

@@ -683,6 +683,36 @@ def test_kak_distortion_cases_have_bounds():
             assert case["delta"] <= case["bound"] * (1 + 1e-9)
 
 
+def _random_sl3_oracle(rng):
+    """One SL(3) draw at a time: a standard normal 3x3 redrawn until
+    |det| > 1e-3, scaled by the cube root of its determinant."""
+    rejected = 0
+    while True:
+        m = rng.normal(size=(3, 3))
+        det = np.linalg.det(m)
+        if abs(det) > 1e-3:
+            return m / np.cbrt(det), rejected
+        rejected += 1
+
+
+def test_kak_draws_are_the_one_at_a_time_draws():
+    # batched draws refill their rejections from the same stream, so the
+    # elements and the stream's state are those of the per-draw loop; the
+    # seeds meet rejections in the first batch and in a refill
+    rejected = 0
+    for seed in range(30):
+        for count in (0, 1, 7, 2000):
+            rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+            got = cli._random_sl3(rng, count)
+            draws = [_random_sl3_oracle(oracle_rng) for _ in range(count)]
+            want = np.array([m for m, _ in draws]).reshape(-1, 3, 3)
+            rejected += sum(r for _, r in draws)
+            assert got.shape == (count, 3, 3)
+            assert np.array_equal(got, want), (seed, count)
+            assert rng.random() == oracle_rng.random()
+    assert rejected > 0
+
+
 def test_quotient_gap_matches_character_oracle():
     cfg = cli.ExperimentConfig("quotient-gap", {"order": [3, 5], "sl3": [0]})
     report = cli.run("quotient-gap", cfg)

@@ -613,6 +613,68 @@ def test_points_past_the_float_range_are_refused(k):
         assert pt.y == 2.0 ** 1022
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_lengths_stay_finite_up_to_the_float_range(sign):
+    # diag(2^k, 2^-k) reduces to the point 2^(2|k|) i, whose length is
+    # k log 2; y^2 would overflow from k = 256 on
+    for k in range(512):
+        g = np.diag([2.0 ** (sign * k), 2.0 ** (-sign * k)])
+        pt, _ = reduce_to_domain(g)
+        assert pt.length == pytest.approx(element_length(g), rel=1e-14,
+                                          abs=1e-15), k
+        assert ind._point_lengths(pt.x, pt.y) == pytest.approx(pt.length,
+                                                              rel=1e-15)
+
+
+def test_lengths_match_the_hyperbolic_distance_formula():
+    # y/2 + (x^2 + 1)/(2y) is (x^2 + y^2 + 1)/(2y) to rounding; near i,
+    # where acosh is steep, an ulp of the argument moves the length by ~1e-15
+    x, y, _, lengths, _ = sample_domain_arrays(2000, 19)
+    want = 0.5 * np.arccosh((x * x + y * y + 1.0) / (2.0 * y))
+    np.testing.assert_allclose(lengths, want, rtol=1e-13, atol=1e-14)
+
+
+def test_valid_elements_keep_their_representatives():
+    # a float g of length up to 6 misses det 1 by up to ~1e-11, inside its
+    # tolerance 1e-12 ||g||^2; the representative g w gamma^-1 has det
+    # det g det w exactly and inherits that miss at a much smaller scale,
+    # beyond its own tolerance for at least 14 of these
+    gs = random_group_elements(2000, 77, max_length=6.0)
+    (omega,), _ = sample_domain(1, 3)
+    w = omega.matrix.ravel().tolist()
+    inherited = 0
+    for g in gs:
+        g4 = g.ravel().tolist()
+        for pt, factors in ((cocycle(g, omega).g_dot_omega, (g4, w)),
+                            (reduce_to_domain(g)[0], (g4, ind._IDENTITY))):
+            a, b, c, d = rep = pt.matrix.ravel().tolist()
+            off = abs(a * d - b * c - 1.0)
+            inherited += off > ind._det_tol(rep)
+            assert off <= ind._inherited_det_tol(rep, *factors)
+    assert inherited >= 14
+
+
+def test_determinant_refusals_still_fire(monkeypatch):
+    (omega,), _ = sample_domain(1, 3)
+    # a g that is truly off is refused for its own determinant
+    for call in (reduce_to_domain, lambda g: cocycle(g, omega)):
+        with pytest.raises(ValueError,
+                           match="^matrix must have determinant 1, got 1.000001$"):
+            call(np.diag([1.0 + 1e-6, 1.0]))
+    # a representative that misses more than its factors carry is refused
+    rounded = ind._rounded_representative
+
+    def off(g, w, gamma):
+        a, b, c, d = rounded(g, w, gamma)
+        return a * (1.0 + 1e-9), b, c, d
+
+    monkeypatch.setattr(ind, "_rounded_representative", off)
+    g = random_group_elements(1, 77, max_length=2.0)[0]
+    for call in (reduce_to_domain, lambda g: cocycle(g, omega)):
+        with pytest.raises(ValueError, match="^determinant must be 1, got"):
+            call(g)
+
+
 # ---------------------------------------------------------------------------
 # the moved representative against exact arithmetic
 

@@ -71,6 +71,24 @@ def scalar_recurrence(n, max_degree, delta):
     return np.array(vals)
 
 
+def gap_reports_oracle(n, deltas, max_degree):
+    """One dimension's gap reports from its whole (max_degree + 1, k + 1)
+    eigenvalue table: each column's first argmax and the value there."""
+    table = tdelta_eigenvalues(n, max_degree, np.append(deltas, 0.0))
+    diffs = np.abs(table[:, :-1] - table[:, -1:])
+    tail_zero = legendre_envelope(max_degree + 1, 0.0)
+    reports = []
+    for j, d in enumerate(deltas):
+        arg = int(np.argmax(diffs[:, j]))
+        reports.append(spheres.TdeltaGapReport(
+            sphere_dim=n, delta=d, max_degree=max_degree,
+            value=float(diffs[arg, j]), arg_degree=arg,
+            tail_envelope=float(legendre_envelope(max_degree + 1, d)
+                                + tail_zero),
+            holder_bound=2.0 * math.sqrt(abs(d))))
+    return reports
+
+
 def averaged_block(two_j, theta, quadrature_points=128):
     """The phi-averaged spin-(two_j/2) block: `_circle_averages`' diagonal."""
     row = spheres._circle_averages(two_j, [theta], quadrature_points)[0]
@@ -190,6 +208,10 @@ def test_rejects_bad_arguments():
         tdelta_eigenvalues(2, -1, 0.5)
     with pytest.raises(ValueError):
         tdelta_gap_report(2, 0.5, 0)
+    with pytest.raises(ValueError, match="sphere dimension"):
+        tdelta_gap_report([], 0.5, 10)
+    with pytest.raises(ValueError, match="sphere dimension"):
+        tdelta_gap_report([3, 1], 0.5, 10)
 
 
 def test_matches_quadrature_oracle():
@@ -393,6 +415,41 @@ def test_batched_gap_reports_match_pointwise():
             assert rep.arg_degree == int(np.argmax(want))
 
 
+# 60 entries make blocks of 4 degrees on a grid of 3 dimensions x 5 columns
+@pytest.mark.parametrize("budget", [None, 60])
+def test_joint_gap_reports_match_the_per_dimension_oracle(monkeypatch,
+                                                          budget):
+    # every (n, delta) from one recurrence, reduced block by block, against
+    # each dimension's whole table; dmax runs to either side of a block end
+    if budget is not None:
+        monkeypatch.setattr(spheres, "_GEGENBAUER_ENTRY_BUDGET", budget)
+    deltas = [-1.0, 0.0, 0.999, 1.0]
+    dims = [2, 3, 5]
+    block = spheres._GEGENBAUER_ENTRY_BUDGET // (len(dims) * (len(deltas) + 1))
+    for dmax in sorted({1, 2, block - 1, block, block + 1, 2000}):
+        joint = tdelta_gap_report(dims, deltas, dmax)
+        assert len(joint) == len(dims)
+        for n, reports in zip(dims, joint):
+            assert reports == gap_reports_oracle(n, deltas, dmax), (n, dmax)
+            assert reports == tdelta_gap_report(n, deltas, dmax)
+        assert tdelta_gap_report(dims, 0.999, dmax) == [
+            rep[2] for rep in joint]
+
+
+def test_joint_gap_reports_keep_the_first_nan(monkeypatch):
+    # on S^1000 the normaliser C_l(1) overflows near degree 974, so the
+    # column turns NaN; the report names the first NaN degree, as a whole
+    # table's argmax does, and the run fails the case as non-finite
+    monkeypatch.setattr(spheres, "_GEGENBAUER_ENTRY_BUDGET", 3 * 3 * 16)
+    deltas = [0.3, 0.7]
+    with np.errstate(over="ignore", invalid="ignore"):
+        joint = tdelta_gap_report([2, 1000, 3], deltas, 1200)
+        for n, reports in zip([2, 1000, 3], joint):
+            assert repr(reports) == repr(gap_reports_oracle(n, deltas, 1200))
+    assert all(math.isnan(rep.value) for rep in joint[1])
+    assert not any(math.isnan(rep.value) for rep in joint[0] + joint[2])
+
+
 def test_batched_stheta_gap_matches_block_loop():
     thetas = [0.0, 0.05, np.pi / 4, 1.0, 2.5, np.pi, 5.9]
     gaps = stheta_norm_gap(thetas, 24, 64)
@@ -452,10 +509,16 @@ def test_gap_checks_fire_on_the_stacked_path(monkeypatch):
     monkeypatch.setattr(spheres, "su2_element", scaled(1.001))
     with pytest.raises(AssertionError, match="not unitary"):
         stheta_norm_gap([0.2, 1.0], 12, 64)
-    # diag(e^-i theta, e^i theta)(1 + 1e-7) passes the unitarity tolerance
-    # up to 2j = 48, but its averages have modulus (1 + 1e-7)^2j > 1
-    monkeypatch.setattr(spheres, "su2_element", scaled(1.0 + 1e-7, True))
+    # diag(e^-i theta, e^i theta)(1 + 1e-11) passes the unitarity check up
+    # to 2j = 12, |V V* - I| <= (1 + 1e-11)^24 - 1 < 1e-9, but its averages
+    # have modulus (1 + 1e-11)^2j > 1 + 1e-12
+    monkeypatch.setattr(spheres, "su2_element", scaled(1.0 + 1e-11, True))
     with pytest.raises(AssertionError, match="expanded"):
+        stheta_norm_gap([0.2, 1.0], 12, 64)
+    # (1 + 1e-7) is within an rtol of 1e-5 on the Gram diagonal, but every
+    # entry of the Gram matrix is held to 1e-9 absolute
+    monkeypatch.setattr(spheres, "su2_element", scaled(1.0 + 1e-7, True))
+    with pytest.raises(AssertionError, match="not unitary"):
         stheta_norm_gap([0.2, 1.0], 12, 64)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaplab import twostep
 from gaplab.twostep import (_DECAY_FLOOR, FiniteGroupModel, FiniteMeasure,
                             LocalEstimate, TwoStepRep, _log_linear_fit,
                             _opnorms, _translate, apply_measure,
@@ -513,6 +514,40 @@ def test_growth_certificate_enforced():
     TwoStepRep(z6, u, u, L=max(norms), s=0.0)
 
 
+def test_sandwich_takes_the_growth_norms_once(monkeypatch):
+    # sandwich_twostep measures each family's norms for L, and the
+    # constructor checks the certificate against those same norms
+    calls = []
+
+    def counting(stack):
+        calls.append(stack.shape)
+        return _opnorms(stack)
+
+    monkeypatch.setattr(twostep, "_opnorms", counting)
+    s4 = symmetric_model(4)
+    rng = np.random.default_rng(15)
+    for rate in (0.0, 0.3):
+        calls.clear()
+        rep = sandwich_twostep(s4, s4.left_regular_stack(),
+                               rng.standard_normal((24, 3)),
+                               rng.standard_normal((2, 24)), rate=rate)
+        assert calls == [(24, 24, 3), (24, 2, 24)]
+        want = max(float(np.linalg.norm(m, 2)) * math.exp(-rate * l)
+                   for fam in (rep._pi0, rep._pi1)
+                   for m, l in zip(fam, s4.lengths))
+        assert rep.L == pytest.approx(want, rel=1e-12)
+
+
+def test_supplied_norms_are_checked_against_the_certificate():
+    # norms measured by the caller still refuse an (L, s) they break, and
+    # name the first element over the cap
+    z3 = cyclic_model(3)
+    lam = z3.left_regular_stack()
+    with pytest.raises(ValueError, match="at element 1$"):
+        TwoStepRep(z3, lam, lam, L=1.0, s=0.0, norms=np.array([1.0, 2.0, 2.0]))
+    TwoStepRep(z3, lam, lam, L=2.0, s=0.0, norms=np.array([1.0, 2.0, 2.0]))
+
+
 def test_relation_sampled_on_large_model():
     # order 101 > exhaustive cap: constructor samples 10^4 pairs; we verify
     # 2000 random triples of the original three-variable relation directly
@@ -920,6 +955,44 @@ def test_star_residuals_match_double_convolution():
         max(np.linalg.norm(apply_measure(rep, FiniteMeasure(
             s4, _translate_oracle(m, g, gp))) - mat, 2) for g, gp in grid)
         for m, mat in zip(ms, mats))
+
+
+def test_star_report_is_the_per_measure_applies(oracle_models):
+    # every pi(m_n) and pi(delta_g m_n delta_g') of the stacked einsum is bit
+    # for bit apply_measure of the measure or of its translate, on signed
+    # non-regular families and on star-verify's regular one (up to order 24)
+    rng = np.random.default_rng(16)
+    for model in oracle_models:
+        d = model.order
+        families = [(rng.standard_normal((d, 3)), rng.standard_normal((2, d)))]
+        if d <= 24:
+            families.append((np.eye(d), np.eye(d)))
+        for A, B in families:
+            rep = sandwich_twostep(model, model.left_regular_stack(), A, B)
+            ms = convolution_powers(FiniteMeasure.uniform(model,
+                                                          model.generators), 5)
+            grid = [(int(g), int(gp))
+                    for g, gp in rng.integers(0, d, size=(3, 2))]
+            report = verify_star_instance(rep, ms, grid)
+            mats = np.stack([apply_measure(rep, m) for m in ms])
+            shifted = np.stack([[apply_measure(rep, _translate(m, g, gp))
+                                 for g, gp in grid] for m in ms])
+            assert np.array_equal(report.p_estimate, mats[-1])
+            assert report.cauchy_diffs == tuple(
+                _opnorms(mats[:-1] - mats[1:]).tolist())
+            assert report.invariance_residuals == tuple(
+                _opnorms(shifted - mats[:, None]).max(axis=1).tolist())
+
+
+def test_translate_index_stacks_the_scalar_indices(oracle_models):
+    rng = np.random.default_rng(17)
+    for model in oracle_models:
+        gs, gps = rng.integers(0, model.order, size=(2, 9))
+        stacked = twostep._translate_index(model, gs, gps)
+        for row, g, gp in zip(stacked, gs, gps):
+            assert np.array_equal(row, twostep._translate_index(model, g, gp))
+            assert np.array_equal(row, twostep._translate_index(
+                model, int(g), int(gp)))
 
 
 # ---------------------------------------------------------------------------

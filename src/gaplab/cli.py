@@ -837,6 +837,30 @@ def _parse_argv(argv):
     return command, config_path, out_path, seed, overrides
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def _report_json(doc):
+    """The report as strict JSON: NaN and Infinity are no JSON tokens, so a
+    report that holds them (its cases fail) is dumped again with null in
+    their place; a finite report is dumped once."""
+    # indent would force the pure-Python encoder
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError:
+        return json.dumps(_finite_or_null(doc), sort_keys=True,
+                          separators=(",", ":"), allow_nan=False)
+
+
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if not argv:
@@ -856,9 +880,7 @@ def main(argv=None):
         report = run(command, config)
         target = config.out_path or f"{command}.csv"
         write_report_csv(target, report)
-        # indent would force the pure-Python encoder
-        print(json.dumps(report.to_json(), sort_keys=True,
-                         separators=(",", ":")))
+        print(_report_json(report.to_json()))
         return 0 if report.all_passed else 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,28 +60,21 @@ def _gegenbauer_rows(dims, deltas, max_degree, block):
 
     Yields (start, rows) with rows[i, a, b] = q_{start+i}(deltas[b]) on
     S^{dims[a]}; the rows array is reused from one block to the next.  The
-    per-degree factors (l + lam - 1), (l + 2 lam - 2) and the normaliser
-    C_l(1) of each n are the scalar expressions of a one-dimension
-    recurrence, so every column is bit for bit the recurrence of its
-    (n, delta) alone.
+    recurrence carries q_l itself,
+
+        (l + 2 lam - 1) q_l = 2 delta (l + lam - 1) q_{l-1} - (l - 1) q_{l-2},
+
+    so |q_l| <= 1 and no normaliser C_l(1) ever grows; each column is bit
+    for bit the recurrence of its (n, delta) alone.
     """
-    lams = [(n - 1) / 2.0 for n in dims]
-    norms = []
-    for lam in lams:
-        norm, column = 2.0 * lam, []
-        for l in range(2, max_degree + 1):
-            norm = norm * (l + 2.0 * lam - 1.0) / l
-            column.append(norm)
-        norms.append(column)
-    # entry l - 2 of each holds degree l's factors, one row per dimension
-    norms = np.array(norms, dtype=float).T[:, :, None]
+    lam = np.array([(n - 1) / 2.0 for n in dims])[:, None]
     ls = np.arange(2, max_degree + 1)[:, None, None]
-    lam = np.array(lams)[:, None]
-    rise, fall, two_lam = ls + lam - 1.0, ls + 2.0 * lam - 2.0, 2.0 * lam
+    # entry l - 2 of each holds degree l's factors, one row per dimension
+    rise, denom = ls + lam - 1.0, ls + 2.0 * lam - 1.0
     two_delta = 2.0 * deltas
-    c_prev2 = np.ones((len(dims), deltas.size))
-    c_prev1 = two_lam * deltas
-    rows = np.empty((min(block, max_degree + 1),) + c_prev2.shape)
+    q_prev2 = np.ones((len(dims), deltas.size))
+    q_prev1 = deltas
+    rows = np.empty((min(block, max_degree + 1),) + q_prev2.shape)
     start = 0
     for l in range(max_degree + 1):
         if l - start == block:
@@ -90,14 +83,14 @@ def _gegenbauer_rows(dims, deltas, max_degree, block):
         if l == 0:
             rows[0] = 1.0
         elif l == 1:
-            np.divide(c_prev1, two_lam, out=rows[1 - start])
+            rows[1 - start] = deltas
         else:
-            c = two_delta * rise[l - 2]
-            c *= c_prev1
-            c -= fall[l - 2] * c_prev2
-            c /= l
-            np.divide(c, norms[l - 2], out=rows[l - start])
-            c_prev2, c_prev1 = c_prev1, c
+            q = two_delta * rise[l - 2]
+            q *= q_prev1
+            q -= (l - 1.0) * q_prev2
+            q /= denom[l - 2]
+            rows[l - start] = q
+            q_prev2, q_prev1 = q_prev1, q
     yield start, rows[:max_degree + 1 - start]
 
 
@@ -113,8 +106,10 @@ def _check_dims(dims, max_degree):
 def tdelta_eigenvalues(n: int, max_degree: int, delta) -> np.ndarray:
     """q_l(delta) for l = 0..max_degree via the three-term recurrence.
 
-    l*C_l = 2*delta*(l+lam-1)*C_{l-1} - (l+2*lam-2)*C_{l-2}, normalised by
-    C_l(1) = prod_{i<=l} (i+2*lam-1)/i (polynomial growth, no overflow).
+    q_l = C_l(delta)/C_l(1), where l*C_l = 2*delta*(l+lam-1)*C_{l-1} -
+    (l+2*lam-2)*C_{l-2} and C_l(1) = prod_{i<=l} (i+2*lam-1)/i.  Both grow
+    like l^(2*lam-1) and overflow for large n (on S^1000 from degree 974),
+    so the recurrence carries the ratio q_l itself, and |q_l| <= 1.
     A scalar delta gives shape (max_degree+1,); a 1-D array of k deltas
     gives (max_degree+1, k), one recurrence stepping all columns at once.
     It is the recurrence `tdelta_gap_report` runs, in a single block.

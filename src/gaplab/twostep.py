@@ -305,10 +305,10 @@ def convolve(m1: FiniteMeasure, m2: FiniteMeasure) -> FiniteMeasure:
     model = m1.model
     s1 = np.nonzero(m1.weights)[0]
     s2 = np.nonzero(m2.weights)[0]
-    out = np.zeros(model.order)
-    if s1.size and s2.size:
-        np.add.at(out, model.mult[np.ix_(s1, s2)],
-                  np.outer(m1.weights[s1], m2.weights[s2]))
+    # bincount adds into each bin in input order, as np.add.at does
+    out = np.bincount(model.mult[np.ix_(s1, s2)].ravel(),
+                      weights=np.outer(m1.weights[s1], m2.weights[s2]).ravel(),
+                      minlength=model.order)
     return FiniteMeasure(model, out)
 
 

@@ -280,12 +280,11 @@ def test_sdelta_decay_case_fails_on_cross_check(monkeypatch):
 
 
 def test_sdelta_decay_stalled_cross_check_stops_at_its_cap(monkeypatch):
-    # with A f = f shifted by one and A* = id, A*A is a cyclic permutation:
-    # the power iteration never converges, so each case must fail after
-    # the command's own iteration cap, not the library's default of 5000
+    # with A*A f = f shifted by one, A*A is a cyclic permutation: the power
+    # iteration never converges, so each case must fail after the
+    # command's own iteration cap, not the library's default of 5000
     stamp = cli.finite_models.StampOperator
-    monkeypatch.setattr(stamp, "apply", lambda self, f: np.roll(f, 1))
-    monkeypatch.setattr(stamp, "adjoint_apply", lambda self, f: f)
+    monkeypatch.setattr(stamp, "gram_apply", lambda self, f: np.roll(f, 1))
     report = cli.run("sdelta-decay", cli.ExperimentConfig(
         "sdelta-decay", {"p": [5], "n": [2]}))
     assert report.failed == 2 and report.passed == 0
@@ -465,6 +464,52 @@ def _fake_command(monkeypatch, cases):
                            lambda params, seed: (cases, ("value", "pass"), None),
                            spec.keys, spec.summary)
     monkeypatch.setitem(cli.COMMANDS, "sphere-gap", fake)
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_report_is_strict_json(tmp_path, capsys, monkeypatch):
+    # NaN and Infinity are no JSON tokens: they reach stdout as null, and
+    # only a report that holds them is dumped a second time
+    dumps = []
+    real = json.dumps
+    monkeypatch.setattr(cli.json, "dumps",
+                        lambda *a, **k: dumps.append(1) or real(*a, **k))
+    _fake_command(monkeypatch, [{"value": 0.5, "pass": True}])
+    assert run_main(["sphere-gap", "--out", tmp_path / "a.csv"]) == 0
+    assert _strict_json(capsys.readouterr().out)["cases"][0]["value"] == 0.5
+    assert len(dumps) == 1
+    _fake_command(monkeypatch, [{"value": math.nan, "pass": True},
+                                {"value": np.float64(math.inf), "pass": True},
+                                {"value": 0.5, "pass": True}])
+    assert run_main(["sphere-gap", "--out", tmp_path / "b.csv"]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert [c["value"] for c in report["cases"]] == [None, None, 0.5]
+    assert report["failed"] == 2
+    assert len(dumps) == 3
+
+
+def test_finite_or_null_reaches_every_depth():
+    doc = {"a": [1.0, math.nan, {"b": (math.inf, -math.inf, "x", 2)}],
+           "c": None, "d": True}
+    assert cli._finite_or_null(doc) == {
+        "a": [1.0, None, {"b": [None, None, "x", 2]}], "c": None, "d": True}
+
+
+def test_sphere_gap_on_a_large_sphere_is_finite(tmp_path, capsys):
+    # C_l(1) on S^1000 overflowed from degree 974; q_l is carried instead
+    out = tmp_path / "sg.csv"
+    assert run_main(["sphere-gap", "--n=1000", "--delta=0.3", "--dmax=2000",
+                     "--out", out]) == 0
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    (case,) = _strict_json(captured.out)["cases"]
+    assert math.isfinite(case["value"]) and case["pass"]
 
 
 def test_non_finite_cell_fails_its_case(tmp_path, capsys, monkeypatch):
@@ -885,7 +930,8 @@ def test_cli_contract_on_small_grids(command, data, tmp_path, capsys,
     # exit 0, 1 or 2 and never a traceback; a value its Key refuses exits 2
     # naming the first such key (the seed, then the keys in declared order);
     # a finished run has every column in every case, no passing non-finite
-    # cell, and a case for every value of every axis, asked or default
+    # cell, and a case for every value of every axis, asked or default; its
+    # stdout is JSON without the NaN and Infinity tokens
     argv, asked = data.draw(_invocations(command))
     out = tmp_path / "out.csv"
     out.unlink(missing_ok=True)
@@ -895,7 +941,8 @@ def test_cli_contract_on_small_grids(command, data, tmp_path, capsys,
         patch.setattr(cli, "run",
                       lambda *args: reports.append(run(*args)) or reports[-1])
         code = cli.main(argv + ["--out", str(out)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert code in (0, 1, 2) and "Traceback" not in err
     keys = [("seed", cli._SEED), *cli.COMMANDS[command].keys.items()]
     broken = [key for key, rule in keys
@@ -908,6 +955,7 @@ def test_cli_contract_on_small_grids(command, data, tmp_path, capsys,
         return
     (report,) = reports
     assert code == (0 if report.failed == 0 else 1) and out.exists()
+    assert _strict_json(captured.out)["failed"] == report.failed
     for case in report.cases:
         assert set(report.columns) <= set(case)
         if any(isinstance(v, float) and not math.isfinite(v)

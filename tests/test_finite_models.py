@@ -1,4 +1,6 @@
 """Operators on l2(O_n x O_n): construction, norms, Fourier law, identities."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -114,6 +116,24 @@ def _adjoint_loop(op, f):
     return out.reshape(m * m)
 
 
+def _apply_formula(op, f):
+    """StampOperator.apply as one expression, plan rebuilt on every call."""
+    m = op.ring.modulus
+    xi = np.arange(m)
+    mult = m * np.fft.ifft(op.kernel)
+    h = m * np.fft.ifft(np.fft.fft(f.reshape(m, m), axis=1) * mult, axis=0)
+    return np.fft.ifft(h[np.outer(xi, xi) % m, xi], axis=1).reshape(m * m)
+
+
+def _adjoint_formula(op, f):
+    """StampOperator.adjoint_apply as one expression, plan rebuilt."""
+    m = op.ring.modulus
+    xi = np.arange(m)
+    mult = np.fft.fft(np.conj(op.kernel))
+    h = np.fft.fft(np.fft.fft(f.reshape(m, m), axis=1) * mult, axis=0)
+    return np.fft.ifft(h[np.outer(xi, xi) % m, xi], axis=1).reshape(m * m)
+
+
 def _random_stamp(p, n, rng):
     """A stamp with a random complex kernel, about half its entries zero."""
     m = p ** n
@@ -153,6 +173,57 @@ def test_stamp_applies_match_loops(ring, seed):
     bound = 1e-12 * np.linalg.norm(f)
     assert np.linalg.norm(op.apply(f) - _apply_loop(op, f)) <= bound
     assert np.linalg.norm(op.adjoint_apply(f) - _adjoint_loop(op, f)) <= bound
+
+
+@given(st.sampled_from(_rings_up_to(128)), st.integers(0, 2 ** 32 - 1))
+@example((2, 7), 0)
+@settings(max_examples=40, deadline=None)
+def test_stamp_applies_are_the_one_expression_formulas(ring, seed):
+    # the kept plan changes no bit: each apply, first call or later, is the
+    # formula that rebuilds multipliers and gather index on every call
+    rng = np.random.default_rng(seed)
+    op = _random_stamp(*ring, rng)
+    for _ in range(2):
+        f = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        assert np.array_equal(op.apply(f), _apply_formula(op, f))
+        assert np.array_equal(op.adjoint_apply(f), _adjoint_formula(op, f))
+
+
+@given(st.sampled_from(_rings_up_to(128)), st.integers(0, 2 ** 32 - 1))
+@example((2, 7), 0)
+@example((2, 4), 1)
+@settings(max_examples=40, deadline=None)
+def test_gram_apply_is_the_adjoint_of_the_apply(ring, seed):
+    # the fused A*A step against the two applies in a row, and against the
+    # dense A^H A where the matrix is small; the kernel is scaled to
+    # ||A|| <= 1, so rounding is on the scale of ||f||
+    rng = np.random.default_rng(seed)
+    op = _random_stamp(*ring, rng)
+    norm = operator_norm(op, method="exact-decomposition").value
+    op = StampOperator(op.ring, op.kernel / max(norm, 1.0))
+    f = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    bound = 1e-12 * np.linalg.norm(f)
+    got = op.gram_apply(f)
+    assert np.linalg.norm(got - op.adjoint_apply(op.apply(f))) <= bound
+    if op.ring.modulus <= 16:
+        dense = _materialize(op.ring, op.kernel)
+        assert np.linalg.norm(got - dense.conj().T @ (dense @ f)) <= bound
+
+
+def test_stamp_kernel_is_frozen():
+    # the plan is built from the kernel once, so the kernel cannot change
+    source = np.zeros(8, dtype=complex)
+    source[3] = 1.0
+    op = StampOperator(ResidueRing(2, 3), source)
+    f = np.random.default_rng(0).standard_normal(op.dim) + 0j
+    before = op.apply(f)
+    source[3] = 5.0                      # the operator holds its own copy
+    assert op.kernel[3] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        op.kernel[3] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.kernel = source
+    assert np.array_equal(op.apply(f), before)
 
 
 @given(st.sampled_from(_rings_up_to(343)), st.integers(0, 2 ** 32 - 1))
@@ -211,6 +282,42 @@ def test_power_iteration_tracks_svd():
         assert pit.converged
         assert pit.value <= svd.value + pit.residual + 1e-12
         assert abs(pit.value - svd.value) < 1e-8
+
+
+def _power_iteration_oracle(gram, dim, tolerance, max_iterations, seed):
+    """operator_norm's power iteration with a fresh array for every value."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    for iters in range(1, max_iterations + 1):
+        w = gram(v)
+        mu = float(np.real(np.vdot(v, w)))
+        res = float(np.linalg.norm(w - mu * v))
+        v = w / np.linalg.norm(w)
+        sigma = np.sqrt(max(mu, 0.0))
+        if sigma > 0 and res / sigma <= tolerance:
+            break
+    sigma = float(np.sqrt(max(mu, 0.0)))
+    return sigma, res / sigma, iters
+
+
+def test_power_iteration_is_the_allocating_loop():
+    # the iteration works in place; every report is bit for bit the loop
+    # that allocates, on dense operands and on stamps
+    rng = np.random.default_rng(23)
+    cases = []
+    for trial in range(5):
+        A = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
+        cases.append((A, lambda v, A=A: A.conj().T @ (A @ v), 48))
+    for p, n in [(2, 3), (3, 2), (2, 7), (5, 2)]:
+        op = _random_stamp(p, n, rng)
+        cases.append((op, op.gram_apply, op.dim))
+    for seed, (op, gram, dim) in enumerate(cases):
+        for tolerance, cap in [(1e-12, 5000), (1e-15, 7)]:
+            rep = operator_norm(op, method="power-iteration", seed=seed,
+                                tolerance=tolerance, max_iterations=cap)
+            want = _power_iteration_oracle(gram, dim, tolerance, cap, seed)
+            assert (rep.value, rep.residual, rep.iterations) == want
 
 
 def test_norm_report_fields():

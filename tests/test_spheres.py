@@ -55,7 +55,18 @@ def quadrature_eigenvalue(n, ell, delta, probe=0.3):
 
 
 def scalar_recurrence(n, max_degree, delta):
-    """The Gegenbauer recurrence in Python floats, one delta at a time."""
+    """The recurrence of q_l in Python floats, one delta at a time."""
+    lam = (n - 1) / 2.0
+    vals = [1.0, delta][:max_degree + 1]
+    for l in range(2, max_degree + 1):
+        vals.append((2.0 * delta * (l + lam - 1.0) * vals[-1]
+                     - (l - 1.0) * vals[-2]) / (l + 2.0 * lam - 1.0))
+    return np.array(vals)
+
+
+def unnormalised_recurrence(n, max_degree, delta):
+    """C_l(delta) / C_l(1) from the recurrence of C_l and the product for
+    C_l(1), in Python floats: both grow like l^(2 lam - 1)."""
     lam = (n - 1) / 2.0
     vals = [1.0]
     c_prev2, c_prev1 = 1.0, 2.0 * lam * delta
@@ -437,17 +448,55 @@ def test_joint_gap_reports_match_the_per_dimension_oracle(monkeypatch,
 
 
 def test_joint_gap_reports_keep_the_first_nan(monkeypatch):
-    # on S^1000 the normaliser C_l(1) overflows near degree 974, so the
-    # column turns NaN; the report names the first NaN degree, as a whole
-    # table's argmax does, and the run fails the case as non-finite
+    # a column that turns NaN mid-block: the report names the first NaN
+    # degree, as a whole table's argmax does, in whatever block it falls
     monkeypatch.setattr(spheres, "_GEGENBAUER_ENTRY_BUDGET", 3 * 3 * 16)
+    rows = spheres._gegenbauer_rows
+
+    def poisoned(dims, deltas, max_degree, block):
+        # S^1000 turns NaN from degree 974 (where C_l(1) used to overflow)
+        for start, table in rows(dims, deltas, max_degree, block):
+            if 1000 in dims:
+                a = dims.index(1000)
+                table[max(0, 974 - start):, a] = np.nan
+            yield start, table
+
+    monkeypatch.setattr(spheres, "_gegenbauer_rows", poisoned)
     deltas = [0.3, 0.7]
-    with np.errstate(over="ignore", invalid="ignore"):
-        joint = tdelta_gap_report([2, 1000, 3], deltas, 1200)
-        for n, reports in zip([2, 1000, 3], joint):
-            assert repr(reports) == repr(gap_reports_oracle(n, deltas, 1200))
+    joint = tdelta_gap_report([2, 1000, 3], deltas, 1200)
+    for n, reports in zip([2, 1000, 3], joint):
+        assert repr(reports) == repr(gap_reports_oracle(n, deltas, 1200))
     assert all(math.isnan(rep.value) for rep in joint[1])
+    assert [rep.arg_degree for rep in joint[1]] == [974, 974]
     assert not any(math.isnan(rep.value) for rep in joint[0] + joint[2])
+
+
+def test_carried_ratio_matches_the_unnormalised_recurrence():
+    # q_l carried directly against C_l / C_l(1) where the latter is finite:
+    # n in {2, 3, 5}, dmax 2000.  Near delta = 1 both lose a few digits
+    # (each lies within 2e-14 of a 40-digit evaluation at delta = 0.999);
+    # they differ by at most 1.3e-14, and by 0 on S^2
+    deltas = np.append(np.linspace(-1.0, 1.0, 41), [0.013, 0.999])
+    for n in (2, 3, 5):
+        table = tdelta_eigenvalues(n, 2000, deltas)
+        for j, d in enumerate(deltas):
+            want = unnormalised_recurrence(n, 2000, float(d))
+            assert np.max(np.abs(table[:, j] - want)) <= 3e-14, (n, d)
+
+
+def test_large_spheres_stay_finite():
+    # C_l and C_l(1) overflow on S^1000 from degree 974 (545 on S^2000, 310
+    # on S^5000); q_l never leaves [-1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(unnormalised_recurrence(1000, 2000, 0.3)[974])
+    deltas = [-1.0, -0.999, 0.3, 0.7, 1.0]
+    for n in (1000, 2000, 5000):
+        table = tdelta_eigenvalues(n, 2000, deltas)
+        assert np.isfinite(table).all()
+        assert np.max(np.abs(table)) <= 1.0 + 1e-12
+        assert np.array_equal(table[:, -1], np.ones(2001))
+    for reports in tdelta_gap_report([1000, 5000], [0.3, 0.7], 2000):
+        assert all(math.isfinite(rep.value) for rep in reports)
 
 
 def test_batched_stheta_gap_matches_block_loop():

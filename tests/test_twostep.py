@@ -343,6 +343,34 @@ def test_convolution_brute_force_oracle():
         assert convolve(m1, m2).mass == pytest.approx(m1.mass * m2.mass)
 
 
+def _convolve_add_at(m1, m2):
+    """convolve through np.add.at, one product at a time in input order."""
+    model = m1.model
+    s1, s2 = np.nonzero(m1.weights)[0], np.nonzero(m2.weights)[0]
+    out = np.zeros(model.order)
+    np.add.at(out, model.mult[np.ix_(s1, s2)],
+              np.outer(m1.weights[s1], m2.weights[s2]))
+    return out
+
+
+def test_convolution_is_the_add_at_accumulation(oracle_models):
+    # bincount adds each bin's products in the order np.add.at does, so the
+    # weights agree bit for bit: dense, sparse, signed and empty measures
+    rng = np.random.default_rng(5)
+    for model in oracle_models:
+        n = model.order
+        dense = rng.random(n)
+        sparse = np.where(rng.random(n) < 0.3, rng.random(n), 0.0)
+        signed = rng.standard_normal(n)
+        point = np.eye(n)[rng.integers(n)]
+        for w1 in (dense, sparse, signed, point):
+            for w2 in (dense, sparse, signed, np.zeros(n)):
+                m1, m2 = FiniteMeasure(model, w1), FiniteMeasure(model, w2)
+                got = convolve(m1, m2).weights
+                assert np.array_equal(got, _convolve_add_at(m1, m2)), model.name
+                assert got.shape == (n,) and got.dtype == np.float64
+
+
 def test_convolution_group_mismatch():
     with pytest.raises(ValueError, match="different groups"):
         convolve(FiniteMeasure.uniform(cyclic_model(3)),

@@ -698,7 +698,7 @@ class CommandSpec:
     write_csv: object = _write_case_table
 
 
-_SU2_MAX_TWO_J = 48
+_SU2_MAX_TWO_J = 2000
 _ZIGZAG_MAX_RADIUS = 1000.0
 _KAK_MAX_ALPHA = 3.0
 _MAX_TOL = 1e-6
@@ -707,11 +707,8 @@ _MAX_TOL = 1e-6
 # goes unchecked (kak's --count may be 0: its alphas still get their cases),
 # and an order at least 3, since Z/1 and Z/2 have no lazy-walk gap.  The
 # bounds with a reason of their own:
-# - su2-gap --jmax (the largest 2j) stops at 48: above it the
-#   double-precision spin matrices come close to failing the unitarity
-#   check the library asserts, max |V V* - I| <= 1e-9 (on a 721-point theta
-#   grid the worst entry is 2.4e-10 at 2j = 48, and 2j = 53, at 1.1e-9, is
-#   the first that fails it);
+# - su2-gap --jmax (the largest 2j) stops at 2000: each d^j_mm(pi/2)
+#   column starts at 2^-|m|, a normal double through 2|m| = 2044;
 # - zigzag-cert --rmax lies in [1, 1000]: a walk takes about two steps per
 #   unit of radius, so the cap bounds the step arrays;
 # - cocycle-mc --samples starts at 50, where the cusp fit's threshold

@@ -6,9 +6,9 @@ lam = (n-1)/2 (Legendre values for n = 2).  The circle average S_theta on
 L2(SU(2)) acts on the spin-j block as the phi-average of the spin-j matrix
 of a fixed two-parameter unitary; entries are trig polynomials in phi of
 degree <= 2j, so an M-point trapezoid average with M > 2j is exact, and it
-is the diagonal of the phi = 0 matrix.  The spin matrices of every
-2j <= 2j_max come from one column recurrence in the orthonormal monomial
-basis, each spin from the one below, all asserted unitary.
+is the diagonal of the phi = 0 matrix, e^(-2im theta) d^j_mm(pi/2).  The
+gap needs only the moduli |d^j_mm(pi/2)|, from a three-term recurrence in j
+whose every row is checked against the character of the rotation.
 
 Norm gaps are suprema over the truncated degree range; the truncation is
 always reported together with an analytic Legendre envelope for the tail.
@@ -266,16 +266,7 @@ def _max_unitary_error(v: np.ndarray) -> float:
     """max |v v^* - I| over every entry of a matrix or a stack; NaN if any
     entry is NaN, so a comparison with it fails."""
     gram = v @ v.conj().swapaxes(-1, -2)
-    diagonal = np.einsum("...ii->...i", gram)
-    diagonal -= 1.0
-    return np.abs(gram).max(initial=0.0)
-
-
-def _assert_unitary(v: np.ndarray) -> None:
-    """Every entry of v v^* within 1e-9 of the identity's, diagonal and off
-    it alike."""
-    if not _max_unitary_error(v) <= 1e-9:
-        raise AssertionError("internal error: spin matrix is not unitary")
+    return np.abs(gram - np.eye(v.shape[-1])).max(initial=0.0)
 
 
 def spin_matrix(two_j: int, u: np.ndarray) -> np.ndarray:
@@ -284,7 +275,7 @@ def spin_matrix(two_j: int, u: np.ndarray) -> np.ndarray:
     Basis ordered by weight m = j, j-1, ..., -j, so two_j = 1 returns u
     itself.  A stack u of shape (k, 2, 2) gives the stack (k, dim, dim),
     from the column recurrence of ``_spin_levels``; unitarity of every
-    result is asserted, not assumed.
+    result is asserted, every entry of V V^* within 1e-9 of the identity's.
     """
     if two_j < 0:
         raise ValueError("2j must be >= 0")
@@ -294,42 +285,50 @@ def spin_matrix(two_j: int, u: np.ndarray) -> np.ndarray:
     out = np.empty((len(stack), dim, dim), dtype=complex)
     for rows, n, v in _spin_levels(stack, two_j):
         if n == two_j:
-            _assert_unitary(v)
+            if not _max_unitary_error(v) <= 1e-9:
+                raise AssertionError("internal error: spin matrix is not "
+                                     "unitary")
             out[rows] = v
     return out.reshape(u.shape[:-2] + (dim, dim))
 
 
-def _circle_averages(two_j: int, thetas: np.ndarray,
-                     quadrature_points: int) -> np.ndarray:
-    """phi-averages of the spins 2j' = 0..two_j over the M-point circle grid,
-    one row per theta, each block as its diagonal: row entries
-    n(n+1)/2 .. (n+1)(n+2)/2 - 1 hold the diagonal of spin n/2.
-
-    Entry (i2, i1) of the spin matrix carries the single phi-frequency
-    m2 - m1 = i1 - i2, so the M-point trapezoid average multiplies it by the
-    grid mean of exp(i*(i1-i2)*phi): exactly 1 when M | (i1-i2) and 0
-    otherwise.  With M > 2j only i1 = i2 survives, so the average is the
-    diagonal of the phi = 0 spin matrix -- the exact value of the finite
-    average, not a discretisation of it (the unit test cross-checks against
-    the literal M-term sum).  A diagonal block's norm is its largest
-    modulus, so each average is checked to stay a contraction.
+def _d_row(two_j: int, m2, last, before) -> np.ndarray:
+    """Row 2j of d^j_mm(pi/2) over the |m| (squares `m2`) of one parity,
+    from its rows 2j - 2 and 2j - 4, by the recurrence in j at cos(beta) = 0
+    (Edmonds 4.1.23; Varshalovich et al. 4.8), each column from 2^-|m|:
+        j((j+1)^2 - m^2) d^(j+1) = -(2j+1) m^2 d^j - (j+1)(j^2 - m^2) d^(j-1).
     """
-    if quadrature_points < 64:
-        raise ValueError("at least 64 quadrature points required")
-    if quadrature_points <= two_j:
-        raise ValueError("quadrature must resolve the top phi-frequency")
-    if two_j < 0:
-        raise ValueError("2j must be >= 0")
-    stack = su2_element(thetas, 0.0)
-    out = np.empty((len(stack), (two_j + 1) * (two_j + 2) // 2),
-                   dtype=complex)
-    for rows, n, v in _spin_levels(stack, two_j):
-        _assert_unitary(v)
-        out[rows, n * (n + 1) // 2:(n + 1) * (n + 2) // 2] = np.diagonal(
-            v, axis1=-2, axis2=-1)
-    if np.abs(out).max(initial=0.0) > 1.0 + 1e-12:
-        raise AssertionError("internal error: average of unitaries expanded")
-    return out
+    row = np.zeros_like(last)
+    born, j = two_j // 2, two_j / 2.0 - 1.0      # born: columns |m| < j + 1
+    if two_j > 2:                # d^1_00 = 0: the j = 0 step divides by 0
+        s, d1, d0 = m2[:born], last[:born], before[:born]
+        row[:born] = -((2.0 * j + 1.0) * s * d1 + (j + 1.0) * (j * j - s)
+                       * d0) / (j * ((j + 1.0) ** 2 - s))
+    row[born] = 2.0 ** (-two_j / 2.0)
+    return row
+
+
+def _diagonal_maxima(two_j_max: int) -> np.ndarray:
+    """Entry k = 2|m| is max over 2j <= two_j_max of |d^j_mm(pi/2)|, one
+    `_d_row` at a time.  Every row must meet the character, sum_m d^j_mm =
+    sqrt(2) sin((2j+1) pi/4), and every entry be finite and at most 1."""
+    m2 = [(np.arange(p, two_j_max + 1, 2) / 2.0) ** 2 for p in (0, 1)]
+    rows = [(np.zeros_like(s), np.zeros_like(s)) for s in m2]
+    best, miss = np.zeros(two_j_max + 1), np.empty(two_j_max + 1)
+    for two_j in range(two_j_max + 1):
+        p = two_j % 2
+        row = _d_row(two_j, m2[p], rows[p][1], rows[p][0])
+        rows[p] = rows[p][1], row
+        miss[two_j] = (2.0 * row.sum() - (1 - p) * row[0] - math.sqrt(2.0)
+                       * math.sin((two_j + 1) * math.pi / 4.0))
+        np.maximum(best[p::2], np.abs(row), out=best[p::2])
+    if not best.max() <= 1.0:                     # NaN fails it too
+        raise AssertionError("internal error: d^j(pi/2) entry not finite or >1")
+    off = np.flatnonzero(~(np.abs(miss) <= 1e-9))
+    if off.size:
+        raise AssertionError(f"internal error: d^j(pi/2) row {off[0]} misses "
+                             "its character")
+    return best
 
 
 def stheta_norm_gap(theta, two_j_max: int = 40,
@@ -337,17 +336,21 @@ def stheta_norm_gap(theta, two_j_max: int = 40,
                     base_theta: float = np.pi / 4):
     """sup over spins 2j <= two_j_max of ||block_j(theta) - block_j(base)||.
 
-    The blocks are diagonal, so each norm is the largest modulus of the
-    diagonal difference.  A scalar theta gives a float; a 1-D sequence of
-    thetas gives an array of gaps in its order, from one recurrence over
-    all of them and the base point.
+    With M > 2j quadrature points, and only then, block_j(theta) is the
+    diagonal e^(-2im theta) d^j_mm(pi/2): the gap is the max over 2|m| <=
+    two_j_max of e(m) 2|sin(m (theta - base))|, e(m) from `_diagonal_maxima`.
+    A scalar theta gives a float, a 1-D sequence an array.
     """
     if two_j_max < 1:
         raise ValueError("need at least spin 1/2")
+    if quadrature_points < 64:
+        raise ValueError("at least 64 quadrature points required")
+    if quadrature_points <= two_j_max:
+        raise ValueError("quadrature must resolve the top phi-frequency")
     thetas, scalar = _batch(theta, "theta")
-    diags = _circle_averages(two_j_max, np.append(thetas, base_theta),
-                             quadrature_points)
-    best = np.abs(diags[:-1] - diags[-1]).max(axis=1)
+    m = np.arange(1, two_j_max + 1) / 2.0
+    sines = np.abs(np.sin(np.outer(thetas - base_theta, m)))
+    best = (2.0 * _diagonal_maxima(two_j_max)[1:] * sines).max(axis=1)
     return float(best[0]) if scalar else best
 
 

@@ -378,7 +378,7 @@ class TwoStepRep:
         self.u_stack = None     # populated by sandwich_twostep
         self.A = None
         self.B = None
-        self._pi = np.einsum("gij,jk->gik", pi1, pi0[model.identity])
+        self._pi = pi1 @ pi0[model.identity]
         self._check_relation(seed)
         self._check_growth(norms)
 
@@ -497,8 +497,8 @@ def sandwich_twostep(model, u_stack, A, B, weights=None, rate=0.0) -> TwoStepRep
         if w.shape != (A.shape[1],) or np.any(w <= 0):
             raise ValueError("weights must be positive, one per X0 coordinate")
         A = A * w[None, :]
-    pi0 = np.einsum("gij,jk->gik", u, A)
-    pi1 = np.einsum("ij,gjk->gik", B, u)
+    pi0 = u @ A
+    pi1 = B @ u
     scale = np.exp(-float(rate) * model.lengths.astype(float))
     norms = np.maximum(_opnorms(pi0), _opnorms(pi1))
     L = float((norms * scale).max())

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -323,15 +324,30 @@ def test_sdelta_decay_refuses_the_modulus_before_any_block(tmp_path, capsys,
 def test_su2_gap_jmax_bound_exits_two(tmp_path, capsys):
     out = tmp_path / "su2.csv"
     bound = cli._SU2_MAX_TWO_J
-    assert bound < 51
-    for too_big in (51, bound + 1):
-        assert run_main(["su2-gap", f"--jmax={too_big}", "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: su2-gap:") and str(bound) in err
-        assert "Traceback" not in err
-        assert not out.exists()
-    assert run_main(["su2-gap", f"--jmax={bound}", "--theta=0.3,2.0",
-                     "--out", out]) == 0
+    # every d^j_mm(pi/2) column starts at 2^-|m|: a normal double up to 2j
+    assert 2.0 ** -(bound / 2) >= sys.float_info.min
+    assert run_main(["su2-gap", f"--jmax={bound + 1}", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: su2-gap:") and str(bound) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert run_main(["su2-gap", f"--jmax={bound}", f"--qpoints={bound + 1}",
+                     "--theta=0.3,2.0", "--out", out]) == 0
+    values = [float(line.split(",")[1])
+              for line in out.read_text().splitlines()[3:]]
+    assert len(values) == 2 and all(map(math.isfinite, values))
+
+
+def test_su2_gap_refuses_unresolved_quadrature(tmp_path, capsys):
+    # from 2j = 128 on, the default 128 points no longer resolve the top
+    # phi-frequency: the library's refusal is a bad-input exit
+    out = tmp_path / "su2.csv"
+    assert run_main(["su2-gap", "--jmax=200", "--qpoints=128",
+                     "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: su2-gap:") and "phi-frequency" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_negative_seed_names_the_flag(tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 The slow reference paths live here as test oracles: Gauss-Jacobi
 quadrature of the zonal average, the literal M-term circle average, the
-scalar Gegenbauer recurrence, the spin matrices as sums over a triple-loop
-monomial table, and the gap as a norm of masked spin blocks per spin.
+circle averages as diagonals of the recurrence's spin matrices, the scalar
+Gegenbauer recurrence, the spin matrices as sums over a triple-loop
+monomial table, the d^j_mm(pi/2) table as an exact integer sum, and the gap
+as a norm of masked spin blocks per spin.
 """
 import functools
 import math
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import eval_gegenbauer, roots_jacobi
 
-from gaplab import cli, spheres
+from gaplab import spheres
 from gaplab.spheres import (fit_stheta_constant, legendre_envelope,
                             spin_half_gap, spin_matrix, stheta_norm_gap,
                             su2_element, tdelta_eigenvalues,
@@ -100,10 +102,82 @@ def gap_reports_oracle(n, deltas, max_degree):
     return reports
 
 
+# 2j up to which the spin-matrix recurrence is held to its 1e-9 checks: at
+# 2j = 48 the worst unitarity error on a 721-point theta grid is 2.4e-10,
+# and 2j = 53, at 1.1e-9, is the first that fails
+SPIN_RECURRENCE_TWO_J = 48
+
+
+def circle_averages(two_j, thetas, quadrature_points):
+    """phi-averages of the spins 2j' = 0..two_j over the M-point circle grid,
+    one row per theta, each block as its diagonal: row entries
+    n(n+1)/2 .. (n+1)(n+2)/2 - 1 hold the diagonal of spin n/2.
+
+    Entry (i2, i1) of the spin matrix carries the single phi-frequency
+    m2 - m1 = i1 - i2, so the M-point trapezoid average multiplies it by the
+    grid mean of exp(i*(i1-i2)*phi): exactly 1 when M | (i1-i2) and 0
+    otherwise.  With M > 2j only i1 = i2 survives, so the average is the
+    diagonal of the phi = 0 spin matrix, every one of them asserted
+    unitary.  A diagonal block's norm is its largest modulus, so each
+    average is checked to stay a contraction.
+    """
+    if quadrature_points < 64:
+        raise ValueError("at least 64 quadrature points required")
+    if quadrature_points <= two_j:
+        raise ValueError("quadrature must resolve the top phi-frequency")
+    stack = spheres.su2_element(np.asarray(thetas, dtype=float), 0.0)
+    out = np.empty((len(stack), (two_j + 1) * (two_j + 2) // 2),
+                   dtype=complex)
+    for rows, n, v in spheres._spin_levels(stack, two_j):
+        if not spheres._max_unitary_error(v) <= 1e-9:
+            raise AssertionError("internal error: spin matrix is not unitary")
+        out[rows, n * (n + 1) // 2:(n + 1) * (n + 2) // 2] = np.diagonal(
+            v, axis1=-2, axis2=-1)
+    if np.abs(out).max(initial=0.0) > 1.0 + 1e-12:
+        raise AssertionError("internal error: average of unitaries expanded")
+    return out
+
+
 def averaged_block(two_j, theta, quadrature_points=128):
-    """The phi-averaged spin-(two_j/2) block: `_circle_averages`' diagonal."""
-    row = spheres._circle_averages(two_j, [theta], quadrature_points)[0]
+    """The phi-averaged spin-(two_j/2) block: `circle_averages`' diagonal."""
+    row = circle_averages(two_j, [theta], quadrature_points)[0]
     return np.diag(row[two_j * (two_j + 1) // 2:])
+
+
+def circle_average_gap(thetas, two_j_max, quadrature_points,
+                       base_theta=np.pi / 4):
+    """The gap as the largest modulus of the diagonal block differences of
+    `circle_averages`, over every spin at once."""
+    diags = circle_averages(two_j_max, np.append(thetas, base_theta),
+                            quadrature_points)
+    return np.abs(diags[:-1] - diags[-1]).max(axis=1)
+
+
+def exact_d_sums(two_j):
+    """sum_k (-1)^k C(j+m, k) C(j-m, k) for 2|m| = 2j mod 2, ..., 2j, each
+    term from the one before in integers: 2^j d^j_mm(pi/2)."""
+    out = []
+    for k in range(two_j % 2, two_j + 1, 2):
+        a, b = (two_j + k) // 2, (two_j - k) // 2
+        total, term = 0, 1
+        for i in range(b + 1):
+            total += -term if i % 2 else term
+            term = term * (a - i) * (b - i) // ((i + 1) ** 2)
+        out.append(total)
+    return out
+
+
+def recorded_d_rows(monkeypatch, two_j_max):
+    """Every row `_diagonal_maxima(two_j_max)` steps through, by 2j."""
+    rows, step = {}, spheres._d_row
+
+    def record(two_j, *args):
+        rows[two_j] = step(two_j, *args)
+        return rows[two_j]
+
+    monkeypatch.setattr(spheres, "_d_row", record)
+    spheres._diagonal_maxima(two_j_max)
+    return rows
 
 
 def stheta_block_summed(two_j, theta, quadrature_points=128):
@@ -516,7 +590,7 @@ def test_spin_recurrence_matches_monomial_oracle():
     thetas, phis = np.meshgrid(np.linspace(0.1, 2.0 * np.pi, 9),
                                np.linspace(0.0, 2.0 * np.pi, 5))
     u = su2_element(thetas.ravel(), phis.ravel())
-    for two_j in range(cli._SU2_MAX_TWO_J + 1):
+    for two_j in range(SPIN_RECURRENCE_TWO_J + 1):
         got = spin_matrix(two_j, u)
         assert np.abs(got - spin_matrix_monomial(two_j, u)).max() <= 1e-9
 
@@ -525,7 +599,8 @@ def test_stheta_gap_matches_masked_svd_oracle():
     rng = np.random.default_rng(10)
     thetas = np.concatenate([[0.0, np.pi / 4, np.pi],
                              rng.uniform(0.0, 2.0 * np.pi, 9)])
-    for two_j_max, points in ((12, 64), (40, 128), (cli._SU2_MAX_TWO_J, 97)):
+    for two_j_max, points in ((12, 64), (40, 128),
+                              (SPIN_RECURRENCE_TWO_J, 97)):
         got = stheta_norm_gap(thetas, two_j_max, points)
         want = stheta_gap_masked_svd(thetas, two_j_max, points)
         assert np.abs(got - want).max() <= 1e-13
@@ -554,30 +629,76 @@ def test_gap_checks_fire_on_the_stacked_path(monkeypatch):
             return factor * g
         return make
 
-    # every spin of the recurrence is asserted unitary
+    # every spin of the oracle's recurrence is asserted unitary
     monkeypatch.setattr(spheres, "su2_element", scaled(1.001))
     with pytest.raises(AssertionError, match="not unitary"):
-        stheta_norm_gap([0.2, 1.0], 12, 64)
+        circle_average_gap([0.2, 1.0], 12, 64)
     # diag(e^-i theta, e^i theta)(1 + 1e-11) passes the unitarity check up
     # to 2j = 12, |V V* - I| <= (1 + 1e-11)^24 - 1 < 1e-9, but its averages
     # have modulus (1 + 1e-11)^2j > 1 + 1e-12
     monkeypatch.setattr(spheres, "su2_element", scaled(1.0 + 1e-11, True))
     with pytest.raises(AssertionError, match="expanded"):
-        stheta_norm_gap([0.2, 1.0], 12, 64)
+        circle_average_gap([0.2, 1.0], 12, 64)
     # (1 + 1e-7) is within an rtol of 1e-5 on the Gram diagonal, but every
     # entry of the Gram matrix is held to 1e-9 absolute
     monkeypatch.setattr(spheres, "su2_element", scaled(1.0 + 1e-7, True))
     with pytest.raises(AssertionError, match="not unitary"):
-        stheta_norm_gap([0.2, 1.0], 12, 64)
+        circle_average_gap([0.2, 1.0], 12, 64)
 
 
-def test_spin_matrices_unitary_at_cli_bound():
-    # the su2-gap driver caps 2j where every matrix of this grid passes
+def test_spin_matrices_unitary_at_certified_bound():
+    # every matrix of this grid passes up to the recurrence's certified 2j
     thetas = np.linspace(0.0, 2.0 * np.pi, 721, endpoint=False)
-    two_j = cli._SU2_MAX_TWO_J
+    two_j = SPIN_RECURRENCE_TWO_J
     stack = spin_matrix(two_j, su2_element(thetas, 0.0))
     gram = stack @ stack.conj().swapaxes(-1, -2)
     assert np.abs(gram - np.eye(two_j + 1)).max() <= 1e-9
+
+
+def test_d_table_matches_the_exact_sum(monkeypatch):
+    # squares, so that half-integer j needs no sqrt(2); signs separately
+    for two_j_max, checked in ((60, range(61)), (2000, (1999, 2000))):
+        rows = recorded_d_rows(monkeypatch, two_j_max)
+        for two_j in checked:
+            sums = exact_d_sums(two_j)
+            got = rows[two_j][:len(sums)]
+            want = [float(Fraction(s * s, 2 ** two_j)) for s in sums]
+            assert np.abs(got ** 2 - want).max() <= 1e-15
+            assert np.array_equal(np.sign(got)[np.nonzero(sums)],
+                                  np.sign(sums)[np.nonzero(sums)])
+
+
+def test_d_table_maxima_are_the_column_maxima(monkeypatch):
+    rows = recorded_d_rows(monkeypatch, 60)
+    best = spheres._diagonal_maxima(60)
+    for k in range(61):
+        column = [abs(rows[two_j][k // 2]) for two_j in range(k, 61, 2)]
+        assert best[k] == max(column)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (1e-8, r"^internal error: d\^j\(pi/2\) row 30 misses its character$"),
+    (np.nan, r"^internal error: d\^j\(pi/2\) entry not finite")])
+def test_character_check_fires_on_a_corrupt_entry(monkeypatch, bad, message):
+    step = spheres._d_row
+
+    def corrupted(two_j, *args):
+        row = step(two_j, *args)
+        if two_j == 30:
+            row[1] = bad if np.isnan(bad) else row[1] + bad
+        return row
+
+    monkeypatch.setattr(spheres, "_d_row", corrupted)
+    with pytest.raises(AssertionError, match=message):
+        stheta_norm_gap([0.2, 1.0], 40, 128)
+
+
+def test_stheta_gap_refuses_unresolved_quadrature():
+    with pytest.raises(ValueError, match="64 quadrature points"):
+        stheta_norm_gap(0.5, 12, 63)
+    with pytest.raises(ValueError, match="top phi-frequency"):
+        stheta_norm_gap(0.5, 200, 128)
+    assert math.isfinite(stheta_norm_gap(0.5, 127, 128))
 
 
 _angles = arrays(np.float64, st.integers(1, 6),

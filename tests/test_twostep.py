@@ -435,6 +435,37 @@ def test_opnorms_match_per_matrix_loop(oracle_models):
     assert float(_opnorms(single)) == np.linalg.norm(single, 2)
 
 
+def _family_products_oracle(rep):
+    """pi0 = u A, pi1 = B u and pi = pi1 pi0(e) of a sandwich family, each
+    as the per-element einsum they were once formed by."""
+    pi0 = np.einsum("gij,jk->gik", rep.u_stack, rep.A)
+    pi1 = np.einsum("ij,gjk->gik", rep.B, rep.u_stack)
+    return pi0, pi1, np.einsum("gij,jk->gik", pi1, pi0[rep.model.identity])
+
+
+def test_family_products_match_the_einsum_oracle():
+    # identity and permutation factors only move entries, so the BLAS
+    # products are the einsum bit for bit; random factors agree to 4 ulp
+    # of the largest entry
+    rng = np.random.default_rng(24)
+    ulp = np.finfo(float).eps
+    for d in range(2, 32):
+        model = cyclic_model(d)
+        lam = model.left_regular_stack()
+        perm = np.eye(d)[rng.permutation(d)]
+        for A, B in ((np.eye(d), np.eye(d)), (perm, perm.T),
+                     (np.eye(d)[:, :3], perm[:2])):
+            rep = sandwich_twostep(model, lam, A, B)
+            for got, want in zip((rep._pi0, rep._pi1, rep.pi_stack()),
+                                 _family_products_oracle(rep)):
+                assert np.array_equal(got, want)
+        rep = sandwich_twostep(model, lam, rng.standard_normal((d, 3)),
+                               rng.standard_normal((4, d)))
+        for got, want in zip((rep._pi0, rep._pi1, rep.pi_stack()),
+                             _family_products_oracle(rep)):
+            assert np.abs(got - want).max() <= 4 * ulp * np.abs(want).max()
+
+
 def test_sandwich_identity_is_the_rep_itself():
     z3 = cyclic_model(3)
     lam = z3.left_regular_stack()

@@ -21,6 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
+_MEMBERSHIP_TOL = 1e-9      # entry slack of the SO(3) and zero-pattern tests
+_ENDPOINT_TOL = 1e-10       # |log norm - r| snapping delta to 0 or 1
+
 # ---------------------------------------------------------------------------
 # real side
 
@@ -126,23 +129,23 @@ def k_delta_real(delta: float) -> RealGroupElement:
     return RealGroupElement(_k_delta_matrices(delta))
 
 
-def is_special_orthogonal(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """Every entry of m m^T within tol of the identity's, and det m within
-    tol of 1."""
-    return bool(np.abs(m @ m.T - np.eye(3)).max() <= tol
-                and abs(np.linalg.det(m) - 1.0) < tol)
+def is_special_orthogonal(m: np.ndarray) -> bool:
+    """Every entry of m m^T within `_MEMBERSHIP_TOL` of the identity's, and
+    det m within it of 1."""
+    return bool(np.abs(m @ m.T - np.eye(3)).max() <= _MEMBERSHIP_TOL
+                and abs(np.linalg.det(m) - 1.0) < _MEMBERSHIP_TOL)
 
 
 _U_ZERO = [(0, 1), (0, 2), (1, 0), (2, 0)]          # {(*,0,0),(0,*,*),(0,*,*)}
 _UTILDE_ZERO = [(0, 2), (1, 2), (2, 0), (2, 1)]     # {(*,*,0),(*,*,0),(0,0,*)}
 
 
-def in_u_pattern(m: np.ndarray, tol: float = 1e-9) -> bool:
-    return all(abs(m[i, j]) <= tol for i, j in _U_ZERO)
+def in_u_pattern(m: np.ndarray) -> bool:
+    return all(abs(m[i, j]) <= _MEMBERSHIP_TOL for i, j in _U_ZERO)
 
 
-def in_utilde_pattern(m: np.ndarray, tol: float = 1e-9) -> bool:
-    return all(abs(m[i, j]) <= tol for i, j in _UTILDE_ZERO)
+def in_utilde_pattern(m: np.ndarray) -> bool:
+    return all(abs(m[i, j]) <= _MEMBERSHIP_TOL for i, j in _UTILDE_ZERO)
 
 
 @dataclass
@@ -249,13 +252,13 @@ def distorted_length(alpha: float, delta):
     return np.array([math.log(v) for v in top.tolist()])
 
 
-def solve_sphere_distortion(alpha: float, r, tol: float = 1e-10):
+def solve_sphere_distortion(alpha: float, r):
     """Find delta with log||D_a k_delta D_a|| = r and the flanking rotations.
 
     r_alpha is continuous and increasing from alpha (delta = 0) to 4*alpha
-    (delta = 1); bisection to |log norm - r| <= tol.  The flanking factors
-    come from the SVD of the upper 2x2 block, embedded so both land in
-    SO(3) with the (*,*,0 / *,*,0 / 0,0,*) block pattern.
+    (delta = 1); bisection, with an r within `_ENDPOINT_TOL` of an end snapped
+    to it.  The flanking factors come from the SVD of the upper 2x2 block,
+    embedded so both land in SO(3) with the (*,*,0 / *,*,0 / 0,0,*) pattern.
 
     A scalar r gives one `SphereDistortion`, a sequence a list of them in
     order.  All r are bisected together, one stacked `distorted_length`
@@ -291,9 +294,9 @@ def solve_sphere_distortion(alpha: float, r, tol: float = 1e-10):
         live = live[moved & ~(hi[live] - lo[live] < 1e-16)]
     delta = 0.5 * (lo + hi)
     # polish the endpoint cases where bisection cannot do better; delta = 0
-    # wins where both ends are within tol
+    # wins where both ends are within _ENDPOINT_TOL
     at_end = np.abs(distorted_length(alpha, np.array([0.0, 1.0]))[:, None]
-                    - rs) <= tol
+                    - rs) <= _ENDPOINT_TOL
     delta[at_end[1]] = 1.0
     delta[at_end[0]] = 0.0
 

@@ -36,6 +36,8 @@ from .cartan import _det3, _matmul3
 from .residue import (AdditiveCharacter, ResidueRing, RingElem,
                       character_decompose, valuation)
 
+_ROW_BLOCK = 2048       # dense rows `verify_S_decomposition` forms per step
+
 
 # ---------------------------------------------------------------------------
 # kernels and dense materialisation
@@ -262,9 +264,9 @@ def operator_norm(op, method: str = "auto", tolerance: float = 1e-12,
                   max_iterations: int = 5000, seed: int = 7) -> NormReport:
     """Operator norm with an explicit method report.
 
-    * full-svd: complete singular spectrum of the dense matrix (direct SVD,
-      or the eigenvalues of the Hermitian square for large dimensions --
-      identical values, considerably cheaper).
+    * full-svd (dense operands): the square root of the largest eigenvalue
+      of the Hermitian square A^H A, one `eigvalsh` at every dimension and
+      every scale; it agrees with a direct SVD to within 8 dim eps ||A||.
     * power-iteration: Rayleigh iteration on A*A.  On a stamp operator a
       step is one ``gram_apply``: 4 FFT passes and 2 gathers with the plan
       the operator keeps, no dense matrix; a dense operand takes
@@ -292,12 +294,7 @@ def operator_norm(op, method: str = "auto", tolerance: float = 1e-12,
     method = method.lower()
 
     if method == "auto":
-        if applier is not None:
-            method = "exact-decomposition"
-        elif dim <= 4096:
-            method = "full-svd"
-        else:
-            method = "power-iteration"
+        method = "exact-decomposition" if applier is not None else "full-svd"
 
     if method == "exact-decomposition":
         if applier is None:
@@ -310,11 +307,12 @@ def operator_norm(op, method: str = "auto", tolerance: float = 1e-12,
     if method == "full-svd":
         if dense is None:
             raise ValueError("full-svd needs a dense operator")
-        if dim >= 2048:
-            gram = dense.conj().T @ dense
-            val = float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
-        else:
-            val = float(np.linalg.svd(dense, compute_uv=False)[0])
+        # largest entry scaled into [0.5, 1) exactly: A^H A stays in range
+        exp = int(np.frexp(np.abs(dense).max())[1])
+        unit = np.array(dense, dtype=complex)
+        np.ldexp(unit.view(float), -exp, out=unit.view(float))
+        top = np.linalg.eigvalsh(unit.conj().T @ unit)[-1]
+        val = float(np.ldexp(np.sqrt(max(top, 0.0)), exp))
         return NormReport(val, "full-svd", 0.0, 0, True, dim)
 
     if method != "power-iteration":
@@ -404,8 +402,8 @@ def fourier_diagonalize_S_delta(ring: ResidueRing) -> FourierBlocks:
 # decomposition of shifted averages into character averages
 
 
-def verify_S_decomposition(ring: ResidueRing, a: RingElem, b: RingElem,
-                           row_block: int = 2048) -> float:
+def verify_S_decomposition(ring: ResidueRing, a: RingElem,
+                           b: RingElem) -> float:
     """Max-entry residual of S_{n,delta(a)} - S_{n,delta(b)}
     = sum_chi t_chi S_{n,chi}, materialising both sides densely."""
     if a.ring != b.ring:
@@ -421,8 +419,8 @@ def verify_S_decomposition(ring: ResidueRing, a: RingElem, b: RingElem,
     terms = [(_kernel_s_chi(ring, chi), t)
              for chi, t in character_decompose(a, b).items() if abs(t) > 0.0]
     worst = 0.0
-    for start in range(0, m * m, row_block):
-        rows = np.arange(start, min(start + row_block, m * m))
+    for start in range(0, m * m, _ROW_BLOCK):
+        rows = np.arange(start, min(start + _ROW_BLOCK, m * m))
         tau = _shift_index(m, rows)
         lhs = lhs_kernel[tau]
         rhs = np.zeros_like(lhs)

@@ -46,6 +46,8 @@ import numpy as np
 _HALF = Fraction(1, 2)
 _MEMBER_TOL = 1e-10
 _DET_TOL = 1e-12
+_FLOAT_STEPS = 120        # step cap of the float reduction loop
+_EXACT_STEPS = 10000      # step cap of the exact (Fraction) reduction loop
 _RECON_TOL = 1e-9
 _INT64_GUARD = 2 ** 62
 _MIN_COLUMN_SQUARE = 2.0 ** -1022   # keeps y = 1/(a^2 + c^2) finite
@@ -101,7 +103,7 @@ def _check_unimodular(g):
     m, entries = _as_matrix(g)
     a, b, c, d = entries
     det = a * d - b * c
-    if abs(det - 1.0) > 1e-12 * max(1.0, _sumsq4(entries)):
+    if abs(det - 1.0) > _det_tol(entries):
         raise ValueError(f"matrix must have determinant 1, got {det!r}")
     return m, entries
 
@@ -211,14 +213,14 @@ def _reduce_point(x, y):
     unit-arc is folded onto the left.
     """
     try:
-        proposal = _reduce(float(x), float(y), 0.5, 120)
+        proposal = _reduce(float(x), float(y), 0.5, _FLOAT_STEPS)
     except OverflowError:       # a coordinate past the float range
         proposal = None
     gamma = (1, 0, 0, 1)
     if proposal is not None:
         gamma = proposal[0]
         x, y = _mobius_int(gamma, x, y)
-    reduced = _reduce(x, y, _HALF, 10000)
+    reduced = _reduce(x, y, _HALF, _EXACT_STEPS)
     if reduced is None:
         raise RuntimeError("fundamental-domain reduction did not terminate")
     tail, x, y = reduced
@@ -337,7 +339,7 @@ def _split(g, w):
     a, _, c, _ = m
     gamma = None
     if a * a + c * c > 0.0:
-        reduced = _reduce(*_point_of_inverse(m), 0.5, 120)
+        reduced = _reduce(*_point_of_inverse(m), 0.5, _FLOAT_STEPS)
         gamma = reduced and reduced[0]
     # entries past 2^26 never certify; checking here keeps float() exact
     if (gamma is None or max(map(abs, gamma)) >= 1 << 26
@@ -347,7 +349,7 @@ def _split(g, w):
     return gamma, _rounded_representative(g, w, gamma), m
 
 
-def _reduce_float_batch(x, y, max_iter=120):
+def _reduce_float_batch(x, y):
     """The float loop of ``_reduce`` over arrays: candidate integer matrices
     as four float arrays.  A row that fails to settle, or turns non-finite,
     gives a candidate that the certificate rejects."""
@@ -356,7 +358,7 @@ def _reduce_float_batch(x, y, max_iter=120):
     gamma = np.zeros((4, x.size))
     gamma[0] = gamma[3] = 1.0
     live = np.arange(x.size)
-    for _ in range(max_iter):
+    for _ in range(_FLOAT_STEPS):
         if not live.size:
             break
         xl, yl, gl = x[live], y[live], gamma[:, live]
@@ -519,11 +521,10 @@ class SiegelPoint:
         """Half the hyperbolic distance from i to the associated point.
 
         Agrees with ``element_length(self.matrix)``: both equal log of the
-        largest singular value of omega.  Formed as ``_point_lengths`` forms
-        it, finite for every y up to the float range.
+        largest singular value of omega.  It is ``_point_lengths`` of the
+        point, finite for every y up to the float range.
         """
-        x, y = self._x, self._y
-        return 0.5 * math.acosh(y / 2.0 + (x * x + 1.0) / (2.0 * y))
+        return float(_point_lengths(self._x, self._y))
 
     @property
     def rotation(self):
@@ -1068,14 +1069,13 @@ def pushforward_mn0(m_tilde, n, domain_samples, weights=None):
     return LatticeMeasure(entries)
 
 
-def truncate_tail(m0, n, ball_radius=None):
-    """Condition a probability measure on the radius ball.
+def truncate_tail(m0, radius):
+    """Condition a probability measure on the ball of lengths <= radius.
 
     Returns (truncated, tail_mass) where the truncation is renormalized to
     mass one and tail_mass is the removed mass.  The total-variation distance
     to the input is exactly 2 * tail_mass for probability inputs.
     """
-    radius = float(n if ball_radius is None else ball_radius)
     inside, outside_mass = {}, 0.0
     for (key, weight), ell in zip(m0.items(), m0.lengths().tolist()):
         if ell <= radius + 1e-12:

@@ -43,6 +43,7 @@ def _batch(values, what):
 # grid to its suprema: bounds the table to half a MB however many degrees,
 # dimensions and deltas it is handed
 _GEGENBAUER_ENTRY_BUDGET = 1 << 16
+_BASE_THETA = np.pi / 4     # the angle su2-gap measures every gap from
 
 
 def _checked_deltas(delta):
@@ -332,13 +333,12 @@ def _diagonal_maxima(two_j_max: int) -> np.ndarray:
 
 
 def stheta_norm_gap(theta, two_j_max: int = 40,
-                    quadrature_points: int = 128,
-                    base_theta: float = np.pi / 4):
-    """sup over spins 2j <= two_j_max of ||block_j(theta) - block_j(base)||.
+                    quadrature_points: int = 128):
+    """sup over spins 2j <= two_j_max of ||block_j(theta) - block_j(pi/4)||.
 
     With M > 2j quadrature points, and only then, block_j(theta) is the
     diagonal e^(-2im theta) d^j_mm(pi/2): the gap is the max over 2|m| <=
-    two_j_max of e(m) 2|sin(m (theta - base))|, e(m) from `_diagonal_maxima`.
+    two_j_max of e(m) 2|sin(m (theta - pi/4))|, e(m) from `_diagonal_maxima`.
     A scalar theta gives a float, a 1-D sequence an array.
     """
     if two_j_max < 1:
@@ -349,14 +349,14 @@ def stheta_norm_gap(theta, two_j_max: int = 40,
         raise ValueError("quadrature must resolve the top phi-frequency")
     thetas, scalar = _batch(theta, "theta")
     m = np.arange(1, two_j_max + 1) / 2.0
-    sines = np.abs(np.sin(np.outer(thetas - base_theta, m)))
+    sines = np.abs(np.sin(np.outer(thetas - _BASE_THETA, m)))
     best = (2.0 * _diagonal_maxima(two_j_max)[1:] * sines).max(axis=1)
     return float(best[0]) if scalar else best
 
 
-def spin_half_gap(theta: float, base_theta: float = np.pi / 4) -> float:
-    """Closed form at spin 1/2: sqrt(2)*|sin((theta-base)/2)|."""
-    return math.sqrt(2.0) * abs(math.sin((theta - base_theta) / 2.0))
+def spin_half_gap(theta: float) -> float:
+    """Spin-1/2 term of `stheta_norm_gap`: sqrt(2)*|sin((theta-pi/4)/2)|."""
+    return math.sqrt(2.0) * abs(math.sin((theta - _BASE_THETA) / 2.0))
 
 
 def fit_stheta_constant(two_j_max: int = 40, quadrature_points: int = 128,
@@ -365,7 +365,7 @@ def fit_stheta_constant(two_j_max: int = 40, quadrature_points: int = 128,
     if thetas is None:
         thetas = np.linspace(0.0, 2.0 * np.pi, 41, endpoint=False)
     thetas, _ = _batch(thetas, "thetas")
-    dists = np.abs(thetas - np.pi / 4)
+    dists = np.abs(thetas - _BASE_THETA)
     keep = dists >= 1e-12
     gaps = stheta_norm_gap(thetas[keep], two_j_max, quadrature_points)
     return max([0.0] + [g / d ** 0.25 for g, d

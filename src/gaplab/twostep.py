@@ -23,6 +23,7 @@ import numpy as np
 _RELATION_TOL = 1e-10
 _REGULAR_CAP = 400
 _EXHAUSTIVE_ORDER = 64
+_RELATION_SEED = 5      # draws the sampled pairs above _EXHAUSTIVE_ORDER
 _NOISE_FLOOR = 100 * np.finfo(float).eps
 # A fitted total decay t * (window length - 1) at or below this is a flat
 # sequence: its first and last fitted values agree to about one part in 1e9.
@@ -360,7 +361,7 @@ class TwoStepRep:
     (L, s) the same way.
     """
 
-    def __init__(self, model, pi0, pi1, L, s, seed=5, norms=None):
+    def __init__(self, model, pi0, pi1, L, s, norms=None):
         pi0 = np.asarray(pi0)
         pi1 = np.asarray(pi1)
         n = model.order
@@ -379,7 +380,7 @@ class TwoStepRep:
         self.A = None
         self.B = None
         self._pi = pi1 @ pi0[model.identity]
-        self._check_relation(seed)
+        self._check_relation()
         self._check_growth(norms)
 
     @property
@@ -398,7 +399,7 @@ class TwoStepRep:
     def pi_stack(self):
         return self._pi
 
-    def _check_relation(self, seed):
+    def _check_relation(self):
         """The largest entry of pi1(x) pi0(y) - pi(x y): over every pair for
         orders <= 64, over 10^4 random pairs beyond; raises above
         `_RELATION_TOL`.
@@ -419,7 +420,7 @@ class TwoStepRep:
                 lhs = (self._pi1[x] @ row).reshape(i, n, k)
                 worst = max(worst, float(np.max(np.abs(lhs - pi_t[:, mult[x]]))))
         else:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(_RELATION_SEED)
             xs = rng.integers(0, n, size=10000)
             ys = rng.integers(0, n, size=10000)
             for x, y in zip(xs, ys):
@@ -521,16 +522,16 @@ class _FitResult(NamedTuple):
     window: tuple
 
 
-def _log_linear_fit(ns, values, floor=_NOISE_FLOOR) -> Optional[_FitResult]:
+def _log_linear_fit(ns, values) -> Optional[_FitResult]:
     """Fit values ~ C e^{-t n} by least squares on the log scale.
 
-    The window is the largest suffix of the above-floor region: entries at
-    or below `floor` are numerical noise and are discarded, then the fit
+    The window is the largest suffix of the above-floor region: entries at or
+    below `_NOISE_FLOOR` are numerical noise and are discarded, then the fit
     runs over the trailing contiguous run of what remains.
     """
     ns = np.asarray(ns, dtype=float)
     vals = np.asarray(values, dtype=float)
-    mask = vals > floor
+    mask = vals > _NOISE_FLOOR
     if not mask.any():
         return None
     last = int(np.nonzero(mask)[0][-1])
@@ -546,7 +547,7 @@ def _log_linear_fit(ns, values, floor=_NOISE_FLOOR) -> Optional[_FitResult]:
 
 
 class GapProfile:
-    """Sequence ||lambda(mu^n) - P|| plus generation flag and fitted ratio."""
+    """Sequence ||lambda(mu^n) - P|| plus generation flag and decay ratio."""
 
     def __init__(self, values, generating, rho, note=""):
         self.values = tuple(float(v) for v in values)
@@ -571,10 +572,10 @@ def spectral_gap_profile(model, mu: FiniteMeasure, horizon: int) -> GapProfile:
     value is the operator norm of T^n with T = lambda(mu) - P.  The measure
     must be symmetric, mu(g^-1) == mu(g) exactly: then T is real symmetric,
     so ||T^n|| = rho(T)^n with rho(T) the largest eigenvalue magnitude, and
-    one `eigvalsh` gives the whole profile with no power formed.  A support
-    that does not reach the whole group (`FiniteGroupModel._reach`) is
-    reported in the profile rather than raised: the sequence may stall at a
-    positive value.
+    one `eigvalsh` gives the whole profile and its `rho`, None when fewer
+    than two values exceed `_NOISE_FLOOR`.  A support that does not reach
+    the whole group (`FiniteGroupModel._reach`) is reported in the profile
+    rather than raised: the sequence may stall at a positive value.
     """
     if mu.model is not model:
         raise ValueError("measure lives on a different group")
@@ -591,10 +592,8 @@ def spectral_gap_profile(model, mu: FiniteMeasure, horizon: int) -> GapProfile:
     if rho_T > 1.0 + 1e-12:
         raise AssertionError("internal error: a Markov operator minus its "
                              "projection must have spectral radius <= 1")
-    ns = np.arange(1, horizon + 1)
-    vals = rho_T ** ns
-    fit = _log_linear_fit(ns, vals)
-    rho = math.exp(-fit.t) if fit is not None else None
+    vals = rho_T ** np.arange(1, horizon + 1)
+    rho = rho_T if np.count_nonzero(vals > _NOISE_FLOOR) >= 2 else None
     note = "" if generating else (
         "support does not generate; the profile may stall at a positive value")
     return GapProfile(vals, generating, rho, note)
@@ -621,11 +620,11 @@ class StarReport:
         }
 
 
-def verify_star_instance(rep: TwoStepRep, measures, grid, start_n=1) -> StarReport:
+def verify_star_instance(rep: TwoStepRep, measures, grid) -> StarReport:
     """Cauchy differences, invariance residuals, and the exponential fit.
 
-    `measures` is m_n for n = start_n, start_n+1, ...; each m_n must be
-    supported in the word-ball of radius n.  The fit template is
+    `measures` is m_1, m_2, ...; each m_n must be supported in the
+    word-ball of radius n.  The fit template is
     ||pi(m_n) - pi(m_{n+1})|| <= C L^2 e^{-t n}, solved by log-linear least
     squares over the noise-trimmed window; a failed fit is reported in the
     result, never raised.  A fit whose total decay over its window,
@@ -644,10 +643,10 @@ def verify_star_instance(rep: TwoStepRep, measures, grid, start_n=1) -> StarRepo
     for i, m in enumerate(measures):
         if m.model is not model:
             raise ValueError("measures must live on the representation's group")
-        if m.max_word_length > start_n + i:
+        if m.max_word_length > i + 1:
             raise ValueError(
-                f"measure at n={start_n + i} is supported outside the "
-                f"word-ball of radius {start_n + i}")
+                f"measure at n={i + 1} is supported outside the "
+                f"word-ball of radius {i + 1}")
     if len(measures) < 2:
         raise ValueError("need at least two measures")
     if len(grid) == 0:
@@ -662,8 +661,7 @@ def verify_star_instance(rep: TwoStepRep, measures, grid, start_n=1) -> StarRepo
     shifted = pis[:, 1:]
     shifted -= mats[:, None]
     residuals = tuple(_opnorms(shifted).max(axis=1).tolist())
-    ns = np.arange(start_n, start_n + len(cauchy))
-    fit = _log_linear_fit(ns, cauchy)
+    fit = _log_linear_fit(np.arange(1, len(cauchy) + 1), cauchy)
     if fit is None:
         return StarReport(cauchy, mats[-1], residuals, None, None,
                           False, "no usable decay window in the differences")
@@ -671,7 +669,7 @@ def verify_star_instance(rep: TwoStepRep, measures, grid, start_n=1) -> StarRepo
     if fit.t * (len(fit.window) - 1) <= _DECAY_FLOOR or c_fit <= 0:
         return StarReport(cauchy, mats[-1], residuals, c_fit, fit.t,
                           False, "differences do not decay")
-    note = (f"fit over n={fit.window[0] + start_n}..{fit.window[-1] + start_n} "
+    note = (f"fit over n={fit.window[0] + 1}..{fit.window[-1] + 1} "
             f"({len(fit.window)} points)")
     return StarReport(cauchy, mats[-1], residuals, c_fit, fit.t,
                       True, note)

@@ -271,6 +271,22 @@ def test_operator_norm_identity_and_rank_one():
     assert rep.value == pytest.approx(6.0, abs=1e-12)
 
 
+@given(st.integers(1, 64), st.integers(0, 64), st.integers(0, 2 ** 32 - 1),
+       st.integers(-1060, 1000))
+@settings(max_examples=100, deadline=None)
+def test_full_svd_is_the_top_singular_value(dim, rank, seed, exp):
+    # the Gram eigensolve against a direct SVD on complex square matrices of
+    # every rank, at binary scales from subnormal entries to near overflow
+    rng = np.random.default_rng(seed)
+    rank = min(rank, dim)
+    X = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    Y = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
+    A = (X @ Y) * 2.0 ** exp
+    want = float(np.linalg.svd(A, compute_uv=False)[0])
+    got = operator_norm(A, method="full-svd").value
+    assert abs(got - want) <= 8 * dim * np.finfo(float).eps * want
+
+
 def test_power_iteration_tracks_svd():
     rng = np.random.default_rng(11)
     for trial in range(100):

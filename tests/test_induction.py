@@ -799,8 +799,9 @@ def test_rounded_representative_matches_both_oracles(g, w, gamma):
     assert dyadic_representative(g, w, gamma) == want
 
 
-def item3_triples():
-    """300 pairs (g1, g2) of S/T/T^-1 words of length 1-7 from Random(0)."""
+def orbit_of_i_triples():
+    """300 pairs (g1, g2) of S/T/T^-1 words of length 1-7 from Random(0):
+    the composition checks of ROADMAP item 2, the cocycle at the orbit of i."""
     rng = random.Random(0)
 
     def word():
@@ -812,13 +813,13 @@ def item3_triples():
     return [(word(), word()) for _ in range(300)]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2 (orbit of i)")
 @pytest.mark.parametrize("omega", [np.eye(2), S_MAT.astype(float)], ids=["I", "S"])
 def test_cocycle_identity_on_the_orbit_of_i(omega):
     # i is fixed by S, so a domain in the half-plane cannot choose between
     # gamma and S gamma there; 67 (omega = I) and 96 (omega = S) triples break
     broken = 0
-    for g1, g2 in item3_triples():
+    for g1, g2 in orbit_of_i_triples():
         r2 = cocycle(g2.astype(float), omega)
         r1 = cocycle(g1.astype(float), r2.g_dot_omega)
         r12 = cocycle((g1 @ g2).astype(float), omega)

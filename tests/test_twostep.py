@@ -654,7 +654,7 @@ def test_relation_residual_matches_einsum_oracle():
     assert [rep.dims for rep in reps] == [(2, 3, 4), (3, 4, 2), (2, 3, 4)]
     for rep in reps:
         want = _relation_residual_oracle(rep.model, rep._pi0, rep._pi1)
-        got = rep._check_relation(5)
+        got = rep._check_relation()
         assert want <= 1e-14
         assert abs(got - want) <= 1e-14
 
@@ -674,7 +674,7 @@ def test_relation_perturbed_entry(eps, fails):
             with pytest.raises(ValueError, match="once-composable"):
                 TwoStepRep(model, pi0, pi1, L=rep.L, s=0.0)
         else:
-            got = TwoStepRep(model, pi0, pi1, L=rep.L, s=0.0)._check_relation(5)
+            got = TwoStepRep(model, pi0, pi1, L=rep.L, s=0.0)._check_relation()
             assert abs(got - want) <= 1e-14
 
 
@@ -783,6 +783,31 @@ def test_profile_matches_power_oracle_on_generators(oracle_models):
     for model in oracle_models:
         mu = FiniteMeasure.uniform(model, list(model.generators))
         _assert_matches_power_oracle(model, mu, 32)
+
+
+def test_profile_rho_is_the_eigensolve_radius():
+    # rho is max |eigvalsh(T)| bit for bit, and None exactly when fewer than
+    # two profile values clear the noise floor: horizon 1, the lazy walk on
+    # Z/2 (T = 0), the non-generating Z/4 measure (rho = 1) and lazy walks
+    z2, z4 = cyclic_model(2), cyclic_model(4)
+    stalled = FiniteMeasure.uniform(z4, [0, 2])
+    cases = [(z2, FiniteMeasure(z2, [0.5, 0.5]), 5), (z4, stalled, 6)]
+    for m in range(3, 65):
+        model = cyclic_model(m)
+        cases += [(model, _lazy_walk(model), h) for h in (1, 2, 32)]
+    nones = 0
+    for model, mu, horizon in cases:
+        prof = spectral_gap_profile(model, mu, horizon)
+        n = model.order
+        T = left_regular_matrix(mu) - np.full((n, n), 1.0 / n)
+        rho = float(np.abs(np.linalg.eigvalsh(T)).max())
+        if sum(v > twostep._NOISE_FLOOR for v in prof.values) < 2:
+            assert prof.rho is None, (n, horizon)
+            nones += 1
+        else:
+            assert prof.rho == rho, (n, horizon)
+    assert nones == 1 + 62      # Z/2, and every walk at horizon 1
+    assert spectral_gap_profile(z4, stalled, 6).rho == pytest.approx(1.0)
 
 
 def test_profile_refuses_non_symmetric_measure():

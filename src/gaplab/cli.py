@@ -651,7 +651,7 @@ def _run_cocycle_mc(params, seed):
 
     push_gs = induction.random_group_elements(8, seed + 2, max_length=1.0)
     m_tilde = [(g, 1.0 / len(push_gs)) for g in push_gs]
-    pushed = induction.pushforward_mn0(m_tilde, 1.0 + 1e-6, subset)
+    pushed, push_fallbacks = induction.pushforward_mn0(m_tilde, 1.0 + 1e-6, subset)
     truncated, tail = induction.truncate_tail(pushed, params["radius"])
     tv = induction.total_variation(truncated, pushed)
 
@@ -673,7 +673,8 @@ def _run_cocycle_mc(params, seed):
          "bound": 1e-12, "pass": bool(abs(tv - 2.0 * tail) <= 1e-12)},
     ]
     diagnostics = {"domainStats": stats.to_json(), "cuspFit": fit.to_json(),
-                   "cuspFitAlt": fit_alt.to_json()}
+                   "cuspFitAlt": fit_alt.to_json(),
+                   "pushforwardExactFallbacks": push_fallbacks}
     return cases, ("check", "value", "bound", "pass"), diagnostics
 
 
@@ -702,6 +703,8 @@ _SU2_MAX_TWO_J = 2000
 _ZIGZAG_MAX_RADIUS = 1000.0
 _KAK_MAX_ALPHA = 3.0
 _MAX_TOL = 1e-6
+_COCYCLE_MAX_SAMPLES = 10 ** 5
+_COCYCLE_MAX_GCOUNT = 10 ** 3
 
 # What every key accepts.  A count is at least 1, so that no axis value
 # goes unchecked (kak's --count may be 0: its alphas still get their cases),
@@ -712,7 +715,13 @@ _MAX_TOL = 1e-6
 # - zigzag-cert --rmax lies in [1, 1000]: a walk takes about two steps per
 #   unit of radius, so the cap bounds the step arrays;
 # - cocycle-mc --samples starts at 50, where the cusp fit's threshold
-#   quantile 1 - max(25, samples / 50) / samples reaches 1/2;
+#   quantile 1 - max(25, samples / 50) / samples reaches 1/2, and stops at
+#   10^5: a run holds two draws of the sample and, while it writes the log,
+#   the log's columns as Python floats, some 200 bytes a sample, and a
+#   10^5-sample run takes under a second;
+# - cocycle-mc --gcount stops at 10^3: the stacked cocycle pass holds 32
+#   bytes of alpha for each of gcount x min(samples, 200) pairs, and a
+#   10^3 run also takes under a second;
 # - su2-gap --qpoints starts at the library's 64 quadrature points, and
 #   star-verify --horizon at the 2 measures one Cauchy difference needs;
 # - a tolerance (--tol, --tolkappa) lies in [0, 1e-6]: a negative one fails
@@ -780,8 +789,9 @@ COMMANDS = {
         "sandwiched-representation convergence"),
     "cocycle-mc": CommandSpec(
         "cocycle-mc", _run_cocycle_mc,
-        {"samples": Key((2000,), integer=True, low=50),
-         "gcount": Key((20,), integer=True, low=1),
+        {"samples": Key((2000,), integer=True, low=50,
+                        high=_COCYCLE_MAX_SAMPLES),
+         "gcount": Key((20,), integer=True, low=1, high=_COCYCLE_MAX_GCOUNT),
          "glen": Key((2.0,), low=0.0), "s": Key((0.2,), low=0.0),
          "s0": Key((1.0,), low=0.0), "radius": Key((2.5,), low=0.0),
          "tolkappa": Key((1e-9,), low=0.0, high=_MAX_TOL)},

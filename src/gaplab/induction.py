@@ -56,6 +56,9 @@ _UNIT = 2.0 ** -53        # unit roundoff of binary64
 _TINY = 2.0 ** -1060      # absolute slack covering gradual underflow
 _GAMMA_CAP = 2.0 ** 52    # ||gamma||_F^2 cap: entries below 2^26, det exact
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
+#: rows of the (g, omega) grid that one certified float pass of ``_alphas``
+#: takes; the pass holds a few dozen float temporaries of this length
+_ALPHA_ROW_BUDGET = 2 ** 14
 
 #: smallest domain sample count for which summary statistics are accepted
 MIN_DOMAIN_SAMPLES = 16
@@ -376,26 +379,50 @@ def _reduce_float_batch(x, y):
     return tuple(gamma)
 
 
-def _alphas(g, omegas):
-    """``cocycle_alphas`` on a float 4-tuple g and validated (N, 2, 2)
-    representatives."""
+def _alphas(gs, omegas):
+    """``cocycle_alphas`` for a list of G float 4-tuples ``gs`` at once, on
+    validated (N, 2, 2) representatives ``omegas``.
+
+    The G N pairs (g, omega), g-major, take one float reduction and one
+    certificate, in blocks of at most ``_ALPHA_ROW_BUDGET`` rows so that the
+    float temporaries stay bounded for any G; each row is computed as it is
+    for a single g, so the certificate's verdicts do not depend on G.  A row
+    the certificate rejects goes to ``_exact_gamma(gs[i // N], omega)``.
+    Returns (alphas, exact_fallbacks): alphas of shape (G, N, 2, 2), block g
+    equal row by row to ``cocycle(gs[g], omega).alpha`` (int64, or object
+    dtype of Python ints once any entry reaches 2^62), and the list of the
+    G fallback counts.
+    """
     count = len(omegas)
-    w = tuple(np.ascontiguousarray(omegas.reshape(count, 4).T))
-    m = _matmul4(g, w)
-    with np.errstate(all="ignore"):
-        cand = _reduce_float_batch(*_point_of_inverse(m))
-        ok = _certify(g, w, m, cand)
-    p, q = cand[0][ok], cand[1][ok]
-    sign = np.where(p != 0, np.sign(p), np.sign(q))
-    alphas = np.zeros((count, 4), dtype=np.int64)
-    alphas[ok] = (np.stack([v[ok] for v in cand]) * sign).T
-    exact = {i: _canonical_sign(_exact_gamma(g, tuple(omegas[i].ravel().tolist())))
-             for i in np.flatnonzero(~ok).tolist()}
+    rows = len(gs) * count
+    g_cols = np.ascontiguousarray(np.array(gs, dtype=float).reshape(-1, 4).T)
+    w_rows = omegas.reshape(count, 4)
+    w_cols = np.ascontiguousarray(w_rows.T)
+    alphas = np.zeros((rows, 4), dtype=np.int64)
+    failed = []
+    for start in range(0, rows, _ALPHA_ROW_BUDGET):
+        pair = np.arange(start, min(start + _ALPHA_ROW_BUDGET, rows))
+        g = tuple(g_cols[:, pair // count])
+        w = tuple(w_cols[:, pair % count])
+        m = _matmul4(g, w)
+        with np.errstate(all="ignore"):
+            cand = _reduce_float_batch(*_point_of_inverse(m))
+            ok = _certify(g, w, m, cand)
+        p, q = cand[0][ok], cand[1][ok]
+        sign = np.where(p != 0, np.sign(p), np.sign(q))
+        alphas[pair[ok]] = (np.stack([v[ok] for v in cand]) * sign).T
+        failed += pair[~ok].tolist()
+    exact = {i: _canonical_sign(_exact_gamma(gs[i // count],
+                                             tuple(w_rows[i % count].tolist())))
+             for i in failed}
     if any(abs(v) >= _INT64_GUARD for e in exact.values() for v in e):
         alphas = alphas.astype(object)
     for i, e in exact.items():
         alphas[i] = e
-    return alphas.reshape(count, 2, 2), len(exact)
+    fallbacks = [0] * len(gs)
+    for i in failed:
+        fallbacks[i // count] += 1
+    return alphas.reshape(len(gs), count, 2, 2), fallbacks
 
 
 # ---------------------------------------------------------------------------
@@ -657,16 +684,18 @@ def cocycle_alphas(g, omegas):
     """alpha(g, omega) for every representative omega of a domain sample.
 
     ``omegas`` is an (N, 2, 2) array of representatives (see
-    ``domain_matrices``) or a sequence of SiegelPoints.  The reduction runs
-    vectorised under the same certificate as ``cocycle``; rows inside the
-    error band go through the rational path one by one.  Returns
+    ``domain_matrices``) or a sequence of SiegelPoints.  It is the
+    one-element case of the stacked pass ``_alphas``: the reduction runs
+    vectorised under the same certificate as ``cocycle``, and rows inside
+    the error band go through the rational path one by one.  Returns
     (alphas, exact_fallbacks): alphas of shape (N, 2, 2), equal row by row
     to ``cocycle(g, omega).alpha`` (int64, or object dtype of Python ints
     once an entry reaches 2^62), and the number of rows that fell back.
     """
     _, g4 = _check_unimodular(g)
     omegas, _, _ = _representatives(omegas)
-    return _alphas(g4, omegas)
+    alphas, fallbacks = _alphas([g4], omegas)
+    return alphas[0], fallbacks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -732,10 +761,18 @@ def write_sample_log(path, seed, columns, weights, preamble=()):
     ``sample_domain_arrays``; ``seed`` is an integer.  Preamble lines end in
     ``\\n``; the header and rows end in ``\\r\\n`` and carry every float as
     ``.17g``, the bytes ``csv.writer`` gives.  One format string, with the
-    seed baked in, makes each row, and the rows stream to the file unjoined.
+    seed baked in, makes each row.  The weight column is formatted once per
+    distinct bit pattern (a sample's weights are usually all equal); keying
+    on the bits, not the value, keeps -0.0 apart from 0.0.  The rows stream
+    to the file through ``writelines`` unjoined, so no string of the whole
+    log is ever held: joining them costs a copy of the file in memory.
     """
-    fmt = f"{operator.index(seed)}" + ",{:.17g}" * 5 + "\r\n"
-    rows = zip(*(np.asarray(v, dtype=float).tolist() for v in (*columns, weights)))
+    fmt = f"{operator.index(seed)}" + ",{:.17g}" * 4 + ",{}\r\n"
+    bits, which = np.unique(np.ascontiguousarray(weights, dtype=float).view(np.int64),
+                            return_inverse=True)
+    cells = [format(v, ".17g") for v in bits.view(float).tolist()]
+    rows = zip(*(np.asarray(v, dtype=float).tolist() for v in columns),
+               map(cells.__getitem__, which.tolist()))
     with open(path, "w", newline="") as fh:
         for line in preamble:
             fh.write(str(line).rstrip("\n") + "\n")
@@ -915,7 +952,10 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
 
     ``g_samples`` may be any iterable and is read once; ``domain_samples``
     is a sequence of SiegelPoints or an (N, 2, 2) array of representatives.
-    Both must be nonempty.
+    Both must be nonempty.  Every alpha(g, omega) comes from one stacked
+    ``_alphas`` pass over all (g, omega) pairs.  The statistics stay one
+    loop over g: each is a reduction over one g's row, and a stacked
+    (G, N) @ (N,) product could round the weighted means differently.
     """
     if s <= 0:
         raise ValueError("rate s must be positive")
@@ -929,12 +969,10 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
     kappa = -math.inf
     c_emp = -math.inf
     c_emp_stderr = 0.0
-    fallbacks = 0
     nontrivial = 0
-    for g, g4 in g_list:
+    stacked, fallbacks = _alphas([g4 for _, g4 in g_list], omegas)
+    for (g, _), alphas in zip(g_list, stacked):
         lg = element_length(g)
-        alphas, fell_back = _alphas(g4, omegas)
-        fallbacks += fell_back
         nontrivial += int(np.any(alphas.reshape(-1, 4) != (1, 0, 0, 1), axis=1).sum())
         alpha_lengths = element_length(alphas)
         kappa = max(kappa, float(np.max(alpha_lengths - 2.0 * lg - 2.0 * omega_lengths)))
@@ -954,7 +992,7 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
         c_emp_stderr=c_emp_stderr,
         exp_integral=exp_integral,
         exp_integral_stderr=exp_stderr,
-        exact_fallbacks=fallbacks,
+        exact_fallbacks=sum(fallbacks),
         nontrivial=nontrivial,
     )
 
@@ -1046,8 +1084,10 @@ def pushforward_mn0(m_tilde, n, domain_samples, weights=None):
     measure supported in the length-n ball; each atom g and each domain point
     omega contribute weight to the inverse of the integer part of
     g^{-1} omega.  ``domain_samples`` is a nonempty sequence of SiegelPoints
-    or an (N, 2, 2) array of representatives.  Returns a LatticeMeasure of
-    total mass one.
+    or an (N, 2, 2) array of representatives.  All integer parts come from
+    one stacked ``_alphas`` pass.  Returns (measure, exact_fallbacks): a
+    LatticeMeasure of total mass one, and the number of (g, omega) pairs
+    whose reduction went through exact rational arithmetic.
     """
     pairs = [(*_check_unimodular(g), float(w)) for g, w in m_tilde]
     if not pairs:
@@ -1060,13 +1100,13 @@ def pushforward_mn0(m_tilde, n, domain_samples, weights=None):
             )
     omegas, _, _, weights = _weighted_sample(domain_samples, weights)
     weights = weights.tolist()
+    stacked, fallbacks = _alphas([_adjugate4(g4) for _, g4, _ in pairs], omegas)
     entries = {}
-    for _, g4, wg in pairs:
-        alphas, _ = _alphas(_adjugate4(g4), omegas)
+    for (_, _, wg), alphas in zip(pairs, stacked):
         for (a, b, c, d), wp in zip(alphas.reshape(-1, 4).tolist(), weights):
             key = _canonical_sign((d, -b, -c, a))
             entries[key] = entries.get(key, 0.0) + wg * wp
-    return LatticeMeasure(entries)
+    return LatticeMeasure(entries), sum(fallbacks)
 
 
 def truncate_tail(m0, radius):

@@ -516,7 +516,7 @@ def test_criterion_11_lattice_cocycle():
     # (d) truncation: total variation equals twice the removed mass
     push_gs = induction.random_group_elements(10, seed + 4, max_length=1.0)
     m_tilde = [(g, 0.1) for g in push_gs]
-    pushed = induction.pushforward_mn0(m_tilde, 1.0 + 1e-6, points[:500])
+    pushed, _ = induction.pushforward_mn0(m_tilde, 1.0 + 1e-6, points[:500])
     truncated, tail = induction.truncate_tail(pushed, 2.5)
     tv = induction.total_variation(truncated, pushed)
     assert abs(tv - 2.0 * tail) <= 1e-12

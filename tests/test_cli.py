@@ -184,6 +184,11 @@ def test_sphere_gap_delta_out_of_range_exits_two(tmp_path, capsys):
     (["cocycle-mc", "--s0=1000"], "--s0 must be below 2, got 1000.0"),
     (["sdelta-decay", "--p=4"], "--p must be prime, got 4"),
     (["sdelta-decay", "--p=2,3,9", "--n=1"], "--p must be prime, got 9"),
+    # sizes that would exhaust memory or run without end
+    (["cocycle-mc", "--samples=10000000000000"],
+     "--samples must be at most 100000, got 10000000000000"),
+    (["cocycle-mc", "--gcount=10000000000000"],
+     "--gcount must be at most 1000, got 10000000000000"),
 ])
 def test_rules_refuse_before_any_work(tmp_path, capsys, monkeypatch, argv,
                                       message):
@@ -639,7 +644,8 @@ def test_cocycle_csv_is_a_sample_log(tmp_path, capsys):
     checks = {c["check"] for c in report["cases"]}
     assert {"growth-kappa", "cusp-rate", "truncation-tv"} <= checks
     diagnostics = report["diagnostics"]
-    assert set(diagnostics) == {"domainStats", "cuspFit", "cuspFitAlt"}
+    assert set(diagnostics) == {"domainStats", "cuspFit", "cuspFitAlt",
+                                "pushforwardExactFallbacks"}
     stats = diagnostics["domainStats"]
     assert stats["exactFallbacks"] >= 0 and stats["gCount"] == 4
     assert stats["sampleCount"] == 200
@@ -650,6 +656,26 @@ def test_cocycle_csv_is_a_sample_log(tmp_path, capsys):
                        for row in lines[3:]])
     assert np.array_equal(logged, np.column_stack(
         [np.full(600, 11.0), x, y, theta, lengths, weights]))
+
+
+def test_cocycle_json_reports_every_exact_fallback(tmp_path, capsys, monkeypatch):
+    # with every float proposal refused, each (g, omega) pair of the growth
+    # check (4 g) and of the pushforward (8 atoms) takes the exact path over
+    # the 200 representatives; the integer parts, so every check, stay
+    argv = ["cocycle-mc", "--samples=600", "--gcount=4", "--seed", 11]
+    assert run_main([*argv, "--out", tmp_path / "float.csv"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(induction, "_certify",
+                        lambda g, w, m, gamma: np.zeros(np.shape(m[0]), dtype=bool))
+    assert run_main([*argv, "--out", tmp_path / "exact.csv"]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert plain["diagnostics"]["domainStats"]["exactFallbacks"] == 0
+    assert plain["diagnostics"]["pushforwardExactFallbacks"] == 0
+    assert exact["diagnostics"]["domainStats"]["exactFallbacks"] == 4 * 200
+    assert exact["diagnostics"]["pushforwardExactFallbacks"] == 8 * 200
+    assert exact["cases"] == plain["cases"]
+    assert ((tmp_path / "exact.csv").read_text().split("\n")[2:]
+            == (tmp_path / "float.csv").read_text().split("\n")[2:])
 
 
 def test_cocycle_json_counts_nontrivial_cocycles(tmp_path, capsys):

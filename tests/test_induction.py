@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 from scipy.linalg import svdvals
 
 from gaplab import induction as ind
@@ -511,6 +511,109 @@ def test_boundary_points_fall_back_and_match_oracle():
             assert assert_paths_agree(om @ w @ adjugate(om), stack) >= 1
 
 
+# representatives for the stacked pass: 30 generic points, then the exact
+# boundary points and rho, whose rows the identity, S and rotations send to
+# the exact path
+ALPHA_POOL = np.concatenate([domain_matrices(*sample_domain_arrays(30, 95)[:3]),
+                             EXACT_BOUNDARY,
+                             domain_matrices([0.5], [math.sqrt(3.0) / 2.0], [0.0])])
+GROUP_ELEMENTS = st.one_of(
+    st.tuples(st.just("rotation"), st.floats(0.0, 2.0 * math.pi)),
+    st.tuples(st.just("word"), st.lists(st.sampled_from([0, 1, 2]), max_size=12)),
+    st.tuples(st.just("random"), st.integers(0, 2 ** 16)),
+)
+
+
+def group_element(kind, arg):
+    if kind == "rotation":
+        return rotation(arg)
+    if kind == "word":
+        return word_matrix(arg).astype(float)
+    return random_group_elements(1, arg, max_length=3.0)[0]
+
+
+def growth_check_per_g(g_samples, s, omegas, s0):
+    """The growth statistics from one ``cocycle_alphas`` call per g: the
+    loop that the stacked pass of ``cocycle_growth_check`` replaced."""
+    _, x, y, weights = ind._weighted_sample(omegas, None)
+    omega_lengths = ind._point_lengths(x, y)
+    kappa = c_emp = -math.inf
+    c_emp_stderr, fallbacks, nontrivial = 0.0, 0, 0
+    for g in g_samples:
+        lg = element_length(g)
+        alphas, fell_back = cocycle_alphas(g, omegas)
+        fallbacks += fell_back
+        nontrivial += int(np.any(alphas.reshape(-1, 4) != (1, 0, 0, 1), axis=1).sum())
+        alpha_lengths = element_length(alphas)
+        kappa = max(kappa, float(np.max(alpha_lengths - 2.0 * lg - 2.0 * omega_lengths)))
+        mean, stderr = ind.weighted_mean_stderr(np.exp(s * alpha_lengths), weights)
+        if mean / math.exp(2.0 * s * lg) > c_emp:
+            c_emp = mean / math.exp(2.0 * s * lg)
+            c_emp_stderr = stderr / math.exp(2.0 * s * lg)
+    exp_integral, exp_stderr = domain_exp_integral(omega_lengths, s0, weights)
+    return ind.DomainStats(len(omegas), len(g_samples), float(s), float(s0), kappa,
+                           c_emp, c_emp_stderr, exp_integral, exp_stderr,
+                           fallbacks, nontrivial)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kinds=st.lists(GROUP_ELEMENTS, min_size=1, max_size=5),
+       rows=st.lists(st.integers(0, len(ALPHA_POOL) - 1), min_size=1, max_size=50))
+@example(kinds=[("word", []), ("word", [0]), ("rotation", 0.9)],
+         rows=list(range(30, len(ALPHA_POOL)))).via("every row falls back")
+def test_stacked_alphas_match_cocycle_row_by_row(kinds, rows):
+    gs = [group_element(*kind) for kind in kinds]
+    omegas = ALPHA_POOL[rows]
+    stacked, fallbacks = ind._alphas([ind._check_unimodular(g)[1] for g in gs], omegas)
+    assert stacked.shape == (len(gs), len(rows), 2, 2) and len(fallbacks) == len(gs)
+    for g, block, fell_back in zip(gs, stacked, fallbacks):
+        single, count = cocycle_alphas(g, omegas)
+        assert fell_back == count
+        assert block.tolist() == single.tolist()
+        for row, om in zip(block, omegas):
+            assert row.tolist() == cocycle(g, om).alpha.tolist()
+    if rows == list(range(30, len(ALPHA_POOL))):
+        assert fallbacks == [len(rows)] * len(gs)
+
+
+def test_stacked_pass_does_not_depend_on_the_row_budget(monkeypatch):
+    # 42 g over 219 representatives, some on the boundary: at a budget of 97
+    # rows the grid spans 95 blocks, none aligned with a g
+    x, y, theta, _, _ = sample_domain_arrays(200, 96)
+    omegas = np.concatenate([domain_matrices(x, y, theta), ALPHA_POOL[30:]])
+    gs = random_group_elements(40, 97, max_length=2.0) + [np.eye(2), rotation(0.4)]
+    whole = cocycle_growth_check(gs, 0.2, omegas, s0=1.0)
+    assert whole == growth_check_per_g(gs, 0.2, omegas, 1.0)
+    assert whole.exact_fallbacks >= 2 * (len(ALPHA_POOL) - 30)
+    pushed = pushforward_mn0([(g, 1.0 / 8) for g in gs[:8]], 2.0 + 1e-9, omegas)
+    monkeypatch.setattr(ind, "_ALPHA_ROW_BUDGET", 97)
+    assert cocycle_growth_check(gs, 0.2, omegas, s0=1.0) == whole
+    chunked, fell_back = pushforward_mn0([(g, 1.0 / 8) for g in gs[:8]], 2.0 + 1e-9, omegas)
+    assert fell_back == pushed[1]
+    assert list(chunked.items()) == list(pushed[0].items())
+
+
+def test_stacked_pass_promotes_past_int64_as_each_g_alone():
+    # one g whose integer parts pass 2^62 makes the whole stack object
+    # dtype; every block keeps the values, and the statistics the bits, of
+    # its own cocycle_alphas call (int64 for the other g)
+    big = np.array([[1.0, 2.0 ** 63], [0.0, 1.0]])
+    gs = random_group_elements(2, 98, max_length=2.0)
+    gs.insert(1, big)
+    x, y, theta, _, _ = sample_domain_arrays(24, 99)
+    omegas = np.concatenate([np.eye(2)[None], domain_matrices(x, y, theta)])
+    stacked, fallbacks = ind._alphas([ind._check_unimodular(g)[1] for g in gs], omegas)
+    assert stacked.dtype == object and fallbacks[1] == len(omegas)
+    assert stacked[1, 0].tolist() == [[1, 2 ** 63], [0, 1]]
+    for g, block, fell_back in zip(gs, stacked, fallbacks):
+        single, count = cocycle_alphas(g, omegas)
+        assert fell_back == count and block.tolist() == single.tolist()
+    assert cocycle_alphas(gs[0], omegas)[0].dtype == np.int64
+    stats_ = cocycle_growth_check(gs, 0.1, omegas, s0=1.0)
+    assert stats_ == growth_check_per_g(gs, 0.1, omegas, 1.0)
+    assert stats_.exact_fallbacks == sum(fallbacks)
+
+
 def test_generic_points_take_the_float_path():
     pts, _ = sample_domain(400, 91)
     for g in random_group_elements(6, 92, max_length=3.0):
@@ -845,6 +948,24 @@ def test_sample_domain_basic():
         sample_domain(0, 1)
 
 
+def test_sample_domain_arrays_marginals_pass_kolmogorov_smirnov():
+    # exact inversion sampling: x has CDF (arcsin x + pi/6) / (pi/3) on
+    # [-1/2, 1/2], u = sqrt(1 - x^2) / y is uniform on (0, 1] given x, and
+    # theta is uniform on [0, pi).  The seeds and the threshold p > 1e-3
+    # were fixed before the first run.  The arcsine law is close to the
+    # uniform one on [-1/2, 1/2] (the CDFs differ by at most ~0.009), and
+    # 2e5 samples resolve that gap: a uniform-x sampler fails.
+    for seed in (2601, 2602):
+        x, y, theta, _, _ = sample_domain_arrays(200000, seed)
+        marginals = (
+            (x, lambda v: (np.arcsin(v) + math.pi / 6.0) / (math.pi / 3.0)),
+            (np.sqrt(1.0 - x * x) / y, stats.uniform(0.0, 1.0).cdf),
+            (theta, stats.uniform(0.0, math.pi).cdf),
+        )
+        for values, cdf in marginals:
+            assert stats.kstest(values, cdf).pvalue > 1e-3
+
+
 def test_sample_domain_deterministic():
     a, wa = sample_domain(20, 77)
     b, wb = sample_domain(20, 77)
@@ -1067,7 +1188,7 @@ def test_growth_check_rejects_empty_inputs():
 
 @pytest.mark.parametrize("call", [
     lambda pts, w: cocycle_growth_check([np.eye(2)], 0.2, pts, w),
-    lambda pts, w: dict(pushforward_mn0([(np.eye(2), 1.0)], 1.0, pts, w).items()),
+    lambda pts, w: dict(pushforward_mn0([(np.eye(2), 1.0)], 1.0, pts, w)[0].items()),
 ], ids=["growth-check", "pushforward"])
 def test_domain_weights_are_one_probability_weight_per_point(call):
     x, y, theta, _, weights = sample_domain_arrays(200, 4)
@@ -1117,14 +1238,14 @@ def test_total_variation():
 
 def test_pushforward_of_point_mass_at_identity():
     pts, weights = sample_domain(64, 9)
-    m0 = pushforward_mn0([(np.eye(2), 1.0)], 1.0, pts, weights)
+    m0, _ = pushforward_mn0([(np.eye(2), 1.0)], 1.0, pts, weights)
     assert dict(m0.items()) == {(1, 0, 0, 1): pytest.approx(1.0, abs=1e-12)}
 
 
 def test_pushforward_mass_and_support():
     gs = random_group_elements(50, 3, max_length=1.5)
     pts, weights = sample_domain(80, 9)
-    m0 = pushforward_mn0([(g, 1.0 / 50) for g in gs], 1.5, pts, weights)
+    m0, _ = pushforward_mn0([(g, 1.0 / 50) for g in gs], 1.5, pts, weights)
     assert abs(m0.mass - 1.0) <= 1e-12
     assert m0.is_probability
     # support lengths obey the growth bound (kappa <= 0 for this domain)
@@ -1153,7 +1274,7 @@ def test_pushforward_tail_lemma():
     c_const = math.exp(s0 / 2.0) * domain_exp_integral(lengths, s0, weights)[0]
     for n in (1.0, 2.0):
         gs = random_group_elements(60, int(10 + n), max_length=n)
-        m0 = pushforward_mn0([(g, 1.0 / 60) for g in gs], n, pts, weights)
+        m0, _ = pushforward_mn0([(g, 1.0 / 60) for g in gs], n, pts, weights)
         lhs = exp_tail_mass(m0, s, 5.0 * n)
         assert lhs <= c_const * math.exp((-1.5 * s0 + 5.0 * s) * n)
 
@@ -1161,7 +1282,7 @@ def test_pushforward_tail_lemma():
 def test_truncate_tail_examples():
     pts, weights = sample_domain(64, 9)
     gs = random_group_elements(40, 4, max_length=1.5)
-    m0 = pushforward_mn0([(g, 1.0 / 40) for g in gs], 1.5, pts, weights)
+    m0, _ = pushforward_mn0([(g, 1.0 / 40) for g in gs], 1.5, pts, weights)
     # already inside a huge ball: unchanged
     same, tail0 = truncate_tail(m0, 50.0)
     assert tail0 == 0.0

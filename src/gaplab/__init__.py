@@ -8,9 +8,8 @@ re-exported here.
 from .residue import (AdditiveCharacter, CharacterClass, ResidueRing,
                       RingElem, char_eval, character_decompose,
                       classify_character, valuation)
-from .finite_models import (DenseOperator, FourierBlocks, KDeltaConjugation,
-                            NormReport, StampOperator, build_S_chi,
-                            build_S_delta, fourier_diagonalize_S_delta,
+from .finite_models import (FourierBlocks, KDeltaConjugation, NormReport,
+                            StampOperator, fourier_diagonalize_S_delta,
                             hausdorff_young_ratio, operator_norm,
                             stamp_s_chi, stamp_s_delta,
                             verify_S_decomposition,
@@ -35,8 +34,7 @@ from .induction import (CocycleResult, CuspFit, DomainStats, LatticeMeasure,
 __all__ = [
     "AdditiveCharacter", "CharacterClass", "ResidueRing", "RingElem",
     "char_eval", "character_decompose", "classify_character", "valuation",
-    "DenseOperator", "FourierBlocks", "KDeltaConjugation", "NormReport",
-    "StampOperator", "build_S_chi", "build_S_delta",
+    "FourierBlocks", "KDeltaConjugation", "NormReport", "StampOperator",
     "fourier_diagonalize_S_delta", "hausdorff_young_ratio", "operator_norm",
     "stamp_s_chi", "stamp_s_delta", "verify_S_decomposition",
     "verify_kdelta_conjugation",

@@ -705,6 +705,14 @@ _KAK_MAX_ALPHA = 3.0
 _MAX_TOL = 1e-6
 _COCYCLE_MAX_SAMPLES = 10 ** 5
 _COCYCLE_MAX_GCOUNT = 10 ** 3
+_SPHERE_MAX_DEGREE = 10 ** 4
+_KAK_MAX_COUNT = 10 ** 4
+_KAK_MAX_RCOUNT = 200
+_ZIGZAG_MAX_PAIRS = 200
+_QUOTIENT_MAX_ORDER = 1024
+_QUOTIENT_MAX_HORIZON = 10 ** 4
+_STAR_MAX_ORDER = 64
+_STAR_MAX_HORIZON = 100
 
 # What every key accepts.  A count is at least 1, so that no axis value
 # goes unchecked (kak's --count may be 0: its alphas still get their cases),
@@ -722,6 +730,22 @@ _COCYCLE_MAX_GCOUNT = 10 ** 3
 # - cocycle-mc --gcount stops at 10^3: the stacked cocycle pass holds 32
 #   bytes of alpha for each of gcount x min(samples, 200) pairs, and a
 #   10^3 run also takes under a second;
+# - each other count stops where a run with every key at its cap takes
+#   about a second; with no cap, each ran out of memory at a large value:
+#   - sphere-gap --dmax at 10^4: the recurrence takes one step a degree and
+#     holds its factors for every degree and dimension;
+#   - kak --count at 10^4, one stacked KAK of that many elements, and
+#     --rcount at 200, since each alpha bisects its whole r-grid at once;
+#   - zigzag-cert --pairs at 200: each (s, L) block holds every pair's
+#     walk, some 2 rmax steps (0.7 s and 70 MB at rmax = 1000, where 1000
+#     pairs took 2.8 s and 196 MB);
+#   - quotient-gap --order at 1024: the model holds the order^2
+#     multiplication table and the profile takes one order^2 eigensolve
+#     (0.24 s and 66 MB at 1024, 1.2 s and 136 MB at 2048), and --horizon
+#     at 10^4, one profile value a step;
+#   - star-verify --order at 64: the regular representation holds order^3
+#     doubles, and the check holds three order^2 images a power; --horizon
+#     at 100 powers;
 # - su2-gap --qpoints starts at the library's 64 quadrature points, and
 #   star-verify --horizon at the 2 measures one Cauchy difference needs;
 # - a tolerance (--tol, --tolkappa) lies in [0, 1e-6]: a negative one fails
@@ -751,7 +775,7 @@ COMMANDS = {
         {"n": Key((2,), integer=True, low=2, axis=True),
          "delta": Key(tuple(i / 100.0 for i in range(1, 100)), low=-1.0,
                       high=1.0, axis=True),
-         "dmax": Key((200,), integer=True, low=1),
+         "dmax": Key((200,), integer=True, low=1, high=_SPHERE_MAX_DEGREE),
          "tol": Key((1e-9,), low=0.0, high=_MAX_TOL)},
         "sphere averaging gap vs. Holder envelope"),
     "su2-gap": CommandSpec(
@@ -763,29 +787,32 @@ COMMANDS = {
         "two-rotation gap vs. spin-1/2 branch"),
     "kak": CommandSpec(
         "kak", _run_kak,
-        {"count": Key((20,), integer=True, low=0),
+        {"count": Key((20,), integer=True, low=0, high=_KAK_MAX_COUNT),
          "alpha": Key((0.5, 1.0, 2.0), low=0.0, high=_KAK_MAX_ALPHA,
                       axis=True),
-         "rcount": Key((5,), integer=True, low=1),
+         "rcount": Key((5,), integer=True, low=1, high=_KAK_MAX_RCOUNT),
          "tol": Key((1e-10,), low=0.0, high=_MAX_TOL)},
         "KAK round-trips and distortion bounds"),
     "zigzag-cert": CommandSpec(
         "zigzag-cert", _run_zigzag_cert,
         {"s": Key((0.05, 0.1, 0.2), axis=True),
          "L": Key((1.0,), axis=True),
-         "pairs": Key((12,), integer=True, low=1),
+         "pairs": Key((12,), integer=True, low=1, high=_ZIGZAG_MAX_PAIRS),
          "rmax": Key((20.0,), low=1.0, high=_ZIGZAG_MAX_RADIUS)},
         "chamber-walk norm certificates"),
     "quotient-gap": CommandSpec(
         "quotient-gap", _run_quotient_gap,
-        {"order": Key((3, 4, 5, 6, 8), integer=True, low=3, axis=True),
-         "horizon": Key((16,), integer=True, low=1),
+        {"order": Key((3, 4, 5, 6, 8), integer=True, low=3,
+                      high=_QUOTIENT_MAX_ORDER, axis=True),
+         "horizon": Key((16,), integer=True, low=1,
+                        high=_QUOTIENT_MAX_HORIZON),
          "sl3": Key((1,), integer=True, low=0, high=1)},
         "lazy-walk spectral gaps on finite quotients"),
     "star-verify": CommandSpec(
         "star-verify", _run_star_verify,
-        {"order": Key((3, 5), integer=True, low=3, axis=True),
-         "horizon": Key((30,), integer=True, low=2)},
+        {"order": Key((3, 5), integer=True, low=3, high=_STAR_MAX_ORDER,
+                      axis=True),
+         "horizon": Key((30,), integer=True, low=2, high=_STAR_MAX_HORIZON)},
         "sandwiched-representation convergence"),
     "cocycle-mc": CommandSpec(
         "cocycle-mc", _run_cocycle_mc,

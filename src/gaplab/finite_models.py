@@ -9,8 +9,9 @@ K = delta-spike/m, the character average S_chi spreads chi over the image of
 the level-h injection z -> p^(n-h)*z.  Flat index convention: (u, v) -> u*m+v
 with u the space label and v the shift label.
 
-Dense matrices are materialised from the kernel.  The matrix-free
-``StampOperator`` applies the same map as a discrete Radon transform,
+The library keeps the kernel only and never forms the m^2 x m^2 matrix; the
+dense forms are test oracles (tests/dense_stamps.py).  ``StampOperator``
+applies the map as a discrete Radon transform,
 
     (A f)(y,t) = sum_x g(x, t + x*y),      g = f correlated with K in s,
 
@@ -18,12 +19,13 @@ which after a DFT in the shift variable is a DFT in x read at the frequency
 xi*y: one FFT multiplier, one FFT across the space label, one gather and one
 inverse FFT, O(m^2 log m) per apply on a vector of length m^2.  Each operator
 builds its plan (multipliers and gather index) once, on its first apply.  It
-serves the power iteration at dimensions where a dense SVD is not
-affordable; a step of A*A skips the inverse/forward shift DFT pair that
-cancels between the two applies, so it takes 4 FFT passes, not 6.  The
-shift-Fourier basis splits every stamp into blocks K_hat[c] * G_c whose norms
-have the closed form of ``_block_norms``, so exact norms never need a dense
-matrix.
+serves the power iteration that cross-checks the exact norms; a step of A*A
+skips the inverse/forward shift DFT pair that cancels between the two
+applies, so it takes 4 FFT passes, not 6.  The shift-Fourier basis splits
+every stamp into blocks K_hat[c] * G_c whose norms have the closed form of
+``_block_norms``, so exact norms never need a dense matrix.  Since K -> M is
+linear and injective, the decomposition identity of ``verify_S_decomposition``
+is checked on kernels as well.
 """
 from __future__ import annotations
 
@@ -36,11 +38,11 @@ from .cartan import _det3, _matmul3
 from .residue import (AdditiveCharacter, ResidueRing, RingElem,
                       character_decompose, valuation)
 
-_ROW_BLOCK = 2048       # dense rows `verify_S_decomposition` forms per step
+_POWER_TOL = 1e-12      # relative residual at which the power iteration stops
 
 
 # ---------------------------------------------------------------------------
-# kernels and dense materialisation
+# kernels
 
 
 def _as_delta_value(ring: ResidueRing, delta) -> int:
@@ -79,70 +81,13 @@ def _kernel_s_chi(ring: ResidueRing, chi: AdditiveCharacter) -> np.ndarray:
     return k
 
 
-def _shift_index(m: int, rows=None) -> np.ndarray:
-    """tau[(y,t),(x,s)] = (s - t - x*y) mod m for the requested flat rows."""
-    if rows is None:
-        rows = np.arange(m * m)
-    y = rows // m
-    t = rows % m
-    x = np.arange(m)
-    s = np.arange(m)
-    xy = (x[:, None] * y[None, :]) % m          # (m, rows)
-    tau = (s[None, None, :] - t[None, :, None] - xy[:, :, None]) % m
-    # axes (x, row, s) -> (row, x, s)
-    return tau.transpose(1, 0, 2).reshape(len(rows), m * m)
-
-
-def _materialize(ring: ResidueRing, kernel: np.ndarray) -> np.ndarray:
-    m = ring.modulus
-    out = np.empty((m * m, m * m), dtype=complex)
-    # build in row blocks to keep the index scratch bounded
-    block = max(1, (1 << 22) // (m * m))
-    for start in range(0, m * m, block * m):
-        rows = np.arange(start, min(start + block * m, m * m))
-        out[rows] = kernel[_shift_index(m, rows)]
-    return out
-
-
-@dataclass
-class DenseOperator:
-    """A dense matrix acting on l2(O_n x O_n) with its label convention."""
-
-    ring: ResidueRing
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __sub__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.ring != other.ring:
-            raise ValueError("operators live on different rings")
-        return DenseOperator(self.ring, self.matrix - other.matrix)
-
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.ring != other.ring:
-            raise ValueError("operators live on different rings")
-        return DenseOperator(self.ring, self.matrix + other.matrix)
-
-
-def build_S_delta(ring: ResidueRing, delta) -> DenseOperator:
-    """S_delta f(y,t) = E_x f(x, t + delta + x*y) as a dense matrix."""
-    return DenseOperator(ring, _materialize(ring, _kernel_s_delta(ring, delta)))
-
-
-def build_S_chi(ring: ResidueRing, chi: AdditiveCharacter) -> DenseOperator:
-    """S_chi f(y,t) = E_{x,z} chi(z) f(x, t + p^(n-h)*z + x*y), dense."""
-    return DenseOperator(ring, _materialize(ring, _kernel_s_chi(ring, chi)))
-
-
 # ---------------------------------------------------------------------------
 # matrix-free applies
 
 
 @dataclass(frozen=True, eq=False)
 class StampOperator:
-    """Matrix-free form of a kernel-stamp operator (same math as the dense one).
+    """Matrix-free kernel stamp M[(y,t),(x,s)] = K[(s - t - x*y) mod m].
 
     ``apply`` and ``adjoint_apply`` are FFT Radon transforms on the (m, m)
     label grid: O(m^2 log m) time and a few m^2 complex arrays of memory.
@@ -260,69 +205,40 @@ class NormReport:
                 "converged": self.converged, "dim": self.dim}
 
 
-def operator_norm(op, method: str = "auto", tolerance: float = 1e-12,
+def operator_norm(op: StampOperator, method: str = "exact-decomposition",
                   max_iterations: int = 5000, seed: int = 7) -> NormReport:
-    """Operator norm with an explicit method report.
+    """Norm of a stamp operator with an explicit method report.
 
-    * full-svd (dense operands): the square root of the largest eigenvalue
-      of the Hermitian square A^H A, one `eigvalsh` at every dimension and
-      every scale; it agrees with a direct SVD to within 8 dim eps ||A||.
-    * power-iteration: Rayleigh iteration on A*A.  On a stamp operator a
-      step is one ``gram_apply``: 4 FFT passes and 2 gathers with the plan
-      the operator keeps, no dense matrix; a dense operand takes
-      A^H (A v).  The returned value is a
-      Rayleigh estimate (a lower envelope of the true norm) whose residual
-      ||A*Av - mu v|| / sigma is reported; non-convergence inside the
-      iteration cap is reported through ``converged``, never hidden.
-    * exact-decomposition (stamp operators only): the shift-Fourier basis
-      block-diagonalises every kernel stamp into blocks |m^2 * ifft(K)[c]| *
-      G_c, and ``_block_norms`` gives ||G_c|| in closed form, so the norm is
-      one vectorised maximum over c -- no SVD and no dense matrix.
+    * exact-decomposition: the shift-Fourier basis block-diagonalises every
+      kernel stamp into blocks |m^2 * ifft(K)[c]| * G_c, and
+      ``_block_norms`` gives ||G_c|| in closed form, so the norm is one
+      vectorised maximum over c -- no SVD and no dense matrix.
+    * power-iteration: Rayleigh iteration on A*A, one ``gram_apply`` a step
+      (4 FFT passes and 2 gathers with the plan the operator keeps).  The
+      returned value is a Rayleigh estimate (a lower envelope of the true
+      norm) whose residual ||A*Av - mu v|| / sigma is reported; it stops at
+      a residual of ``_POWER_TOL``, and non-convergence inside
+      ``max_iterations`` is reported through ``converged``, never hidden.
+
+    Any operand other than a ``StampOperator`` is a ``TypeError``.
     """
-    dense = None
-    applier = None
-    if isinstance(op, DenseOperator):
-        dense = op.matrix
-    elif isinstance(op, np.ndarray):
-        dense = op
-    elif isinstance(op, StampOperator):
-        applier = op
-    else:
+    if not isinstance(op, StampOperator):
         raise TypeError(f"cannot take the norm of {type(op)!r}")
-
-    dim = dense.shape[0] if dense is not None else applier.dim
     method = method.lower()
-
-    if method == "auto":
-        method = "exact-decomposition" if applier is not None else "full-svd"
-
     if method == "exact-decomposition":
-        if applier is None:
-            raise ValueError("exact-decomposition needs a kernel stamp operator")
-        m = applier.ring.modulus
-        coeffs = np.abs(m * m * applier._kernel_ifft)
-        val = float(np.max(coeffs * _block_norms(applier.ring)))
-        return NormReport(val, "exact-decomposition", 0.0, 0, True, dim)
-
-    if method == "full-svd":
-        if dense is None:
-            raise ValueError("full-svd needs a dense operator")
-        # largest entry scaled into [0.5, 1) exactly: A^H A stays in range
-        exp = int(np.frexp(np.abs(dense).max())[1])
-        unit = np.array(dense, dtype=complex)
-        np.ldexp(unit.view(float), -exp, out=unit.view(float))
-        top = np.linalg.eigvalsh(unit.conj().T @ unit)[-1]
-        val = float(np.ldexp(np.sqrt(max(top, 0.0)), exp))
-        return NormReport(val, "full-svd", 0.0, 0, True, dim)
-
+        m = op.ring.modulus
+        coeffs = np.abs(m * m * op._kernel_ifft)
+        val = float(np.max(coeffs * _block_norms(op.ring)))
+        return NormReport(val, "exact-decomposition", 0.0, 0, True, op.dim)
     if method != "power-iteration":
         raise ValueError(f"unknown norm method {method!r}")
+    return _power_iteration(op.gram_apply, op.dim, max_iterations, seed)
 
-    if applier is not None:
-        apply_gram = applier.gram_apply
-    else:
-        apply_gram = lambda v: dense.conj().T @ (dense @ v)
 
+def _power_iteration(gram, dim: int, max_iterations: int,
+                     seed: int) -> NormReport:
+    """Power iteration on the Hermitian map ``gram`` (A*A) of dimension dim,
+    from a seeded complex Gaussian start; see ``operator_norm``."""
     rng = np.random.default_rng(seed)
     v = np.empty(dim, dtype=complex)
     v.real = rng.standard_normal(dim)
@@ -332,11 +248,11 @@ def operator_norm(op, method: str = "auto", tolerance: float = 1e-12,
     res = np.inf
     iters = 0
     for iters in range(1, max_iterations + 1):
-        w = apply_gram(v)
+        w = gram(v)
         mu = float(np.real(np.vdot(v, w)))
         # in place, as in the stamp halves: v is spent, so it takes mu * v
-        # and then the residual vector, and w (a fresh array from either
-        # step) becomes the next v
+        # and then the residual vector, and w (a fresh array from gram)
+        # becomes the next v
         v *= mu
         res = float(np.linalg.norm(np.subtract(w, v, out=v)))
         nw = np.linalg.norm(w)
@@ -345,12 +261,12 @@ def operator_norm(op, method: str = "auto", tolerance: float = 1e-12,
         w /= nw
         v = w
         sigma = np.sqrt(max(mu, 0.0))
-        if sigma > 0 and res / sigma <= tolerance:
+        if sigma > 0 and res / sigma <= _POWER_TOL:
             break
     sigma = float(np.sqrt(max(mu, 0.0)))
     sres = res / sigma if sigma > 0 else res
     return NormReport(sigma, "power-iteration", float(sres), iters,
-                      bool(sigma > 0 and sres <= tolerance), dim)
+                      bool(sigma > 0 and sres <= _POWER_TOL), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +321,15 @@ def fourier_diagonalize_S_delta(ring: ResidueRing) -> FourierBlocks:
 def verify_S_decomposition(ring: ResidueRing, a: RingElem,
                            b: RingElem) -> float:
     """Max-entry residual of S_{n,delta(a)} - S_{n,delta(b)}
-    = sum_chi t_chi S_{n,chi}, materialising both sides densely."""
+    = sum_chi t_chi S_{n,chi}, read off the kernels.
+
+    Every operator here is a stamp M[(y,t),(x,s)] = K[(s - t - x*y) mod m],
+    and K -> M is linear, so the two sides differ by the stamp of
+    D = K_lhs - sum_chi t_chi K_chi.  In every row (y,t) the residue
+    s - t - x*y takes every value as s runs over O_n, so each entry of D
+    occurs in every row, and the max-entry residual of the m^2 x m^2 identity
+    is max |D| over the m kernel entries: O(m) work, no dense matrix.
+    """
     if a.ring != b.ring:
         raise ValueError("a, b must share a ring")
     p, n = ring.p, ring.n
@@ -413,21 +337,13 @@ def verify_S_decomposition(ring: ResidueRing, a: RingElem,
     if a.ring.p != p or h > n:
         raise ValueError("pair ring incompatible with the operator ring")
     step = p ** (n - h)
-    m = ring.modulus
-    lhs_kernel = (_kernel_s_delta(ring, step * a.value)
-                  - _kernel_s_delta(ring, step * b.value))
-    terms = [(_kernel_s_chi(ring, chi), t)
-             for chi, t in character_decompose(a, b).items() if abs(t) > 0.0]
-    worst = 0.0
-    for start in range(0, m * m, _ROW_BLOCK):
-        rows = np.arange(start, min(start + _ROW_BLOCK, m * m))
-        tau = _shift_index(m, rows)
-        lhs = lhs_kernel[tau]
-        rhs = np.zeros_like(lhs)
-        for kern, t in terms:
-            rhs += t * kern[tau]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    lhs = (_kernel_s_delta(ring, step * a.value)
+           - _kernel_s_delta(ring, step * b.value))
+    rhs = np.zeros_like(lhs)
+    for chi, t in character_decompose(a, b).items():
+        if abs(t) > 0.0:
+            rhs += t * _kernel_s_chi(ring, chi)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +384,14 @@ class KDeltaConjugation:
 
 
 def verify_kdelta_conjugation(j: int, a: RingElem, b: RingElem,
-                              x: RingElem, y: RingElem,
-                              precision: int | None = None) -> KDeltaConjugation:
+                              x: RingElem, y: RingElem) -> KDeltaConjugation:
     """Exact check, mod p^N, that the two unipotent-corner words conjugate to
     the rotation stamp k_{p^(2j) * delta} with delta = y - a*x - b.
 
     The inputs live in O_n; requires j >= 1 and valuation(delta) <= n - j so
     the scaling unit omega = (sy - sa*sx - sb)/delta exists in 1 + p^j O.
-    All arithmetic is integer arithmetic modulo p^N (divisions happen only
-    through modular inverses of units).
+    All arithmetic is integer arithmetic modulo p^N with N = n + 2j + 4
+    (divisions happen only through modular inverses of units).
     """
     ring = a.ring
     if not (b.ring == ring and x.ring == ring and y.ring == ring):
@@ -492,7 +407,7 @@ def verify_kdelta_conjugation(j: int, a: RingElem, b: RingElem,
         raise ValueError(
             f"delta has valuation {v} > n-j = {n - j}: identity not claimed")
 
-    N = precision if precision is not None else n + 2 * j + 4
+    N = n + 2 * j + 4
     q = p ** N
 
     num = sy - sa * sx - sb                     # plain integer, may be negative

@@ -17,13 +17,13 @@ from gaplab import induction
 from gaplab import spheres
 from gaplab import twostep
 from gaplab import zigzag
-from gaplab.finite_models import (build_S_chi, build_S_delta,
-                                  fourier_diagonalize_S_delta,
+from gaplab.finite_models import (fourier_diagonalize_S_delta,
                                   hausdorff_young_ratio, operator_norm,
                                   stamp_s_chi, stamp_s_delta,
                                   verify_S_decomposition)
 from gaplab.residue import (AdditiveCharacter, ResidueRing,
                             classify_character, valuation)
+from dense_stamps import build_S_chi, build_S_delta, dense_norm
 from test_spheres import quadrature_eigenvalue
 
 ACCEPTANCE = []
@@ -142,7 +142,7 @@ def test_criterion_02_residue_operator_decay():
                                               abs(norm - small))
                         assert abs(norm - small) <= 1e-9
                     if m * m <= 729:
-                        raw = np.linalg.svd(build_S_chi(ring, chi).matrix,
+                        raw = np.linalg.svd(build_S_chi(ring, chi),
                                             compute_uv=False)
                         worst_dense = max(worst_dense,
                                           float(np.max(np.abs(raw - spec))))
@@ -155,8 +155,8 @@ def test_criterion_02_residue_operator_decay():
     ring = ResidueRing(2, 6)
     chi = AdditiveCharacter(ResidueRing(2, 3), 3)
     top = float(_full_spectrum(ring, chi, blocks_for(64))[0])
-    raw = operator_norm(build_S_chi(ring, chi), method="full-svd")
-    assert abs(top - raw.value) <= 1e-9
+    raw = dense_norm(build_S_chi(ring, chi))
+    assert abs(top - raw) <= 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     return (f"{nondegenerate} nondegenerate chi (worst margin "
@@ -200,8 +200,7 @@ def test_criterion_03_difference_decomposition():
             assert dev <= 1e-9
             assert abs(fb.block_norms[c] - p ** (-(n - k) / 2.0)) <= 1e-9
         for delta in range(m):
-            dense = operator_norm(build_S_delta(ring, delta),
-                                  method="full-svd").value
+            dense = dense_norm(build_S_delta(ring, delta))
             stamp = operator_norm(stamp_s_delta(ring, delta),
                                   method="exact-decomposition").value
             worst_norm = max(worst_norm, abs(dense - stamp))

@@ -189,12 +189,32 @@ def test_sphere_gap_delta_out_of_range_exits_two(tmp_path, capsys):
      "--samples must be at most 100000, got 10000000000000"),
     (["cocycle-mc", "--gcount=10000000000000"],
      "--gcount must be at most 1000, got 10000000000000"),
+    (["quotient-gap", "--order=3,1000000"],
+     "--order must be at most 1024, got 1000000"),
+    (["quotient-gap", "--horizon=1e13"],
+     "--horizon must be at most 10000, got 10000000000000"),
+    (["star-verify", "--order=1000000"],
+     "--order must be at most 64, got 1000000"),
+    (["star-verify", "--horizon=101"], "--horizon must be at most 100, got 101"),
+    (["kak", "--count=1e13"],
+     "--count must be at most 10000, got 10000000000000"),
+    (["kak", "--rcount=201"], "--rcount must be at most 200, got 201"),
+    (["zigzag-cert", "--pairs=1e13"],
+     "--pairs must be at most 200, got 10000000000000"),
+    (["sphere-gap", "--dmax=1e13"],
+     "--dmax must be at most 10000, got 10000000000000"),
 ])
 def test_rules_refuse_before_any_work(tmp_path, capsys, monkeypatch, argv,
                                       message):
     monkeypatch.setattr(cli.cartan, "kak_real", lambda *a: pytest.fail("ran"))
     monkeypatch.setattr(cli.residue, "ResidueRing", lambda *a: pytest.fail("ran"))
     monkeypatch.setattr(cli.induction, "sample_domain_arrays",
+                        lambda *a: pytest.fail("ran"))
+    monkeypatch.setattr(cli.spheres, "tdelta_gap_report",
+                        lambda *a: pytest.fail("ran"))
+    monkeypatch.setattr(cli.zigzag, "zigzag_certificate",
+                        lambda *a: pytest.fail("ran"))
+    monkeypatch.setattr(cli.twostep, "cyclic_model",
                         lambda *a: pytest.fail("ran"))
     out = tmp_path / "out.csv"
     assert run_main([*argv, "--out", out]) == 2
@@ -265,13 +285,13 @@ def test_sdelta_decay_case_fails_on_cross_check(monkeypatch):
     # power iteration fails the case
     real = cli.finite_models.operator_norm
 
-    def skewed(op, method="auto", **kwargs):
+    def skewed(op, method="exact-decomposition", **kwargs):
         rep = real(op, method=method, **kwargs)
         if method == "power-iteration":
             rep.value += 1e-6
         return rep
 
-    def stalled(op, method="auto", **kwargs):
+    def stalled(op, method="exact-decomposition", **kwargs):
         rep = real(op, method=method, **kwargs)
         if method == "power-iteration":
             rep.converged = False

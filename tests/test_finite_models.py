@@ -1,18 +1,21 @@
 """Operators on l2(O_n x O_n): construction, norms, Fourier law, identities."""
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaplab import (AdditiveCharacter, ResidueRing, RingElem, build_S_chi,
-                    build_S_delta, char_eval, classify_character,
+from gaplab import (AdditiveCharacter, ResidueRing, RingElem, char_eval,
+                    character_decompose, classify_character,
                     fourier_diagonalize_S_delta, hausdorff_young_ratio,
                     operator_norm, stamp_s_chi, stamp_s_delta,
                     verify_S_decomposition, verify_kdelta_conjugation,
                     valuation)
-from gaplab.finite_models import DenseOperator, StampOperator, _materialize
+from gaplab import finite_models
+from gaplab.finite_models import _POWER_TOL, StampOperator, _power_iteration
+from dense_stamps import _materialize, build_S_chi, build_S_delta, dense_norm
 from test_acceptance import _block_spectra, _fourier_block
 
 
@@ -49,14 +52,14 @@ def _direct_s_chi(p, n, chi):
 @pytest.mark.parametrize("p,n,delta", [(2, 1, 0), (2, 2, 3), (3, 1, 2), (3, 2, 5)])
 def test_s_delta_matches_definition(p, n, delta):
     R = ResidueRing(p, n)
-    got = build_S_delta(R, delta).matrix
+    got = build_S_delta(R, delta)
     assert np.array_equal(got, _direct_s_delta(p, n, delta))
 
 
 def test_s_delta_small_explicit():
     # p=2, n=1, delta=0: the 4x4 average over x of f(x, t + x*y)
     R = ResidueRing(2, 1)
-    S = build_S_delta(R, 0).matrix
+    S = build_S_delta(R, 0)
     assert set(np.unique(S.real)) == {0.0, 0.5}
     assert np.allclose(np.abs(S).sum(axis=1), 1.0)  # absolute row sums
 
@@ -65,7 +68,7 @@ def test_s_chi_small_explicit():
     # p=2, n=1, h=1: entries are +-1/4 where s = t + z + x*y
     R = ResidueRing(2, 1)
     chi = AdditiveCharacter(ResidueRing(2, 1), 1)
-    S = build_S_chi(R, chi).matrix
+    S = build_S_chi(R, chi)
     assert np.array_equal(S, _direct_s_chi(2, 1, chi))
     assert set(np.unique(S.real)) <= {-0.25, 0.0, 0.25}
 
@@ -74,18 +77,18 @@ def test_s_chi_small_explicit():
 def test_s_chi_matches_definition(p, n, h, idx):
     R = ResidueRing(p, n)
     chi = AdditiveCharacter(ResidueRing(p, h), idx)
-    got = build_S_chi(R, chi).matrix
+    got = build_S_chi(R, chi)
     assert np.max(np.abs(got - _direct_s_chi(p, n, chi))) < 1e-15
 
 
 def test_s_chi_rejects_bad_inputs():
     R = ResidueRing(2, 2)
     with pytest.raises(ValueError):
-        build_S_chi(R, AdditiveCharacter(ResidueRing(2, 3), 1))  # h > n
+        stamp_s_chi(R, AdditiveCharacter(ResidueRing(2, 3), 1))  # h > n
     with pytest.raises(ValueError):
-        build_S_chi(R, AdditiveCharacter(ResidueRing(2, 2), 0))  # trivial
+        stamp_s_chi(R, AdditiveCharacter(ResidueRing(2, 2), 0))  # trivial
     with pytest.raises(ValueError):
-        build_S_chi(R, AdditiveCharacter(ResidueRing(3, 1), 1))  # wrong prime
+        stamp_s_chi(R, AdditiveCharacter(ResidueRing(3, 1), 1))  # wrong prime
 
 
 def _apply_loop(op, f):
@@ -252,29 +255,28 @@ def test_stamp_apply_matches_dense():
             (build_S_chi(R, chi), stamp_s_chi(R, chi)),
         ]:
             f = rng.standard_normal(m * m) + 1j * rng.standard_normal(m * m)
-            assert np.max(np.abs(stamp.apply(f) - dense.matrix @ f)) < 1e-12
+            assert np.max(np.abs(stamp.apply(f) - dense @ f)) < 1e-12
             assert np.max(np.abs(stamp.adjoint_apply(f)
-                                 - dense.matrix.conj().T @ f)) < 1e-12
+                                 - dense.conj().T @ f)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # norms
 
 
-def test_operator_norm_identity_and_rank_one():
+def test_dense_norm_identity_and_rank_one():
     eye = np.eye(10, dtype=complex)
-    assert operator_norm(eye, method="full-svd").value == pytest.approx(1.0)
+    assert dense_norm(eye) == pytest.approx(1.0)
 
     u = np.zeros(8, dtype=complex); u[:4] = 1.0          # norm 2
     v = np.zeros(8, dtype=complex); v[:] = 3 / np.sqrt(8)  # norm 3
-    rep = operator_norm(np.outer(u, v.conj()), method="full-svd")
-    assert rep.value == pytest.approx(6.0, abs=1e-12)
+    assert dense_norm(np.outer(u, v.conj())) == pytest.approx(6.0, abs=1e-12)
 
 
 @given(st.integers(1, 64), st.integers(0, 64), st.integers(0, 2 ** 32 - 1),
        st.integers(-1060, 1000))
 @settings(max_examples=100, deadline=None)
-def test_full_svd_is_the_top_singular_value(dim, rank, seed, exp):
+def test_dense_norm_is_the_top_singular_value(dim, rank, seed, exp):
     # the Gram eigensolve against a direct SVD on complex square matrices of
     # every rank, at binary scales from subnormal entries to near overflow
     rng = np.random.default_rng(seed)
@@ -283,7 +285,7 @@ def test_full_svd_is_the_top_singular_value(dim, rank, seed, exp):
     Y = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
     A = (X @ Y) * 2.0 ** exp
     want = float(np.linalg.svd(A, compute_uv=False)[0])
-    got = operator_norm(A, method="full-svd").value
+    got = dense_norm(A)
     assert abs(got - want) <= 8 * dim * np.finfo(float).eps * want
 
 
@@ -292,12 +294,12 @@ def test_power_iteration_tracks_svd():
     for trial in range(100):
         A = (rng.standard_normal((64, 64))
              + 1j * rng.standard_normal((64, 64))) / np.sqrt(64)
-        svd = operator_norm(A, method="full-svd")
-        pit = operator_norm(A, method="power-iteration", tolerance=1e-10,
-                            max_iterations=20000, seed=trial)
+        svd = dense_norm(A)
+        pit = _power_iteration(lambda v: A.conj().T @ (A @ v), 64,
+                               max_iterations=20000, seed=trial)
         assert pit.converged
-        assert pit.value <= svd.value + pit.residual + 1e-12
-        assert abs(pit.value - svd.value) < 1e-8
+        assert pit.value <= svd + pit.residual + 1e-12
+        assert abs(pit.value - svd) < 1e-8
 
 
 def _power_iteration_oracle(gram, dim, tolerance, max_iterations, seed):
@@ -319,32 +321,40 @@ def _power_iteration_oracle(gram, dim, tolerance, max_iterations, seed):
 
 def test_power_iteration_is_the_allocating_loop():
     # the iteration works in place; every report is bit for bit the loop
-    # that allocates, on dense operands and on stamps
+    # that allocates, on dense grams and on stamps through operator_norm;
+    # a cap of 7 stops every case before it converges
     rng = np.random.default_rng(23)
     cases = []
     for trial in range(5):
         A = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
-        cases.append((A, lambda v, A=A: A.conj().T @ (A @ v), 48))
+        gram = lambda v, A=A: A.conj().T @ (A @ v)
+        cases.append((functools.partial(_power_iteration, gram, 48), gram, 48))
     for p, n in [(2, 3), (3, 2), (2, 7), (5, 2)]:
         op = _random_stamp(p, n, rng)
-        cases.append((op, op.gram_apply, op.dim))
-    for seed, (op, gram, dim) in enumerate(cases):
-        for tolerance, cap in [(1e-12, 5000), (1e-15, 7)]:
-            rep = operator_norm(op, method="power-iteration", seed=seed,
-                                tolerance=tolerance, max_iterations=cap)
-            want = _power_iteration_oracle(gram, dim, tolerance, cap, seed)
+        run = functools.partial(operator_norm, op, "power-iteration")
+        cases.append((run, op.gram_apply, op.dim))
+    for seed, (run, gram, dim) in enumerate(cases):
+        for cap in (5000, 7):
+            rep = run(max_iterations=cap, seed=seed)
+            want = _power_iteration_oracle(gram, dim, _POWER_TOL, cap, seed)
             assert (rep.value, rep.residual, rep.iterations) == want
+            assert rep.converged == (cap == 5000)
 
 
 def test_norm_report_fields():
-    rep = operator_norm(np.eye(4, dtype=complex), method="full-svd")
-    assert rep.method == "full-svd"
-    assert rep.residual == 0.0 and rep.converged and rep.dim == 4
+    rep = operator_norm(stamp_s_delta(ResidueRing(2, 1), 1))
+    assert rep.method == "exact-decomposition" and rep.value == 1.0
+    assert rep.residual == 0.0 and rep.converged and rep.iterations == 0
+    assert rep.dim == 4
 
     with pytest.raises(ValueError):
-        operator_norm(np.eye(4), method="not-a-method")
-    with pytest.raises(TypeError):
-        operator_norm("nonsense")
+        operator_norm(stamp_s_delta(ResidueRing(2, 1), 1),
+                      method="not-a-method")
+    # a dense matrix's norm is the test oracle dense_stamps.dense_norm
+    dense = build_S_delta(ResidueRing(2, 1), 1)
+    for operand in (dense, np.eye(4, dtype=complex), "nonsense"):
+        with pytest.raises(TypeError):
+            operator_norm(operand)
 
 
 def test_exact_decomposition_norm_matches_svd():
@@ -357,9 +367,9 @@ def test_exact_decomposition_norm_matches_svd():
         chi = AdditiveCharacter(ResidueRing(p, h), idx)
         exact = operator_norm(stamp_s_chi(R, chi),
                               method="exact-decomposition")
-        svd = operator_norm(build_S_chi(R, chi), method="full-svd")
+        svd = dense_norm(build_S_chi(R, chi))
         assert exact.method == "exact-decomposition"
-        assert abs(exact.value - svd.value) < 1e-10, (p, n, h, idx)
+        assert abs(exact.value - svd) < 1e-10, (p, n, h, idx)
     # the block formula holds for every kernel, not only S_delta and S_chi;
     # zero-mean kernels empty the c = 0 block so a deeper block must win
     rng = np.random.default_rng(17)
@@ -374,9 +384,8 @@ def test_exact_decomposition_norm_matches_svd():
                 kernel -= kernel.mean()
             exact = operator_norm(StampOperator(R, kernel),
                                   method="exact-decomposition")
-            svd = operator_norm(DenseOperator(R, _materialize(R, kernel)),
-                                method="full-svd")
-            assert abs(exact.value - svd.value) <= 1e-12 * max(1.0, svd.value)
+            svd = dense_norm(_materialize(R, kernel))
+            assert abs(exact.value - svd) <= 1e-12 * max(1.0, svd)
 
 
 def test_contraction_bounds():
@@ -394,7 +403,7 @@ def test_nondegenerate_decay_small():
             for idx in range(1, p ** h):
                 chi = AdditiveCharacter(ResidueRing(p, h), idx)
                 v = valuation(p, idx, h)
-                got = operator_norm(build_S_chi(R, chi), method="full-svd").value
+                got = dense_norm(build_S_chi(R, chi))
                 assert got == pytest.approx(p ** (-(n - v) / 2), abs=1e-10)
                 if chi.is_nondegenerate:
                     assert got <= p ** (-(n - h) / 2) + 1e-9
@@ -405,11 +414,9 @@ def test_degenerate_factorization_small():
     p, n, h = 2, 4, 3
     chi = AdditiveCharacter(ResidueRing(p, h), 2)      # v=1, d=2
     cls = classify_character(chi)
-    big = operator_norm(build_S_chi(ResidueRing(p, n), chi),
-                        method="full-svd").value
-    small = operator_norm(
-        build_S_chi(ResidueRing(p, n - h + cls.level), cls.reduced),
-        method="full-svd").value
+    big = dense_norm(build_S_chi(ResidueRing(p, n), chi))
+    small = dense_norm(
+        build_S_chi(ResidueRing(p, n - h + cls.level), cls.reduced))
     assert abs(big - small) < 1e-9
 
 
@@ -434,8 +441,7 @@ def test_fourier_reassembly():
     R = ResidueRing(2, 2)
     FB = fourier_diagonalize_S_delta(R)
     for delta in range(4):
-        res = np.max(np.abs(_reassemble(FB, delta)
-                            - build_S_delta(R, delta).matrix))
+        res = np.max(np.abs(_reassemble(FB, delta) - build_S_delta(R, delta)))
         assert res < 1e-12
 
 
@@ -466,7 +472,7 @@ def test_fourier_difference_law_vs_dense():
     FB = fourier_diagonalize_S_delta(R)
     dense = {}
     for d in range(9):
-        dense[d] = build_S_delta(R, d).matrix
+        dense[d] = build_S_delta(R, d)
     for (d, dp) in [(1, 0), (5, 2), (8, 8), (3, 6)]:
         law = FB.difference_norm(d, dp)
         svd = np.linalg.svd(dense[d] - dense[dp], compute_uv=False)[0]
@@ -484,12 +490,6 @@ def test_difference_triangle_bound():
     for a in range(p ** h):
         for b in range(p ** h):
             assert FB.difference_norm(step * a, step * b) <= bound + 1e-9
-
-
-def test_equal_shifts_give_zero():
-    R = ResidueRing(2, 2)
-    d = build_S_delta(R, 3) - build_S_delta(R, 3)
-    assert np.all(d.matrix == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +510,54 @@ def test_decomposition_identity_equal_pair():
     R = ResidueRing(2, 2)
     Rh = ResidueRing(2, 2)
     assert verify_S_decomposition(R, Rh.elem(3), Rh.elem(3)) == 0.0
+
+
+def _dense_decomposition_residual(ring, a, b, decompose=character_decompose):
+    """verify_S_decomposition's residual from the two dense sides, summed
+    as the library sums the kernels."""
+    step = ring.p ** (ring.n - a.ring.n)
+    lhs = (build_S_delta(ring, step * a.value)
+           - build_S_delta(ring, step * b.value))
+    rhs = np.zeros_like(lhs)
+    for chi, t in decompose(a, b).items():
+        if abs(t) > 0.0:
+            rhs += t * build_S_chi(ring, chi)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def _criterion_3_pairs():
+    for p, n in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
+        for h in range(1, n + 1):
+            sub = ResidueRing(p, h)
+            for ai, bi in {(1 % sub.modulus, 0),
+                           (sub.modulus - 1, 1 % sub.modulus)}:
+                if ai != bi:
+                    yield ResidueRing(p, n), sub.elem(ai), sub.elem(bi)
+
+
+def test_decomposition_on_kernels_is_the_dense_residual(monkeypatch):
+    # every entry of a stamp's kernel occurs in every row of its matrix, so
+    # the residual over the m kernel entries is the max-entry residual of
+    # the m^2 x m^2 identity; numpy rounds a 2-D gather and a length-m
+    # vector differently, so the two agree to rounding, not bit for bit
+    pairs = list(_criterion_3_pairs())
+    assert len(pairs) == 25
+    for ring, a, b in pairs:
+        got = verify_S_decomposition(ring, a, b)
+        want = _dense_decomposition_residual(ring, a, b)
+        assert abs(got - want) <= 1e-18, (ring, a, b)
+    # with the i-th coefficient scaled by 1 + i/7 the identity fails by
+    # O(1/m), unevenly over the kernel, and the kernel residual is still
+    # the dense one
+    def skewed(a, b):
+        terms = character_decompose(a, b).items()
+        return {chi: t * (1 + i / 7) for i, (chi, t) in enumerate(terms)}
+
+    monkeypatch.setattr(finite_models, "character_decompose", skewed)
+    for ring, a, b in pairs:
+        got = verify_S_decomposition(ring, a, b)
+        want = _dense_decomposition_residual(ring, a, b, skewed)
+        assert want > 1e-3 and abs(got - want) <= 1e-16, (ring, a, b)
 
 
 def test_decomposition_rejects_mismatch():

@@ -436,8 +436,7 @@ def _run_sphere_gap(params, seed):
 def _run_su2_gap(params, seed):
     """Two-rotation gap must dominate the closed-form spin-1/2 branch."""
     thetas = params["theta"]
-    values = spheres.stheta_norm_gap(thetas, two_j_max=params["jmax"],
-                                     quadrature_points=params["qpoints"])
+    values = spheres.stheta_norm_gap(thetas, two_j_max=params["jmax"])
     cases = []
     for theta, value in zip(thetas, values.tolist()):
         lower = spheres.spin_half_gap(theta)
@@ -692,7 +691,6 @@ def _write_sample_log(path, report, preamble):
 
 @dataclass(frozen=True)
 class CommandSpec:
-    name: str
     runner: object
     keys: dict
     summary: str
@@ -746,8 +744,11 @@ _STAR_MAX_HORIZON = 100
 #   - star-verify --order at 64: the regular representation holds order^3
 #     doubles, and the check holds three order^2 images a power; --horizon
 #     at 100 powers;
-# - su2-gap --qpoints starts at the library's 64 quadrature points, and
-#   star-verify --horizon at the 2 measures one Cauchy difference needs;
+# - su2-gap --qpoints has no effect: the gap is the exact circle average,
+#   and no quadrature runs; the key and its floor of 64 stay for the
+#   invocations that still pass it;
+# - star-verify --horizon starts at the 2 measures one Cauchy difference
+#   needs;
 # - a tolerance (--tol, --tolkappa) lies in [0, 1e-6]: a negative one fails
 #   every comparison and a large one passes every comparison.  The compared
 #   norms, gaps and lengths are far above 1e-6 (an sdelta-decay bound is at
@@ -765,13 +766,13 @@ _STAR_MAX_HORIZON = 100
 # once the modulus bound has capped p.
 COMMANDS = {
     "sdelta-decay": CommandSpec(
-        "sdelta-decay", _run_sdelta_decay,
+        _run_sdelta_decay,
         {"p": Key((2, 3), integer=True, low=2, axis=True),
          "n": Key((1, 2, 3), integer=True, low=1, axis=True),
          "tol": Key((1e-9,), low=0.0, high=_MAX_TOL)},
         "character-block norm decay on residue rings"),
     "sphere-gap": CommandSpec(
-        "sphere-gap", _run_sphere_gap,
+        _run_sphere_gap,
         {"n": Key((2,), integer=True, low=2, axis=True),
          "delta": Key(tuple(i / 100.0 for i in range(1, 100)), low=-1.0,
                       high=1.0, axis=True),
@@ -779,14 +780,14 @@ COMMANDS = {
          "tol": Key((1e-9,), low=0.0, high=_MAX_TOL)},
         "sphere averaging gap vs. Holder envelope"),
     "su2-gap": CommandSpec(
-        "su2-gap", _run_su2_gap,
+        _run_su2_gap,
         {"theta": Key((0.05, 0.2, 0.4, math.pi / 4, 1.0, 1.3, 2.0), axis=True),
          "jmax": Key((20,), integer=True, low=1, high=_SU2_MAX_TWO_J),
          "qpoints": Key((128,), integer=True, low=64),
          "tol": Key((1e-9,), low=0.0, high=_MAX_TOL)},
         "two-rotation gap vs. spin-1/2 branch"),
     "kak": CommandSpec(
-        "kak", _run_kak,
+        _run_kak,
         {"count": Key((20,), integer=True, low=0, high=_KAK_MAX_COUNT),
          "alpha": Key((0.5, 1.0, 2.0), low=0.0, high=_KAK_MAX_ALPHA,
                       axis=True),
@@ -794,14 +795,14 @@ COMMANDS = {
          "tol": Key((1e-10,), low=0.0, high=_MAX_TOL)},
         "KAK round-trips and distortion bounds"),
     "zigzag-cert": CommandSpec(
-        "zigzag-cert", _run_zigzag_cert,
+        _run_zigzag_cert,
         {"s": Key((0.05, 0.1, 0.2), axis=True),
          "L": Key((1.0,), axis=True),
          "pairs": Key((12,), integer=True, low=1, high=_ZIGZAG_MAX_PAIRS),
          "rmax": Key((20.0,), low=1.0, high=_ZIGZAG_MAX_RADIUS)},
         "chamber-walk norm certificates"),
     "quotient-gap": CommandSpec(
-        "quotient-gap", _run_quotient_gap,
+        _run_quotient_gap,
         {"order": Key((3, 4, 5, 6, 8), integer=True, low=3,
                       high=_QUOTIENT_MAX_ORDER, axis=True),
          "horizon": Key((16,), integer=True, low=1,
@@ -809,13 +810,13 @@ COMMANDS = {
          "sl3": Key((1,), integer=True, low=0, high=1)},
         "lazy-walk spectral gaps on finite quotients"),
     "star-verify": CommandSpec(
-        "star-verify", _run_star_verify,
+        _run_star_verify,
         {"order": Key((3, 5), integer=True, low=3, high=_STAR_MAX_ORDER,
                       axis=True),
          "horizon": Key((30,), integer=True, low=2, high=_STAR_MAX_HORIZON)},
         "sandwiched-representation convergence"),
     "cocycle-mc": CommandSpec(
-        "cocycle-mc", _run_cocycle_mc,
+        _run_cocycle_mc,
         {"samples": Key((2000,), integer=True, low=50,
                         high=_COCYCLE_MAX_SAMPLES),
          "gcount": Key((20,), integer=True, low=1, high=_COCYCLE_MAX_GCOUNT),

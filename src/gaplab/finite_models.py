@@ -296,19 +296,6 @@ class FourierBlocks:
     ring: ResidueRing
     block_norms: np.ndarray
 
-    def block_coefficient(self, c, delta):
-        """psi_c(delta) for a block index c or an array of them."""
-        m = self.ring.modulus
-        d = _as_delta_value(self.ring, delta)
-        return np.exp(2j * np.pi * ((np.asarray(c) * d) % m) / m)
-
-    def difference_norm(self, delta, delta_prime) -> float:
-        """||S_delta - S_delta'|| = max_c |psi_c(d)-psi_c(d')| * ||G_c||."""
-        c = np.arange(self.ring.modulus)
-        gap = np.abs(self.block_coefficient(c, delta)
-                     - self.block_coefficient(c, delta_prime))
-        return float(np.max(gap * self.block_norms))
-
 
 def fourier_diagonalize_S_delta(ring: ResidueRing) -> FourierBlocks:
     return FourierBlocks(ring, _block_norms(ring))

@@ -596,22 +596,14 @@ def _check_probability(weights, what):
         raise ValueError(f"{what} must sum to one")
 
 
-def _weighted_sample(domain_samples, weights):
+def _weighted_sample(domain_samples):
     """A nonempty domain sample as (omegas, x, y, weights), see
-    ``_representatives``.  The weights default to uniform; given weights
-    must be one probability weight per representative."""
+    ``_representatives``; the weights are uniform, 1/N each."""
     omegas, x, y = _representatives(domain_samples)
     count = len(omegas)
     if not count:
         raise ValueError("empty domain sample")
-    if weights is None:
-        return omegas, x, y, np.full(count, 1.0 / count)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (count,):
-        raise ValueError(f"expected one domain weight per representative, "
-                         f"got {weights.size} weights for {count} representatives")
-    _check_probability(weights.tolist(), "domain weights")
-    return omegas, x, y, weights
+    return omegas, x, y, np.full(count, 1.0 / count)
 
 
 def reduce_to_domain(g):
@@ -833,13 +825,14 @@ class CuspFit:
         }
 
 
-def cusp_decay_fit(lengths, threshold_quantile=0.98, radii=None):
+def cusp_decay_fit(lengths, threshold_quantile=0.98):
     """Fit the exponential cusp decay Pr[length > R] <= A e^{-cR}.
 
     The rate c is the exceedance estimate 1/mean(length - R0 | length > R0)
     with R0 the given quantile; the amplitude is then chosen as
-    max_R Pr_hat[length > R] e^{cR} over the radius grid, so the bound holds
-    at every reported radius by construction.
+    max_R Pr_hat[length > R] e^{cR} over the radius grid, ten radii from 0.5
+    to max(1, the 0.999 quantile), so the bound holds at every reported
+    radius by construction.
     """
     lengths = np.asarray(lengths, dtype=float)
     n = lengths.size
@@ -854,14 +847,12 @@ def cusp_decay_fit(lengths, threshold_quantile=0.98, radii=None):
         )
     rate = float(1.0 / excess.mean())
     stderr = rate / math.sqrt(excess.size)
-    if radii is None:
-        hi = float(np.quantile(lengths, 0.999))
-        radii = np.linspace(0.5, max(1.0, hi), 10)
-    radii = np.asarray(radii, dtype=float)
+    hi = float(np.quantile(lengths, 0.999))
+    radii = np.linspace(0.5, max(1.0, hi), 10)
     probs = np.array([float(np.mean(lengths > r)) for r in radii])
     keep = probs > 0
     if not keep.any():
-        raise ValueError("tail is empty on the requested radius grid")
+        raise ValueError("tail is empty on the radius grid")
     amplitude = float(np.max(probs[keep] * np.exp(rate * radii[keep])))
     return CuspFit(
         amplitude=amplitude,
@@ -941,7 +932,7 @@ def random_group_elements(count, seed, max_length=3.0):
     return out
 
 
-def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
+def cocycle_growth_check(g_samples, s, domain_samples, s0=1.0):
     """Measure cocycle growth over sampled group elements and domain points.
 
     Requires s <= s0/2 (the admissible range for the exponential moment).
@@ -951,10 +942,11 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
     e^{s0 length} integral of the domain sample itself.
 
     ``g_samples`` may be any iterable and is read once; ``domain_samples``
-    is a sequence of SiegelPoints or an (N, 2, 2) array of representatives.
-    Both must be nonempty.  Every alpha(g, omega) comes from one stacked
-    ``_alphas`` pass over all (g, omega) pairs.  The statistics stay one
-    loop over g: each is a reduction over one g's row, and a stacked
+    is a sequence of SiegelPoints or an (N, 2, 2) array of representatives,
+    each weighted 1/N, as ``sample_domain`` draws them (the sampler is
+    exact).  Both must be nonempty.  Every alpha(g, omega) comes from one
+    stacked ``_alphas`` pass over all (g, omega) pairs.  The statistics stay
+    one loop over g: each is a reduction over one g's row, and a stacked
     (G, N) @ (N,) product could round the weighted means differently.
     """
     if s <= 0:
@@ -964,7 +956,7 @@ def cocycle_growth_check(g_samples, s, domain_samples, weights=None, s0=1.0):
     g_list = [_check_unimodular(g) for g in g_samples]
     if not g_list:
         raise ValueError("no group elements to check")
-    omegas, x, y, weights = _weighted_sample(domain_samples, weights)
+    omegas, x, y, weights = _weighted_sample(domain_samples)
     omega_lengths = _point_lengths(x, y)
     kappa = -math.inf
     c_emp = -math.inf
@@ -1077,17 +1069,18 @@ def exp_tail_mass(measure, s, radius):
     return total
 
 
-def pushforward_mn0(m_tilde, n, domain_samples, weights=None):
+def pushforward_mn0(m_tilde, n, domain_samples):
     """Push a sampled measure on the real group down to the integer group.
 
     ``m_tilde`` is an iterable of (matrix, weight) pairs forming a probability
     measure supported in the length-n ball; each atom g and each domain point
     omega contribute weight to the inverse of the integer part of
     g^{-1} omega.  ``domain_samples`` is a nonempty sequence of SiegelPoints
-    or an (N, 2, 2) array of representatives.  All integer parts come from
-    one stacked ``_alphas`` pass.  Returns (measure, exact_fallbacks): a
-    LatticeMeasure of total mass one, and the number of (g, omega) pairs
-    whose reduction went through exact rational arithmetic.
+    or an (N, 2, 2) array of representatives, each weighted 1/N.  All
+    integer parts come from one stacked ``_alphas`` pass.  Returns
+    (measure, exact_fallbacks): a LatticeMeasure of total mass one, and the
+    number of (g, omega) pairs whose reduction went through exact rational
+    arithmetic.
     """
     pairs = [(*_check_unimodular(g), float(w)) for g, w in m_tilde]
     if not pairs:
@@ -1098,7 +1091,7 @@ def pushforward_mn0(m_tilde, n, domain_samples, weights=None):
             raise ValueError(
                 f"support leaves the length ball: length {element_length(g):.6g} > n={n}"
             )
-    omegas, _, _, weights = _weighted_sample(domain_samples, weights)
+    omegas, _, _, weights = _weighted_sample(domain_samples)
     weights = weights.tolist()
     stacked, fallbacks = _alphas([_adjugate4(g4) for _, g4, _ in pairs], omegas)
     entries = {}

@@ -3,12 +3,12 @@
 The latitude average T_delta on L2(S^n) acts on degree-l harmonics by the
 normalized Gegenbauer value q_l(delta) = C_l^lam(delta)/C_l^lam(1) with
 lam = (n-1)/2 (Legendre values for n = 2).  The circle average S_theta on
-L2(SU(2)) acts on the spin-j block as the phi-average of the spin-j matrix
-of a fixed two-parameter unitary; entries are trig polynomials in phi of
-degree <= 2j, so an M-point trapezoid average with M > 2j is exact, and it
-is the diagonal of the phi = 0 matrix, e^(-2im theta) d^j_mm(pi/2).  The
-gap needs only the moduli |d^j_mm(pi/2)|, from a three-term recurrence in j
-whose every row is checked against the character of the rotation.
+L2(SU(2)) acts on the spin-j block as the average over the circle of phi
+of the spin-j matrix of a fixed two-parameter unitary; entries are trig
+polynomials in phi of degree <= 2j, and the average keeps their constant
+terms: the diagonal of the phi = 0 matrix, e^(-2im theta) d^j_mm(pi/2).
+The gap needs only the moduli |d^j_mm(pi/2)|, from a three-term recurrence
+in j whose every row is checked against the character of the rotation.
 
 Norm gaps are suprema over the truncated degree range; the truncation is
 always reported together with an analytic Legendre envelope for the tail.
@@ -332,21 +332,16 @@ def _diagonal_maxima(two_j_max: int) -> np.ndarray:
     return best
 
 
-def stheta_norm_gap(theta, two_j_max: int = 40,
-                    quadrature_points: int = 128):
+def stheta_norm_gap(theta, two_j_max: int = 40):
     """sup over spins 2j <= two_j_max of ||block_j(theta) - block_j(pi/4)||.
 
-    With M > 2j quadrature points, and only then, block_j(theta) is the
-    diagonal e^(-2im theta) d^j_mm(pi/2): the gap is the max over 2|m| <=
+    block_j(theta) is the circle average of the spin-j matrix, the diagonal
+    e^(-2im theta) d^j_mm(pi/2), so the gap is the max over 2|m| <=
     two_j_max of e(m) 2|sin(m (theta - pi/4))|, e(m) from `_diagonal_maxima`.
     A scalar theta gives a float, a 1-D sequence an array.
     """
     if two_j_max < 1:
         raise ValueError("need at least spin 1/2")
-    if quadrature_points < 64:
-        raise ValueError("at least 64 quadrature points required")
-    if quadrature_points <= two_j_max:
-        raise ValueError("quadrature must resolve the top phi-frequency")
     thetas, scalar = _batch(theta, "theta")
     m = np.arange(1, two_j_max + 1) / 2.0
     sines = np.abs(np.sin(np.outer(thetas - _BASE_THETA, m)))
@@ -359,14 +354,13 @@ def spin_half_gap(theta: float) -> float:
     return math.sqrt(2.0) * abs(math.sin((theta - _BASE_THETA) / 2.0))
 
 
-def fit_stheta_constant(two_j_max: int = 40, quadrature_points: int = 128,
-                        thetas=None) -> float:
+def fit_stheta_constant(two_j_max: int = 40, thetas=None) -> float:
     """Smallest C with gap(theta) <= C*|theta - pi/4|^(1/4) on the grid."""
     if thetas is None:
         thetas = np.linspace(0.0, 2.0 * np.pi, 41, endpoint=False)
     thetas, _ = _batch(thetas, "thetas")
     dists = np.abs(thetas - _BASE_THETA)
     keep = dists >= 1e-12
-    gaps = stheta_norm_gap(thetas[keep], two_j_max, quadrature_points)
+    gaps = stheta_norm_gap(thetas[keep], two_j_max)
     return max([0.0] + [g / d ** 0.25 for g, d
                         in zip(gaps.tolist(), dists[keep].tolist())])

@@ -460,19 +460,18 @@ def apply_measure(rep: TwoStepRep, m: FiniteMeasure) -> np.ndarray:
     return _apply_weights(m.weights, rep.pi_stack())
 
 
-def sandwich_twostep(model, u_stack, A, B, weights=None, rate=0.0) -> TwoStepRep:
+def sandwich_twostep(model, u_stack, A, B) -> TwoStepRep:
     """Canonical two-step family pi0(g) = u(g) A, pi1(g) = B u(g).
 
     `u_stack` must be a real orthogonal representation (one matrix per
     element, identity at the identity) and A, B real; the once-composable
     relation then holds identically.  Complex input is refused rather than
-    cast.  Optional `weights` rescale the columns of A (a diagonal
-    reweighting of X0).  The growth certificate is measured directly:
-    s = rate and L = max_g max_i ||pi_i(g)|| e^{-rate l(g)}; with the default
-    rate this is just max(||A||, ||B||).  Those norms are taken once, here,
-    and the constructor checks the certificate against them.
+    cast.  A diagonal reweighting of X0 is the caller's A * w.  The growth
+    certificate is measured directly: s = 0 and L = max_g max_i ||pi_i(g)||,
+    which is max(||A||, ||B||).  Those norms are taken once, here, and the
+    constructor checks the certificate against them.
     """
-    if any(np.iscomplexobj(x) for x in (u_stack, A, B, weights)):
+    if any(np.iscomplexobj(x) for x in (u_stack, A, B)):
         raise ValueError("sandwich families must be real, not complex")
     u = np.asarray(u_stack, dtype=float)
     n = model.order
@@ -493,17 +492,10 @@ def sandwich_twostep(model, u_stack, A, B, weights=None, rate=0.0) -> TwoStepRep
         raise ValueError("A must map X0 into the representation space")
     if B.ndim != 2 or B.shape[1] != d:
         raise ValueError("B must map the representation space into X2")
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (A.shape[1],) or np.any(w <= 0):
-            raise ValueError("weights must be positive, one per X0 coordinate")
-        A = A * w[None, :]
     pi0 = u @ A
     pi1 = B @ u
-    scale = np.exp(-float(rate) * model.lengths.astype(float))
     norms = np.maximum(_opnorms(pi0), _opnorms(pi1))
-    L = float((norms * scale).max())
-    rep = TwoStepRep(model, pi0, pi1, L, rate, norms=norms)
+    rep = TwoStepRep(model, pi0, pi1, float(norms.max()), 0.0, norms=norms)
     rep.u_stack, rep.A, rep.B = u, A, B
     return rep
 

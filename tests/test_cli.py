@@ -356,23 +356,28 @@ def test_su2_gap_jmax_bound_exits_two(tmp_path, capsys):
     assert err.startswith("error: su2-gap:") and str(bound) in err
     assert "Traceback" not in err
     assert not out.exists()
-    assert run_main(["su2-gap", f"--jmax={bound}", f"--qpoints={bound + 1}",
-                     "--theta=0.3,2.0", "--out", out]) == 0
+    assert run_main(["su2-gap", f"--jmax={bound}", "--theta=0.3,2.0",
+                     "--out", out]) == 0
     values = [float(line.split(",")[1])
               for line in out.read_text().splitlines()[3:]]
     assert len(values) == 2 and all(map(math.isfinite, values))
 
 
-def test_su2_gap_refuses_unresolved_quadrature(tmp_path, capsys):
-    # from 2j = 128 on, the default 128 points no longer resolve the top
-    # phi-frequency: the library's refusal is a bad-input exit
-    out = tmp_path / "su2.csv"
-    assert run_main(["su2-gap", "--jmax=200", "--qpoints=128",
-                     "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: su2-gap:") and "phi-frequency" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+def test_su2_gap_qpoints_changes_nothing(tmp_path, capsys):
+    # the gap is the exact circle average: --qpoints keeps its floor of 64
+    # and bounds nothing else, so 2j = 200 runs at the default 128 points
+    out = tmp_path / "default.csv"
+    assert run_main(["su2-gap", "--jmax=200", "--out", out]) == 0
+    body = out.read_bytes().splitlines(keepends=True)
+    assert body[1].startswith(b"# generated=") and len(body) == 10
+    for points in (64, 128, 4096):
+        path = tmp_path / f"q{points}.csv"
+        assert run_main(["su2-gap", "--jmax=200", f"--qpoints={points}",
+                         "--out", path]) == 0
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert lines[1].startswith(b"# generated=")
+        assert lines[2:] == body[2:]
+    assert "error" not in capsys.readouterr().err
 
 
 def test_negative_seed_names_the_flag(tmp_path, capsys):
@@ -501,8 +506,7 @@ def test_sl3_must_be_zero_or_one(tmp_path, capsys):
 def _fake_command(monkeypatch, cases):
     """Swap sphere-gap's runner for one that returns ``cases``."""
     spec = cli.COMMANDS["sphere-gap"]
-    fake = cli.CommandSpec(spec.name,
-                           lambda params, seed: (cases, ("value", "pass"), None),
+    fake = cli.CommandSpec(lambda params, seed: (cases, ("value", "pass"), None),
                            spec.keys, spec.summary)
     monkeypatch.setitem(cli.COMMANDS, "sphere-gap", fake)
 

@@ -535,7 +535,7 @@ def group_element(kind, arg):
 def growth_check_per_g(g_samples, s, omegas, s0):
     """The growth statistics from one ``cocycle_alphas`` call per g: the
     loop that the stacked pass of ``cocycle_growth_check`` replaced."""
-    _, x, y, weights = ind._weighted_sample(omegas, None)
+    _, x, y, weights = ind._weighted_sample(omegas)
     omega_lengths = ind._point_lengths(x, y)
     kappa = c_emp = -math.inf
     c_emp_stderr, fallbacks, nontrivial = 0.0, 0, 0
@@ -1049,8 +1049,8 @@ def test_cusp_decay_fit_validation():
     _, _, _, lengths, _ = sample_domain_arrays(1000, 3)
     with pytest.raises(ValueError, match="exceedances"):
         cusp_decay_fit(lengths, threshold_quantile=0.9999)
-    with pytest.raises(ValueError, match="empty"):
-        cusp_decay_fit(lengths, radii=[lengths.max() + 1.0])
+    with pytest.raises(ValueError, match="tail is empty"):
+        cusp_decay_fit(np.linspace(0.0, 0.4, 2000))
 
 
 def test_write_sample_log(tmp_path):
@@ -1116,8 +1116,8 @@ def test_write_sample_log_matches_csv_writer_oracle(tmp_path_factory, rows, seed
 
 
 def test_growth_check_identity_as_ratio_one():
-    pts, weights = sample_domain(64, 15)
-    stats = cocycle_growth_check([np.eye(2)], 0.2, pts, weights)
+    pts, _ = sample_domain(64, 15)
+    stats = cocycle_growth_check([np.eye(2)], 0.2, pts)
     assert stats.c_emp == pytest.approx(1.0, abs=1e-12)
     assert stats.kappa <= 0.0
     assert stats.g_count == 1 and stats.sample_count == 64
@@ -1125,8 +1125,8 @@ def test_growth_check_identity_as_ratio_one():
 
 def test_growth_check_pointwise_and_uniform():
     gs = random_group_elements(30, 5, max_length=3.0)
-    pts, weights = sample_domain(150, 13)
-    stats = cocycle_growth_check(gs, 0.2, pts, weights, s0=1.0)
+    pts, _ = sample_domain(150, 13)
+    stats = cocycle_growth_check(gs, 0.2, pts, s0=1.0)
     # the classical domain is exactly length-minimal in its coset, so the
     # pointwise defect never exceeds zero (the generic bound's additive
     # constant vanishes here); float rounding is the only slack
@@ -1139,22 +1139,22 @@ def test_growth_check_pointwise_and_uniform():
 
 
 def test_growth_check_rejects_bad_rates():
-    pts, weights = sample_domain(20, 1)
+    pts, _ = sample_domain(20, 1)
     with pytest.raises(ValueError, match="admissible"):
-        cocycle_growth_check([np.eye(2)], 0.6, pts, weights, s0=1.0)
+        cocycle_growth_check([np.eye(2)], 0.6, pts, s0=1.0)
     with pytest.raises(ValueError, match="positive"):
-        cocycle_growth_check([np.eye(2)], -0.1, pts, weights)
+        cocycle_growth_check([np.eye(2)], -0.1, pts)
 
 
 def test_growth_check_reads_iterables_once():
     gs = random_group_elements(5, 3, max_length=2.0)
-    pts, weights = sample_domain(32, 4)
-    from_lists = cocycle_growth_check(gs, 0.2, pts, weights)
-    from_iters = cocycle_growth_check(iter(gs), 0.2, (p for p in pts), weights)
+    pts, _ = sample_domain(32, 4)
+    from_lists = cocycle_growth_check(gs, 0.2, pts)
+    from_iters = cocycle_growth_check(iter(gs), 0.2, (p for p in pts))
     assert from_iters.g_count == 5 and from_iters.sample_count == 32
     assert from_iters == from_lists
     x, y, theta, _, _ = sample_domain_arrays(32, 4)
-    assert cocycle_growth_check(gs, 0.2, domain_matrices(x, y, theta), weights) == from_lists
+    assert cocycle_growth_check(gs, 0.2, domain_matrices(x, y, theta)) == from_lists
     assert from_lists.to_json()["exactFallbacks"] == from_lists.exact_fallbacks == 0
 
 
@@ -1162,12 +1162,12 @@ def test_growth_check_counts_nontrivial_cocycles():
     # nontrivial counts the (g, omega) pairs whose alpha is not the canonical
     # identity: none for rotations (they fix i), and as many as scalar
     # cocycle calls find for any g
-    pts, weights = sample_domain(64, 9)
+    pts, _ = sample_domain(64, 9)
     rotations = [np.eye(2)] + random_group_elements(4, 2, max_length=0.0)
-    trivial = cocycle_growth_check(rotations, 0.2, pts, weights)
+    trivial = cocycle_growth_check(rotations, 0.2, pts)
     assert trivial.nontrivial == 0 and trivial.to_json()["nontrivial"] == 0
     gs = random_group_elements(6, 3, max_length=2.0)
-    stats = cocycle_growth_check(gs, 0.2, pts, weights)
+    stats = cocycle_growth_check(gs, 0.2, pts)
     want = sum(cocycle(g, p).alpha.ravel().tolist() != [1, 0, 0, 1]
                for g in gs for p in pts)
     assert stats.nontrivial == want > 0
@@ -1175,40 +1175,21 @@ def test_growth_check_counts_nontrivial_cocycles():
 
 
 def test_growth_check_rejects_empty_inputs():
-    pts, weights = sample_domain(20, 1)
+    pts, _ = sample_domain(20, 1)
     with pytest.raises(ValueError, match="no group elements"):
-        cocycle_growth_check([], 0.2, pts, weights)
+        cocycle_growth_check([], 0.2, pts)
     with pytest.raises(ValueError, match="no group elements"):
-        cocycle_growth_check(iter(()), 0.2, pts, weights)
+        cocycle_growth_check(iter(()), 0.2, pts)
     with pytest.raises(ValueError, match="empty domain sample"):
         cocycle_growth_check([np.eye(2)], 0.2, [])
     with pytest.raises(ValueError, match="empty domain sample"):
         cocycle_growth_check([np.eye(2)], 0.2, np.empty((0, 2, 2)))
 
 
-@pytest.mark.parametrize("call", [
-    lambda pts, w: cocycle_growth_check([np.eye(2)], 0.2, pts, w),
-    lambda pts, w: dict(pushforward_mn0([(np.eye(2), 1.0)], 1.0, pts, w)[0].items()),
-], ids=["growth-check", "pushforward"])
-def test_domain_weights_are_one_probability_weight_per_point(call):
-    x, y, theta, _, weights = sample_domain_arrays(200, 4)
-    omegas = domain_matrices(x, y, theta)
-    with pytest.raises(ValueError, match="100 weights for 200 representatives"):
-        call(omegas, 2.0 * weights[:100])
-    with pytest.raises(ValueError, match="1 weights for 200 representatives"):
-        call(omegas, 1.0)
-    for bad, what in ((np.where(np.arange(200) == 3, np.nan, weights), "be finite"),
-                      (np.where(np.arange(200) == 3, -1e-3, weights), "be nonnegative"),
-                      (2.0 * weights, "sum to one")):
-        with pytest.raises(ValueError, match=f"domain weights must {what}"):
-            call(omegas, bad)
-    assert call(omegas, weights) == call(omegas, None)
-
-
 def test_growth_check_enforces_minimum_samples():
-    pts, weights = sample_domain(8, 1)
+    pts, _ = sample_domain(8, 1)
     with pytest.raises(ValueError, match="minimum"):
-        cocycle_growth_check([np.eye(2)], 0.2, pts, weights)
+        cocycle_growth_check([np.eye(2)], 0.2, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -1237,15 +1218,15 @@ def test_total_variation():
 
 
 def test_pushforward_of_point_mass_at_identity():
-    pts, weights = sample_domain(64, 9)
-    m0, _ = pushforward_mn0([(np.eye(2), 1.0)], 1.0, pts, weights)
+    pts, _ = sample_domain(64, 9)
+    m0, _ = pushforward_mn0([(np.eye(2), 1.0)], 1.0, pts)
     assert dict(m0.items()) == {(1, 0, 0, 1): pytest.approx(1.0, abs=1e-12)}
 
 
 def test_pushforward_mass_and_support():
     gs = random_group_elements(50, 3, max_length=1.5)
-    pts, weights = sample_domain(80, 9)
-    m0, _ = pushforward_mn0([(g, 1.0 / 50) for g in gs], 1.5, pts, weights)
+    pts, _ = sample_domain(80, 9)
+    m0, _ = pushforward_mn0([(g, 1.0 / 50) for g in gs], 1.5, pts)
     assert abs(m0.mass - 1.0) <= 1e-12
     assert m0.is_probability
     # support lengths obey the growth bound (kappa <= 0 for this domain)
@@ -1254,16 +1235,16 @@ def test_pushforward_mass_and_support():
 
 
 def test_pushforward_validation():
-    pts, weights = sample_domain(8, 2)
+    pts, _ = sample_domain(8, 2)
     with pytest.raises(ValueError, match="empty"):
-        pushforward_mn0([], 1.0, pts, weights)
+        pushforward_mn0([], 1.0, pts)
     with pytest.raises(ValueError, match="sum to one"):
-        pushforward_mn0([(np.eye(2), 0.5)], 1.0, pts, weights)
+        pushforward_mn0([(np.eye(2), 0.5)], 1.0, pts)
     with pytest.raises(ValueError, match="nonnegative"):
-        pushforward_mn0([(np.eye(2), 2.0), (rotation(0.3), -1.0)], 1.0, pts, weights)
+        pushforward_mn0([(np.eye(2), 2.0), (rotation(0.3), -1.0)], 1.0, pts)
     big = np.diag([math.e**2, math.e**-2])
     with pytest.raises(ValueError, match="length ball"):
-        pushforward_mn0([(big, 1.0)], 1.0, pts, weights)
+        pushforward_mn0([(big, 1.0)], 1.0, pts)
 
 
 def test_pushforward_tail_lemma():
@@ -1274,15 +1255,15 @@ def test_pushforward_tail_lemma():
     c_const = math.exp(s0 / 2.0) * domain_exp_integral(lengths, s0, weights)[0]
     for n in (1.0, 2.0):
         gs = random_group_elements(60, int(10 + n), max_length=n)
-        m0, _ = pushforward_mn0([(g, 1.0 / 60) for g in gs], n, pts, weights)
+        m0, _ = pushforward_mn0([(g, 1.0 / 60) for g in gs], n, pts)
         lhs = exp_tail_mass(m0, s, 5.0 * n)
         assert lhs <= c_const * math.exp((-1.5 * s0 + 5.0 * s) * n)
 
 
 def test_truncate_tail_examples():
-    pts, weights = sample_domain(64, 9)
+    pts, _ = sample_domain(64, 9)
     gs = random_group_elements(40, 4, max_length=1.5)
-    m0, _ = pushforward_mn0([(g, 1.0 / 40) for g in gs], 1.5, pts, weights)
+    m0, _ = pushforward_mn0([(g, 1.0 / 40) for g in gs], 1.5, pts)
     # already inside a huge ball: unchanged
     same, tail0 = truncate_tail(m0, 50.0)
     assert tail0 == 0.0

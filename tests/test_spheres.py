@@ -432,12 +432,12 @@ def test_block_rejects_coarse_quadrature():
 
 
 def test_gap_vanishes_at_base_point():
-    assert stheta_norm_gap(np.pi / 4, 12, 64) == pytest.approx(0.0, abs=1e-13)
+    assert stheta_norm_gap(np.pi / 4, 12) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_gap_dominates_spin_half():
     th = np.pi / 4 + 0.1
-    assert stheta_norm_gap(th, 40, 128) >= spin_half_gap(th) - 1e-12
+    assert stheta_norm_gap(th, 40) >= spin_half_gap(th) - 1e-12
 
 
 def test_spin_half_gap_formula():
@@ -450,12 +450,12 @@ def test_spin_half_gap_formula():
 
 def test_quarter_power_fit_is_uniform():
     """Paper: ||S_theta - S_(pi/4)|| <= C |theta - pi/4|^(1/4), one C."""
-    C = fit_stheta_constant(two_j_max=16, quadrature_points=64,
-                            thetas=np.linspace(0, 2 * np.pi, 17, endpoint=False))
+    C = fit_stheta_constant(
+        two_j_max=16, thetas=np.linspace(0, 2 * np.pi, 17, endpoint=False))
     assert 0 < C < 3.0
     # the fitted constant really does dominate a finer probe grid
     for th in np.linspace(0.1, 2 * np.pi - 0.1, 11):
-        gap = stheta_norm_gap(th, 16, 64)
+        gap = stheta_norm_gap(th, 16)
         assert gap <= (C + 1e-9) * abs(th - np.pi / 4) ** 0.25 + 1e-9
 
 
@@ -575,14 +575,14 @@ def test_large_spheres_stay_finite():
 
 def test_batched_stheta_gap_matches_block_loop():
     thetas = [0.0, 0.05, np.pi / 4, 1.0, 2.5, np.pi, 5.9]
-    gaps = stheta_norm_gap(thetas, 24, 64)
+    gaps = stheta_norm_gap(thetas, 24)
     assert gaps.shape == (len(thetas),)
     for th, gap in zip(thetas, gaps):
         want = max(np.linalg.norm(averaged_block(tj, th, 64)
                                   - averaged_block(tj, np.pi / 4, 64), 2)
                    for tj in range(1, 25))
         assert abs(gap - want) <= 1e-15
-        assert stheta_norm_gap(th, 24, 64) == gap
+        assert stheta_norm_gap(th, 24) == gap
     assert gaps[thetas.index(np.pi / 4)] == 0.0
 
 
@@ -601,7 +601,7 @@ def test_stheta_gap_matches_masked_svd_oracle():
                              rng.uniform(0.0, 2.0 * np.pi, 9)])
     for two_j_max, points in ((12, 64), (40, 128),
                               (SPIN_RECURRENCE_TWO_J, 97)):
-        got = stheta_norm_gap(thetas, two_j_max, points)
+        got = stheta_norm_gap(thetas, two_j_max)
         want = stheta_gap_masked_svd(thetas, two_j_max, points)
         assert np.abs(got - want).max() <= 1e-13
 
@@ -690,15 +690,7 @@ def test_character_check_fires_on_a_corrupt_entry(monkeypatch, bad, message):
 
     monkeypatch.setattr(spheres, "_d_row", corrupted)
     with pytest.raises(AssertionError, match=message):
-        stheta_norm_gap([0.2, 1.0], 40, 128)
-
-
-def test_stheta_gap_refuses_unresolved_quadrature():
-    with pytest.raises(ValueError, match="64 quadrature points"):
-        stheta_norm_gap(0.5, 12, 63)
-    with pytest.raises(ValueError, match="top phi-frequency"):
-        stheta_norm_gap(0.5, 200, 128)
-    assert math.isfinite(stheta_norm_gap(0.5, 127, 128))
+        stheta_norm_gap([0.2, 1.0], 40)
 
 
 _angles = arrays(np.float64, st.integers(1, 6),

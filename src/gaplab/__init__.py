@@ -8,8 +8,7 @@ re-exported here.
 from .residue import (AdditiveCharacter, CharacterClass, ResidueRing,
                       RingElem, char_eval, character_decompose,
                       classify_character, valuation)
-from .finite_models import (FourierBlocks, KDeltaConjugation, NormReport,
-                            StampOperator, fourier_diagonalize_S_delta,
+from .finite_models import (KDeltaConjugation, NormReport, StampOperator,
                             hausdorff_young_ratio, operator_norm,
                             stamp_s_chi, stamp_s_delta,
                             verify_S_decomposition,
@@ -34,8 +33,8 @@ from .induction import (CocycleResult, CuspFit, DomainStats, LatticeMeasure,
 __all__ = [
     "AdditiveCharacter", "CharacterClass", "ResidueRing", "RingElem",
     "char_eval", "character_decompose", "classify_character", "valuation",
-    "FourierBlocks", "KDeltaConjugation", "NormReport", "StampOperator",
-    "fourier_diagonalize_S_delta", "hausdorff_young_ratio", "operator_norm",
+    "KDeltaConjugation", "NormReport", "StampOperator",
+    "hausdorff_young_ratio", "operator_norm",
     "stamp_s_chi", "stamp_s_delta", "verify_S_decomposition",
     "verify_kdelta_conjugation",
     "TdeltaGapReport", "spin_half_gap", "stheta_norm_gap",

@@ -722,8 +722,8 @@ _STAR_MAX_HORIZON = 100
 #   unit of radius, so the cap bounds the step arrays;
 # - cocycle-mc --samples starts at 50, where the cusp fit's threshold
 #   quantile 1 - max(25, samples / 50) / samples reaches 1/2, and stops at
-#   10^5: a run holds two draws of the sample and, while it writes the log,
-#   the log's columns as Python floats, some 200 bytes a sample, and a
+#   10^5: a run holds two draws of the sample as arrays, some 100 bytes a
+#   sample (the log is written a block of rows at a time), and a
 #   10^5-sample run takes under a second;
 # - cocycle-mc --gcount stops at 10^3: the stacked cocycle pass holds 32
 #   bytes of alpha for each of gcount x min(samples, 200) pairs, and a

@@ -287,20 +287,6 @@ def _block_norms(ring: ResidueRing) -> np.ndarray:
     return np.sqrt(float(p) ** (v - n))
 
 
-@dataclass
-class FourierBlocks:
-    """Exact block law: in the shift-Fourier basis, S_delta acts on the
-    block of the character psi_c as psi_c(delta) * G_c with
-    G_c[y,x] = psi_c(x*y)/m, and ||G_c|| = block_norms[c]."""
-
-    ring: ResidueRing
-    block_norms: np.ndarray
-
-
-def fourier_diagonalize_S_delta(ring: ResidueRing) -> FourierBlocks:
-    return FourierBlocks(ring, _block_norms(ring))
-
-
 # ---------------------------------------------------------------------------
 # decomposition of shifted averages into character averages
 

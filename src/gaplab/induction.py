@@ -32,7 +32,10 @@ right unit-arc) is folded onto the left, which makes the splitting a true
 bijection modulo the +-identity center away from the orbits of the elliptic
 points i and rho, whose stabilizers are larger; there gamma is the one the
 rational path picks.  Integer matrices are canonicalized by the sign of
-their first nonzero entry.
+their first nonzero entry.  The cocycle rule holds for exact chaining; a
+chain that feeds one call's rounded representative to the next can pick
+the other side of the unit arc, and so an alpha that differs by S, where the
+chained point lies within one rounding of the arc (see ``cocycle``).
 """
 
 import itertools
@@ -59,6 +62,8 @@ _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 #: rows of the (g, omega) grid that one certified float pass of ``_alphas``
 #: takes; the pass holds a few dozen float temporaries of this length
 _ALPHA_ROW_BUDGET = 2 ** 14
+#: rows of the sample log that ``write_sample_log`` holds as Python objects
+_LOG_BLOCK_ROWS = 2 ** 12
 
 #: smallest domain sample count for which summary statistics are accepted
 MIN_DOMAIN_SAMPLES = 16
@@ -146,8 +151,8 @@ def _int_matrix(entries):
     """A 2x2 integer matrix: int64, or object dtype holding Python ints once
     an entry reaches 2^62."""
     a, b, c, d = entries
-    dtype = object if max(abs(a), abs(b), abs(c), abs(d)) >= _INT64_GUARD else np.int64
-    return np.array([[a, b], [c, d]], dtype=dtype)
+    wide = max(entries) >= _INT64_GUARD or min(entries) <= -_INT64_GUARD
+    return np.array([[a, b], [c, d]], dtype=object if wide else np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +259,24 @@ def _rounded_representative(g, w, gamma):
     theirs, so n / den = n (D_g // den) / D_g puts g over one denominator
     with integer numerators, exactly; w likewise over D_w.  gamma^{-1} is
     the integer adjugate of gamma, so D_g D_w g w gamma^{-1} is an integer
-    matrix, formed here without rounding, and each entry is one int / int
-    by D_g D_w.  Python rounds int / int correctly (to nearest, ties to
-    even) over the whole float range, subnormals included, and raises
-    OverflowError, never returns inf, past it.
+    matrix, formed here without rounding (adj(gamma) is folded into w's
+    numerators first, which keeps the factors small), and each entry is one
+    int / int by D_g D_w.  Python rounds int / int correctly (to nearest,
+    ties to even) over the whole float range, subnormals included, and
+    raises OverflowError, never returns inf, past it.  The entries are
+    Python floats.
     """
-    (a, da), (b, db), (c, dc), (d, dd) = [v.as_integer_ratio() for v in g]
-    (e, de), (f, df), (h, dh), (k, dk) = [v.as_integer_ratio() for v in w]
+    (a, da), (b, db), (c, dc), (d, dd) = map(float.as_integer_ratio, g)
+    (e, de), (f, df), (h, dh), (k, dk) = map(float.as_integer_ratio, w)
     dg = max(da, db, dc, dd)
     dw = max(de, df, dh, dk)
     a, b, c, d = a * (dg // da), b * (dg // db), c * (dg // dc), d * (dg // dd)
     e, f, h, k = e * (dw // de), f * (dw // df), h * (dw // dh), k * (dw // dk)
-    m00, m01, m10, m11 = a * e + b * h, a * f + b * k, c * e + d * h, c * f + d * k
     p, q, r, s = gamma
+    e, f, h, k = e * s - f * r, f * p - e * q, h * s - k * r, k * p - h * q
     den = dg * dw
-    return ((m00 * s - m01 * r) / den, (m01 * p - m00 * q) / den,
-            (m10 * s - m11 * r) / den, (m11 * p - m10 * q) / den)
+    return ((a * e + b * h) / den, (a * f + b * k) / den,
+            (c * e + d * h) / den, (c * f + d * k) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +325,10 @@ def _certify(g, w, m, gamma):
     p, q, r, s = gamma
     gamma2 = _sumsq4(gamma)
     eps = (9.0 * _UNIT * (_sumsq4(g) * _sumsq4(w)) ** 0.5 + _TINY) * gamma2 ** 0.5
-    a, b, c, d = _matmul4(m, _adjugate4(gamma))
+    # m adj(gamma) for adj(gamma) = (s, -q, -r, p), bit for bit
+    # _matmul4(m, _adjugate4(gamma))
+    ma, mb, mc, md = m
+    a, b, c, d = ma * s - mb * r, mb * p - ma * q, mc * s - md * r, md * p - mc * q
     col0 = a * a + c * c
     col1 = b * b + d * d
     fro = col0 + col1
@@ -345,7 +355,7 @@ def _split(g, w):
         reduced = _reduce(*_point_of_inverse(m), 0.5, _FLOAT_STEPS)
         gamma = reduced and reduced[0]
     # entries past 2^26 never certify; checking here keeps float() exact
-    if (gamma is None or max(map(abs, gamma)) >= 1 << 26
+    if (gamma is None or max(gamma) >= 1 << 26 or min(gamma) <= -(1 << 26)
             or not _certify(g, w, m, tuple(map(float, gamma)))):
         gamma = _exact_gamma(g, w)
     gamma = _canonical_sign(gamma)
@@ -430,7 +440,7 @@ def _alphas(gs, omegas):
 
 
 def _any(mask):
-    return mask if isinstance(mask, bool) else bool(mask.any())
+    return mask if mask.__class__ is bool else bool(mask.any())
 
 
 def _first(values, mask):
@@ -504,31 +514,51 @@ class SiegelPoint:
     point z = omega^{-1} . i lies in F.  The rotation factor of omega (its
     stabilizer part) is retained: omega^{-1} = p(z) k(theta) with p(z) the
     upper-triangular transvection moving i to z and k(theta) a rotation.
+
+    A point holds omega either as its row-major entries, a 4-tuple of
+    Python floats from which ``matrix`` is built on first read, or, when
+    ``sample_domain`` drew it, as a read-only view of the sample's array.
     """
 
-    __slots__ = ("matrix", "_x", "_y")
+    __slots__ = ("_entries", "_matrix", "_x", "_y")
 
     def __init__(self, matrix):
-        m, entries = _as_matrix(matrix)
+        _, entries = _as_matrix(matrix)
         self._x, self._y = _domain_points(*entries)
-        self.matrix = m.copy()
-        self.matrix.setflags(write=False)
+        self._entries, self._matrix = tuple(entries), None
 
     @classmethod
     def _checked(cls, matrix, x, y):
         """A point whose read-only matrix and coordinates were validated in
         bulk by ``_domain_points``."""
         point = object.__new__(cls)
-        point.matrix, point._x, point._y = matrix, x, y
+        point._entries, point._matrix, point._x, point._y = None, matrix, x, y
         return point
 
     @classmethod
     def _of_entries(cls, entries, factors=()):
-        """The point of finite row-major float entries (a, b, c, d), under
-        the checks of ``_domain_points`` (``factors`` as there)."""
-        matrix = np.array(entries).reshape(2, 2)
-        matrix.setflags(write=False)
-        return cls._checked(matrix, *_domain_points(*entries, factors))
+        """The point of a 4-tuple of finite row-major Python floats
+        (a, b, c, d), under the checks of ``_domain_points`` (``factors`` as
+        there)."""
+        point = object.__new__(cls)
+        point._x, point._y = _domain_points(*entries, factors)
+        point._entries, point._matrix = entries, None
+        return point
+
+    @property
+    def matrix(self):
+        """omega as a read-only 2x2 float array: the sample's view, or one
+        array that owns its data, built from the entries on first read."""
+        m = self._matrix
+        if m is None:
+            a, b, c, d = self._entries
+            m = self._matrix = np.array([[a, b], [c, d]])
+            m.setflags(write=False)
+        return m
+
+    def _row_major(self):
+        """omega's entries (a, b, c, d) as Python floats."""
+        return self._entries or self._matrix.ravel().tolist()
 
     @property
     def x(self):
@@ -624,7 +654,7 @@ def reduce_to_domain(g):
 # the cocycle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CocycleResult:
     """Outcome of splitting g*omega: the new representative and the integer
     part, with the scale-normalized reconstruction residual of
@@ -636,13 +666,14 @@ class CocycleResult:
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha)
+        kind = alpha.dtype.kind
+        if alpha.shape != (2, 2) or kind not in "iuO":
+            raise ValueError("alpha must be a 2x2 integer matrix")
         # integer dtypes list as Python ints; an object array lists its
         # entries as they are, and only Python ints (bool included) pass
-        entries = (alpha.ravel().tolist()
-                   if alpha.shape == (2, 2) and alpha.dtype.kind in "iuO" else ())
-        if not (entries and all(isinstance(v, int) for v in entries)):
+        (a, b), (c, d) = alpha.tolist()
+        if kind == "O" and not all(isinstance(v, int) for v in (a, b, c, d)):
             raise ValueError("alpha must be a 2x2 integer matrix")
-        a, b, c, d = entries
         if a * d - b * c != 1:
             raise ValueError("alpha must have determinant 1")
         if not self.residual <= _RECON_TOL:
@@ -654,21 +685,35 @@ def cocycle(g, omega):
 
     Satisfies the composition rule alpha(g1 g2, omega) =
     alpha(g1, g2.omega) * alpha(g2, omega) exactly (as sign-canonicalized
-    integer matrices) except on the orbits of the elliptic points i and rho,
-    whose stabilizers are larger and where alpha is the one the rational
-    path picks; and alpha(k, omega) = identity for rotations k.
+    integer matrices) for the exact point g2.omega, except on the orbits of
+    the elliptic points i and rho, whose stabilizers are larger and where
+    alpha is the one the rational path picks; and alpha(k, omega) = identity
+    for rotations k.  ``g_dot_omega`` is the moved representative rounded
+    once per entry.  When g1 carries it to within one rounding of the unit
+    arc, the rounding decides the side of the arc, so alpha(g1, ·) taken at
+    the rounded point can differ by S from its value at the exact point: a
+    chain of calls through rounded representatives can break the rule there.
     """
-    _, g4 = _check_unimodular(g)
+    _, g4 = _as_matrix(g)
+    a, b, c, d = g4
+    det = a * d - b * c
+    # the rule of _check_unimodular, on the entries at hand
+    if abs(det - 1.0) > _DET_TOL * max(1.0, a * a + b * b + c * c + d * d):
+        raise ValueError(f"matrix must have determinant 1, got {det!r}")
     if isinstance(omega, SiegelPoint):
-        w4 = omega.matrix.ravel().tolist()
+        w4 = omega._row_major()
     else:
         _, w4 = _as_matrix(omega)
         _domain_points(*w4)
     gamma, rep, product = _split(g4, w4)
     point = SiegelPoint._of_entries(rep, (g4, w4))
-    recon = _matmul4(rep, gamma)
-    residual = (max(map(abs, map(operator.sub, product, recon)))
-                / max(1.0, max(map(abs, product))))
+    # the residual of g w = rep gamma, with rep gamma formed as _matmul4 does
+    a, b, c, d = rep
+    p, q, r, s = gamma
+    m00, m01, m10, m11 = product
+    residual = (max(abs(m00 - (a * p + b * r)), abs(m01 - (a * q + b * s)),
+                    abs(m10 - (c * p + d * r)), abs(m11 - (c * q + d * s)))
+                / max(1.0, max(abs(m00), abs(m01), abs(m10), abs(m11))))
     return CocycleResult(point, _int_matrix(gamma), residual)
 
 
@@ -756,38 +801,42 @@ def write_sample_log(path, seed, columns, weights, preamble=()):
     seed baked in, makes each row.  The weight column is formatted once per
     distinct bit pattern (a sample's weights are usually all equal); keying
     on the bits, not the value, keeps -0.0 apart from 0.0.  The rows stream
-    to the file through ``writelines`` unjoined, so no string of the whole
-    log is ever held: joining them costs a copy of the file in memory.
+    to the file through ``writelines`` unjoined, and their floats become
+    Python floats ``_LOG_BLOCK_ROWS`` rows at a time, so the memory the log
+    takes stays bounded whatever the sample size: a string of the whole log
+    would cost a copy of the file, and whole columns as Python floats some
+    130 bytes a sample.
     """
     fmt = f"{operator.index(seed)}" + ",{:.17g}" * 4 + ",{}\r\n"
+    columns = [np.asarray(v, dtype=float) for v in columns]
     bits, which = np.unique(np.ascontiguousarray(weights, dtype=float).view(np.int64),
                             return_inverse=True)
     cells = [format(v, ".17g") for v in bits.view(float).tolist()]
-    rows = zip(*(np.asarray(v, dtype=float).tolist() for v in columns),
-               map(cells.__getitem__, which.tolist()))
     with open(path, "w", newline="") as fh:
         for line in preamble:
             fh.write(str(line).rstrip("\n") + "\n")
         fh.write("seed,omega_x,omega_y,rotation,length,weight\r\n")
-        fh.writelines(itertools.starmap(fmt.format, rows))
+        for start in range(0, len(which), _LOG_BLOCK_ROWS):
+            block = slice(start, start + _LOG_BLOCK_ROWS)
+            rows = zip(*(v[block].tolist() for v in columns),
+                       map(cells.__getitem__, which[block].tolist()))
+            fh.writelines(itertools.starmap(fmt.format, rows))
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo statistics
 
 
-def weighted_mean_stderr(values, weights=None):
+def weighted_mean_stderr(values, weights):
     """Weighted mean and its standard error (fixed-weight delta method)."""
     values = np.asarray(values, dtype=float)
-    if weights is None:
-        weights = np.full(values.size, 1.0 / max(values.size, 1))
     weights = np.asarray(weights, dtype=float)
     mean = float(weights @ values)
     stderr = float(np.sqrt(np.sum((weights * (values - mean)) ** 2)))
     return mean, stderr
 
 
-def domain_exp_integral(lengths, s, weights=None):
+def domain_exp_integral(lengths, s, weights):
     """Empirical integral of e^{s * length} over the domain, with stderr."""
     lengths = np.asarray(lengths, dtype=float)
     return weighted_mean_stderr(np.exp(s * lengths), weights)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from gaplab import (AdditiveCharacter, ResidueRing, RingElem, char_eval,
                     character_decompose, classify_character,
-                    fourier_diagonalize_S_delta, hausdorff_young_ratio,
-                    operator_norm, stamp_s_chi, stamp_s_delta,
-                    verify_S_decomposition, verify_kdelta_conjugation,
-                    valuation)
+                    hausdorff_young_ratio, operator_norm, stamp_s_chi,
+                    stamp_s_delta, verify_S_decomposition,
+                    verify_kdelta_conjugation, valuation)
 from gaplab import finite_models
-from gaplab.finite_models import _POWER_TOL, StampOperator, _power_iteration
+from gaplab.finite_models import (_POWER_TOL, StampOperator, _block_norms,
+                                  _power_iteration)
 from dense_stamps import _materialize, build_S_chi, build_S_delta, dense_norm
 from test_acceptance import _block_spectra, _fourier_block
 
@@ -424,9 +424,10 @@ def test_degenerate_factorization_small():
 # Fourier law
 
 
-def _reassemble(fb, delta):
-    """Dense S_delta rebuilt from the blocks psi_c(delta) * G_c (oracle)."""
-    m = fb.ring.modulus
+def _reassemble(m, delta):
+    """Dense S_delta rebuilt from the blocks psi_c(delta) * G_c (oracle):
+    in the shift-Fourier basis, S_delta acts on the block of the character
+    psi_c as psi_c(delta) * G_c with G_c[y,x] = psi_c(x*y)/m."""
     c = np.arange(m)
     F = np.exp(-2j * np.pi * np.outer(c, c) / m) / np.sqrt(m)
     shat = np.zeros((m, m, m, m), dtype=complex)       # (y, c, x, c')
@@ -439,18 +440,16 @@ def _reassemble(fb, delta):
 
 def test_fourier_reassembly():
     R = ResidueRing(2, 2)
-    FB = fourier_diagonalize_S_delta(R)
     for delta in range(4):
-        res = np.max(np.abs(_reassemble(FB, delta) - build_S_delta(R, delta)))
+        res = np.max(np.abs(_reassemble(R.modulus, delta) - build_S_delta(R, delta)))
         assert res < 1e-12
 
 
 def test_fourier_trivial_block_is_full_average():
     R = ResidueRing(3, 2)
-    FB = fourier_diagonalize_S_delta(R)
     m = R.modulus
     assert np.allclose(_fourier_block(m, 0), np.full((m, m), 1 / m))
-    assert FB.block_norms[0] == pytest.approx(1.0, abs=1e-12)
+    assert _block_norms(R)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fourier_block_norm_profile():
@@ -458,13 +457,13 @@ def test_fourier_block_norm_profile():
     # against the SVD of each dense G_c, not only against the formula
     for (p, n) in [(2, 3), (3, 2), (5, 2), (7, 2)]:
         R = ResidueRing(p, n)
-        FB = fourier_diagonalize_S_delta(R)
+        block_norms = _block_norms(R)
         spectra = _block_spectra(R.modulus)
         for c in range(R.modulus):
             k = valuation(p, c, n)
-            assert FB.block_norms[c] == pytest.approx(spectra[c][0], abs=1e-12)
-            assert FB.block_norms[c] == pytest.approx(p ** (-(n - k) / 2),
-                                                      abs=1e-12)
+            assert block_norms[c] == pytest.approx(spectra[c][0], abs=1e-12)
+            assert block_norms[c] == pytest.approx(p ** (-(n - k) / 2),
+                                                   abs=1e-12)
 
 
 def _difference_norm(ring, delta, delta_prime):

@@ -778,6 +778,24 @@ def test_determinant_refusals_still_fire(monkeypatch):
             call(g)
 
 
+def test_cocycle_checks_det_by_the_rule_of_check_unimodular():
+    # cocycle runs the determinant test on its own entries; it must refuse
+    # exactly the g that _check_unimodular refuses, at either scale, for
+    # det = 1 + off with off on both sides of the tolerance
+    (omega,), _ = sample_domain(1, 3)
+    for scale in (1.0, 1e3):
+        tol = ind._det_tol((scale, scale, 0.0, 1.0 / scale))
+        for off in (np.linspace(0.9, 1.1, 41) * tol).tolist() + [0.0, 2.0 * tol]:
+            g = np.array([[scale * (1.0 + off), scale], [0.0, 1.0 / scale]])
+            try:
+                ind._check_unimodular(g)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    cocycle(g, omega)
+            else:
+                cocycle(g, omega)
+
+
 # ---------------------------------------------------------------------------
 # the moved representative against exact arithmetic
 
@@ -931,6 +949,82 @@ def test_cocycle_identity_on_the_orbit_of_i(omega):
     assert broken == 0, f"{broken} of 300 triples break the composition rule"
 
 
+# defect (b) of ROADMAP item 2: omega is the float point of the unit arc at
+# ARC_X (rotation 0), g1 = T^-1 and g2 = T S, so g1 g2 = S.  A Random(0)
+# search over 2000 triples of S/T/T^-1 words of length 1-6, with x uniform
+# on [-1/2, 0], broke 6; this is one of them.
+ARC_X = float.fromhex("-0x1.0d4592b09c0a3p-2")
+ARC_TRIPLE = (T_INV, T_MAT @ S_MAT,
+              domain_matrices([ARC_X], [math.sqrt(1.0 - ARC_X * ARC_X)], [0.0])[0])
+
+
+def test_exact_chain_keeps_the_composition_rule_near_the_arc():
+    g1, g2, omega = ARC_TRIPLE
+    r2 = cocycle(g2.astype(float), omega)
+    alpha2 = tuple(int(v) for v in r2.alpha.ravel())
+    # the exact point of g1 (g2 omega alpha2^-1), reduced on the rational path
+    exact = ind._matmul4(ind._matmul4(_fractions(g1 @ g2), _fractions(omega)),
+                         ind._adjugate4(alpha2))
+    alpha1, _, _ = ind._reduce_point(*ind._point_of_inverse(exact))
+    r12 = cocycle((g1 @ g2).astype(float), omega)
+    assert canonical(r12.alpha) == ind._canonical_sign(ind._matmul4(alpha1, alpha2))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2 (within one rounding of the unit arc)")
+def test_cocycle_identity_through_a_rounded_point_near_the_arc():
+    # g2.omega rounded once per entry puts g1's point on the other side of
+    # the unit arc than the exact chain does: alpha1 alpha2 = I, alpha12 = S
+    g1, g2, omega = ARC_TRIPLE
+    r2 = cocycle(g2.astype(float), omega)
+    r1 = cocycle(g1.astype(float), r2.g_dot_omega)
+    r12 = cocycle((g1 @ g2).astype(float), omega)
+    prod = np.array(r1.alpha, dtype=object) @ np.array(r2.alpha, dtype=object)
+    assert canonical(r12.alpha) == canonical(prod)
+
+
+def bits(result):
+    """A cocycle result down to its bits: alpha with its dtype, the moved
+    matrix, its point and the residual."""
+    point = result.g_dot_omega
+    return (result.alpha.dtype.str, result.alpha.tolist(), point.matrix.tobytes(),
+            point.x.hex(), point.y.hex(), result.residual.hex())
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=6),
+                      min_size=1, max_size=4),
+       idx=st.integers(0, 9))
+def test_cocycle_on_a_point_equals_cocycle_on_its_matrix(words, idx):
+    # the first point is a view of the sample's array; each later one is a
+    # moved point that holds its entries and builds its matrix on first read
+    pts, _ = sample_domain(10, 31)
+    point = pts[idx]
+    for word in words:
+        g = word_matrix(word).astype(float)
+        result = cocycle(g, point)
+        assert bits(result) == bits(cocycle(g, np.array(point.matrix)))
+        point = result.g_dot_omega
+
+
+def test_lean_results_own_their_arrays():
+    pts, _ = sample_domain(3, 5)
+    g = (T_MAT @ S_MAT).astype(float)
+    for p in pts:
+        assert p.matrix.base is not None    # a view of the sample's array
+        result = cocycle(g, p)
+        # alpha is one owning array: a view would keep a base array alive
+        assert result.alpha.base is None
+        moved = result.g_dot_omega
+        matrix = moved.matrix
+        assert matrix is moved.matrix
+        assert matrix.base is None and not matrix.flags.writeable
+        assert matrix.ravel().tolist() == list(moved._row_major())
+    for point in (SiegelPoint(pts[0].matrix), reduce_to_domain(g)[0]):
+        assert point.matrix.base is None and not point.matrix.flags.writeable
+        assert point.matrix.tobytes() == np.array(point._row_major()).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -1013,7 +1107,8 @@ def test_exp_integral_against_quadrature_oracle():
     mean, stderr = domain_exp_integral(lengths, 0.5, weights)
     oracle = _exp_integral_oracle(0.5)
     assert abs(mean - oracle) <= 4.0 * stderr
-    m2, s2 = domain_exp_integral(sample_domain_arrays(40000, 202)[3], 0.5)
+    _, _, _, lengths2, weights2 = sample_domain_arrays(40000, 202)
+    m2, s2 = domain_exp_integral(lengths2, 0.5, weights2)
     assert abs(mean - m2) <= 3.0 * (stderr + s2)
 
 
@@ -1023,7 +1118,8 @@ def test_exp_integral_blows_up_near_threshold():
     vals = [_exp_integral_oracle(s) for s in (1.0, 1.5, 1.8)]
     assert vals[0] < vals[1] < vals[2]
     assert vals[2] / vals[0] > 4.0
-    mc = domain_exp_integral(sample_domain_arrays(5000, 7)[3], 1.8)[0]
+    _, _, _, lengths, weights = sample_domain_arrays(5000, 7)
+    mc = domain_exp_integral(lengths, 1.8, weights)[0]
     assert math.isfinite(mc)
 
 
@@ -1109,6 +1205,19 @@ def test_write_sample_log_matches_csv_writer_oracle(tmp_path_factory, rows, seed
     got = (base / "got.csv").read_bytes()
     assert got == (base / "want.csv").read_bytes()
     assert got.count(b"\r\n") == len(rows) + 1
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_write_sample_log_blocks_join_seamlessly(tmp_path, monkeypatch, block):
+    # 40 rows in blocks of 1, 7 (a short last block) and 40 (one block),
+    # with two distinct weights that alternate across block edges
+    monkeypatch.setattr(ind, "_LOG_BLOCK_ROWS", block)
+    x, y, theta, lengths, weights = sample_domain_arrays(40, 9)
+    weights = np.where(np.arange(40) % 3, weights, -0.0)
+    columns = (x, y, theta, lengths)
+    write_sample_log(tmp_path / "got.csv", 9, columns, weights, preamble=_PREAMBLES[1])
+    _sample_log_oracle(tmp_path / "want.csv", 9, columns, weights, preamble=_PREAMBLES[1])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-_MEMBERSHIP_TOL = 1e-9      # entry slack of the SO(3) and zero-pattern tests
 _ENDPOINT_TOL = 1e-10       # |log norm - r| snapping delta to 0 or 1
 
 # ---------------------------------------------------------------------------
@@ -76,12 +75,6 @@ class RealGroupElement:
         _check_sl3(m)
         self.matrix = m
 
-    def inv(self) -> "RealGroupElement":
-        return RealGroupElement(np.linalg.inv(self.matrix))
-
-    def __matmul__(self, other: "RealGroupElement") -> "RealGroupElement":
-        return RealGroupElement(self.matrix @ other.matrix)
-
 
 def d_matrices(a) -> np.ndarray:
     """exp-diagonals D(a) over the last axis of zero-sum exponents a (..., 3).
@@ -124,30 +117,6 @@ def _k_delta_matrices(delta) -> np.ndarray:
     return k
 
 
-def k_delta_real(delta: float) -> RealGroupElement:
-    """Planar rotation with (1,1) entry delta, fixing the third axis."""
-    return RealGroupElement(_k_delta_matrices(delta))
-
-
-def is_special_orthogonal(m: np.ndarray) -> bool:
-    """Every entry of m m^T within `_MEMBERSHIP_TOL` of the identity's, and
-    det m within it of 1."""
-    return bool(np.abs(m @ m.T - np.eye(3)).max() <= _MEMBERSHIP_TOL
-                and abs(np.linalg.det(m) - 1.0) < _MEMBERSHIP_TOL)
-
-
-_U_ZERO = [(0, 1), (0, 2), (1, 0), (2, 0)]          # {(*,0,0),(0,*,*),(0,*,*)}
-_UTILDE_ZERO = [(0, 2), (1, 2), (2, 0), (2, 1)]     # {(*,*,0),(*,*,0),(0,0,*)}
-
-
-def in_u_pattern(m: np.ndarray) -> bool:
-    return all(abs(m[i, j]) <= _MEMBERSHIP_TOL for i, j in _U_ZERO)
-
-
-def in_utilde_pattern(m: np.ndarray) -> bool:
-    return all(abs(m[i, j]) <= _MEMBERSHIP_TOL for i, j in _UTILDE_ZERO)
-
-
 @dataclass
 class CartanTriple:
     a1: float
@@ -159,17 +128,6 @@ class CartanTriple:
 
     def as_tuple(self):
         return (self.a1, self.a2, self.a3)
-
-    def as_int_tuple(self):
-        t = (int(round(self.a1)), int(round(self.a2)), int(round(self.a3)))
-        if t != self.as_tuple():
-            raise ValueError("triple is not integral")
-        return t
-
-    @property
-    def length(self) -> float:
-        """max(a1, -a3): the element's length (real), or e in e log p."""
-        return max(self.a1, -self.a3)
 
 
 def kak_real(g):
@@ -201,12 +159,6 @@ def kak_real(g):
     _check_sl3(u)
     _check_sl3(vt)
     return u, a, vt
-
-
-def cartan_automorphism(g: RealGroupElement) -> RealGroupElement:
-    """rho(g) = J (g^{-1})^T J with J the antidiagonal involution."""
-    J = np.fliplr(np.eye(3))
-    return RealGroupElement(J @ np.linalg.inv(g.matrix).T @ J)
 
 
 @dataclass
@@ -392,9 +344,6 @@ class PAdicGroupElement:
                 for i in range(3) for j in range(3)]
         return min(v for v in vals if v is not None)
 
-    def is_integral(self) -> bool:
-        return self.min_valuation() >= 0
-
 
 def d_matrix_padic(p: int, a1: int, a2: int, a3: int) -> PAdicGroupElement:
     """Diagonal with inverse-uniformizer exponents: entries p^{-a_i}."""
@@ -454,29 +403,3 @@ def padic_sphere_distortion(p: int, alpha: int, r: int) -> PAdicDistortion:
     want = (float(r), float(2 * alpha - r), float(-2 * alpha))
     return PAdicDistortion(alpha=alpha, r=r, delta=delta, triple=triple,
                            ok=triple.as_tuple() == want)
-
-
-def u0_automorphism(g: PAdicGroupElement) -> PAdicGroupElement:
-    """Conjugation g -> diag(p,1,1) g diag(1/p,1,1): the outer automorphism
-    that repairs odd-parity chamber points at the cost of log p in length."""
-    p = g.p
-    left = [Fraction(p), Fraction(1), Fraction(1)]
-    right = [Fraction(1, p), Fraction(1), Fraction(1)]
-    m = g.matrix
-    out = [[left[i] * m[i][j] * right[j] for j in range(3)] for i in range(3)]
-    return PAdicGroupElement(p, out)
-
-
-_OFF_DIAGONAL = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-
-
-def random_padic_integral(p: int, rng, words: int = 6) -> PAdicGroupElement:
-    """Random element of SL3(Z_p) as a word in integer elementary matrices."""
-    g = PAdicGroupElement(p, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    for _ in range(words):
-        i, j = _OFF_DIAGONAL[int(rng.integers(len(_OFF_DIAGONAL)))]
-        c = int(rng.integers(-3, 4))
-        e = [[1 if a == b else 0 for b in range(3)] for a in range(3)]
-        e[i][j] = c
-        g = g @ PAdicGroupElement(p, e)
-    return g

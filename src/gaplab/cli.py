@@ -197,9 +197,6 @@ class ExperimentConfig:
         except UsageError as exc:
             raise UsageError(f"{self.command}: --{key} {exc}") from None
 
-    def values(self, key):
-        return list(self.grid[key])
-
     def tolerances(self):
         return {k: v[0] for k, v in self.grid.items() if k.startswith("tol")}
 
@@ -745,8 +742,8 @@ _STAR_MAX_HORIZON = 100
 #     doubles, and the check holds three order^2 images a power; --horizon
 #     at 100 powers;
 # - su2-gap --qpoints has no effect: the gap is the exact circle average,
-#   and no quadrature runs; the key and its floor of 64 stay for the
-#   invocations that still pass it;
+#   and no quadrature runs; the key and its floor of 64 stay because the
+#   benchmark's light-sweeps workload passes --qpoints=128;
 # - star-verify --horizon starts at the 2 measures one Cauchy difference
 #   needs;
 # - a tolerance (--tol, --tolkappa) lies in [0, 1e-6]: a negative one fails

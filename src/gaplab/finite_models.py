@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import _det3, _matmul3
 from .residue import (AdditiveCharacter, ResidueRing, RingElem,
-                      character_decompose, valuation)
+                      character_decompose)
 
 _POWER_TOL = 1e-12      # relative residual at which the power iteration stops
 
@@ -339,103 +338,3 @@ def hausdorff_young_ratio(m: int, f: np.ndarray) -> float:
     means = np.fft.ifft(f, axis=0)
     num = float(np.linalg.norm(means))
     return num / den
-
-
-# ---------------------------------------------------------------------------
-# exact rotation-conjugation identity mod p^N
-
-
-@dataclass
-class KDeltaConjugation:
-    ok: bool
-    delta: RingElem
-    omega: RingElem
-    precision: int
-    determinants_ok: bool
-    pattern_ok: bool
-    product_ok: bool
-
-
-def verify_kdelta_conjugation(j: int, a: RingElem, b: RingElem,
-                              x: RingElem, y: RingElem) -> KDeltaConjugation:
-    """Exact check, mod p^N, that the two unipotent-corner words conjugate to
-    the rotation stamp k_{p^(2j) * delta} with delta = y - a*x - b.
-
-    The inputs live in O_n; requires j >= 1 and valuation(delta) <= n - j so
-    the scaling unit omega = (sy - sa*sx - sb)/delta exists in 1 + p^j O.
-    All arithmetic is integer arithmetic modulo p^N with N = n + 2j + 4
-    (divisions happen only through modular inverses of units).
-    """
-    ring = a.ring
-    if not (b.ring == ring and x.ring == ring and y.ring == ring):
-        raise ValueError("a, b, x, y must share one ring")
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    p, n = ring.p, ring.n
-    sa, sb, sx, sy = a.value, b.value, x.value, y.value
-
-    delta_val = (sy - sa * sx - sb) % p ** n
-    v = valuation(p, delta_val, n)
-    if v > n - j:
-        raise ValueError(
-            f"delta has valuation {v} > n-j = {n - j}: identity not claimed")
-
-    N = n + 2 * j + 4
-    q = p ** N
-
-    num = sy - sa * sx - sb                     # plain integer, may be negative
-    unit = delta_val // p ** v
-    omega = ((num // p ** v) * pow(unit, -1, q)) % q
-    omega_inv = pow(omega, -1, q)
-
-    alpha = [[1, -p ** j * sa, -p ** (2 * j) * sb],
-             [0, 0, 1],
-             [0, -1, 0]]
-    beta = [[p ** (2 * j) * sy, -1, 0],
-            [p ** j * sx, 0, -1],
-            [1, 0, 0]]
-    dets_ok = (_det3(alpha) == 1 and _det3(beta) == 1)
-
-    left = [[omega_inv, 0, 0],
-            [0, 1, 0],
-            [0, (p ** j * omega * sx) % q, omega]]
-    right = [[1, 0, 0],
-             [0, omega, (p ** j * omega_inv * sa) % q],
-             [0, 0, omega_inv]]
-
-    prod = left
-    for factor in (alpha, beta, right):
-        prod = [[e % q for e in row] for row in _matmul3(prod, factor)]
-    target = [[(p ** (2 * j) * delta_val) % q, (-1) % q, 0],
-              [1, 0, 0],
-              [0, 0, 1]]
-    product_ok = prod == target
-
-    def _is_unit_pattern(mat):
-        for i in range(3):
-            for k in range(3):
-                want0 = (i != k)
-                e = mat[i][k] % q
-                if want0 and i in (1, 2) and k in (1, 2):
-                    # inside the lower block off-diagonals may be p^j-divisible
-                    if e % p ** j != 0:
-                        return False
-                elif want0:
-                    if e != 0:
-                        return False
-                else:
-                    if (e - 1) % p ** j != 0:
-                        return False
-        return True
-
-    pattern_ok = _is_unit_pattern(left) and _is_unit_pattern(right)
-
-    return KDeltaConjugation(
-        ok=bool(dets_ok and product_ok and pattern_ok),
-        delta=RingElem(ring, delta_val),
-        omega=RingElem(ResidueRing(p, N), omega),
-        precision=N,
-        determinants_ok=dets_ok,
-        pattern_ok=pattern_ok,
-        product_ok=product_ok,
-    )

@@ -22,11 +22,11 @@ proposal is exact.  Otherwise the loop runs again on exact rationals
 (``fractions.Fraction`` on the binary float values, which is lossless): from
 the proposed image, where it returns the identity if the proposal landed in
 F, or from the point itself when the float pass declines.  ``cocycle`` and
-the array function ``cocycle_alphas`` (float pass ``_reduce_float_batch``)
-share the certificate and the fallback, so every returned gamma is exact
-even for badly conditioned inputs; the rational path is also the oracle.
-The representative g w gamma^{-1} that ``cocycle`` and ``reduce_to_domain``
-return is the exact product, formed in integers and rounded once per entry.
+the stacked pass ``_alphas`` (float pass ``_reduce_float_batch``) share the
+certificate and the fallback, so every returned gamma is exact even for
+badly conditioned inputs; the rational path is also the oracle.  The
+representative g w gamma^{-1} that ``cocycle`` returns is the exact
+product, formed in integers and rounded once per entry.
 Boundary convention: the right half of the boundary (Re z = 1/2, and the
 right unit-arc) is folded onto the left, which makes the splitting a true
 bijection modulo the +-identity center away from the orbits of the elliptic
@@ -58,7 +58,6 @@ _MIN_COLUMN_SQUARE = 2.0 ** -1022   # keeps y = 1/(a^2 + c^2) finite
 _UNIT = 2.0 ** -53        # unit roundoff of binary64
 _TINY = 2.0 ** -1060      # absolute slack covering gradual underflow
 _GAMMA_CAP = 2.0 ** 52    # ||gamma||_F^2 cap: entries below 2^26, det exact
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
 #: rows of the (g, omega) grid that one certified float pass of ``_alphas``
 #: takes; the pass holds a few dozen float temporaries of this length
 _ALPHA_ROW_BUDGET = 2 ** 14
@@ -390,8 +389,8 @@ def _reduce_float_batch(x, y):
 
 
 def _alphas(gs, omegas):
-    """``cocycle_alphas`` for a list of G float 4-tuples ``gs`` at once, on
-    validated (N, 2, 2) representatives ``omegas``.
+    """alpha(g, omega) for every g of a list of G float 4-tuples ``gs`` and
+    every omega of validated (N, 2, 2) representatives ``omegas``, at once.
 
     The G N pairs (g, omega), g-major, take one float reduction and one
     certificate, in blocks of at most ``_ALPHA_ROW_BUDGET`` rows so that the
@@ -569,11 +568,6 @@ class SiegelPoint:
         return self._y
 
     @property
-    def point(self):
-        """The associated half-plane point as a complex number."""
-        return complex(self._x, self._y)
-
-    @property
     def length(self):
         """Half the hyperbolic distance from i to the associated point.
 
@@ -582,19 +576,6 @@ class SiegelPoint:
         point, finite for every y up to the float range.
         """
         return float(_point_lengths(self._x, self._y))
-
-    @property
-    def rotation(self):
-        """The stabilizer angle theta in [0, pi) with omega^{-1} = p(z) k(theta)."""
-        m = self.matrix
-        inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-        sq = math.sqrt(self._y)
-        p_inv = np.array([[1.0 / sq, -self._x / sq], [0.0, sq]])
-        k = p_inv @ inv
-        return math.atan2(k[1, 0], k[0, 0]) % math.pi
-
-    def __repr__(self):
-        return f"SiegelPoint(z={self.point:.6g}, rotation={self.rotation:.4f})"
 
 
 def _representatives(domain_samples):
@@ -634,20 +615,6 @@ def _weighted_sample(domain_samples):
     if not count:
         raise ValueError("empty domain sample")
     return omegas, x, y, np.full(count, 1.0 / count)
-
-
-def reduce_to_domain(g):
-    """Split g = omega * gamma with omega a domain representative.
-
-    Returns (SiegelPoint, gamma) where gamma is an exact integer matrix of
-    determinant one, sign-canonicalized (Python ints in an object array
-    once an entry reaches 2^62).  The splitting is unique modulo the center
-    thanks to the boundary folding convention, except on the orbits of the
-    elliptic points i and rho.
-    """
-    _, g4 = _check_unimodular(g)
-    gamma, rep, _ = _split(g4, _IDENTITY)
-    return SiegelPoint._of_entries(rep, (g4, _IDENTITY)), _int_matrix(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -715,24 +682,6 @@ def cocycle(g, omega):
                     abs(m10 - (c * p + d * r)), abs(m11 - (c * q + d * s)))
                 / max(1.0, max(abs(m00), abs(m01), abs(m10), abs(m11))))
     return CocycleResult(point, _int_matrix(gamma), residual)
-
-
-def cocycle_alphas(g, omegas):
-    """alpha(g, omega) for every representative omega of a domain sample.
-
-    ``omegas`` is an (N, 2, 2) array of representatives (see
-    ``domain_matrices``) or a sequence of SiegelPoints.  It is the
-    one-element case of the stacked pass ``_alphas``: the reduction runs
-    vectorised under the same certificate as ``cocycle``, and rows inside
-    the error band go through the rational path one by one.  Returns
-    (alphas, exact_fallbacks): alphas of shape (N, 2, 2), equal row by row
-    to ``cocycle(g, omega).alpha`` (int64, or object dtype of Python ints
-    once an entry reaches 2^62), and the number of rows that fell back.
-    """
-    _, g4 = _check_unimodular(g)
-    omegas, _, _ = _representatives(omegas)
-    alphas, fallbacks = _alphas([g4], omegas)
-    return alphas[0], fallbacks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1060,45 +1009,19 @@ class LatticeMeasure:
             store[k] = store.get(k, 0.0) + float(weight)
         self._entries = dict(sorted(store.items()))
 
-    @classmethod
-    def point_mass(cls, key):
-        return cls({tuple(int(v) for v in np.asarray(key).ravel()): 1.0})
-
     def items(self):
         return self._entries.items()
 
     def __len__(self):
         return len(self._entries)
 
-    def __getitem__(self, key):
-        k = _canonical_sign(tuple(int(v) for v in np.asarray(key).ravel()))
-        return self._entries.get(k, 0.0)
-
     @property
     def mass(self):
         return float(math.fsum(self._entries.values()))
 
-    @property
-    def is_probability(self):
-        return all(w >= -1e-12 for w in self._entries.values()) and abs(self.mass - 1.0) <= 1e-9
-
     def lengths(self):
         """Element lengths aligned with ``items()`` order."""
         return element_length(np.array(list(self._entries), dtype=float).reshape(-1, 2, 2))
-
-    @property
-    def max_length(self):
-        if not self._entries:
-            return 0.0
-        return float(self.lengths().max())
-
-    def support(self):
-        return [
-            (np.array(k, dtype=np.int64).reshape(2, 2), w) for k, w in self._entries.items()
-        ]
-
-    def __repr__(self):
-        return f"LatticeMeasure({len(self)} atoms, mass={self.mass:.6g})"
 
 
 def total_variation(first, second):
@@ -1107,15 +1030,6 @@ def total_variation(first, second):
     return float(
         math.fsum(abs(first._entries.get(k, 0.0) - second._entries.get(k, 0.0)) for k in keys)
     )
-
-
-def exp_tail_mass(measure, s, radius):
-    """Integral of e^{s length} over the complement of the radius ball."""
-    total = 0.0
-    for (_, weight), ell in zip(measure.items(), measure.lengths().tolist()):
-        if ell >= radius - 1e-12:
-            total += weight * math.exp(s * ell)
-    return total
 
 
 def pushforward_mn0(m_tilde, n, domain_samples):

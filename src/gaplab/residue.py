@@ -66,10 +66,6 @@ class ResidueRing:
     def elem(self, value: int) -> "RingElem":
         return RingElem(self, value % self.modulus)
 
-    def elements(self) -> Iterator["RingElem"]:
-        for v in range(self.modulus):
-            yield RingElem(self, v)
-
     def character(self, index: int) -> "AdditiveCharacter":
         return AdditiveCharacter(self, index % self.modulus)
 
@@ -86,35 +82,6 @@ class RingElem:
     def __post_init__(self):
         object.__setattr__(self, "value", self.value % self.ring.modulus)
 
-    def _check(self, other: "RingElem"):
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch between operands")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return self.ring.elem(self.value + other)
-        self._check(other)
-        return self.ring.elem(self.value + other.value)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return self.ring.elem(self.value - other)
-        self._check(other)
-        return self.ring.elem(self.value - other.value)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.ring.elem(self.value * other)
-        self._check(other)
-        return self.ring.elem(self.value * other.value)
-
-    def __neg__(self):
-        return self.ring.elem(-self.value)
-
-    def valuation(self) -> int:
-        """p-adic valuation of the canonical representative (0 -> level)."""
-        return valuation(self.ring.p, self.value, self.ring.n)
-
 
 @dataclass(frozen=True)
 class AdditiveCharacter:
@@ -129,21 +96,6 @@ class AdditiveCharacter:
     @property
     def is_trivial(self) -> bool:
         return self.index == 0
-
-    @property
-    def is_nondegenerate(self) -> bool:
-        return self.index % self.ring.p != 0
-
-    def __call__(self, z) -> complex:
-        return char_eval(self, z)
-
-    def __mul__(self, other: "AdditiveCharacter") -> "AdditiveCharacter":
-        if self.ring != other.ring:
-            raise ValueError("cannot multiply characters of different levels")
-        return AdditiveCharacter(self.ring, self.index + other.index)
-
-    def conjugate(self) -> "AdditiveCharacter":
-        return AdditiveCharacter(self.ring, -self.index)
 
 
 def char_eval(chi: AdditiveCharacter, z) -> complex:

@@ -352,15 +352,3 @@ def stheta_norm_gap(theta, two_j_max: int = 40):
 def spin_half_gap(theta: float) -> float:
     """Spin-1/2 term of `stheta_norm_gap`: sqrt(2)*|sin((theta-pi/4)/2)|."""
     return math.sqrt(2.0) * abs(math.sin((theta - _BASE_THETA) / 2.0))
-
-
-def fit_stheta_constant(two_j_max: int = 40, thetas=None) -> float:
-    """Smallest C with gap(theta) <= C*|theta - pi/4|^(1/4) on the grid."""
-    if thetas is None:
-        thetas = np.linspace(0.0, 2.0 * np.pi, 41, endpoint=False)
-    thetas, _ = _batch(thetas, "thetas")
-    dists = np.abs(thetas - _BASE_THETA)
-    keep = dists >= 1e-12
-    gaps = stheta_norm_gap(thetas[keep], two_j_max)
-    return max([0.0] + [g / d ** 0.25 for g, d
-                        in zip(gaps.tolist(), dists[keep].tolist())])

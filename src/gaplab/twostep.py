@@ -15,7 +15,6 @@ comparison estimate against the regular representation.
 """
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "GapProfile",
     "LocalEstimate",
     "cyclic_model",
-    "symmetric_model",
     "sl3_f2_model",
     "convolve",
     "convolution_powers",
@@ -50,7 +48,6 @@ __all__ = [
     "spectral_gap_profile",
     "verify_star_instance",
     "local_estimate_check",
-    "cusp_measure_bound",
 ]
 
 
@@ -142,9 +139,6 @@ class FiniteGroupModel:
                 raise ValueError("multiplication table is not associative")
         return True
 
-    def word_length(self, g) -> int:
-        return int(self.lengths[g])
-
     def left_regular_stack(self) -> np.ndarray:
         """All left-translation permutation matrices, shape (order, order, order)."""
         if self.order > _REGULAR_CAP:
@@ -156,9 +150,6 @@ class FiniteGroupModel:
         lam[idx[:, None], self.mult, idx[None, :]] = 1.0
         return lam
 
-    def __repr__(self):
-        return f"FiniteGroupModel({self.name!r}, order={self.order})"
-
 
 def cyclic_model(m: int) -> FiniteGroupModel:
     if m < 1:
@@ -167,22 +158,6 @@ def cyclic_model(m: int) -> FiniteGroupModel:
     mult = (idx[:, None] + idx[None, :]) % m
     gens = [] if m == 1 else sorted({1, m - 1})
     return FiniteGroupModel(f"Z/{m}", mult, gens)
-
-
-def symmetric_model(n: int) -> FiniteGroupModel:
-    """The symmetric group S_n generated by adjacent transpositions."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    elems = sorted(permutations(range(n)))
-    index = {p: i for i, p in enumerate(elems)}
-    mult = [[index[tuple(p[q[x]] for x in range(n))] for q in elems]
-            for p in elems]
-    gens = []
-    for i in range(n - 1):
-        t = list(range(n))
-        t[i], t[i + 1] = t[i + 1], t[i]
-        gens.append(index[tuple(t)])
-    return FiniteGroupModel(f"S{n}", mult, gens, labels=elems)
 
 
 _F2_BITS = (1 << np.arange(9)).astype(np.uint16)
@@ -243,18 +218,21 @@ class FiniteMeasure:
         self.weights = w
 
     @classmethod
-    def point_mass(cls, model, g):
-        w = np.zeros(model.order)
-        w[g] = 1.0
-        return cls(model, w)
-
-    @classmethod
     def uniform(cls, model, elements=None):
+        """Equal mass on each distinct element of ``elements`` (all of the
+        group by default): a repeated element counts once, so the measure
+        is a probability measure.  An empty list is refused, and so is an
+        index outside 0..order-1 (a negative one would name an element
+        twice)."""
         if elements is None:
             elements = range(model.order)
-        elements = list(elements)
+        distinct = sorted(set(elements))
+        if not distinct:
+            raise ValueError("a uniform measure needs at least one element")
+        if distinct[0] < 0 or distinct[-1] >= model.order:
+            raise ValueError("elements must index the group")
         w = np.zeros(model.order)
-        w[elements] = 1.0 / len(elements)
+        w[distinct] = 1.0 / len(distinct)
         return cls(model, w)
 
     @property
@@ -267,37 +245,19 @@ class FiniteMeasure:
                 and abs(self.mass - 1.0) <= 1e-12)
 
     @property
-    def support(self):
-        idx = np.nonzero(self.weights)[0]
-        return [(int(i), float(self.weights[i])) for i in idx]
-
-    @property
     def max_word_length(self) -> int:
         idx = np.nonzero(self.weights)[0]
         if idx.size == 0:
             return 0
         return int(self.model.lengths[idx].max())
 
-    def __add__(self, other):
-        self._same_model(other)
-        return FiniteMeasure(self.model, self.weights + other.weights)
-
     def __sub__(self, other):
         self._same_model(other)
         return FiniteMeasure(self.model, self.weights - other.weights)
 
-    def __mul__(self, scalar):
-        return FiniteMeasure(self.model, self.weights * float(scalar))
-
-    __rmul__ = __mul__
-
     def _same_model(self, other):
         if self.model is not other.model:
             raise ValueError("measures live on different groups")
-
-    def __repr__(self):
-        return (f"FiniteMeasure({self.model.name}, mass={self.mass:.6g}, "
-                f"support={len(self.support)})")
 
 
 def convolve(m1: FiniteMeasure, m2: FiniteMeasure) -> FiniteMeasure:
@@ -382,19 +342,6 @@ class TwoStepRep:
         self._pi = pi1 @ pi0[model.identity]
         self._check_relation()
         self._check_growth(norms)
-
-    @property
-    def dims(self):
-        return (self._pi0.shape[2], self._pi0.shape[1], self._pi1.shape[1])
-
-    def pi0(self, g):
-        return self._pi0[g]
-
-    def pi1(self, g):
-        return self._pi1[g]
-
-    def pi(self, g):
-        return self._pi[g]
 
     def pi_stack(self):
         return self._pi
@@ -547,15 +494,6 @@ class GapProfile:
         self.rho = rho
         self.note = note
 
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
-
 
 def spectral_gap_profile(model, mu: FiniteMeasure, horizon: int) -> GapProfile:
     """||lambda(mu^n) - P|| for n = 1..horizon on the regular representation.
@@ -690,15 +628,3 @@ def local_estimate_check(rep: TwoStepRep, mu, mu_prime, g1, g2) -> LocalEstimate
            * math.exp(rep.s * (model.lengths[g1] + model.lengths[g2]))
            * float(_opnorms(left_regular_matrix(diff))))
     return LocalEstimate(lhs, rhs, lhs <= rhs + 1e-10)
-
-
-def cusp_measure_bound(omega1_mass: float, gap_profile) -> np.ndarray:
-    """Lower bounds on the mass of the n+1-st domain from a gap profile.
-
-    The deficit obeys 1 - |Omega_{n+1}| <= eps_n / |Omega_1|; the returned
-    sequence is 1 - eps_n/mass clamped to [0, 1].
-    """
-    if not 0 < omega1_mass <= 1:
-        raise ValueError("omega1 mass must lie in (0, 1]")
-    eps = np.asarray(list(gap_profile), dtype=float)
-    return np.clip(1.0 - eps / omega1_mass, 0.0, 1.0)

@@ -24,10 +24,9 @@ put the short move next to the dominant e^{-t min(r, r')} term and break
 the geometric envelope.
 
 One tolerance rule decides everywhere whether two radii differ: by more
-than 1e-12.  The walk runs when the endpoint radii differ; the ladder
+than 1e-12.  The walk runs when the endpoint radii differ, and the ladder
 gives the far radius a node of its own when it differs from the last
-unit node, and moves that node onto it otherwise; `axis_chain_bound`
-prices radii that do not differ as one radius.
+unit node, and moves that node onto it otherwise.
 
 Certificates are built and revalidated a block at a time, and a block is
 the only certificate type.  Two (N, 3) endpoint arrays sharing (s, L)
@@ -59,7 +58,6 @@ __all__ = [
     "CertificateBlock",
     "StarParams",
     "step_bound",
-    "axis_chain_bound",
     "zigzag_certificate",
     "revalidate_certificate",
     "rescale_params",
@@ -167,27 +165,6 @@ def step_bound(kind, start, end, s, L):
     bound = 14.0 * L * L * _exp(
         np.where(kind == "horizontal", t * start[:, 2], -t * start[:, 0]))
     return float(bound[0]) if single else bound
-
-
-def axis_chain_bound(r1, r2, s, L) -> float:
-    """Summed bound for the unit-move chain joining c_{r1} to c_{r2}.
-
-    Honest partial sum over the legs of the walk `zigzag_certificate` takes:
-    each unit move from u to v costs 14 L^2 (e^{-t u} + e^{-t v}).  Radii
-    within 1e-12 of each other are one radius, as in the walk, and their
-    chain is a single vacuous move costing 28 L^2 e^{-t r1}.
-    """
-    _check_rate(s)
-    _check_scale(L)
-    if r1 < 1:
-        raise ValueError(f"axis chain starts at radius 1, got r1={r1}")
-    if r2 < r1:
-        raise ValueError("need r1 <= r2")
-    axis = (r1, 0.0, -r1)
-    if r2 - r1 <= _EQ_TOL:
-        # both legs of the move c_{r1} -> c_{r1} pay 14 L^2 e^{-t r1}
-        return 2.0 * step_bound("horizontal", axis, axis, s, L)
-    return float(zigzag_certificate(axis, (r2, 0.0, -r2), s, L).totals[0])
 
 
 @dataclass(eq=False)

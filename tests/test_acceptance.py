@@ -349,7 +349,8 @@ def test_criterion_08_gap_profiles_and_projection():
     z3 = twostep.cyclic_model(3)
     prof = twostep.spectral_gap_profile(
         z3, twostep.FiniteMeasure.uniform(z3, [1, 2]), 30)
-    worst_half = max(abs(v - 0.5 ** n) for n, v in enumerate(prof, start=1))
+    worst_half = max(abs(v - 0.5 ** n)
+                     for n, v in enumerate(prof.values, start=1))
     assert worst_half <= 1e-12
 
     sl3 = twostep.sl3_f2_model()
@@ -359,7 +360,7 @@ def test_criterion_08_gap_profiles_and_projection():
     rho = prof_sl3.rho
     assert rho is not None and rho < 1.0
     worst_geo = max(abs(v - rho ** n)
-                    for n, v in enumerate(prof_sl3, start=1))
+                    for n, v in enumerate(prof_sl3.values, start=1))
     assert worst_geo <= 1e-9
 
     worst_proj = 0.0

@@ -8,19 +8,95 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab.cartan import (CartanTriple, PAdicGroupElement, RealGroupElement,
-                           _adjugate3, _det3, _matmul3,
-                           cartan_automorphism, d_alpha, d_alpha_padic,
-                           d_matrices, d_matrix, d_matrix_padic,
-                           distorted_length,
-                           frac_valuation, in_u_pattern, in_utilde_pattern,
-                           is_special_orthogonal, k_delta_padic, k_delta_real,
-                           kak_padic, kak_real, padic_sphere_distortion,
-                           random_padic_integral, solve_sphere_distortion,
-                           u0_automorphism)
+                           _adjugate3, _det3, _k_delta_matrices, _matmul3,
+                           d_alpha, d_alpha_padic, d_matrices, d_matrix,
+                           d_matrix_padic, distorted_length, frac_valuation,
+                           k_delta_padic, kak_padic, kak_real,
+                           padic_sphere_distortion, solve_sphere_distortion)
+
+
+def _triple_length(triple):
+    """max(a1, -a3): the length of an element with this Cartan triple
+    (real), or the e of its p-adic length e log p."""
+    return max(triple.a1, -triple.a3)
+
+
+def _int_triple(triple):
+    """A Cartan triple as ints; each exponent must be an integer."""
+    out = tuple(int(v) for v in triple.as_tuple())
+    assert out == triple.as_tuple()
+    return out
 
 
 def _length(g):
-    return kak_real(g)[1].length
+    return _triple_length(kak_real(g)[1])
+
+
+def _inverse(g):
+    return RealGroupElement(np.linalg.inv(g.matrix))
+
+
+# ---------------------------------------------------------------------------
+# paper checks that no acceptance criterion states, and their fixtures:
+# kept here next to their tests
+
+_MEMBERSHIP_TOL = 1e-9      # entry slack of the SO(3) and zero-pattern tests
+
+
+def k_delta_real(delta: float) -> RealGroupElement:
+    """Planar rotation with (1,1) entry delta, fixing the third axis."""
+    return RealGroupElement(_k_delta_matrices(delta))
+
+
+def is_special_orthogonal(m: np.ndarray) -> bool:
+    """Every entry of m m^T within `_MEMBERSHIP_TOL` of the identity's, and
+    det m within it of 1."""
+    return bool(np.abs(m @ m.T - np.eye(3)).max() <= _MEMBERSHIP_TOL
+                and abs(np.linalg.det(m) - 1.0) < _MEMBERSHIP_TOL)
+
+
+_U_ZERO = [(0, 1), (0, 2), (1, 0), (2, 0)]          # {(*,0,0),(0,*,*),(0,*,*)}
+_UTILDE_ZERO = [(0, 2), (1, 2), (2, 0), (2, 1)]     # {(*,*,0),(*,*,0),(0,0,*)}
+
+
+def in_u_pattern(m: np.ndarray) -> bool:
+    return all(abs(m[i, j]) <= _MEMBERSHIP_TOL for i, j in _U_ZERO)
+
+
+def in_utilde_pattern(m: np.ndarray) -> bool:
+    return all(abs(m[i, j]) <= _MEMBERSHIP_TOL for i, j in _UTILDE_ZERO)
+
+
+def cartan_automorphism(g: RealGroupElement) -> RealGroupElement:
+    """rho(g) = J (g^{-1})^T J with J the antidiagonal involution."""
+    J = np.fliplr(np.eye(3))
+    return RealGroupElement(J @ np.linalg.inv(g.matrix).T @ J)
+
+
+def u0_automorphism(g: PAdicGroupElement) -> PAdicGroupElement:
+    """Conjugation g -> diag(p,1,1) g diag(1/p,1,1): the outer automorphism
+    that repairs odd-parity chamber points at the cost of log p in length."""
+    p = g.p
+    left = [Fraction(p), Fraction(1), Fraction(1)]
+    right = [Fraction(1, p), Fraction(1), Fraction(1)]
+    m = g.matrix
+    out = [[left[i] * m[i][j] * right[j] for j in range(3)] for i in range(3)]
+    return PAdicGroupElement(p, out)
+
+
+_OFF_DIAGONAL = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+
+
+def random_padic_integral(p: int, rng, words: int = 6) -> PAdicGroupElement:
+    """Random element of SL3(Z_p) as a word in integer elementary matrices."""
+    g = PAdicGroupElement(p, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for _ in range(words):
+        i, j = _OFF_DIAGONAL[int(rng.integers(len(_OFF_DIAGONAL)))]
+        c = int(rng.integers(-3, 4))
+        e = [[1 if a == b else 0 for b in range(3)] for a in range(3)]
+        e[i][j] = c
+        g = g @ PAdicGroupElement(p, e)
+    return g
 
 
 def _length_oracle(g):
@@ -147,8 +223,9 @@ def test_length_symmetry_and_subadditivity():
     for _ in range(300):
         g = _random_sl3(rng)
         h = _random_sl3(rng)
-        assert _length(g) == pytest.approx(_length(g.inv()), abs=1e-9)
-        assert _length(g @ h) <= _length(g) + _length(h) + 1e-9
+        assert _length(g) == pytest.approx(_length(_inverse(g)), abs=1e-9)
+        gh = RealGroupElement(g.matrix @ h.matrix)
+        assert _length(gh) <= _length(g) + _length(h) + 1e-9
 
 
 def test_group_element_validation():
@@ -170,7 +247,7 @@ def test_kak_real_roundtrip():
         assert is_special_orthogonal(k1.matrix)
         assert is_special_orthogonal(k2.matrix)
         assert abs(sum(a.as_tuple())) < 1e-12
-        assert _length_oracle(g) == pytest.approx(a.length, abs=1e-10)
+        assert _length_oracle(g) == pytest.approx(_triple_length(a), abs=1e-10)
 
 
 def test_kak_real_on_diagonal_and_rotation():
@@ -283,7 +360,7 @@ def test_cartan_triple_validation():
         CartanTriple(0.0, 1.0, -1.0)     # unordered
     with pytest.raises(ValueError):
         CartanTriple(2.0, 0.0, -1.0)     # nonzero sum
-    assert CartanTriple(2.0, 0.0, -2.0).length == 2.0
+    assert CartanTriple(2.0, 0.0, -2.0).as_tuple() == (2.0, 0.0, -2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +381,8 @@ def test_k_delta_real_endpoints():
 def test_d_alpha_k0_identity():
     # D_a k_0 D_a = D(a, a, -2a) k_0
     alpha = 0.8
-    lhs = (d_alpha(alpha) @ RealGroupElement(k_delta_real(0.0).matrix)
-           @ d_alpha(alpha)).matrix
+    d = d_alpha(alpha).matrix
+    lhs = d @ k_delta_real(0.0).matrix @ d
     rhs = d_matrix(alpha, alpha, -2 * alpha).matrix @ k_delta_real(0.0).matrix
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -479,7 +556,7 @@ def test_padic_validation_and_length():
     with pytest.raises(ValueError):
         PAdicGroupElement(2, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])   # det 2
     g = PAdicGroupElement(2, [[Fraction(1, 4), 0, 0], [0, 2, 0], [0, 0, 2]])
-    assert kak_padic(g).length == _padic_length_oracle(g) == 2
+    assert _triple_length(kak_padic(g)) == _padic_length_oracle(g) == 2
 
 
 def test_padic_length_symmetry_subadditive():
@@ -488,9 +565,9 @@ def test_padic_length_symmetry_subadditive():
     for _ in range(60):
         g = random_padic_integral(3, rng) @ x @ random_padic_integral(3, rng)
         h = random_padic_integral(3, rng, 4)
-        assert kak_padic(g).length == kak_padic(g.inv()).length
-        assert (kak_padic(g @ h).length
-                <= kak_padic(g).length + kak_padic(h).length)
+        assert _triple_length(kak_padic(g)) == _triple_length(kak_padic(g.inv()))
+        assert (_triple_length(kak_padic(g @ h))
+                <= _triple_length(kak_padic(g)) + _triple_length(kak_padic(h)))
 
 
 def test_padic_integral_has_zero_length():
@@ -498,28 +575,28 @@ def test_padic_integral_has_zero_length():
     rng = np.random.default_rng(7)
     for _ in range(40):
         k = random_padic_integral(5, rng, 8)
-        assert k.is_integral()
-        assert kak_padic(k).length == 0
-        assert kak_padic(k).as_int_tuple() == (0, 0, 0)
+        assert k.min_valuation() >= 0       # integral
+        assert _triple_length(kak_padic(k)) == 0
+        assert _int_triple(kak_padic(k)) == (0, 0, 0)
 
 
 def test_kak_padic_examples():
     g = PAdicGroupElement(2, [[Fraction(1, 4), 0, 0], [0, 2, 0], [0, 0, 2]])
-    assert kak_padic(g).as_int_tuple() == (2, -1, -1)
+    assert _int_triple(kak_padic(g)) == (2, -1, -1)
     h = PAdicGroupElement(3, [[1, Fraction(1, 27), 0], [0, 1, 0], [0, 0, 1]])
-    assert kak_padic(h).as_int_tuple() == (3, 0, -3)
+    assert _int_triple(kak_padic(h)) == (3, 0, -3)
 
 
 def test_kak_padic_bi_invariance():
     """Paper: the p-adic Cartan projection is SL3(Z_p)-bi-invariant."""
     rng = np.random.default_rng(8)
     x = d_matrix_padic(3, 3, 1, -4)
-    base = kak_padic(x).as_int_tuple()
+    base = _int_triple(kak_padic(x))
     assert base == (3, 1, -4)
     for _ in range(100):
         k1 = random_padic_integral(3, rng)
         k2 = random_padic_integral(3, rng)
-        assert kak_padic(k1 @ x @ k2).as_int_tuple() == base
+        assert _int_triple(kak_padic(k1 @ x @ k2)) == base
 
 
 def test_kak_padic_matches_length():
@@ -530,8 +607,8 @@ def test_kak_padic_matches_length():
              @ random_padic_integral(2, rng))
         oracle = _kak_padic_oracle(g)
         assert oracle == (a1, a2, a3)
-        assert kak_padic(g).as_int_tuple() == oracle
-        assert kak_padic(g).length == _padic_length_oracle(g) == max(a1, -a3)
+        assert _int_triple(kak_padic(g)) == oracle
+        assert _triple_length(kak_padic(g)) == _padic_length_oracle(g) == max(a1, -a3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -544,14 +621,14 @@ def test_kak_padic_matches_minor_oracle(p):
              @ d_matrix_padic(p, a1, a2, -a1 - a2)
              @ random_padic_integral(p, rng))
         oracle = _kak_padic_oracle(g)
-        assert kak_padic(g).as_int_tuple() == oracle
-        assert kak_padic(g).length == max(oracle[0], -oracle[2])
+        assert _int_triple(kak_padic(g)) == oracle
+        assert _triple_length(kak_padic(g)) == max(oracle[0], -oracle[2])
         assert oracle == tuple(sorted((a1, a2, -a1 - a2), reverse=True))
 
 
 def test_k_delta_padic():
     k = k_delta_padic(3, 0)
-    assert kak_padic(k).as_int_tuple() == (0, 0, 0)
+    assert _int_triple(kak_padic(k)) == (0, 0, 0)
     with pytest.raises(ValueError):
         k_delta_padic(3, Fraction(1, 3))     # not integral
 
@@ -566,7 +643,7 @@ def test_padic_distortion(p, alpha, r, val, triple):
     sol = padic_sphere_distortion(p, alpha, r)
     assert sol.ok
     assert frac_valuation(p, sol.delta) == val
-    assert sol.triple.as_int_tuple() == triple
+    assert _int_triple(sol.triple) == triple
 
 
 def test_padic_distortion_all_integer_alphas():
@@ -593,8 +670,8 @@ def test_u0_fixed_points_and_distortion():
     x = d_matrix_padic(5, 2, 0, -2)
     for _ in range(100):
         g = random_padic_integral(5, rng, 5) @ x @ random_padic_integral(5, rng, 3)
-        drift = abs(kak_padic(g).length
-                    - kak_padic(u0_automorphism(g)).length)
+        drift = abs(_triple_length(kak_padic(g))
+                    - _triple_length(kak_padic(u0_automorphism(g))))
         assert drift <= 1
 
 
@@ -615,4 +692,4 @@ def test_padic_diagonal_triples(a1, a2):
     a3 = -a1 - a2
     vals = sorted((a1, a2, a3), reverse=True)
     g = d_matrix_padic(3, a1, a2, a3)
-    assert kak_padic(g).as_int_tuple() == tuple(vals)
+    assert _int_triple(kak_padic(g)) == tuple(vals)

@@ -38,8 +38,8 @@ def test_empty_grid_rejected():
 
 def test_defaults_fill_missing_axes():
     cfg = cli.ExperimentConfig("su2-gap", {"theta": [0.3]})
-    assert cfg.values("theta") == [0.3]
-    assert cfg.values("jmax") == list(
+    assert cfg.grid["theta"] == [0.3]
+    assert cfg.grid["jmax"] == list(
         cli.COMMANDS["su2-gap"].keys["jmax"].default)
 
 
@@ -53,7 +53,7 @@ def test_scalar_rejects_lists():
 
 def test_scalar_values_are_wrapped():
     cfg = cli.ExperimentConfig("su2-gap", {"jmax": 6})
-    assert cfg.values("jmax") == [6]
+    assert cfg.grid["jmax"] == [6]
 
 
 def test_echo_reports_tolerances():
@@ -485,7 +485,7 @@ def test_integer_keys_refuse_fractions(tmp_path, capsys, command, key):
     rule = cli.COMMANDS[command].keys[key]._replace(
         low=-math.inf, high=math.inf, axis=True)
     cfg = cli.ExperimentConfig(command, {key: [3.0, 1e1, np.int64(2), "4"]})
-    got = rule.check(command, key, cfg.values(key))
+    got = rule.check(command, key, cfg.grid[key])
     assert got == [3, 10, 2, 4] and all(type(v) is int for v in got)
 
 

@@ -22,9 +22,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import eval_gegenbauer, roots_jacobi
 
 from gaplab import spheres
-from gaplab.spheres import (fit_stheta_constant, legendre_envelope,
-                            spin_half_gap, spin_matrix, stheta_norm_gap,
-                            su2_element, tdelta_eigenvalues,
+from gaplab.spheres import (legendre_envelope, spin_half_gap, spin_matrix,
+                            stheta_norm_gap, su2_element, tdelta_eigenvalues,
                             tdelta_gap_report)
 
 
@@ -446,6 +445,17 @@ def test_spin_half_gap_formula():
         blk0 = averaged_block(1, np.pi / 4, 64)
         got = np.linalg.norm(blk1 - blk0, 2)
         assert got == pytest.approx(spin_half_gap(th), abs=1e-12)
+
+
+def fit_stheta_constant(two_j_max, thetas):
+    """Smallest C with gap(theta) <= C*|theta - pi/4|^(1/4) on the grid: the
+    paper's constant, which no acceptance criterion states."""
+    thetas = np.asarray(thetas, dtype=float)
+    dists = np.abs(thetas - np.pi / 4)
+    keep = dists >= 1e-12
+    gaps = stheta_norm_gap(thetas[keep], two_j_max)
+    return max([0.0] + [g / d ** 0.25 for g, d
+                        in zip(gaps.tolist(), dists[keep].tolist())])
 
 
 def test_quarter_power_fit_is_uniform():

@@ -2,6 +2,7 @@
 import cmath
 import math
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -12,12 +13,46 @@ from gaplab import twostep
 from gaplab.twostep import (_DECAY_FLOOR, FiniteGroupModel, FiniteMeasure,
                             LocalEstimate, TwoStepRep, _log_linear_fit,
                             _opnorms, _translate, apply_measure,
-                            convolution_powers, convolve, cusp_measure_bound,
-                            cyclic_model, left_regular_matrix,
-                            local_estimate_check, sandwich_limit,
-                            sandwich_twostep, sl3_f2_model,
-                            spectral_gap_profile, symmetric_model,
-                            verify_star_instance)
+                            convolution_powers, convolve, cyclic_model,
+                            left_regular_matrix, local_estimate_check,
+                            sandwich_limit, sandwich_twostep, sl3_f2_model,
+                            spectral_gap_profile, verify_star_instance)
+
+
+# ---------------------------------------------------------------------------
+# fixtures, and a paper check that no acceptance criterion states
+
+
+def symmetric_model(n: int) -> FiniteGroupModel:
+    """The symmetric group S_n generated by adjacent transpositions."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    elems = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(elems)}
+    mult = [[index[tuple(p[q[x]] for x in range(n))] for q in elems]
+            for p in elems]
+    gens = []
+    for i in range(n - 1):
+        t = list(range(n))
+        t[i], t[i + 1] = t[i + 1], t[i]
+        gens.append(index[tuple(t)])
+    return FiniteGroupModel(f"S{n}", mult, gens, labels=elems)
+
+
+def _point_mass(model, g):
+    """delta_g as a measure on ``model``."""
+    return FiniteMeasure(model, np.eye(model.order)[g])
+
+
+def _support(m):
+    """(element, weight) for each element of nonzero weight, in order."""
+    return [(int(g), float(m.weights[g])) for g in np.flatnonzero(m.weights)]
+
+
+def _dims(rep):
+    """(dim X0, dim X1, dim X2) of a two-step family pi0: X0 -> X1,
+    pi1: X1 -> X2."""
+    return (rep._pi0.shape[2], rep._pi0.shape[1], rep._pi1.shape[1])
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +127,8 @@ def _z12_mutant():
 def _translate_oracle(m, g, gp):
     """delta_g * m * delta_g' as two general convolutions."""
     model = m.model
-    return convolve(convolve(FiniteMeasure.point_mass(model, g), m),
-                    FiniteMeasure.point_mass(model, gp)).weights
+    return convolve(convolve(_point_mass(model, g), m),
+                    _point_mass(model, gp)).weights
 
 
 def _opnorms_oracle(stack):
@@ -189,7 +224,7 @@ def test_symmetric_model_lengths_are_inversions():
     s4 = symmetric_model(4)
     assert s4.order == 24
     for g, perm in enumerate(s4.labels):
-        assert s4.word_length(g) == _inversions(perm)
+        assert s4.lengths[g] == _inversions(perm)
 
 
 def test_sl3_f2_model(sl3):
@@ -308,7 +343,7 @@ def test_measure_basics():
     m = FiniteMeasure(z4, [0.5, 0.25, 0.25, 0.0])
     assert m.is_probability
     assert m.mass == 1.0
-    assert m.support == [(0, 0.5), (1, 0.25), (2, 0.25)]
+    assert _support(m) == [(0, 0.5), (1, 0.25), (2, 0.25)]
     assert m.max_word_length == 2
     assert not FiniteMeasure(z4, [2.0, 0, 0, 0]).is_probability
     with pytest.raises(ValueError):
@@ -317,10 +352,40 @@ def test_measure_basics():
         FiniteMeasure(z4, [np.nan, 0, 0, 0])
 
 
+def test_uniform_counts_a_repeated_element_once(sl3):
+    # [1, 1] used to put 1/2 on element 1: mass 1/2, which the gap profile
+    # refused as no probability measure
+    z2 = cyclic_model(2)
+    mu = FiniteMeasure.uniform(z2, [1, 1])
+    assert mu.weights.tolist() == [0.0, 1.0] and mu.is_probability
+    assert spectral_gap_profile(z2, mu, 3).generating
+    z7 = cyclic_model(7)
+    assert np.array_equal(FiniteMeasure.uniform(z7, [6, 1, 6, 1]).weights,
+                          FiniteMeasure.uniform(z7, [1, 6]).weights)
+    # a list of distinct elements keeps the weights 1/len it always had
+    for model, elements in ((z7, [1, 6]), (z7, [3, 0, 5]),
+                            (sl3, list(sl3.generators)), (z7, None)):
+        listed = range(model.order) if elements is None else elements
+        want = np.zeros(model.order)
+        want[list(listed)] = 1.0 / len(listed)
+        got = FiniteMeasure.uniform(model, elements).weights
+        assert got.tobytes() == want.tobytes()
+
+
+def test_uniform_refuses_an_empty_list():
+    # an empty list divided by zero; it is a refusal now
+    with pytest.raises(ValueError, match="at least one element"):
+        FiniteMeasure.uniform(cyclic_model(3), [])
+    # -1 named element 2 a second time (mass 1/2), and 3 raised IndexError
+    for elements in ([2, -1], [3], [0, 1, 3]):
+        with pytest.raises(ValueError, match="index the group"):
+            FiniteMeasure.uniform(cyclic_model(3), elements)
+
+
 def test_convolution_identity_and_haar():
     s3 = symmetric_model(3)
     m = FiniteMeasure(s3, np.random.default_rng(1).random(6))
-    e = FiniteMeasure.point_mass(s3, s3.identity)
+    e = _point_mass(s3, s3.identity)
     assert np.allclose(convolve(e, m).weights, m.weights)
     assert np.allclose(convolve(m, e).weights, m.weights)
 
@@ -391,9 +456,9 @@ def test_regular_matrix_is_multiplicative():
 @settings(max_examples=40)
 def test_point_masses_convolve_like_the_group(m, a, b):
     model = cyclic_model(m)
-    da, db = FiniteMeasure.point_mass(model, a % m), FiniteMeasure.point_mass(model, b % m)
+    da, db = _point_mass(model, a % m), _point_mass(model, b % m)
     out = convolve(da, db)
-    assert out.support == [(int(model.mult[a % m, b % m]), 1.0)]
+    assert _support(out) == [(int(model.mult[a % m, b % m]), 1.0)]
 
 
 def test_translate_matches_double_convolution(oracle_models):
@@ -473,7 +538,7 @@ def test_sandwich_identity_is_the_rep_itself():
     assert np.max(np.abs(rep.pi_stack() - lam)) == 0.0
     assert rep.L == pytest.approx(1.0)
     assert rep.s == 0.0
-    assert rep.dims == (3, 3, 3)
+    assert _dims(rep) == (3, 3, 3)
 
 
 def test_sandwich_growth_certificate():
@@ -497,9 +562,9 @@ def test_sandwich_weights_and_rate():
     # measured L: the biggest norm, max(||A diag(w)||, ||B||) = 5
     assert rep.L == pytest.approx(5.0)
     for g in range(6):
-        cap = rep.L * math.exp(rep.s * s3.word_length(g)) + 1e-9
-        assert np.linalg.norm(rep.pi0(g), 2) <= cap
-        assert np.linalg.norm(rep.pi1(g), 2) <= cap
+        cap = rep.L * math.exp(rep.s * s3.lengths[g]) + 1e-9
+        assert np.linalg.norm(rep._pi0[g], 2) <= cap
+        assert np.linalg.norm(rep._pi1[g], 2) <= cap
 
 
 def test_sandwich_rejections():
@@ -614,8 +679,8 @@ def test_relation_sampled_on_large_model():
     rng = np.random.default_rng(4)
     for _ in range(2000):
         g, gp, gpp = rng.integers(0, m, size=3)
-        lhs = rep.pi1(model.mult[g, gp]) @ rep.pi0(gpp)
-        rhs = rep.pi1(g) @ rep.pi0(model.mult[gp, gpp])
+        lhs = rep._pi1[model.mult[g, gp]] @ rep._pi0[gpp]
+        rhs = rep._pi1[g] @ rep._pi0[model.mult[gp, gpp]]
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -646,7 +711,7 @@ def test_relation_residual_matches_einsum_oracle():
     # the gemm against the (j, n k) layout of pi0 and the per-element einsum
     # measure the same residual, to rounding, on rectangular families
     reps = _rectangular_families()
-    assert [rep.dims for rep in reps] == [(2, 3, 4), (3, 4, 2), (2, 3, 4)]
+    assert [_dims(rep) for rep in reps] == [(2, 3, 4), (3, 4, 2), (2, 3, 4)]
     for rep in reps:
         want = _relation_residual_oracle(rep.model, rep._pi0, rep._pi1)
         got = rep._check_relation()
@@ -680,12 +745,12 @@ def test_apply_measure_oracle():
                            rng.standard_normal((24, 3)),
                            rng.standard_normal((2, 24)))
     m = FiniteMeasure(s4, rng.standard_normal(24))
-    explicit = sum(m.weights[g] * rep.pi(g) for g in range(24))
+    explicit = sum(m.weights[g] * rep.pi_stack()[g] for g in range(24))
     assert np.max(np.abs(apply_measure(rep, m) - explicit)) < 1e-12
 
     g = 7
-    assert np.allclose(apply_measure(rep, FiniteMeasure.point_mass(s4, g)),
-                       rep.pi(g))
+    assert np.allclose(apply_measure(rep, _point_mass(s4, g)),
+                       rep.pi_stack()[g])
 
 
 def test_apply_measure_once_composable_contract():
@@ -698,8 +763,8 @@ def test_apply_measure_once_composable_contract():
         m1 = FiniteMeasure(s4, rng.random(24))
         m2 = FiniteMeasure(s4, rng.random(24))
         lhs = apply_measure(rep, convolve(m1, m2))
-        pi1_m1 = np.tensordot(m1.weights, [rep.pi1(g) for g in range(24)], 1)
-        pi0_m2 = np.tensordot(m2.weights, [rep.pi0(g) for g in range(24)], 1)
+        pi1_m1 = np.tensordot(m1.weights, rep._pi1, 1)
+        pi0_m2 = np.tensordot(m2.weights, rep._pi0, 1)
         assert np.max(np.abs(lhs - pi1_m1 @ pi0_m2)) < 1e-10
 
 
@@ -718,7 +783,7 @@ def test_profile_z2_lazy_dies_immediately():
 def test_profile_z3_exact_halving():
     z3 = cyclic_model(3)
     prof = spectral_gap_profile(z3, FiniteMeasure.uniform(z3, [1, 2]), 30)
-    for n, v in enumerate(prof, start=1):
+    for n, v in enumerate(prof.values, start=1):
         assert abs(v - 0.5 ** n) <= 1e-12
     assert prof.rho == pytest.approx(0.5, abs=1e-12)
 
@@ -735,7 +800,7 @@ def test_profile_sl3_geometric(sl3):
     T = left_regular_matrix(mu) - np.full((168, 168), 1.0 / 168)
     rho = float(np.max(np.abs(np.linalg.eigvalsh(T))))
     assert prof.rho == pytest.approx(rho, abs=1e-9)
-    for n, v in enumerate(prof, start=1):
+    for n, v in enumerate(prof.values, start=1):
         assert v == pytest.approx(rho ** n, abs=1e-12)
 
 
@@ -760,7 +825,7 @@ def _lazy_walk(model):
 def _assert_matches_power_oracle(model, mu, horizon):
     prof = spectral_gap_profile(model, mu, horizon)
     vals, rho = _gap_profile_oracle(model, mu, horizon)
-    assert len(prof) == horizon
+    assert len(prof.values) == horizon
     assert np.max(np.abs(np.array(prof.values) - vals)) <= 1e-12, model
     assert (prof.rho is None) == (rho is None), model
     if rho is not None:
@@ -808,7 +873,7 @@ def test_profile_rho_is_the_eigensolve_radius():
 def test_profile_refuses_non_symmetric_measure():
     z5 = cyclic_model(5)
     with pytest.raises(ValueError, match="symmetric"):
-        spectral_gap_profile(z5, FiniteMeasure.point_mass(z5, 1), 4)
+        spectral_gap_profile(z5, _point_mass(z5, 1), 4)
     # symmetry is exact: one unit in the last place breaks it
     w = _lazy_walk(z5).weights.copy()
     w[4] = np.nextafter(w[4], 1.0)
@@ -871,7 +936,7 @@ def test_star_projection_idempotence():
     p = verify_star_instance(rep, ms, [(0, 0)]).p_estimate
     assert np.max(np.abs(p @ p - p)) < 1e-10
     for g in range(3):
-        pg = rep.pi(g)
+        pg = rep.pi_stack()[g]
         assert np.max(np.abs(p @ pg - p)) < 1e-10
         assert np.max(np.abs(pg @ p - p)) < 1e-10
 
@@ -1124,6 +1189,19 @@ def test_local_estimate_requires_probabilities():
     with pytest.raises(ValueError, match="probability"):
         local_estimate_check(rep, FiniteMeasure(z4, [2, 0, 0, 0]),
                              FiniteMeasure.uniform(z4), 0, 0)
+
+
+# a paper check that no acceptance criterion states, kept with its test
+def cusp_measure_bound(omega1_mass: float, gap_profile) -> np.ndarray:
+    """Lower bounds on the mass of the n+1-st domain from a gap profile.
+
+    The deficit obeys 1 - |Omega_{n+1}| <= eps_n / |Omega_1|; the returned
+    sequence is 1 - eps_n/mass clamped to [0, 1].
+    """
+    if not 0 < omega1_mass <= 1:
+        raise ValueError("omega1 mass must lie in (0, 1]")
+    eps = np.asarray(list(gap_profile), dtype=float)
+    return np.clip(1.0 - eps / omega1_mass, 0.0, 1.0)
 
 
 def test_cusp_measure_bound():

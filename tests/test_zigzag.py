@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from gaplab.cartan import CartanTriple
 from gaplab.cli import _chamber_points
-from gaplab.zigzag import (_EQ_TOL, StarParams, ZigZagStep, axis_chain_bound,
-                           product_params, rescale_params,
+from gaplab.zigzag import (_EQ_TOL, StarParams, ZigZagStep, _check_rate,
+                           _check_scale, product_params, rescale_params,
                            revalidate_certificate, step_bound,
                            zigzag_certificate)
 
@@ -106,7 +106,7 @@ def _oracle_ladder(r_from, r_to):
 def _oracle_certificate(a, a_prime, s, L):
     """The certificate the tuple builder made, as a `_Cert`."""
     a, a_prime = CartanTriple(*a), CartanTriple(*a_prime)
-    r, r_prime = a.length, a_prime.length
+    r, r_prime = max(a.a1, -a.a3), max(a_prime.a1, -a_prime.a3)
     a, a_prime = a.as_tuple(), a_prime.as_tuple()
     t = 0.5 - 2.0 * s
     target = (70.0 / (1.0 - 4.0 * s)) * L * L * max(
@@ -306,7 +306,29 @@ def test_step_region_invariants_enforced():
 
 
 # ---------------------------------------------------------------------------
-# axis chains
+# axis chains: a paper bound that no acceptance criterion states, kept here
+# with its tests
+
+
+def axis_chain_bound(r1, r2, s, L) -> float:
+    """Summed bound for the unit-move chain joining c_{r1} to c_{r2}.
+
+    Honest partial sum over the legs of the walk `zigzag_certificate` takes:
+    each unit move from u to v costs 14 L^2 (e^{-t u} + e^{-t v}).  Radii
+    within 1e-12 of each other are one radius, as in the walk, and their
+    chain is a single vacuous move costing 28 L^2 e^{-t r1}.
+    """
+    _check_rate(s)
+    _check_scale(L)
+    if r1 < 1:
+        raise ValueError(f"axis chain starts at radius 1, got r1={r1}")
+    if r2 < r1:
+        raise ValueError("need r1 <= r2")
+    axis = (r1, 0.0, -r1)
+    if r2 - r1 <= _EQ_TOL:
+        # both legs of the move c_{r1} -> c_{r1} pay 14 L^2 e^{-t r1}
+        return 2.0 * step_bound("horizontal", axis, axis, s, L)
+    return float(zigzag_certificate(axis, (r2, 0.0, -r2), s, L).totals[0])
 
 
 def test_chain_degenerate_is_one_vacuous_move():

@@ -38,7 +38,6 @@ the other side of the unit arc, and so an alpha that differs by S, where the
 chained point lies within one rounding of the arc (see ``cocycle``).
 """
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -61,8 +60,13 @@ _GAMMA_CAP = 2.0 ** 52    # ||gamma||_F^2 cap: entries below 2^26, det exact
 #: rows of the (g, omega) grid that one certified float pass of ``_alphas``
 #: takes; the pass holds a few dozen float temporaries of this length
 _ALPHA_ROW_BUDGET = 2 ** 14
-#: rows of the sample log that ``write_sample_log`` holds as Python objects
+#: rows of the sample log that ``write_sample_log`` lays out as one byte
+#: matrix and its keep mask, about 130 bytes a row each
 _LOG_BLOCK_ROWS = 2 ** 12
+#: exact powers 10^0 .. 10^20 and their Veltkamp halves, for ``_digits_17g``
+_POW10 = np.array([float(10 ** e) for e in range(21)])
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 
 #: smallest domain sample count for which summary statistics are accepted
 MIN_DOMAIN_SAMPLES = 16
@@ -739,37 +743,161 @@ def sample_domain(count, seed):
     return points, weights
 
 
+def _scaled_digits(a, k):
+    """rint(a 10^(16 - k)), ties to even, as int64, where the product is at
+    least 2^53: TwoProduct (Dekker's Veltkamp split, one rounding a step)
+    gives a 10^(16-k) = p + err exactly, p is then an even integer with
+    |err| <= ulp(p)/2, and p + rint(err) rounds the exact product."""
+    p = a * _POW10[16 - k]
+    c = a * 134217729.0
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    err = a_hi * _POW10_HI[16 - k] - p
+    err = err + a_hi * _POW10_LO[16 - k]
+    err = err + a_lo * _POW10_HI[16 - k]
+    err = err + a_lo * _POW10_LO[16 - k]
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _digits_17g(values):
+    """The 17 significant digits D and decimal exponent k of ``.17g`` for
+    each float64 of ``values``, and the mask of those certified.
+
+    A value is certified when its 17-digit rounding D = rint(|v| 10^(16-k))
+    lies in [10^16, 10^17) for some k in [-4, 16]: that is ``.17g``'s fixed
+    notation, and the digits are exact (``_scaled_digits``).  k starts at
+    floor(log10 |v|) and moves once by one, which covers a log10 that is off
+    by one and the carry to 10^17.  Zeros, subnormals, non-finite values,
+    scientific notation and a failed check are not certified.
+    """
+    a = np.abs(values)
+    fixed = (a >= 1e-5) & (a < 1e17)
+    a = np.where(fixed, a, 1.0)
+    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    digits = _scaled_digits(a, k)
+    ok = (digits >= 10 ** 16) & (digits < 10 ** 17)
+    moved = k + np.where(digits < 10 ** 16, -1, 1)
+    inside = (moved >= -4) & (moved <= 16)
+    moved = np.clip(moved, -4, 16)
+    again = _scaled_digits(a, moved)
+    ok_again = inside & (again >= 10 ** 16) & (again < 10 ** 17)
+    digits = np.where(ok, digits, again)
+    k = np.where(ok, k, moved)
+    return digits, k, fixed & (ok | ok_again)
+
+
+def _format_17g(values, chars, keep):
+    """Write ``format(v, ".17g")`` of each float64 of ``values`` into
+    ``chars``, a uint8 array of shape values.shape + (24,): the string of v
+    is the bytes of its row that the bool array ``keep``, of the same
+    shape, marks, in order.
+
+    A certified value (``_digits_17g``) fills a fixed row: slot 0 holds the
+    sign and slots 1-5 the prefix "0.000"; from slot 6 on come the 17
+    digits, for k >= 0 with the point after the units.  Its ``keep`` row,
+    a function of (k, significant digits, sign), picks the sign, the first
+    1 - k prefix slots for k < 0, and the digits up to the last nonzero one
+    or the units, with the point when a fraction follows.  The kept bytes
+    of a row form at most three runs, which keeps their selection fast.
+    Every other value is written from ``format``, left-aligned.
+    """
+    digits, k, ok = _digits_17g(values)
+    # a leading zero and the 17 digits, in pairs from a table of "00".."99"
+    pairs = np.empty(values.shape + (9,), dtype=np.int32)
+    hi, rest = np.divmod(np.where(ok, digits, 10 ** 16), 10 ** 8)
+    rest, hi = rest.astype(np.int32), hi.astype(np.int32)
+    for j in range(8, 0, -1):
+        if j == 4:
+            rest = hi
+        rest, pairs[..., j] = np.divmod(rest, 100)
+    pairs[..., 0] = rest
+    tens = np.arange(100)
+    table = np.stack([tens // 10, tens % 10], axis=1).astype(np.uint8) + 48
+    padded = np.empty(values.shape + (19,), dtype=np.uint8)
+    padded[..., :18] = table.view(np.uint16)[:, 0][pairs].view(np.uint8)
+    units = np.where(k < 0, 16, k)[..., None]
+    slot = np.arange(24)
+    chars[..., :6] = (45, 48, 46, 48, 48, 48)
+    chars[..., 6:] = np.where(slot[:18] <= units, padded[..., 1:], padded[..., :18])
+    np.put_along_axis(chars, units + 7, 46, axis=-1)
+    significant = 17 - np.argmax(padded[..., 17:0:-1] != 48, axis=-1)
+    # the keep row of every (k, significant, sign)
+    e = np.arange(-4, 17)[:, None, None, None]
+    n = np.arange(18)[:, None, None]
+    place = slot - 6
+    masks = np.where(slot == 0, np.arange(2)[:, None] == 1,
+                     np.where(slot < 6, slot - 1 < np.where(e < 0, 1 - e, 0),
+                              np.where(e < 0, place < n,
+                                       (place <= e) | ((n > e + 1) & (place <= n)))))
+    masks = np.ascontiguousarray(masks).view("V24")[..., 0]
+    sign = (values < 0).view(np.int8)
+    keep[...] = masks[k + 4, significant, sign].view(bool).reshape(keep.shape)
+    for at in zip(*np.nonzero(~ok)):
+        cell = format(float(values[at]), ".17g").encode()
+        chars[at][:len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+        keep[at] = slot < len(cell)
+
+
 def write_sample_log(path, seed, columns, weights, preamble=()):
     """Stream a domain sample to CSV with columns
     (seed, omega_x, omega_y, rotation, length, weight).
 
-    ``columns`` holds the arrays (x, y, theta, lengths) of
-    ``sample_domain_arrays``; ``seed`` is an integer.  Preamble lines end in
-    ``\\n``; the header and rows end in ``\\r\\n`` and carry every float as
-    ``.17g``, the bytes ``csv.writer`` gives.  One format string, with the
-    seed baked in, makes each row.  The weight column is formatted once per
-    distinct bit pattern (a sample's weights are usually all equal); keying
-    on the bits, not the value, keeps -0.0 apart from 0.0.  The rows stream
-    to the file through ``writelines`` unjoined, and their floats become
-    Python floats ``_LOG_BLOCK_ROWS`` rows at a time, so the memory the log
-    takes stays bounded whatever the sample size: a string of the whole log
-    would cost a copy of the file, and whole columns as Python floats some
-    130 bytes a sample.
+    ``columns`` holds the four 1-D arrays (x, y, theta, lengths) of
+    ``sample_domain_arrays``, each as long as ``weights``; ``seed`` is an
+    integer.  Preamble lines end in ``\\n``; the header and rows end in
+    ``\\r\\n`` and carry every float as ``.17g``, the bytes ``csv.writer``
+    gives, which read back to the same float.
+
+    The four columns take the vectorised ``.17g`` of ``_format_17g``: a
+    certified error-free product gives the 17 digits of every value in
+    fixed notation (1e-4 <= |v| < 1e17), and ``format`` the rest, which a
+    domain sample seldom has.  The weight column is formatted once per
+    distinct bit pattern (a sample's weights are usually all equal, and
+    1/N is in scientific notation); keying on the bits, not the value,
+    keeps -0.0 apart from 0.0.  ``_LOG_BLOCK_ROWS`` rows at a time become
+    one byte matrix with a keep mask, whose kept bytes are one write, so
+    the memory the log takes stays bounded whatever the sample size.
     """
-    fmt = f"{operator.index(seed)}" + ",{:.17g}" * 4 + ",{}\r\n"
+    prefix = f"{operator.index(seed)}".encode()
     columns = [np.asarray(v, dtype=float) for v in columns]
-    bits, which = np.unique(np.ascontiguousarray(weights, dtype=float).view(np.int64),
-                            return_inverse=True)
-    cells = [format(v, ".17g") for v in bits.view(float).tolist()]
+    weights = np.asarray(weights, dtype=float)
+    if len(columns) != 4 or weights.ndim != 1 or any(
+            v.shape != weights.shape for v in columns):
+        raise ValueError(
+            "need four 1-D columns (x, y, theta, lengths), each as long as the "
+            f"{weights.shape} weights, got shapes {[v.shape for v in columns]}")
+    bits, which = np.unique(weights.view(np.int64), return_inverse=True)
+    distinct = [format(v, ".17g").encode() for v in bits.view(float).tolist()]
+    width = max(map(len, distinct), default=0)
+    weight_chars = np.zeros((len(distinct), width), dtype=np.uint8)
+    weight_keep = np.zeros((len(distinct), width), dtype=bool)
+    for i, cell in enumerate(distinct):
+        weight_chars[i, :len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+        weight_keep[i, :len(cell)] = True
+    # a row: prefix, four ",<24 slots>", ",<weight>", "\r\n"
+    tail = len(prefix) + 100
+    rows = np.empty((min(len(weights), _LOG_BLOCK_ROWS), tail + 1 + width + 2),
+                    dtype=np.uint8)
+    kept = np.ones(rows.shape, dtype=bool)
+    rows[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    rows[:, len(prefix):tail:25] = 44
+    rows[:, tail] = 44
+    rows[:, -2:] = (13, 10)
     with open(path, "w", newline="") as fh:
         for line in preamble:
             fh.write(str(line).rstrip("\n") + "\n")
         fh.write("seed,omega_x,omega_y,rotation,length,weight\r\n")
-        for start in range(0, len(which), _LOG_BLOCK_ROWS):
+        fh.flush()      # the rows go to the byte buffer under the text layer
+        for start in range(0, len(weights), _LOG_BLOCK_ROWS):
             block = slice(start, start + _LOG_BLOCK_ROWS)
-            rows = zip(*(v[block].tolist() for v in columns),
-                       map(cells.__getitem__, which[block].tolist()))
-            fh.writelines(itertools.starmap(fmt.format, rows))
+            n = min(_LOG_BLOCK_ROWS, len(weights) - start)
+            cells = (np.s_[:n], np.s_[len(prefix):tail])
+            _format_17g(np.stack([v[block] for v in columns], axis=1),
+                        rows[cells].reshape(n, 4, 25)[..., 1:],
+                        kept[cells].reshape(n, 4, 25)[..., 1:])
+            rows[:n, tail + 1:-2] = weight_chars[which[block]]
+            kept[:n, tail + 1:-2] = weight_keep[which[block]]
+            fh.buffer.write(rows[:n][kept[:n]])
 
 
 # ---------------------------------------------------------------------------
@@ -943,9 +1071,10 @@ def cocycle_growth_check(g_samples, s, domain_samples, s0=1.0):
     is a sequence of SiegelPoints or an (N, 2, 2) array of representatives,
     each weighted 1/N, as ``sample_domain`` draws them (the sampler is
     exact).  Both must be nonempty.  Every alpha(g, omega) comes from one
-    stacked ``_alphas`` pass over all (g, omega) pairs.  The statistics stay
-    one loop over g: each is a reduction over one g's row, and a stacked
-    (G, N) @ (N,) product could round the weighted means differently.
+    stacked ``_alphas`` pass over all (g, omega) pairs, and the lengths,
+    kappa and the nontrivial count from the (G, N) stack.  The weighted
+    means stay one loop over g: each is a reduction over one g's row, and a
+    stacked (G, N) @ (N,) product could round them differently.
     """
     if s <= 0:
         raise ValueError("rate s must be positive")
@@ -956,17 +1085,17 @@ def cocycle_growth_check(g_samples, s, domain_samples, s0=1.0):
         raise ValueError("no group elements to check")
     omegas, x, y, weights = _weighted_sample(domain_samples)
     omega_lengths = _point_lengths(x, y)
-    kappa = -math.inf
     c_emp = -math.inf
     c_emp_stderr = 0.0
-    nontrivial = 0
     stacked, fallbacks = _alphas([g4 for _, g4 in g_list], omegas)
-    for (g, _), alphas in zip(g_list, stacked):
-        lg = element_length(g)
-        nontrivial += int(np.any(alphas.reshape(-1, 4) != (1, 0, 0, 1), axis=1).sum())
-        alpha_lengths = element_length(alphas)
-        kappa = max(kappa, float(np.max(alpha_lengths - 2.0 * lg - 2.0 * omega_lengths)))
-        mean, stderr = weighted_mean_stderr(np.exp(s * alpha_lengths), weights)
+    g_lengths = element_length(np.array([g for g, _ in g_list]))
+    alpha_lengths = element_length(stacked)
+    nontrivial = int(np.any(stacked.reshape(len(g_list), -1, 4) != (1, 0, 0, 1),
+                            axis=2).sum())
+    kappa = float(np.max(alpha_lengths - 2.0 * g_lengths[:, None]
+                         - 2.0 * omega_lengths))
+    for lg, row in zip(g_lengths.tolist(), np.exp(s * alpha_lengths)):
+        mean, stderr = weighted_mean_stderr(row, weights)
         ratio = mean / math.exp(2.0 * s * lg)
         if ratio > c_emp:
             c_emp = ratio

@@ -1184,6 +1184,43 @@ def test_cusp_rate_is_two_within_three_stderr(seed):
     assert abs(fit.rate - 2.0) <= 3.0 * fit.rate_stderr
 
 
+def exact_cusp_tail(r):
+    """P(length > r) under the normalized measure (3/pi) dx dy / y^2 on F,
+    by quadrature of its closed form: with C = cosh 2r and
+    y+- = C +- sqrt(C^2 - 1 - x^2), a point has length > r off the band
+    max(sqrt(1 - x^2), y-) <= y <= y+, so
+    P = (3/pi) int_{-1/2}^{1/2} [1/sqrt(1 - x^2) - (1/a - 1/y+)^+] dx with
+    a = max(sqrt(1 - x^2), y-).  Valid for r >= 1/2, where C^2 > 5/4."""
+    c = math.cosh(2.0 * r)
+
+    def inside(x):
+        root = math.sqrt(c * c - 1.0 - x * x)
+        floor = math.sqrt(1.0 - x * x)
+        return 1.0 / floor - max(1.0 / max(floor, c - root) - 1.0 / (c + root), 0.0)
+
+    value, _ = integrate.quad(inside, -0.5, 0.5, epsabs=1e-14, epsrel=1e-12)
+    return 3.0 / math.pi * value
+
+
+def test_exact_cusp_tail_oracle():
+    # (3/pi) e^{-2r} is its asymptote; at r = 3 they agree to 5e-7
+    assert exact_cusp_tail(3.0) == pytest.approx(2.3670352e-3, rel=1e-7)
+    assert exact_cusp_tail(3.0) == pytest.approx(3.0 / math.pi * math.exp(-6.0), rel=1e-5)
+    assert 1.0 > exact_cusp_tail(0.5) > exact_cusp_tail(1.0) > exact_cusp_tail(2.0) > 0.0
+
+
+@pytest.mark.parametrize("seed", [2025, 2028])
+def test_cusp_tail_lies_within_four_binomial_sigma_of_its_closed_form(seed):
+    # criterion 11's two samples of 10^5: each empirical tail probability on
+    # the fit's radius grid against the exact one (at most 1.91 sigma when
+    # measured)
+    _, _, _, lengths, _ = sample_domain_arrays(10 ** 5, seed)
+    fit = cusp_decay_fit(lengths)
+    for r, p_hat in zip(fit.radii, fit.tail_probs):
+        p = exact_cusp_tail(r)
+        assert abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / lengths.size), r
+
+
 def test_cusp_decay_fit_validation():
     with pytest.raises(ValueError, match="samples"):
         cusp_decay_fit(np.ones(5))
@@ -1263,6 +1300,77 @@ def test_write_sample_log_blocks_join_seamlessly(tmp_path, monkeypatch, block):
     write_sample_log(tmp_path / "got.csv", 9, columns, weights, preamble=_PREAMBLES[1])
     _sample_log_oracle(tmp_path / "want.csv", 9, columns, weights, preamble=_PREAMBLES[1])
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("columns, weights, match", [
+    (lambda x: (x[:6], x, x, x), 10, r"\(6,\)"),
+    (lambda x: (x, x, x, x), 3, r"\(3,\) weights"),
+    (lambda x: (x, x, x), 10, "four 1-D columns"),
+    (lambda x: (x.reshape(2, 5), x, x, x), 10, r"\(2, 5\)"),
+])
+def test_write_sample_log_refuses_mismatched_columns(tmp_path, columns, weights, match):
+    # a short column or a short weight vector used to cut the log to the
+    # shortest, and three columns failed inside the formatting
+    x = np.linspace(0.1, 0.9, 10)
+    with pytest.raises(ValueError, match=match):
+        write_sample_log(tmp_path / "log.csv", 3, columns(x), np.full(weights, 0.1))
+    assert not (tmp_path / "log.csv").exists()
+
+
+def _formatted_17g(values):
+    """The strings ``_format_17g`` lays out for ``values``."""
+    values = np.asarray(values, dtype=float)
+    chars = np.zeros(values.shape + (24,), dtype=np.uint8)
+    keep = np.zeros(values.shape + (24,), dtype=bool)
+    ind._format_17g(values, chars, keep)
+    return [bytes(c[m]).decode() for c, m in zip(chars.reshape(-1, 24), keep.reshape(-1, 24))]
+
+
+_RNG = np.random.default_rng(34)
+_FORMAT_FAMILIES = {
+    "uniform on [0, 1)": _RNG.random(40).tolist(),
+    "normals scaled by 10^-8 .. 10^19": (_RNG.standard_normal(28)
+                                         * 10.0 ** np.arange(-8, 20)).tolist(),
+    "random bit patterns": _RNG.integers(-2 ** 63, 2 ** 63, 40).view(float).tolist(),
+    "sample-log columns": np.concatenate(sample_domain_arrays(10, 34)[:4]).tolist(),
+    "between 10^17 and 10^17 + 2^29": (1e17 + 2.0 ** np.arange(0, 30, 2)).tolist(),
+    "below 10^17": [np.nextafter(1e17, 0) - 16.0 * i for i in range(8)],
+    "even integers above 10^16": (1e16 + 2.0 * np.arange(12)).tolist(),
+    "powers of ten and predecessors": [v for e in range(-6, 21)
+                                       for v in (10.0 ** e, np.nextafter(10.0 ** e, 0))],
+    "either side of 1e-4, 1e-5, 1e16 and 1e17": [
+        np.nextafter(v, to) for v in (1e-4, 1e-5, 1e16, 1e17) for to in (0, math.inf)],
+    "zeros, subnormals and non-finite values": [0.0, -0.0, 5e-324, -2.2e-308,
+                                                math.inf, -math.inf, math.nan],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=40))
+@example(values=_FORMAT_FAMILIES["uniform on [0, 1)"]).via("uniform on [0, 1)")
+@example(values=_FORMAT_FAMILIES["normals scaled by 10^-8 .. 10^19"]).via("scaled normals")
+@example(values=_FORMAT_FAMILIES["random bit patterns"]).via("random bit patterns")
+@example(values=_FORMAT_FAMILIES["sample-log columns"]).via("sample-log columns")
+@example(values=_FORMAT_FAMILIES["between 10^17 and 10^17 + 2^29"]).via("above 1e17")
+@example(values=_FORMAT_FAMILIES["below 10^17"]).via("below 1e17")
+@example(values=_FORMAT_FAMILIES["even integers above 10^16"]).via("above 1e16")
+@example(values=_FORMAT_FAMILIES["powers of ten and predecessors"]).via("powers of ten")
+@example(values=_FORMAT_FAMILIES["either side of 1e-4, 1e-5, 1e16 and 1e17"]).via("edges")
+@example(values=_FORMAT_FAMILIES["zeros, subnormals and non-finite values"]).via("fallback")
+def test_format_17g_matches_format(values):
+    # the vectorised .17g against the dtoa it stands in for, byte for byte;
+    # a (2, n) stack lays out as its rows do
+    want = [format(v, ".17g") for v in values]
+    assert _formatted_17g(values) == want
+    assert _formatted_17g([values, values[::-1]]) == want + want[::-1]
+
+
+@pytest.mark.parametrize("seed", [7, 2025])
+def test_sample_log_columns_take_the_certified_path(seed):
+    # a fast path that fell back on every value would pass every byte test
+    columns = np.stack(sample_domain_arrays(20000, seed)[:4])
+    _, _, certified = ind._digits_17g(columns)
+    assert certified.mean() >= 0.99
 
 
 # ---------------------------------------------------------------------------

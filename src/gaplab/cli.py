@@ -239,7 +239,9 @@ def load_config_file(path):
 @dataclass
 class RunReport:
     """Outcome of one command run: per-case rows plus pass/fail tallies,
-    and any structured diagnostics the runner reports."""
+    and any structured diagnostics the runner reports.  ``sample`` holds the
+    raw data that a command's CSV logs instead of its cases (cocycle-mc's
+    domain sample); the JSON leaves it out."""
 
     command: str
     config: dict
@@ -249,6 +251,7 @@ class RunReport:
     wall_time: float
     columns: tuple = ()
     diagnostics: dict | None = None
+    sample: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.passed + self.failed != len(self.cases):
@@ -276,10 +279,12 @@ def run(command, config=None):
     """Execute ``command`` over its grid; deterministic given (config, seed).
 
     Every key is checked against its `Key` before the runner starts, and
-    the runner gets the typed values.  A ``ValueError`` from the library
-    means the configuration asked for something the library rejects, so it
-    surfaces as a ``UsageError``; so does a grid that yields no case.  A
-    case with a non-finite float cell fails whatever its runner decided.
+    the runner gets the typed values; it returns (cases, columns,
+    diagnostics), and fourth the sample its CSV logs, if it logs one.  A
+    ``ValueError`` from the library means the configuration asked for
+    something the library rejects, so it surfaces as a ``UsageError``; so
+    does a grid that yields no case.  A case with a non-finite float cell
+    fails whatever its runner decided.
     """
     if config is None:
         config = ExperimentConfig(command)
@@ -292,7 +297,7 @@ def run(command, config=None):
               for key, rule in spec.keys.items()}
     start = time.perf_counter()
     try:
-        cases, columns, diagnostics = spec.runner(params, config.seed)
+        cases, columns, diagnostics, *sample = spec.runner(params, config.seed)
     except ValueError as exc:
         raise UsageError(f"{command}: {exc}") from exc
     wall = time.perf_counter() - start
@@ -305,7 +310,8 @@ def run(command, config=None):
             case["pass"] = False
     passed = sum(1 for case in cases if case["pass"])
     return RunReport(command, config.echo(), cases, passed,
-                     len(cases) - passed, wall, tuple(columns), diagnostics)
+                     len(cases) - passed, wall, tuple(columns), diagnostics,
+                     *sample)
 
 
 def _format_cell(value):
@@ -629,7 +635,7 @@ def _run_cocycle_mc(params, seed):
     if s > s0 / 2.0 + 1e-12:    # the library's admissible range
         raise UsageError(f"cocycle-mc: --s0 must be at least 2s = {2 * s:g}, "
                          f"got {s0!r}")
-    x, y, theta, lengths, _ = induction.sample_domain_arrays(samples, seed)
+    x, y, theta, lengths, weights = induction.sample_domain_arrays(samples, seed)
     head = min(200, samples)
     subset = induction.domain_matrices(x[:head], y[:head], theta[:head])
 
@@ -671,19 +677,16 @@ def _run_cocycle_mc(params, seed):
     diagnostics = {"domainStats": stats.to_json(), "cuspFit": fit.to_json(),
                    "cuspFitAlt": fit_alt.to_json(),
                    "pushforwardExactFallbacks": push_fallbacks}
-    return cases, ("check", "value", "bound", "pass"), diagnostics
+    return (cases, ("check", "value", "bound", "pass"), diagnostics,
+            (x, y, theta, lengths, weights))
 
 
 def _write_sample_log(path, report, preamble):
-    """The cocycle command logs its raw domain sample instead of its cases.
-
-    The sample is a pure function of (samples, seed), so it is drawn again
-    from the echoed configuration instead of travelling in the report.
-    """
-    seed = report.config["seed"]
-    samples = int(report.config["grid"]["samples"][0])
-    *columns, weights = induction.sample_domain_arrays(samples, seed)
-    induction.write_sample_log(path, seed, columns, weights, preamble=preamble)
+    """The cocycle command logs the raw domain sample its runner drew,
+    which the report carries outside its JSON, instead of its cases."""
+    *columns, weights = report.sample
+    induction.write_sample_log(path, report.config["seed"], columns, weights,
+                               preamble=preamble)
 
 
 @dataclass(frozen=True)

@@ -682,6 +682,25 @@ def test_cocycle_csv_is_a_sample_log(tmp_path, capsys):
         [np.full(600, 11.0), x, y, theta, lengths, weights]))
 
 
+def test_cocycle_draws_its_sample_once(tmp_path, capsys, monkeypatch):
+    # the log is written from the runner's draw: one draw at seed for the
+    # sample and one at seed + 1000 for the two-seed cusp check, no third
+    draws = []
+    draw = induction.sample_domain_arrays
+    monkeypatch.setattr(induction, "sample_domain_arrays",
+                        lambda count, seed: draws.append((count, seed))
+                        or draw(count, seed))
+    out = tmp_path / "mc.csv"
+    assert run_main(["cocycle-mc", "--samples=600", "--gcount=4",
+                     "--seed", 11, "--out", out]) == 0
+    assert draws == [(600, 11), (600, 1011)]
+    report = json.loads(capsys.readouterr().out)
+    assert "sample" not in report
+    want = tmp_path / "want.csv"
+    induction.write_sample_log(want, 11, draw(600, 11)[:4], draw(600, 11)[4])
+    assert out.read_bytes().split(b"\r\n", 1)[1] == want.read_bytes().split(b"\r\n", 1)[1]
+
+
 def test_cocycle_json_reports_every_exact_fallback(tmp_path, capsys, monkeypatch):
     # with every float proposal refused, each (g, omega) pair of the growth
     # check (4 g) and of the pushforward (8 atoms) takes the exact path over

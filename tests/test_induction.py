@@ -1320,10 +1320,11 @@ def test_write_sample_log_refuses_mismatched_columns(tmp_path, columns, weights,
 def _formatted_17g(values):
     """The strings ``_format_17g`` lays out for ``values``."""
     values = np.asarray(values, dtype=float)
-    chars = np.zeros(values.shape + (24,), dtype=np.uint8)
-    keep = np.zeros(values.shape + (24,), dtype=bool)
+    width = ind._CELL
+    chars = np.zeros(values.shape + (width,), dtype=np.uint8)
+    keep = np.zeros(values.shape + (width,), dtype=bool)
     ind._format_17g(values, chars, keep)
-    return [bytes(c[m]).decode() for c, m in zip(chars.reshape(-1, 24), keep.reshape(-1, 24))]
+    return [bytes(c[m]).decode() for c, m in zip(chars.reshape(-1, width), keep.reshape(-1, width))]
 
 
 _RNG = np.random.default_rng(34)
@@ -1342,6 +1343,13 @@ _FORMAT_FAMILIES = {
         np.nextafter(v, to) for v in (1e-4, 1e-5, 1e16, 1e17) for to in (0, math.inf)],
     "zeros, subnormals and non-finite values": [0.0, -0.0, 5e-324, -2.2e-308,
                                                 math.inf, -math.inf, math.nan],
+    # the 17-digit significand ends in 16 .. 0 zeros, so the last significant
+    # digit falls on each side of every 4-digit group boundary
+    "0 to 16 trailing zeros": [
+        1.5, 0.125, 1234.5, 12345678.0,
+        *(int("12345678901234567"[:d]) * 2.0 ** -j
+          for d in range(1, 18) for j in (0, 1, 4)),
+        *(3.0 * 2.0 ** -k for k in range(20))],
 }
 
 
@@ -1357,12 +1365,52 @@ _FORMAT_FAMILIES = {
 @example(values=_FORMAT_FAMILIES["powers of ten and predecessors"]).via("powers of ten")
 @example(values=_FORMAT_FAMILIES["either side of 1e-4, 1e-5, 1e16 and 1e17"]).via("edges")
 @example(values=_FORMAT_FAMILIES["zeros, subnormals and non-finite values"]).via("fallback")
+@example(values=_FORMAT_FAMILIES["0 to 16 trailing zeros"]).via("trailing zeros")
 def test_format_17g_matches_format(values):
     # the vectorised .17g against the dtoa it stands in for, byte for byte;
     # a (2, n) stack lays out as its rows do
     want = [format(v, ".17g") for v in values]
     assert _formatted_17g(values) == want
     assert _formatted_17g([values, values[::-1]]) == want + want[::-1]
+
+
+def test_trailing_zero_family_has_every_significant_digit_count():
+    digits, _, certified = ind._digits_17g(np.array(_FORMAT_FAMILIES["0 to 16 trailing zeros"]))
+    assert {len(str(d).rstrip("0")) for d in digits[certified]} == set(range(1, 18))
+
+
+def _digits_17g_whole_retry(values):
+    """``_digits_17g`` with its second attempt over the whole array."""
+    a = np.abs(values)
+    fixed = (a >= 1e-5) & (a < 1e17)
+    a = np.where(fixed, a, 1.0)
+    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    digits = ind._scaled_digits(a, k)
+    ok = (digits >= 10 ** 16) & (digits < 10 ** 17)
+    moved = k + np.where(digits < 10 ** 16, -1, 1)
+    inside = (moved >= -4) & (moved <= 16)
+    again = ind._scaled_digits(a, np.clip(moved, -4, 16))
+    ok_again = inside & (again >= 10 ** 16) & (again < 10 ** 17)
+    return (np.where(ok, digits, again), np.where(ok, k, moved),
+            fixed & (ok | ok_again))
+
+
+@pytest.mark.parametrize("family", [*_FORMAT_FAMILIES, "sample_domain_arrays(20000, 7)"])
+def test_digits_17g_retry_on_the_uncertified_subset_matches_a_whole_retry(family, monkeypatch):
+    if family in _FORMAT_FAMILIES:
+        values = np.array(_FORMAT_FAMILIES[family])
+    else:
+        values = np.stack(sample_domain_arrays(20000, 7)[:4], axis=1)
+    want = _digits_17g_whole_retry(values)
+    sizes = []
+    scaled = ind._scaled_digits
+    monkeypatch.setattr(ind, "_scaled_digits", lambda a, k: sizes.append(a.size) or scaled(a, k))
+    got = ind._digits_17g(values)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    # the predecessors of powers of ten sit one below floor(log10)
+    if family == "powers of ten and predecessors":
+        assert len(sizes) == 2 and 0 < sizes[1] < sizes[0]
 
 
 @pytest.mark.parametrize("seed", [7, 2025])

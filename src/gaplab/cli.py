@@ -26,12 +26,15 @@ is violated, 2 on usage errors.
 The output CSV starts with a ``# schema=<command>/v1`` line followed by a
 ``# generated=...`` timestamp comment; everything below the timestamp line
 is a pure function of the configuration and seed, so reruns are
-byte-identical once that single comment line is dropped.
+byte-identical once that single comment line is dropped.  Every command's
+CSV, case table or sample log, is written by ``_table.write_table``: the
+preamble lines end in ``\n``, the header and rows in ``\r\n``, floats are
+``.17g`` and bools 1 or 0, and a string cell that would need csv quoting
+is refused.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 import math
@@ -42,6 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _table
 from . import cartan
 from . import finite_models
 from . import induction
@@ -314,18 +318,6 @@ def run(command, config=None):
                      *sample)
 
 
-def _format_cell(value):
-    if value is None or value == "":
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
 def write_report_csv(path, report):
     """Schema line and timestamp comment, then the body the command's
     ``write_csv`` writes."""
@@ -336,14 +328,11 @@ def write_report_csv(path, report):
 
 
 def _write_case_table(path, report, preamble):
-    """Preamble, header, one row per case."""
-    with open(path, "w", newline="") as fh:
-        for line in preamble:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(list(report.columns))
-        for row in report.cases:
-            writer.writerow([_format_cell(row.get(col, "")) for col in report.columns])
+    """Preamble, header, one row per case; a column a case lacks is
+    blank."""
+    _table.write_table(path, preamble, report.columns,
+                       [[case.get(col, "") for case in report.cases]
+                        for col in report.columns])
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,14 @@ the other side of the unit arc, and so an alpha that differs by S, where the
 chained point lies within one rounding of the arc (see ``cocycle``).
 """
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from . import _table
 
 _HALF = Fraction(1, 2)
 _MEMBER_TOL = 1e-10
@@ -61,15 +62,6 @@ _GAMMA_CAP = 2.0 ** 52    # ||gamma||_F^2 cap: entries below 2^26, det exact
 #: rows of the (g, omega) grid that one certified float pass of ``_alphas``
 #: takes; the pass holds a few dozen float temporaries of this length
 _ALPHA_ROW_BUDGET = 2 ** 14
-#: rows of the sample log that ``write_sample_log`` lays out as one byte
-#: matrix and its keep mask, about 200 bytes a row each
-_LOG_BLOCK_ROWS = 2 ** 11
-_CELL = 41                # slots of one ``_format_17g`` cell (``_tables``)
-#: exact powers 10^0 .. 10^20 and their Veltkamp halves, for ``_digits_17g``
-_POW10 = np.array([float(10 ** e) for e in range(21)])
-_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-
 #: smallest domain sample count for which summary statistics are accepted
 MIN_DOMAIN_SAMPLES = 16
 
@@ -745,139 +737,16 @@ def sample_domain(count, seed):
     return points, weights
 
 
-def _scaled_digits(a, k):
-    """rint(a 10^(16 - k)), ties to even, as int64, where the product is at
-    least 2^53: TwoProduct (Dekker's Veltkamp split, one rounding a step)
-    gives a 10^(16-k) = p + err exactly, p is then an even integer with
-    |err| <= ulp(p)/2, and p + rint(err) rounds the exact product."""
-    p = a * _POW10[16 - k]
-    c = a * 134217729.0
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    err = a_hi * _POW10_HI[16 - k] - p
-    err = err + a_hi * _POW10_LO[16 - k]
-    err = err + a_lo * _POW10_HI[16 - k]
-    err = err + a_lo * _POW10_LO[16 - k]
-    return p.astype(np.int64) + np.rint(err).astype(np.int64)
-
-
-def _digits_17g(values):
-    """The 17 significant digits D and decimal exponent k of ``.17g`` for
-    each float64 of ``values``, and the mask of those certified.
-
-    A value is certified when its 17-digit rounding D = rint(|v| 10^(16-k))
-    lies in [10^16, 10^17) for some k in [-4, 16]: that is ``.17g``'s fixed
-    notation, and the digits are exact (``_scaled_digits``).  k starts at
-    floor(log10 |v|); the values that attempt leaves uncertified, and only
-    those, try k moved once by one, which covers a log10 that is off by one
-    and the carry to 10^17.  Zeros, subnormals, non-finite values,
-    scientific notation and a failed check are not certified.
-    """
-    a = np.abs(values)
-    fixed = (a >= 1e-5) & (a < 1e17)
-    a = np.where(fixed, a, 1.0)
-    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
-    digits = _scaled_digits(a, k)
-    ok = (digits >= 10 ** 16) & (digits < 10 ** 17)
-    retry = np.nonzero(~ok)
-    if retry[0].size:
-        moved = k[retry] + np.where(digits[retry] < 10 ** 16, -1, 1)
-        inside = (moved >= -4) & (moved <= 16)
-        again = _scaled_digits(a[retry], np.clip(moved, -4, 16))
-        digits[retry], k[retry] = again, moved
-        ok[retry] = inside & (again >= 10 ** 16) & (again < 10 ** 17)
-    return digits, k, fixed & ok
-
-
-@functools.cache
-def _tables():
-    """The read-only tables of ``_format_17g``, built on its first call: the
-    keep row of each (k + 4, significant digits, sign) as one ``V41`` item,
-    the ASCII of each 4-digit group 0000..9999 as a uint32, and the
-    trailing zeros of each group.  A cell is the sign (slot 0), "0.000"
-    (1-5), the 17 digits (6-22), the point (23) and the digits again
-    (24-40); a keep row takes for k < 0 the first 1 - k prefix slots and
-    the significant digits, for k >= 0 digits 0..k, then the point and the
-    other significant digits of the second copy if a fraction follows."""
-    slot = np.arange(_CELL)
-    e = np.arange(-4, 17)[:, None, None, None]
-    n = np.arange(18)[:, None, None]
-    rows = np.select(
-        [slot == 0, slot < 6, slot < 23, slot == 23],
-        [np.arange(2)[:, None] == 1, slot - 1 < np.where(e < 0, 1 - e, 0),
-         slot - 6 < np.where(e < 0, n, e + 1), (e >= 0) & (n > e + 1)],
-        (e >= 0) & (slot - 24 > e) & (slot - 24 < n))
-    digit = np.arange(48, 58, dtype=np.uint8)
-    ascii = np.stack(np.meshgrid(*[digit] * 4, indexing="ij"), axis=-1)
-    group = np.arange(10 ** 4)
-    zeros = sum((group % 10 ** j == 0).astype(np.uint8) for j in range(1, 5))
-    tables = (np.ascontiguousarray(rows).view(f"V{_CELL}").ravel(),
-              ascii.view(np.uint32).ravel(), zeros)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _format_17g(values, chars, keep):
-    """Write ``format(v, ".17g")`` of each float64 of ``values`` into
-    ``chars``, a uint8 array of shape values.shape + (41,): the string of v
-    is the bytes of its cell that the bool array ``keep``, of the same
-    shape, marks, in order.
-
-    A certified value (``_digits_17g``) fills a fixed cell: the sign, the
-    prefix "0.000", the 17 digits, the point and the digits again.  Its
-    keep row, a function of (k, significant digits, sign), places the point
-    by the copy each digit is kept from, so no cell is shifted.  The digits
-    are a leading one and four 4-digit groups, whose ASCII and trailing
-    zeros (which count the significant digits) are looked up in tables
-    built once (``_tables``).  Every other value is written from
-    ``format``, left-aligned.
-    """
-    rows, ascii, zeros = _tables()
-    digits, k, ok = _digits_17g(values)
-    lead, rest = np.divmod(np.where(ok, digits, 10 ** 16), 10 ** 16)
-    high, low = np.divmod(rest, 10 ** 8)
-    groups = np.empty(values.shape + (4,), dtype=np.int32)
-    np.divmod(high.astype(np.int32), 10 ** 4, out=(groups[..., 0], groups[..., 1]))
-    np.divmod(low.astype(np.int32), 10 ** 4, out=(groups[..., 2], groups[..., 3]))
-    chars[..., :6] = (45, 48, 46, 48, 48, 48)
-    chars[..., 23] = 46
-    chars[..., 6] = chars[..., 24] = lead + 48
-    chars[..., 7:23] = chars[..., 25:] = np.take(ascii, groups).view(np.uint8)
-    # trailing zeros of the 16 digits after the leading one, group by group
-    z = np.take(zeros, groups)
-    trailing = z[..., 3] + (z[..., 3] == 4) * (
-        z[..., 2] + (z[..., 2] == 4) * (z[..., 1] + (z[..., 1] == 4) * z[..., 0]))
-    index = ((k + 4) * 18 + 17 - trailing) * 2 + (values < 0)
-    keep[...] = np.take(rows, index).view(bool).reshape(keep.shape)
-    slot = np.arange(_CELL)
-    for at in zip(*np.nonzero(~ok)):
-        cell = format(float(values[at]), ".17g").encode()
-        chars[at][:len(cell)] = np.frombuffer(cell, dtype=np.uint8)
-        keep[at] = slot < len(cell)
-
-
 def write_sample_log(path, seed, columns, weights, preamble=()):
-    """Stream a domain sample to CSV with columns
-    (seed, omega_x, omega_y, rotation, length, weight).
+    """Write a domain sample to CSV with columns
+    (seed, omega_x, omega_y, rotation, length, weight), one row a point.
 
     ``columns`` holds the four 1-D arrays (x, y, theta, lengths) of
     ``sample_domain_arrays``, each as long as ``weights``; ``seed`` is an
-    integer.  Preamble lines end in ``\\n``; the header and rows end in
-    ``\\r\\n`` and carry every float as ``.17g``, the bytes ``csv.writer``
-    gives, which read back to the same float.
-
-    The four columns take the 41-slot cells of ``_format_17g``: a
-    certified error-free product gives the 17 digits of every value in
-    fixed notation (1e-4 <= |v| < 1e17), and ``format`` the rest, which a
-    domain sample seldom has.  The weight column is formatted once per
-    distinct bit pattern (a sample's weights are usually all equal, and
-    1/N is in scientific notation); keying on the bits, not the value,
-    keeps -0.0 apart from 0.0.  2^11 rows (``_LOG_BLOCK_ROWS``) at a time
-    become one byte matrix with a keep mask, whose kept bytes are one
-    write, so the log's memory stays bounded whatever the sample size.
+    integer.  The layout is ``_table.write_table``'s: every float is
+    ``.17g``, which reads back to the same float, and the seed and a
+    weight that every row shares are formatted once.
     """
-    prefix = f"{operator.index(seed)}".encode()
     columns = [np.asarray(v, dtype=float) for v in columns]
     weights = np.asarray(weights, dtype=float)
     if len(columns) != 4 or weights.ndim != 1 or any(
@@ -885,35 +754,10 @@ def write_sample_log(path, seed, columns, weights, preamble=()):
         raise ValueError(
             "need four 1-D columns (x, y, theta, lengths), each as long as the "
             f"{weights.shape} weights, got shapes {[v.shape for v in columns]}")
-    bits, which = np.unique(weights.view(np.int64), return_inverse=True)
-    distinct = np.array([format(v, ".17g") for v in bits.view(float).tolist()]
-                        or [""], dtype=bytes)     # NUL-padded to one width
-    weight_chars = distinct.view(np.uint8).reshape(len(distinct), -1)
-    weight_keep, width = weight_chars != 0, weight_chars.shape[1]
-    # a row: prefix, four ",<cell>", ",<weight>", "\r\n"
-    tail = len(prefix) + 4 * (_CELL + 1)
-    rows = np.empty((min(len(weights), _LOG_BLOCK_ROWS), tail + 1 + width + 2),
-                    dtype=np.uint8)
-    kept = np.ones(rows.shape, dtype=bool)
-    rows[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-    rows[:, len(prefix):tail:_CELL + 1] = 44
-    rows[:, tail] = 44
-    rows[:, -2:] = (13, 10)
-    with open(path, "w", newline="") as fh:
-        for line in preamble:
-            fh.write(str(line).rstrip("\n") + "\n")
-        fh.write("seed,omega_x,omega_y,rotation,length,weight\r\n")
-        fh.flush()      # the rows go to the byte buffer under the text layer
-        for start in range(0, len(weights), _LOG_BLOCK_ROWS):
-            block = slice(start, start + _LOG_BLOCK_ROWS)
-            n = min(_LOG_BLOCK_ROWS, len(weights) - start)
-            cells = (np.s_[:n], np.s_[len(prefix):tail])
-            _format_17g(np.stack([v[block] for v in columns], axis=1),
-                        rows[cells].reshape(n, 4, _CELL + 1)[..., 1:],
-                        kept[cells].reshape(n, 4, _CELL + 1)[..., 1:])
-            rows[:n, tail + 1:-2] = np.take(weight_chars, which[block], axis=0)
-            kept[:n, tail + 1:-2] = np.take(weight_keep, which[block], axis=0)
-            fh.buffer.write(rows[:n][kept[:n]])
+    _table.write_table(
+        path, preamble, ("seed", "omega_x", "omega_y", "rotation", "length",
+                         "weight"),
+        [np.full(len(weights), operator.index(seed)), *columns, weights])
 
 
 # ---------------------------------------------------------------------------

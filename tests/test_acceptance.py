@@ -497,9 +497,12 @@ def test_criterion_11_lattice_cocycle():
                    - (stats.kappa + 2.0 * lg + 2.0 * pt.length))
             worst_pointwise = max(worst_pointwise, gap)
             assert gap <= 1e-12
-    # (c) cusp mass decays exponentially, reproducibly across seeds
+    # (c) cusp mass decays exponentially, at the exact rate 2 of the closed
+    # form P(length > r) ~ (3/pi) e^{-2r} (ROADMAP item 8), reproducibly
+    # across seeds
     fit = induction.cusp_decay_fit(lengths)
     assert fit.rate > 0 and fit.rate > 3.0 * fit.rate_stderr
+    assert abs(fit.rate - 2.0) <= 3.0 * fit.rate_stderr
     probs = np.asarray(fit.tail_probs)
     radii = np.asarray(fit.radii)
     keep = probs > 0
@@ -508,6 +511,7 @@ def test_criterion_11_lattice_cocycle():
     _, _, _, alt_lengths, _ = induction.sample_domain_arrays(100000,
                                                              seed + 3)
     fit_alt = induction.cusp_decay_fit(alt_lengths)
+    assert abs(fit_alt.rate - 2.0) <= 3.0 * fit_alt.rate_stderr
     gap = abs(fit.rate - fit_alt.rate)
     band = 3.0 * (fit.rate_stderr + fit_alt.rate_stderr)
     assert gap <= band

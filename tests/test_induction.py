@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.linalg import svdvals
 
+from gaplab import _table
 from gaplab import induction as ind
 from gaplab.induction import (
     CocycleResult,
@@ -1293,7 +1294,7 @@ def test_write_sample_log_matches_csv_writer_oracle(tmp_path_factory, rows, seed
 def test_write_sample_log_blocks_join_seamlessly(tmp_path, monkeypatch, block):
     # 40 rows in blocks of 1, 7 (a short last block) and 40 (one block),
     # with two distinct weights that alternate across block edges
-    monkeypatch.setattr(ind, "_LOG_BLOCK_ROWS", block)
+    monkeypatch.setattr(_table, "_BLOCK_ROWS", block)
     x, y, theta, lengths, weights = sample_domain_arrays(40, 9)
     weights = np.where(np.arange(40) % 3, weights, -0.0)
     columns = (x, y, theta, lengths)
@@ -1320,10 +1321,10 @@ def test_write_sample_log_refuses_mismatched_columns(tmp_path, columns, weights,
 def _formatted_17g(values):
     """The strings ``_format_17g`` lays out for ``values``."""
     values = np.asarray(values, dtype=float)
-    width = ind._CELL
+    width = _table._CELL
     chars = np.zeros(values.shape + (width,), dtype=np.uint8)
     keep = np.zeros(values.shape + (width,), dtype=bool)
-    ind._format_17g(values, chars, keep)
+    _table._format_17g(values, chars, keep)
     return [bytes(c[m]).decode() for c, m in zip(chars.reshape(-1, width), keep.reshape(-1, width))]
 
 
@@ -1375,7 +1376,7 @@ def test_format_17g_matches_format(values):
 
 
 def test_trailing_zero_family_has_every_significant_digit_count():
-    digits, _, certified = ind._digits_17g(np.array(_FORMAT_FAMILIES["0 to 16 trailing zeros"]))
+    digits, _, certified = _table._digits_17g(np.array(_FORMAT_FAMILIES["0 to 16 trailing zeros"]))
     assert {len(str(d).rstrip("0")) for d in digits[certified]} == set(range(1, 18))
 
 
@@ -1385,11 +1386,11 @@ def _digits_17g_whole_retry(values):
     fixed = (a >= 1e-5) & (a < 1e17)
     a = np.where(fixed, a, 1.0)
     k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
-    digits = ind._scaled_digits(a, k)
+    digits = _table._scaled_digits(a, k)
     ok = (digits >= 10 ** 16) & (digits < 10 ** 17)
     moved = k + np.where(digits < 10 ** 16, -1, 1)
     inside = (moved >= -4) & (moved <= 16)
-    again = ind._scaled_digits(a, np.clip(moved, -4, 16))
+    again = _table._scaled_digits(a, np.clip(moved, -4, 16))
     ok_again = inside & (again >= 10 ** 16) & (again < 10 ** 17)
     return (np.where(ok, digits, again), np.where(ok, k, moved),
             fixed & (ok | ok_again))
@@ -1403,9 +1404,9 @@ def test_digits_17g_retry_on_the_uncertified_subset_matches_a_whole_retry(family
         values = np.stack(sample_domain_arrays(20000, 7)[:4], axis=1)
     want = _digits_17g_whole_retry(values)
     sizes = []
-    scaled = ind._scaled_digits
-    monkeypatch.setattr(ind, "_scaled_digits", lambda a, k: sizes.append(a.size) or scaled(a, k))
-    got = ind._digits_17g(values)
+    scaled = _table._scaled_digits
+    monkeypatch.setattr(_table, "_scaled_digits", lambda a, k: sizes.append(a.size) or scaled(a, k))
+    got = _table._digits_17g(values)
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
     # the predecessors of powers of ten sit one below floor(log10)
@@ -1417,7 +1418,7 @@ def test_digits_17g_retry_on_the_uncertified_subset_matches_a_whole_retry(family
 def test_sample_log_columns_take_the_certified_path(seed):
     # a fast path that fell back on every value would pass every byte test
     columns = np.stack(sample_domain_arrays(20000, seed)[:4])
-    _, _, certified = ind._digits_17g(columns)
+    _, _, certified = _table._digits_17g(columns)
     assert certified.mean() >= 0.99
 
 
